@@ -45,7 +45,6 @@ from .simulate import (
     TruthModel,
     generate_truth,
     gps_fixes,
-    gps_measure,
     sample_imu,
     simulation_sensor_defaults,
     turning_scenario,
@@ -80,7 +79,6 @@ __all__ = [
     "double_integral_increment",
     "generate_truth",
     "gps_fixes",
-    "gps_measure",
     "make_aligner",
     "monte_carlo",
     "optimal_quaternion",

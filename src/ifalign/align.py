@@ -13,9 +13,10 @@ its t=0 orientation (from earth/transport rates) -- and accumulate a pair of
   nested double integrals, which smooth aiding noise harder at the price of
   slower transient response.  The initial velocity is an unknown of its fit.
 
-Every update folds the current pair into a 4x4 accumulator; the
+Every ``update()`` folds the current pair into a 4x4 accumulator;
+``estimate()`` solves for the optimal attitude quaternion, the
 smallest-eigenvalue eigenvector of the matrix the aligner solves
-(:meth:`_AlignerBase.solved_matrix`) is the optimal attitude quaternion.
+(:meth:`_AlignerBase.solved_matrix`).
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import earth
 from .attitude import compose_attitude, cross_floats, quat_to_dcm, rotvec_to_dcm
-from .errors import DegenerateSpectrum
 from .increments import body_rotvec, double_integral_increment, sculling_increment
 from .quest import accumulate, optimal_quaternion, pair_operator
 
@@ -53,7 +53,7 @@ class AidFix:
 
 
 class AlignmentEstimate:
-    """Result of one aligner update.
+    """Attitude solved from an aligner's accumulated state.
 
     ``q`` encodes the estimated constant nav-to-body attitude at t=0
     (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
@@ -85,23 +85,30 @@ class AlignmentEstimate:
 
 
 class _AlignerBase:
-    """Shared chain propagation, eigen solve and bookkeeping."""
+    """Shared chain propagation, state bookkeeping and eigen solve.
 
-    def __init__(self, v0, p0, T, solve_every=1):
+    ``update()`` folds one interval into the state; ``estimate()`` solves
+    the state for the attitude.  A subclass declares its snapshot tag
+    ``KIND`` and, in ``STATE``, the shape of every accumulator it carries
+    besides the two chains and ``K``.  The zeroed state, :meth:`to_dict`
+    and :meth:`from_dict` are built from that declaration.
+    """
+
+    KIND = None
+    STATE = {}
+
+    def __init__(self, v0, p0, T):
         if T <= 0.0:
             raise ValueError("update interval T must be positive")
-        if solve_every < 1:
-            raise ValueError("solve_every must be >= 1")
         self.T = float(T)
         self.M = 0
         self.v0 = np.asarray(v0, dtype=float).copy()
         self.p0 = np.asarray(p0, dtype=float).copy()
-        self.solve_every = int(solve_every)
         self.c_nav = np.eye(3)   # C_{n(t_M)}^{n(0)}
         self.c_body = np.eye(3)  # C_{b(t_M)}^{b(0)}
         self.K = np.zeros((4, 4))
-        self._last_q = None
-        self._last_lambda = None
+        for name, shape in self.STATE.items():
+            setattr(self, name, np.zeros(shape))
 
     @property
     def t(self):
@@ -129,45 +136,43 @@ class _AlignerBase:
         """The 4x4 matrix whose smallest eigenvector is the estimate (here ``K``)."""
         return self.K
 
-    def _solve(self):
-        """Extract the attitude estimate; may raise DegenerateSpectrum."""
-        if self.M % self.solve_every == 0:
-            q, lam = optimal_quaternion(self.solved_matrix())
-            self._last_q = q
-            self._last_lambda = lam
-        elif self._last_q is None:
-            raise DegenerateSpectrum("no attitude estimate available yet")
+    def estimate(self):
+        """Solve the accumulated state for an :class:`AlignmentEstimate`.
+
+        A pure function of the state.  Raises :class:`DegenerateSpectrum`
+        while the attitude is unobservable; further updates may follow.
+        """
+        q, lam = optimal_quaternion(self.solved_matrix())
         return AlignmentEstimate(
-            t=self.t,
-            q=self._last_q,
-            lambda_min=self._last_lambda,
-            c_nav=self.c_nav,
-            c_body=self.c_body,
+            t=self.t, q=q, lambda_min=lam, c_nav=self.c_nav, c_body=self.c_body
         )
 
-    def current_attitude(self, q):
-        """Body-to-nav matrix at the current time for a given initial-attitude q."""
-        return compose_attitude(self.c_nav.T, quat_to_dcm(q).T, self.c_body)
+    def _state_names(self):
+        return ("c_nav", "c_body", "K", *self.STATE)
 
-    def _state_dict(self, extra):
+    def to_dict(self):
+        """JSON-serializable snapshot of the full state."""
         state = {
+            "kind": self.KIND,
             "T": self.T,
             "M": self.M,
             "v0": self.v0.tolist(),
             "p0": self.p0.tolist(),
-            "solve_every": self.solve_every,
-            "c_nav": self.c_nav.tolist(),
-            "c_body": self.c_body.tolist(),
-            "K": self.K.tolist(),
         }
-        state.update(extra)
+        for name in self._state_names():
+            state[name] = getattr(self, name).tolist()
         return state
 
-    def _restore_base(self, state):
-        self.M = int(state["M"])
-        self.c_nav = np.array(state["c_nav"], dtype=float)
-        self.c_body = np.array(state["c_body"], dtype=float)
-        self.K = np.array(state["K"], dtype=float)
+    @classmethod
+    def from_dict(cls, state):
+        """Rebuild an aligner from :meth:`to_dict` output."""
+        if state.get("kind") != cls.KIND:
+            raise ValueError(f"state is not a {cls.__name__} snapshot")
+        out = cls(state["v0"], state["p0"], state["T"])
+        out.M = int(state["M"])
+        for name in out._state_names():
+            setattr(out, name, np.array(state[name], dtype=float))
+        return out
 
 
 class VelocityIntegrationAligner(_AlignerBase):
@@ -182,24 +187,15 @@ class VelocityIntegrationAligner(_AlignerBase):
     T : float
         Update interval (s); aiding fixes are required at both ends of
         every interval.
-    solve_every : int, optional
-        Run the eigen extraction every k-th update (default 1: every
-        update).  The accumulator is maintained every update regardless.
     """
 
-    def __init__(self, v0, p0, T, solve_every=1):
-        super().__init__(v0, p0, T, solve_every)
-        self.alpha = np.zeros(3)
-        self.beta_partial = np.zeros(3)
-        self.beta = np.zeros(3)
+    KIND = "vif"
+    STATE = {"alpha": 3, "beta_partial": 3, "beta": 3}
 
     def update(self, interval, fix_prev, fix_next):
-        """Absorb one IMU interval with its bracketing fixes.
+        """Fold one IMU interval with its bracketing fixes into the state.
 
-        Returns an :class:`AlignmentEstimate`.  Raises
-        :class:`DegenerateSpectrum` while the attitude is unobservable;
-        the internal state is committed first, so feeding further updates
-        after catching the error is valid.
+        Returns None; :meth:`estimate` solves for the attitude.
         """
         self._check_fixes(fix_prev, fix_next)
         T = self.T
@@ -236,30 +232,6 @@ class VelocityIntegrationAligner(_AlignerBase):
 
         self.K = accumulate(self.K, self.alpha, self.beta)
         self.M += 1
-        return self._solve()
-
-    def to_dict(self):
-        """JSON-serializable snapshot of the full state."""
-        return self._state_dict(
-            {
-                "kind": "vif",
-                "alpha": self.alpha.tolist(),
-                "beta_partial": self.beta_partial.tolist(),
-                "beta": self.beta.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, state):
-        """Rebuild an aligner from :meth:`to_dict` output."""
-        if state.get("kind") != "vif":
-            raise ValueError("state is not a velocity-integration snapshot")
-        out = cls(state["v0"], state["p0"], state["T"], state["solve_every"])
-        out._restore_base(state)
-        out.alpha = np.array(state["alpha"], dtype=float)
-        out.beta_partial = np.array(state["beta_partial"], dtype=float)
-        out.beta = np.array(state["beta"], dtype=float)
-        return out
 
 
 class PositionIntegrationAligner(_AlignerBase):
@@ -285,22 +257,14 @@ class PositionIntegrationAligner(_AlignerBase):
     meaning, and the estimate does not depend on ``v0``.
     """
 
-    def __init__(self, v0, p0, T, solve_every=1):
-        super().__init__(v0, p0, T, solve_every)
-        self.alpha = np.zeros(3)
-        self.beta = np.zeros(3)
-        self.s_body = np.zeros(3)
-        self.s_nav_v = np.zeros(3)
-        self.s_nav_g = np.zeros(3)
-        self.u_r = np.zeros(3)
-        self.u_v = np.zeros(3)
-        self.u_g = np.zeros(3)
-        self.t_alpha = np.zeros(3)
-        self.t_beta = np.zeros(3)
-        self.t_sq = 0.0
+    KIND = "pif"
+    STATE = {
+        "alpha": 3, "beta": 3, "s_body": 3, "s_nav_v": 3, "s_nav_g": 3,
+        "u_r": 3, "u_v": 3, "u_g": 3, "t_alpha": 3, "t_beta": 3, "t_sq": (),
+    }
 
     def update(self, interval, fix_prev, fix_next):
-        """Absorb one IMU interval with its bracketing fixes.
+        """Fold one IMU interval with its bracketing fixes into the state.
 
         Same semantics and error behavior as the velocity-integration
         aligner.
@@ -376,7 +340,6 @@ class PositionIntegrationAligner(_AlignerBase):
         self.t_sq += t * t
 
         self.K = accumulate(self.K, self.alpha, self.beta)
-        return self._solve()
 
     def solved_matrix(self):
         """``K`` with the initial-velocity correction minimized out."""
@@ -387,49 +350,16 @@ class PositionIntegrationAligner(_AlignerBase):
         b = pair_operator(self.t_alpha, self.t_beta)
         return self.K - (b.T @ b) / self.t_sq
 
-    def to_dict(self):
-        """JSON-serializable snapshot of the full state."""
-        return self._state_dict(
-            {
-                "kind": "pif",
-                "alpha": self.alpha.tolist(),
-                "beta": self.beta.tolist(),
-                "s_body": self.s_body.tolist(),
-                "s_nav_v": self.s_nav_v.tolist(),
-                "s_nav_g": self.s_nav_g.tolist(),
-                "u_r": self.u_r.tolist(),
-                "u_v": self.u_v.tolist(),
-                "u_g": self.u_g.tolist(),
-                "t_alpha": self.t_alpha.tolist(),
-                "t_beta": self.t_beta.tolist(),
-                "t_sq": self.t_sq,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, state):
-        """Rebuild an aligner from :meth:`to_dict` output."""
-        if state.get("kind") != "pif":
-            raise ValueError("state is not a position-integration snapshot")
-        out = cls(state["v0"], state["p0"], state["T"], state["solve_every"])
-        out._restore_base(state)
-        for name in ("alpha", "beta", "s_body", "s_nav_v", "s_nav_g", "u_r", "u_v", "u_g",
-                     "t_alpha", "t_beta"):
-            setattr(out, name, np.array(state[name], dtype=float))
-        out.t_sq = float(state["t_sq"])
-        return out
-
 
 ALIGNER_CLASSES = {
-    "vif": VelocityIntegrationAligner,
-    "pif": PositionIntegrationAligner,
+    cls.KIND: cls for cls in (VelocityIntegrationAligner, PositionIntegrationAligner)
 }
 
 
-def make_aligner(method, v0, p0, T, solve_every=1):
+def make_aligner(method, v0, p0, T):
     """Factory keyed by method name ('vif' or 'pif')."""
     try:
         cls = ALIGNER_CLASSES[method]
     except KeyError:
         raise ValueError(f"unknown alignment method {method!r}") from None
-    return cls(v0, p0, T, solve_every=solve_every)
+    return cls(v0, p0, T)

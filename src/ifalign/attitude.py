@@ -141,11 +141,6 @@ def quat_multiply(q1, q2):
     return np.array([s, v[0], v[1], v[2]])
 
 
-def quat_conj(q):
-    """Quaternion conjugate."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_mul_matrices(q):
     """Left and right quaternion-multiplication matrices.
 

@@ -149,26 +149,19 @@ def attitude_error_deg(c_est, c_true):
     return dcm_to_euler(delta) * RAD2DEG
 
 
-def run_alignment(data, method, report_interval_s=1.0, solve_every=None,
-                  metadata=None):
+def run_alignment(data, method, report_interval_s=1.0, metadata=None):
     """Drive one aligner over an :class:`AlignmentData` stream.
 
-    The eigen extraction is decimated to the report grid by default
-    (``solve_every=None``); pass ``solve_every=1`` to solve at every update
-    as the recursions are stated.  Epochs where the attitude is still
-    unobservable are marked degenerate, not fatal.
+    Every interval is folded in; the attitude is solved once per report
+    row.  Rows where the attitude is still unobservable are marked
+    degenerate, not fatal.
     """
     stride = report_interval_s / data.T
     if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
         raise ValueError("report interval must be a positive multiple of T")
     stride = int(round(stride))
-    if solve_every is None:
-        solve_every = stride
 
-    aligner = make_aligner(
-        method, v0=data.fix_v[0], p0=data.fix_p[0], T=data.T,
-        solve_every=solve_every,
-    )
+    aligner = make_aligner(method, v0=data.fix_v[0], p0=data.fix_p[0], T=data.T)
 
     n_updates = data.n_updates
     n_rows = n_updates // stride
@@ -179,25 +172,21 @@ def run_alignment(data, method, report_interval_s=1.0, solve_every=None,
 
     row = 0
     for k in range(n_updates):
-        interval = data.interval(k)
-        fix_prev = data.fix(k)
-        fix_next = data.fix(k + 1)
-        estimate = None
+        aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
+        if (k + 1) % stride:
+            continue
+        t_rows[row] = data.fix_t[k + 1]
         try:
-            estimate = aligner.update(interval, fix_prev, fix_next)
+            estimate = aligner.estimate()
         except DegenerateSpectrum:
-            pass
-        if (k + 1) % stride == 0:
-            t_rows[row] = data.fix_t[k + 1]
-            if estimate is None:
-                degen_rows[row] = True
-            else:
-                est_rows[row] = dcm_to_euler(estimate.c_b_n) * RAD2DEG
-                if err_rows is not None:
-                    err_rows[row] = attitude_error_deg(
-                        estimate.c_b_n, data.truth_c_b_n[k + 1]
-                    )
-            row += 1
+            degen_rows[row] = True
+        else:
+            est_rows[row] = dcm_to_euler(estimate.c_b_n) * RAD2DEG
+            if err_rows is not None:
+                err_rows[row] = attitude_error_deg(
+                    estimate.c_b_n, data.truth_c_b_n[k + 1]
+                )
+        row += 1
 
     eigenvalues, _ = jacobi_eigh4(aligner.solved_matrix())
     meta = dict(data.metadata)
@@ -262,16 +251,20 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
     """Seeded Monte-Carlo batch; error statistics at the requested epochs.
 
     Each run draws its noise from a generator keyed by (seed, run index),
-    so results do not depend on scheduling or on ``jobs``.  Failed runs are
-    excluded from the statistics and listed in the summary.
+    so results do not depend on scheduling or on ``jobs``, the number of
+    worker processes (default: the CPU count; at most ``n_runs``).  Failed
+    runs are excluded from the statistics and listed in the summary.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
     epochs = [float(e) for e in epochs]
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError("Monte-Carlo needs at least one job")
+    jobs = min(jobs, n_runs)
     if truth is None:
         truth = generate_truth(cfg)
-    if jobs is None:
-        jobs = min(os.cpu_count() or 1, n_runs)
 
     _MC_CONTEXT["truth"] = truth
     _MC_CONTEXT["errors"] = errors

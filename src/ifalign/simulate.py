@@ -504,28 +504,6 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
     return t, v, p
 
 
-def gps_measure(truth, substep_index, errors, rng=None):
-    """One GPS fix at a substep-grid index (scalar form of :func:`gps_fixes`)."""
-    from .align import AidFix
-
-    idx = np.array([substep_index])
-    t = truth.t[substep_index]
-    v = truth.v[idx].copy()
-    p = truth.p[idx].copy()
-    lever = errors.lever_arm
-    if np.any(lever != 0.0):
-        arm_n, vel_off = _lever_arm_offsets(truth, idx, lever)
-        p = p + _meters_to_curvilinear(p, arm_n)
-        v = v + vel_off
-    if errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0:
-        if rng is None:
-            raise ValueError("rng is required when GPS noise is nonzero")
-        v = v + errors.gps_vel_sigma_mps * rng.standard_normal(v.shape)
-        pos_noise = errors.gps_pos_sigma_m * rng.standard_normal(p.shape)
-        p = p + _meters_to_curvilinear(p, pos_noise)
-    return AidFix(t=float(t), v=v[0], p=p[0])
-
-
 def run_rng(seed, run_index=0):
     """Deterministic generator for one Monte-Carlo run."""
     return np.random.default_rng([int(seed), int(run_index)])

@@ -22,17 +22,20 @@ from ifalign import earth
 
 
 def drive(aligner, data, n=None, collect=None):
-    """Feed the first n updates; returns the last estimate (or None)."""
-    last = None
+    """Fold the first n updates; returns the final estimate (or None)."""
     n = data.n_updates if n is None else n
     for k in range(n):
-        try:
-            last = aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
-        except DegenerateSpectrum:
-            last = None
+        aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
         if collect is not None:
             collect(k, aligner)
-    return last
+    return estimate_or_none(aligner)
+
+
+def estimate_or_none(aligner):
+    try:
+        return aligner.estimate()
+    except DegenerateSpectrum:
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -90,19 +93,22 @@ class TestSerialization:
         blob = json.dumps(al.to_dict())
         al2 = type(al).from_dict(json.loads(blob))
         assert al2.M == al.M
-        np.testing.assert_array_equal(al2.K, al.K)
-        np.testing.assert_array_equal(al2.alpha, al.alpha)
-        np.testing.assert_array_equal(al2.c_body, al.c_body)
+        assert al2.T == al.T
+        # every declared state field, bitwise
+        for name in ("v0", "p0", "c_nav", "c_body", "K", *al.STATE):
+            original, restored = getattr(al, name), getattr(al2, name)
+            assert np.shape(restored) == np.shape(original), name
+            assert np.asarray(restored).tobytes() == np.asarray(original).tobytes(), name
         np.testing.assert_array_equal(al2.solved_matrix(), al.solved_matrix())
         # identical subsequent evolution and estimates, bitwise
         estimates = []
         for copy in (al, al2):
             qs = []
             for k in range(100, 150):
-                est = copy.update(
+                copy.update(
                     short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
                 )
-                qs.append(est.q)
+                qs.append(copy.estimate().q)
             estimates.append(np.array(qs))
         np.testing.assert_array_equal(al.K, al2.K)
         np.testing.assert_array_equal(al.alpha, al2.alpha)
@@ -134,28 +140,31 @@ class TestGuards:
         with pytest.raises(PolarSingularity):
             al.update(short_data.interval(0), polar, nxt)
 
-    def test_degenerate_first_update_commits_state(self, short_data):
+    def test_update_folds_and_estimate_raises_until_observable(self, short_data):
         al = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
-        with pytest.raises(DegenerateSpectrum):
-            al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1))
+        assert al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1)) is None
         assert al.M == 1
-        # caller may continue feeding; a few maneuvering updates make the
+        with pytest.raises(DegenerateSpectrum):
+            al.estimate()
+        # the caller keeps feeding; a few maneuvering updates make the
         # attitude observable
-        est = drive(al, short_data, n=50)
-        assert est is not None
+        for k in range(1, 50):
+            al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
+        assert al.M == 50
+        assert al.estimate() is not None
 
-    def test_solve_decimation_needs_history(self, short_data):
-        al = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T, solve_every=50
-        )
-        for k in range(49):
-            with pytest.raises(DegenerateSpectrum):
-                al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
-        est = al.update(short_data.interval(49), short_data.fix(49), short_data.fix(50))
-        assert est is not None
-        # skip steps reuse the last solved estimate
-        est2 = al.update(short_data.interval(50), short_data.fix(50), short_data.fix(51))
-        np.testing.assert_array_equal(est.q, est2.q)
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_estimate_is_pure(self, method, short_data):
+        al = make_aligner(method, short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        drive(al, short_data, n=150)
+        before = {name: np.copy(getattr(al, name)) for name in ("K", *al.STATE)}
+        first, second = al.estimate(), al.estimate()
+        assert first.q.tobytes() == second.q.tobytes()
+        assert first.lambda_min == second.lambda_min
+        assert first.c_b_n.tobytes() == second.c_b_n.tobytes()
+        assert al.M == 150
+        for name, value in before.items():
+            assert getattr(al, name).tobytes() == value.tobytes(), name
 
 
 class TestStaticCase:
@@ -164,8 +173,7 @@ class TestStaticCase:
         # stationary vehicle, ideal sensors: the accumulated pair satisfies
         # the defining identity with the true (identity) initial attitude
         al = make_aligner(
-            method, static_data.fix_v[0], static_data.fix_p[0], static_data.T,
-            solve_every=10 ** 9,
+            method, static_data.fix_v[0], static_data.fix_p[0], static_data.T
         )
         drive(al, static_data)
         c0 = static_truth.c_b_n[0]
@@ -191,8 +199,7 @@ class TestManeuveringRun:
 
     def test_vif_residual_growth_bound(self, short_truth, short_data):
         al = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         drive(al, short_data)
         c0 = short_truth.c_b_n[0]
@@ -202,8 +209,7 @@ class TestManeuveringRun:
 
     def test_pif_residual_growth_bound(self, short_truth, short_data):
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         drive(al, short_data)
         c0 = short_truth.c_b_n[0]
@@ -222,23 +228,16 @@ class TestManeuveringRun:
             f0, f1 = short_data.fix(k), short_data.fix(k + 1)
             shifted0 = AidFix(t=f0.t + 7.5, v=f0.v, p=f0.p)
             shifted1 = AidFix(t=f1.t + 7.5, v=f1.v, p=f1.p)
-            try:
-                last1 = a1.update(iv, f0, f1)
-            except DegenerateSpectrum:
-                pass
-            try:
-                last2 = a2.update(iv, shifted0, shifted1)
-            except DegenerateSpectrum:
-                pass
-        np.testing.assert_array_equal(last1.q, last2.q)
+            a1.update(iv, f0, f1)
+            a2.update(iv, shifted0, shifted1)
+        np.testing.assert_array_equal(a1.estimate().q, a2.estimate().q)
         np.testing.assert_array_equal(a1.K, a2.K)
 
     def test_chains_match_oracle(self, short_truth, short_data):
         from ifalign.oracle import AlignmentReference
 
         al = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         drive(al, short_data)
         ref = AlignmentReference(short_truth.model, substep=0.005).run(
@@ -251,12 +250,10 @@ class TestManeuveringRun:
         from ifalign.oracle import AlignmentReference
 
         vif = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         pif = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         drive(vif, short_data)
         drive(pif, short_data)
@@ -273,22 +270,17 @@ class TestManeuveringRun:
         # the position-form observation vector is the running time-integral
         # of the velocity-form one; trapezoidal cross-check
         vif = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         pif = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         integral = np.zeros(3)
         prev = np.zeros(3)
         for k in range(short_data.n_updates):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
             for al in (vif, pif):
-                try:
-                    al.update(iv, f0, f1)
-                except DegenerateSpectrum:
-                    pass
+                al.update(iv, f0, f1)
             integral = integral + 0.5 * short_data.T * (prev + vif.beta)
             prev = vif.beta.copy()
         assert np.linalg.norm(pif.beta - integral) < 1e-4 * max(
@@ -303,8 +295,7 @@ class TestPifPrefixSums:
         # compare with the O(1)-per-step recursion.
         n = 120
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         T = short_data.T
         c_body_hist = []   # C_{b(t_k)}^{b(0)} for k = 0..n-1 (pre-update values)
@@ -342,10 +333,7 @@ class TestPifPrefixSums:
                 + (T * T / 6.0) * cross3(omega_in, f0.v)
                 + (T * T / 3.0) * cross3(omega_in, f1.v)
             )
-            try:
-                al.update(iv, f0, f1)
-            except DegenerateSpectrum:
-                pass
+            al.update(iv, f0, f1)
 
         # direct double sums (Table-style O(M^2) evaluation)
         alpha_direct = np.zeros(3)
@@ -401,16 +389,12 @@ class TestPifPrefixSums:
         from ifalign.quest import accumulate, optimal_quaternion
 
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         K_scaled = np.zeros((4, 4))
         for k in range(short_data.n_updates):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
-            try:
-                al.update(iv, f0, f1)
-            except DegenerateSpectrum:
-                pass
+            al.update(iv, f0, f1)
             t_m = (k + 1) * short_data.T
             K_scaled = accumulate(K_scaled, al.alpha / t_m, al.beta / t_m)
         q_plain, _ = optimal_quaternion(al.K)
@@ -425,8 +409,7 @@ class TestPifInitialVelocity:
         # q^T solved_matrix q must equal min over w of
         # sum_k |C alpha_k - beta_k + t_k w|^2, evaluated from the pair history
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T,
-            solve_every=10 ** 9,
+            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
         )
         pairs = []
         drive(al, short_data, n=300,
@@ -452,20 +435,16 @@ class TestPifInitialVelocity:
         stride = 50
         dv = np.array([0.3, -0.2, 0.25])
         base = make_aligner("pif", short_data.fix_v[0], short_data.fix_p[0],
-                            short_data.T, solve_every=stride)
+                            short_data.T)
         shifted = make_aligner("pif", short_data.fix_v[0] + dv, short_data.fix_p[0],
-                               short_data.T, solve_every=stride)
+                               short_data.T)
         solved = 0
         for k in range(short_data.n_updates):
-            ests = []
             for al in (base, shifted):
-                try:
-                    ests.append(al.update(short_data.interval(k), short_data.fix(k),
-                                          short_data.fix(k + 1)))
-                except DegenerateSpectrum:
-                    ests.append(None)
+                al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
             if (k + 1) % stride != 0:
                 continue
+            ests = [estimate_or_none(al) for al in (base, shifted)]
             assert (ests[0] is None) == (ests[1] is None), f"row at update {k + 1}"
             if ests[0] is not None:
                 np.testing.assert_allclose(ests[0].q, ests[1].q, rtol=0.0, atol=1e-7)
@@ -479,8 +458,9 @@ class TestPifInitialVelocity:
         for dv in (np.zeros(3), np.array([0.3, -0.2, 0.25])):
             al = make_aligner("pif", short_data.fix_v[0] + dv, short_data.fix_p[0],
                               short_data.T)
+            al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1))
             with pytest.raises(DegenerateSpectrum):
-                al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1))
+                al.estimate()
             np.testing.assert_array_equal(al.solved_matrix(), np.zeros((4, 4)))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ifalign import io as ifio
-from ifalign.errors import DegenerateSpectrum
 from ifalign.harness import (
     AlignmentData,
     attitude_error_deg,
@@ -42,13 +41,9 @@ class TestRunAlignment:
 
         data = AlignmentData.from_simulation(short_truth)
         rep = run_alignment(data, method, report_interval_s=1.0)
-        al = make_aligner(method, data.fix_v[0], data.fix_p[0], data.T,
-                          solve_every=10 ** 9)
+        al = make_aligner(method, data.fix_v[0], data.fix_p[0], data.T)
         for k in range(data.n_updates):
-            try:
-                al.update(data.interval(k), data.fix(k), data.fix(k + 1))
-            except DegenerateSpectrum:
-                pass
+            al.update(data.interval(k), data.fix(k), data.fix(k + 1))
         expected, _ = jacobi_eigh4(al.solved_matrix())
         np.testing.assert_array_equal(rep.k_eigenvalues, expected)
 
@@ -98,13 +93,21 @@ class TestRunAlignment:
         with pytest.raises(ValueError):
             run_alignment(data, "vif", report_interval_s=0.03)
 
-    def test_solve_every_update_matches_decimated(self, short_truth):
-        # the eigen solve is memoryless given the accumulator, so solving at
-        # every update or only at report rows gives identical report rows
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_report_rows_independent_of_report_interval(self, method, short_truth):
+        # the solve is a pure function of the folded state, so a dense report
+        # grid holds the sparse grid's rows bitwise at whole seconds
         data = AlignmentData.from_simulation(short_truth)
-        rep_dec = run_alignment(data, "vif", report_interval_s=1.0)
-        rep_all = run_alignment(data, "vif", report_interval_s=1.0, solve_every=1)
-        np.testing.assert_array_equal(rep_dec.est_deg, rep_all.est_deg)
+        sparse = run_alignment(data, method, report_interval_s=1.0)
+        dense = run_alignment(data, method, report_interval_s=data.T)
+        stride = int(round(1.0 / data.T))
+        at_seconds = slice(stride - 1, None, stride)
+        np.testing.assert_array_equal(dense.t[at_seconds], sparse.t)
+        np.testing.assert_array_equal(dense.degenerate[at_seconds], sparse.degenerate)
+        for key in ("est_deg", "err_deg"):
+            rows = getattr(dense, key)[at_seconds]
+            assert rows.tobytes() == getattr(sparse, key).tobytes(), key
+        assert dense.k_eigenvalues.tobytes() == sparse.k_eigenvalues.tobytes()
 
     def test_errors_at_requires_grid_epoch(self, short_truth):
         data = AlignmentData.from_simulation(short_truth)
@@ -130,7 +133,6 @@ class TestOracleDrift:
         # perfect sensors: recursive accumulators vs the fine-step reference
         # integrator over the full default duration
         from ifalign.align import make_aligner
-        from ifalign.errors import DegenerateSpectrum
         from ifalign.oracle import AlignmentReference
 
         truth = generate_truth(ScenarioConfig())
@@ -140,14 +142,9 @@ class TestOracleDrift:
             ("vif", "alpha_v", "beta_v"),
             ("pif", "alpha_p", "beta_p"),
         ):
-            al = make_aligner(
-                method, data.fix_v[0], data.fix_p[0], data.T, solve_every=10 ** 9
-            )
+            al = make_aligner(method, data.fix_v[0], data.fix_p[0], data.T)
             for k in range(data.n_updates):
-                try:
-                    al.update(data.interval(k), data.fix(k), data.fix(k + 1))
-                except DegenerateSpectrum:
-                    pass
+                al.update(data.interval(k), data.fix(k), data.fix(k + 1))
             rel_a = np.linalg.norm(al.alpha - ref[a_key][-1]) / np.linalg.norm(
                 ref[a_key][-1]
             )
@@ -193,6 +190,39 @@ class TestMonteCarlo:
         errors = simulation_sensor_defaults(seed=3)
         with pytest.raises(ValueError):
             monte_carlo(mc_truth.cfg, errors, 1, "vif", epochs=[30.0], truth=mc_truth)
+
+    def test_pool_bounded_by_runs_and_jobs_checked(self, mc_truth, monkeypatch):
+        from ifalign import harness
+
+        workers = []
+
+        class RecordingExecutor:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        errors = simulation_sensor_defaults(seed=3)
+        cfg = mc_truth.cfg
+        pooled = monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=64, truth=mc_truth)
+        assert workers == [3]
+        serial = monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=1, truth=mc_truth)
+        assert workers == [3]
+        np.testing.assert_array_equal(pooled.three_sigma_deg, serial.three_sigma_deg)
+        for jobs in (0, -2):
+            with pytest.raises(ValueError):
+                monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=jobs, truth=mc_truth)
+        assert workers == [3]
 
     def test_summary_table_format(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)

@@ -13,7 +13,6 @@ from ifalign.simulate import (
     SineProfile,
     generate_truth,
     gps_fixes,
-    gps_measure,
     run_rng,
     sample_imu,
     simulation_sensor_defaults,
@@ -216,7 +215,8 @@ class TestGps:
         truth = generate_truth(cfg)
         errs = SensorErrors(lever_arm_m=(1.0, 1.0, 1.0))
         i = 500
-        fixes = [gps_measure(truth, j, errs) for j in (i - 1, i, i + 1)]
+        _, fix_v, fix_p = gps_fixes(truth, errs, stride_s=cfg.substep_s)
+        p_prev, p_next = fix_p[i - 1], fix_p[i + 1]
         dt = truth.cfg.substep_s
         # convert curvilinear positions to local meters around sample i
         r_n, r_e = earth.radii_of_curvature(truth.p[i, 1])
@@ -229,8 +229,8 @@ class TestGps:
                     (p[0] - truth.p[i, 0]) * (r_e + h) * math.cos(lat),
                 ]
             )
-        v_fd = (to_m(fixes[2].p) - to_m(fixes[0].p)) / (2.0 * dt)
-        np.testing.assert_allclose(v_fd, fixes[1].v, atol=2e-4)
+        v_fd = (to_m(p_next) - to_m(p_prev)) / (2.0 * dt)
+        np.testing.assert_allclose(v_fd, fix_v[i], atol=2e-4)
 
     def test_noise_is_seed_deterministic(self, short_truth):
         errs = simulation_sensor_defaults(seed=42)
