@@ -7,8 +7,8 @@ its t=0 orientation (from earth/transport rates) -- and accumulate a pair of
 3-vectors (alpha, beta) that the initial attitude must map onto each other:
 
 * :class:`VelocityIntegrationAligner`: alpha is the integral of the rotated
-  specific force, beta combines the aided velocity with earth-rate and
-  gravity integrals.
+  specific force, beta combines the aided velocity with the integral of the
+  earth-rate/gravity vector ``x = omega_ie x v - g``.
 * :class:`PositionIntegrationAligner`: alpha and beta are the corresponding
   nested double integrals, which smooth aiding noise harder at the price of
   slower transient response.  The initial velocity is an unknown of its fit.
@@ -27,6 +27,34 @@ from . import earth
 from .attitude import compose_attitude, cross_floats, quat_to_dcm, rotvec_to_dcm
 from .increments import body_rotvec, double_integral_increment, sculling_increment
 from .quest import accumulate, optimal_quaternion, pair_operator
+
+
+# Integration rules for a nav-frame vector x(tau) that is linear over one
+# interval, from x_prev at tau=0 to x_next at tau=T, seen from the nav frame
+# at the interval start t (C_{n(t+tau)}^{n(t)} = I + tau [omega_in x] to
+# first order).  Python floats in (see attitude.cross_floats), 3-vector out.
+
+def single_integral(x_prev, x_next, omega_in, T):
+    """``int_0^T (I + tau [omega_in x]) x(tau) dtau``."""
+    moment = [(T * T / 6.0) * p + (T * T / 3.0) * n for p, n in zip(x_prev, x_next)]
+    rot = cross_floats(omega_in, moment)
+    return np.array([(T / 2.0) * (p + n) + r for p, n, r in zip(x_prev, x_next, rot)])
+
+
+def double_integral(x_prev, x_next, omega_in, T):
+    """``int_0^T int_0^s (I + tau [omega_in x]) x(tau) dtau ds``."""
+    rot = cross_floats(omega_in, [p + n for p, n in zip(x_prev, x_next)])
+    return np.array(
+        [
+            (T * T / 3.0) * p + (T * T / 6.0) * n + (T ** 3 / 12.0) * r
+            for p, n, r in zip(x_prev, x_next, rot)
+        ]
+    )
+
+
+def _earth_rate_gravity(omega_ie, v, g_n):
+    """``x = omega_ie x v - g`` on Python floats."""
+    return [w - g for w, g in zip(cross_floats(omega_ie, v), g_n)]
 
 
 @dataclass(frozen=True)
@@ -97,13 +125,12 @@ class _AlignerBase:
     KIND = None
     STATE = {}
 
-    def __init__(self, v0, p0, T):
+    def __init__(self, v0, T):
         if T <= 0.0:
             raise ValueError("update interval T must be positive")
         self.T = float(T)
         self.M = 0
         self.v0 = np.asarray(v0, dtype=float).copy()
-        self.p0 = np.asarray(p0, dtype=float).copy()
         self.c_nav = np.eye(3)   # C_{n(t_M)}^{n(0)}
         self.c_body = np.eye(3)  # C_{b(t_M)}^{b(0)}
         self.K = np.zeros((4, 4))
@@ -147,8 +174,9 @@ class _AlignerBase:
             t=self.t, q=q, lambda_min=lam, c_nav=self.c_nav, c_body=self.c_body
         )
 
-    def _state_names(self):
-        return ("c_nav", "c_body", "K", *self.STATE)
+    @classmethod
+    def _state_names(cls):
+        return ("c_nav", "c_body", "K", *cls.STATE)
 
     def to_dict(self):
         """JSON-serializable snapshot of the full state."""
@@ -157,7 +185,6 @@ class _AlignerBase:
             "T": self.T,
             "M": self.M,
             "v0": self.v0.tolist(),
-            "p0": self.p0.tolist(),
         }
         for name in self._state_names():
             state[name] = getattr(self, name).tolist()
@@ -165,10 +192,17 @@ class _AlignerBase:
 
     @classmethod
     def from_dict(cls, state):
-        """Rebuild an aligner from :meth:`to_dict` output."""
+        """Rebuild an aligner from :meth:`to_dict` output.
+
+        Raises ValueError for another aligner's snapshot or one that lacks
+        a field this class declares.
+        """
         if state.get("kind") != cls.KIND:
             raise ValueError(f"state is not a {cls.__name__} snapshot")
-        out = cls(state["v0"], state["p0"], state["T"])
+        missing = [n for n in ("T", "M", "v0", *cls._state_names()) if n not in state]
+        if missing:
+            raise ValueError(f"{cls.__name__} snapshot lacks {', '.join(missing)}")
+        out = cls(state["v0"], state["T"])
         out.M = int(state["M"])
         for name in out._state_names():
             setattr(out, name, np.array(state[name], dtype=float))
@@ -182,8 +216,6 @@ class VelocityIntegrationAligner(_AlignerBase):
     ----------
     v0 : array_like, shape (3,)
         Aided ground velocity at the start of alignment (m/s).
-    p0 : array_like, shape (3,)
-        Curvilinear position [lon, lat, h] at the start of alignment.
     T : float
         Update interval (s); aiding fixes are required at both ends of
         every interval.
@@ -205,29 +237,12 @@ class VelocityIntegrationAligner(_AlignerBase):
 
         self.alpha = self.alpha + c_body_prev @ sculling_increment(interval)
 
-        # nav-frame bracket on Python floats (see attitude.cross_floats)
         omega_ie, omega_in, g_n = omega_ie.tolist(), omega_in.tolist(), g_n.tolist()
-        w_prev = cross_floats(omega_ie, fix_prev.v.tolist())
-        w_next = cross_floats(omega_ie, fix_next.v.tolist())
-        bracket = np.array(
-            [
-                (T / 2.0) * wp
-                + (T * T / 6.0) * rwp
-                + (T / 2.0) * wn
-                + (T * T / 3.0) * rwn
-                - T * g
-                - (T * T / 2.0) * rg
-                for wp, rwp, wn, rwn, g, rg in zip(
-                    w_prev,
-                    cross_floats(omega_in, w_prev),
-                    w_next,
-                    cross_floats(omega_in, w_next),
-                    g_n,
-                    cross_floats(omega_in, g_n),
-                )
-            ]
+        x_prev = _earth_rate_gravity(omega_ie, fix_prev.v.tolist(), g_n)
+        x_next = _earth_rate_gravity(omega_ie, fix_next.v.tolist(), g_n)
+        self.beta_partial = self.beta_partial + c_nav_prev @ single_integral(
+            x_prev, x_next, omega_in, T
         )
-        self.beta_partial = self.beta_partial + c_nav_prev @ bracket
         self.beta = self.c_nav @ fix_next.v - self.v0 + self.beta_partial
 
         self.K = accumulate(self.K, self.alpha, self.beta)
@@ -238,12 +253,13 @@ class PositionIntegrationAligner(_AlignerBase):
     """Recursive aligner driven by the position integration formula.
 
     Same call contract as :class:`VelocityIntegrationAligner`.  The nested
-    double sums are carried by five O(1)-per-step prefix accumulators:
-    ``s_body`` (rotated single-interval velocity integrals), ``s_nav_v`` and
-    ``s_nav_g`` (nav-frame earth-rate and gravity single integrals), plus
-    the running ``u_r``, ``u_v``, ``u_g`` terms of beta.
+    double sums are carried by O(1)-per-step prefix accumulators: ``s_body``
+    (rotated single-interval velocity integrals) and ``s_x`` (nav-frame
+    single integrals of ``x = omega_ie x v - g``), plus the running ``u_r``
+    (integrated aided velocity) and ``u_x`` (double integral of ``x``)
+    terms of beta.
 
-    ``beta = u_r - t*v0 + u_v - u_g`` carries the initial velocity as a ramp
+    ``beta = u_r - t*v0 + u_x`` carries the initial velocity as a ramp
     in ``t``, so an error in the ``v0`` argument (a noisy first aiding fix)
     would grow with time.  The fit therefore treats the initial velocity as
     an unknown: with ``t_k`` the update times, it minimizes
@@ -259,8 +275,8 @@ class PositionIntegrationAligner(_AlignerBase):
 
     KIND = "pif"
     STATE = {
-        "alpha": 3, "beta": 3, "s_body": 3, "s_nav_v": 3, "s_nav_g": 3,
-        "u_r": 3, "u_v": 3, "u_g": 3, "t_alpha": 3, "t_beta": 3, "t_sq": (),
+        "alpha": 3, "beta": 3, "s_body": 3, "s_x": 3, "u_r": 3, "u_x": 3,
+        "t_alpha": 3, "t_beta": 3, "t_sq": (),
     }
 
     def update(self, interval, fix_prev, fix_next):
@@ -284,57 +300,21 @@ class PositionIntegrationAligner(_AlignerBase):
         )
         self.s_body = self.s_body + c_body_prev @ sculling_increment(interval)
 
-        # nav-frame brackets on Python floats (see attitude.cross_floats)
         omega_ie, omega_in, g_n = omega_ie.tolist(), omega_in.tolist(), g_n.tolist()
         v_prev, v_next = fix_prev.v.tolist(), fix_next.v.tolist()
-        w_prev = cross_floats(omega_ie, v_prev)
-        w_next = cross_floats(omega_ie, v_next)
-        rot_v_prev = cross_floats(omega_in, v_prev)
-        rot_v_next = cross_floats(omega_in, v_next)
-        rot_w_prev = cross_floats(omega_in, w_prev)
-        rot_w_next = cross_floats(omega_in, w_next)
-        rot_g = cross_floats(omega_in, g_n)
-
-        self.u_r = self.u_r + c_nav_prev @ np.array(
-            [
-                (T / 2.0) * (vp + vn) + (T * T / 6.0) * rvp + (T * T / 3.0) * rvn
-                for vp, vn, rvp, rvn in zip(v_prev, v_next, rot_v_prev, rot_v_next)
-            ]
+        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
+        x_next = _earth_rate_gravity(omega_ie, v_next, g_n)
+        self.u_r = self.u_r + c_nav_prev @ single_integral(v_prev, v_next, omega_in, T)
+        self.u_x = (
+            self.u_x
+            + c_nav_prev @ double_integral(x_prev, x_next, omega_in, T)
+            + T * self.s_x
         )
-
-        self.u_v = (
-            self.u_v
-            + c_nav_prev
-            @ np.array(
-                [
-                    (T * T / 3.0) * wp
-                    + (T * T / 6.0) * wn
-                    + (T ** 3 / 12.0) * (rwp + rwn)
-                    for wp, wn, rwp, rwn in zip(w_prev, w_next, rot_w_prev, rot_w_next)
-                ]
-            )
-            + T * self.s_nav_v
-        )
-        self.s_nav_v = self.s_nav_v + c_nav_prev @ np.array(
-            [
-                (T / 2.0) * (wp + wn) + (T * T / 6.0) * rwp + (T * T / 3.0) * rwn
-                for wp, wn, rwp, rwn in zip(w_prev, w_next, rot_w_prev, rot_w_next)
-            ]
-        )
-
-        self.u_g = (
-            self.u_g
-            + c_nav_prev
-            @ np.array([(T * T / 2.0) * g + (T ** 3 / 6.0) * rg for g, rg in zip(g_n, rot_g)])
-            + T * self.s_nav_g
-        )
-        self.s_nav_g = self.s_nav_g + c_nav_prev @ np.array(
-            [T * g + (T * T / 2.0) * rg for g, rg in zip(g_n, rot_g)]
-        )
+        self.s_x = self.s_x + c_nav_prev @ single_integral(x_prev, x_next, omega_in, T)
 
         self.M += 1
         t = self.t
-        self.beta = self.u_r - t * self.v0 + self.u_v - self.u_g
+        self.beta = self.u_r - t * self.v0 + self.u_x
         self.t_alpha = self.t_alpha + t * self.alpha
         self.t_beta = self.t_beta + t * self.beta
         self.t_sq += t * t
@@ -356,10 +336,10 @@ ALIGNER_CLASSES = {
 }
 
 
-def make_aligner(method, v0, p0, T):
+def make_aligner(method, v0, T):
     """Factory keyed by method name ('vif' or 'pif')."""
     try:
         cls = ALIGNER_CLASSES[method]
     except KeyError:
         raise ValueError(f"unknown alignment method {method!r}") from None
-    return cls(v0, p0, T)
+    return cls(v0, T)

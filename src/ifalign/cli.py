@@ -3,7 +3,8 @@
 Verbs: ``simulate`` (emit truth/IMU/GPS logs), ``align`` (run one method on
 a scenario or on logs), ``montecarlo`` (batch statistics), ``oracle``
 (fine-step reference integrals).  Exit codes: 0 success, 2 file-format
-problem, 3 numerical failure (attitude still unobservable at the end).
+problem or invalid argument value, 3 numerical failure (attitude still
+unobservable at the end).
 """
 
 import argparse
@@ -228,7 +229,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (FormatError, GapError, RateMismatch) as exc:
+    except (FormatError, GapError, RateMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IfalignError as exc:

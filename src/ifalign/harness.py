@@ -3,6 +3,7 @@
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,6 @@ from .align import AidFix, make_aligner
 from .attitude import dcm_to_euler, quat_to_dcm
 from .errors import DegenerateSpectrum
 from .increments import ImuInterval
-from .quest import jacobi_eigh4
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 RAD2DEG = 180.0 / math.pi
@@ -161,7 +161,7 @@ def run_alignment(data, method, report_interval_s=1.0, metadata=None):
         raise ValueError("report interval must be a positive multiple of T")
     stride = int(round(stride))
 
-    aligner = make_aligner(method, v0=data.fix_v[0], p0=data.fix_p[0], T=data.T)
+    aligner = make_aligner(method, v0=data.fix_v[0], T=data.T)
 
     n_updates = data.n_updates
     n_rows = n_updates // stride
@@ -188,7 +188,6 @@ def run_alignment(data, method, report_interval_s=1.0, metadata=None):
                 )
         row += 1
 
-    eigenvalues, _ = jacobi_eigh4(aligner.solved_matrix())
     meta = dict(data.metadata)
     meta.update(metadata or {})
     meta["method"] = method
@@ -198,7 +197,7 @@ def run_alignment(data, method, report_interval_s=1.0, metadata=None):
         est_deg=est_rows,
         err_deg=err_rows,
         degenerate=degen_rows,
-        k_eigenvalues=eigenvalues,
+        k_eigenvalues=np.linalg.eigvalsh(aligner.solved_matrix()),
         metadata=meta,
     )
 
@@ -228,22 +227,27 @@ class McSummary:
         return "\n".join(lines)
 
 
+# Pool workers inherit the truth by fork, not 39 MB (120 s) pickled per task.
 _MC_CONTEXT = {}
 
 
-def _mc_worker(args):
+def _mc_run(args):
+    """One Monte-Carlo run: ``(run index, errors at the epochs, failure or None)``."""
     run_index, method, epochs, report_interval_s = args
-    truth = _MC_CONTEXT["truth"]
-    errors = _MC_CONTEXT["errors"]
-    rng = run_rng(errors.seed, run_index)
-    data = AlignmentData.from_simulation(
-        truth, errors, rng, metadata={"seed": errors.seed, "run": run_index}
-    )
-    report = run_alignment(data, method, report_interval_s)
-    errs = report.errors_at(epochs)
-    if np.any(~np.isfinite(errs)):
-        raise DegenerateSpectrum("degenerate estimate at a requested epoch")
-    return run_index, errs
+    try:
+        truth = _MC_CONTEXT["truth"]
+        errors = _MC_CONTEXT["errors"]
+        rng = run_rng(errors.seed, run_index)
+        data = AlignmentData.from_simulation(
+            truth, errors, rng, metadata={"seed": errors.seed, "run": run_index}
+        )
+        report = run_alignment(data, method, report_interval_s)
+        errs = report.errors_at(epochs)
+        if np.any(~np.isfinite(errs)):
+            raise DegenerateSpectrum("degenerate estimate at a requested epoch")
+    except Exception as exc:  # noqa: BLE001 - per-run failures are aggregated
+        return run_index, None, f"{type(exc).__name__}: {exc}"
+    return run_index, errs, None
 
 
 def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
@@ -272,17 +276,9 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
     results = {}
     failed = []
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for task, outcome in zip(tasks, pool.map(_mc_try_worker, tasks)):
-                    index, errs, message = outcome
-                    if message is None:
-                        results[index] = errs
-                    else:
-                        failed.append((index, message))
-        else:
-            for task in tasks:
-                index, errs, message = _mc_try_worker(task)
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)
+            for index, errs, message in outcomes:
                 if message is None:
                     results[index] = errs
                 else:
@@ -304,10 +300,3 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
         failed=sorted(failed),
     )
 
-
-def _mc_try_worker(args):
-    try:
-        index, errs = _mc_worker(args)
-        return index, errs, None
-    except Exception as exc:  # noqa: BLE001 - per-run failures are aggregated
-        return args[0], None, f"{type(exc).__name__}: {exc}"

@@ -4,11 +4,10 @@ Each pair (alpha, beta) that should satisfy ``C_b^n(0) @ alpha == beta``
 contributes a positive-semidefinite 4x4 increment ``B^T B`` with
 ``B = qplus([0, beta]) - qminus([0, alpha])``.  The quaternion minimizing
 ``q^T K q`` over unit quaternions is the eigenvector of the accumulated K
-belonging to its smallest eigenvalue; it encodes the nav-to-body matrix via
+belonging to its smallest eigenvalue (Davenport's q-method, solved with
+LAPACK's symmetric eigensolver); it encodes the nav-to-body matrix via
 :func:`ifalign.attitude.quat_to_dcm`.
 """
-
-import math
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .attitude import quat_canonical
 from .errors import DegenerateSpectrum
 
 GAP_TOL = 1e-9
-_JACOBI_TOL = 1e-14
-_MAX_SWEEPS = 60
 
 
 def pair_operator(alpha, beta):
@@ -40,54 +37,7 @@ def accumulate(K, alpha, beta):
     return K + b.T @ b
 
 
-def jacobi_eigh4(K, tol=_JACOBI_TOL):
-    """Eigen-decomposition of a symmetric 4x4 matrix by cyclic Jacobi sweeps.
-
-    Returns eigenvalues ascending and the matching eigenvector columns.
-    Sweeps run until every off-diagonal entry is below ``tol`` relative to
-    the largest diagonal magnitude.  The rotations run on Python floats:
-    for a 4x4 matrix that is several times faster than numpy slices, and
-    the element-wise arithmetic is the same.
-    """
-    a = np.array(K, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    a = a.tolist()
-    v = np.eye(4).tolist()
-    pairs = [(p, q) for p in range(3) for q in range(p + 1, 4)]
-    for _ in range(_MAX_SWEEPS):
-        off = max(abs(a[p][q]) for p, q in pairs)
-        if off <= tol * scale:
-            break
-        for p, q in pairs:
-            apq = a[p][q]
-            if abs(apq) <= 1e-300:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            if theta == 0.0:
-                t = 1.0
-            else:
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for row in a:  # columns p and q
-                x, y = row[p], row[q]
-                row[p] = c * x - s * y
-                row[q] = s * x + c * y
-            row_p, row_q = a[p], a[q]
-            a[p] = [c * x - s * y for x, y in zip(row_p, row_q)]
-            a[q] = [s * x + c * y for x, y in zip(row_p, row_q)]
-            for row in v:
-                x, y = row[p], row[q]
-                row[p] = c * x - s * y
-                row[q] = s * x + c * y
-    w = np.array([a[i][i] for i in range(4)])
-    order = np.argsort(w, kind="stable")
-    return w[order], np.array(v)[:, order]
-
-
-def optimal_quaternion(K, gap_tol=GAP_TOL):
+def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
     Returns ``(q, lambda_min)`` with canonical sign.
@@ -96,19 +46,19 @@ def optimal_quaternion(K, gap_tol=GAP_TOL):
     ------
     DegenerateSpectrum
         If the two smallest eigenvalues differ by no more than
-        ``gap_tol * trace(K)`` -- the attitude is unobservable from the
+        ``GAP_TOL * trace(K)`` -- the attitude is unobservable from the
         accumulated pairs.  The exception carries a deterministic candidate
         (lexicographically smallest canonical eigenvector among the tied
         eigenvalues) so callers can still log a reproducible value.
     """
-    w, v = jacobi_eigh4(K)
+    w, v = np.linalg.eigh(K)
     lam = float(w[0])
     trace = float(np.trace(K))
-    if w[1] - w[0] <= gap_tol * trace:
+    if w[1] - w[0] <= GAP_TOL * trace:
         tied = [
             quat_canonical(v[:, i])
             for i in range(4)
-            if w[i] - w[0] <= gap_tol * trace
+            if w[i] - w[0] <= GAP_TOL * trace
         ]
         tied.sort(key=lambda q: tuple(q))
         raise DegenerateSpectrum(

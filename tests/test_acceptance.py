@@ -277,7 +277,7 @@ class TestCriterion5FormulaResiduals:
         c0 = default_truth.c_b_n[0]
         residuals = {}
         for method, bound in (("vif", 1e-4), ("pif", 1e-2)):
-            al = make_aligner(method, data.fix_v[0], data.fix_p[0], data.T)
+            al = make_aligner(method, data.fix_v[0], data.T)
             for k in range(data.n_updates):
                 al.update(data.interval(k), data.fix(k), data.fix(k + 1))
             residuals[method] = float(np.linalg.norm(c0 @ al.alpha - al.beta))

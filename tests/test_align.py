@@ -8,7 +8,9 @@ from ifalign.align import (
     AidFix,
     PositionIntegrationAligner,
     VelocityIntegrationAligner,
+    double_integral,
     make_aligner,
+    single_integral,
 )
 from ifalign.attitude import cross3, quat_to_dcm, rotation_angle, rotvec_to_dcm
 from ifalign.errors import DegenerateSpectrum
@@ -51,7 +53,7 @@ def static_data(static_truth):
 class TestInit:
     @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
     def test_zeroed_state(self, cls):
-        al = cls(np.zeros(3), np.array([0.0, 0.5, 0.0]), 0.02)
+        al = cls(np.zeros(3), 0.02)
         assert al.M == 0
         np.testing.assert_array_equal(al.K, np.zeros((4, 4)))
         np.testing.assert_array_equal(al.c_nav, np.eye(3))
@@ -61,26 +63,25 @@ class TestInit:
     @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
     def test_rejects_nonpositive_interval(self, cls):
         with pytest.raises(ValueError):
-            cls(np.zeros(3), np.zeros(3), 0.0)
+            cls(np.zeros(3), 0.0)
         with pytest.raises(ValueError):
-            cls(np.zeros(3), np.zeros(3), -0.02)
+            cls(np.zeros(3), -0.02)
 
     def test_factory(self):
         assert isinstance(
-            make_aligner("vif", np.zeros(3), np.zeros(3), 0.02),
+            make_aligner("vif", np.zeros(3), 0.02),
             VelocityIntegrationAligner,
         )
         assert isinstance(
-            make_aligner("pif", np.zeros(3), np.zeros(3), 0.02),
+            make_aligner("pif", np.zeros(3), 0.02),
             PositionIntegrationAligner,
         )
         with pytest.raises(ValueError):
-            make_aligner("xyz", np.zeros(3), np.zeros(3), 0.02)
+            make_aligner("xyz", np.zeros(3), 0.02)
 
     def test_pif_extra_accumulators_zero(self):
-        al = PositionIntegrationAligner(np.zeros(3), np.zeros(3), 0.02)
-        for name in ("alpha", "beta", "s_body", "s_nav_v", "s_nav_g", "u_r", "u_v", "u_g",
-                     "t_alpha", "t_beta"):
+        al = PositionIntegrationAligner(np.zeros(3), 0.02)
+        for name in ("alpha", "beta", "s_body", "s_x", "u_r", "u_x", "t_alpha", "t_beta"):
             np.testing.assert_array_equal(getattr(al, name), np.zeros(3))
         assert al.t_sq == 0.0
 
@@ -88,14 +89,14 @@ class TestInit:
 class TestSerialization:
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_json_round_trip_preserves_state_and_future(self, method, short_data):
-        al = make_aligner(method, short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner(method, short_data.fix_v[0], short_data.T)
         drive(al, short_data, n=100)
         blob = json.dumps(al.to_dict())
         al2 = type(al).from_dict(json.loads(blob))
         assert al2.M == al.M
         assert al2.T == al.T
         # every declared state field, bitwise
-        for name in ("v0", "p0", "c_nav", "c_body", "K", *al.STATE):
+        for name in ("v0", "c_nav", "c_body", "K", *al.STATE):
             original, restored = getattr(al, name), getattr(al2, name)
             assert np.shape(restored) == np.shape(original), name
             assert np.asarray(restored).tobytes() == np.asarray(original).tobytes(), name
@@ -115,14 +116,66 @@ class TestSerialization:
         np.testing.assert_array_equal(estimates[0], estimates[1])
 
     def test_kind_checked(self, short_data):
-        al = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner("vif", short_data.fix_v[0], short_data.T)
         with pytest.raises(ValueError):
             PositionIntegrationAligner.from_dict(al.to_dict())
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_missing_field_is_a_value_error(self, method, short_data):
+        al = make_aligner(method, short_data.fix_v[0], short_data.T)
+        drive(al, short_data, n=10)
+        for name in ("T", "M", "v0", "c_nav", "c_body", "K", *al.STATE):
+            state = al.to_dict()
+            del state[name]
+            with pytest.raises(ValueError, match=f"lacks {name}$"):
+                type(al).from_dict(state)
+
+    def test_snapshots_from_before_the_merged_nav_accumulators(self, short_data):
+        # Older snapshots carry the initial position "p0", and their pif
+        # keeps earth-rate and gravity terms apart instead of s_x and u_x:
+        # the pif snapshot is refused, the vif one loads unchanged.
+        for method in ("vif", "pif"):
+            al = make_aligner(method, short_data.fix_v[0], short_data.T)
+            drive(al, short_data, n=10)
+            old = {k: v for k, v in al.to_dict().items() if k not in ("s_x", "u_x")}
+            old["p0"] = short_data.fix_p[0].tolist()
+            if method == "pif":
+                with pytest.raises(ValueError, match="s_x, u_x"):
+                    PositionIntegrationAligner.from_dict(old)
+                continue
+            loaded = VelocityIntegrationAligner.from_dict(old)
+            assert not hasattr(loaded, "p0")
+            for name in ("v0", "c_nav", "c_body", "K", *al.STATE):
+                assert getattr(loaded, name).tobytes() == getattr(al, name).tobytes()
+
+
+class TestIntegrationRules:
+    # For x linear over the interval, (I + tau [omega x]) x(tau) is quadratic
+    # in tau and (T - tau) times it cubic: Simpson's rule integrates both
+    # exactly, and int_0^T int_0^s f dtau ds = int_0^T (T - tau) f dtau.
+    @pytest.mark.parametrize("shape", ["linear", "constant"])
+    def test_rules_match_simpson(self, shape, rng):
+        T = 0.5
+        omega = rng.standard_normal(3)
+        x_prev = 10.0 * rng.standard_normal(3)
+        x_next = x_prev if shape == "constant" else 10.0 * rng.standard_normal(3)
+
+        def integrand(tau):
+            x = x_prev + (tau / T) * (x_next - x_prev)
+            return x + tau * np.cross(omega, x)
+
+        f0, f_mid, f1 = integrand(0.0), integrand(T / 2.0), integrand(T)
+        single = (T / 6.0) * (f0 + 4.0 * f_mid + f1)
+        double = (T / 6.0) * (T * f0 + 4.0 * (T / 2.0) * f_mid)
+        args = (x_prev.tolist(), x_next.tolist(), omega.tolist(), T)
+        for rule, expected in ((single_integral, single), (double_integral, double)):
+            got = rule(*args)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestGuards:
     def test_fix_spacing_checked(self, short_data):
-        al = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner("vif", short_data.fix_v[0], short_data.T)
         bad = AidFix(t=0.5, v=short_data.fix_v[1], p=short_data.fix_p[1])
         with pytest.raises(ValueError):
             al.update(short_data.interval(0), short_data.fix(0), bad)
@@ -130,7 +183,7 @@ class TestGuards:
     def test_polar_fix_rejected(self, short_data):
         from ifalign.errors import PolarSingularity
 
-        al = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner("vif", short_data.fix_v[0], short_data.T)
         polar = AidFix(
             t=short_data.fix_t[0],
             v=short_data.fix_v[0],
@@ -141,7 +194,7 @@ class TestGuards:
             al.update(short_data.interval(0), polar, nxt)
 
     def test_update_folds_and_estimate_raises_until_observable(self, short_data):
-        al = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner("vif", short_data.fix_v[0], short_data.T)
         assert al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1)) is None
         assert al.M == 1
         with pytest.raises(DegenerateSpectrum):
@@ -155,7 +208,7 @@ class TestGuards:
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_estimate_is_pure(self, method, short_data):
-        al = make_aligner(method, short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner(method, short_data.fix_v[0], short_data.T)
         drive(al, short_data, n=150)
         before = {name: np.copy(getattr(al, name)) for name in ("K", *al.STATE)}
         first, second = al.estimate(), al.estimate()
@@ -173,14 +226,14 @@ class TestStaticCase:
         # stationary vehicle, ideal sensors: the accumulated pair satisfies
         # the defining identity with the true (identity) initial attitude
         al = make_aligner(
-            method, static_data.fix_v[0], static_data.fix_p[0], static_data.T
+            method, static_data.fix_v[0], static_data.T
         )
         drive(al, static_data)
         c0 = static_truth.c_b_n[0]
         assert np.linalg.norm(c0 @ al.alpha - al.beta) < 1e-9
 
     def test_static_estimate_recovers_attitude(self, static_truth, static_data):
-        al = make_aligner("vif", static_data.fix_v[0], static_data.fix_p[0], static_data.T)
+        al = make_aligner("vif", static_data.fix_v[0], static_data.T)
         est = drive(al, static_data)
         # gravity pins the level axes; yaw stays weakly observable under
         # earth-rate only, so compare the full attitude loosely and the
@@ -192,14 +245,14 @@ class TestStaticCase:
 class TestManeuveringRun:
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_converges_with_perfect_sensors(self, method, short_truth, short_data):
-        al = make_aligner(method, short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        al = make_aligner(method, short_data.fix_v[0], short_data.T)
         est = drive(al, short_data)
         err = rotation_angle(est.c_b_n @ short_truth.c_b_n[-1].T)
         assert err < 1e-4  # rad; well-observable after 20 s of maneuvers
 
     def test_vif_residual_growth_bound(self, short_truth, short_data):
         al = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "vif", short_data.fix_v[0], short_data.T
         )
         drive(al, short_data)
         c0 = short_truth.c_b_n[0]
@@ -209,7 +262,7 @@ class TestManeuveringRun:
 
     def test_pif_residual_growth_bound(self, short_truth, short_data):
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         drive(al, short_data)
         c0 = short_truth.c_b_n[0]
@@ -220,8 +273,8 @@ class TestManeuveringRun:
     def test_time_origin_invariance(self, short_data):
         # same increments and fixes, times relabeled by a constant offset:
         # bitwise-identical estimates
-        a1 = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
-        a2 = make_aligner("vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T)
+        a1 = make_aligner("vif", short_data.fix_v[0], short_data.T)
+        a2 = make_aligner("vif", short_data.fix_v[0], short_data.T)
         last1 = last2 = None
         for k in range(200):
             iv = short_data.interval(k)
@@ -237,7 +290,7 @@ class TestManeuveringRun:
         from ifalign.oracle import AlignmentReference
 
         al = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "vif", short_data.fix_v[0], short_data.T
         )
         drive(al, short_data)
         ref = AlignmentReference(short_truth.model, substep=0.005).run(
@@ -250,10 +303,10 @@ class TestManeuveringRun:
         from ifalign.oracle import AlignmentReference
 
         vif = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "vif", short_data.fix_v[0], short_data.T
         )
         pif = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         drive(vif, short_data)
         drive(pif, short_data)
@@ -270,10 +323,10 @@ class TestManeuveringRun:
         # the position-form observation vector is the running time-integral
         # of the velocity-form one; trapezoidal cross-check
         vif = make_aligner(
-            "vif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "vif", short_data.fix_v[0], short_data.T
         )
         pif = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         integral = np.zeros(3)
         prev = np.zeros(3)
@@ -290,19 +343,20 @@ class TestManeuveringRun:
 
 class TestPifPrefixSums:
     def test_accumulators_equal_direct_double_sums(self, short_data):
-        # Re-derive alpha_p, u_v, u_g at the final step by the literal
-        # nested double summation over stored per-interval quantities and
-        # compare with the O(1)-per-step recursion.
+        # Re-derive alpha_p and u_x at the final step by the literal nested
+        # double summation over stored per-interval quantities (earth-rate
+        # and gravity terms written out separately) and compare with the
+        # O(1)-per-step recursion.
         n = 120
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         T = short_data.T
         c_body_hist = []   # C_{b(t_k)}^{b(0)} for k = 0..n-1 (pre-update values)
         c_nav_hist = []
         scull_hist = []
         dbl_hist = []
-        vbr_hist = []      # per-interval nav bracket for u_v prefix
+        vbr_hist = []      # per-interval earth-rate bracket
         gbr_hist = []
         tail_v_hist = []
         tail_g_hist = []
@@ -354,11 +408,9 @@ class TestPifPrefixSums:
         assert np.linalg.norm(al.alpha - alpha_direct) <= 1e-12 * max(
             1.0, np.linalg.norm(alpha_direct)
         )
-        assert np.linalg.norm(al.u_v - u_v_direct) <= 1e-12 * max(
-            1.0, np.linalg.norm(u_v_direct)
-        )
-        assert np.linalg.norm(al.u_g - u_g_direct) <= 1e-12 * max(
-            1.0, np.linalg.norm(u_g_direct)
+        u_x_direct = u_v_direct - u_g_direct
+        assert np.linalg.norm(al.u_x - u_x_direct) <= 1e-12 * max(
+            1.0, np.linalg.norm(u_x_direct)
         )
 
     def test_scaling_exact_pairs_by_time_preserves_estimate(self):
@@ -389,7 +441,7 @@ class TestPifPrefixSums:
         from ifalign.quest import accumulate, optimal_quaternion
 
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         K_scaled = np.zeros((4, 4))
         for k in range(short_data.n_updates):
@@ -409,7 +461,7 @@ class TestPifInitialVelocity:
         # q^T solved_matrix q must equal min over w of
         # sum_k |C alpha_k - beta_k + t_k w|^2, evaluated from the pair history
         al = make_aligner(
-            "pif", short_data.fix_v[0], short_data.fix_p[0], short_data.T
+            "pif", short_data.fix_v[0], short_data.T
         )
         pairs = []
         drive(al, short_data, n=300,
@@ -434,9 +486,9 @@ class TestPifInitialVelocity:
         # amplified by the small eigen gap of the first seconds)
         stride = 50
         dv = np.array([0.3, -0.2, 0.25])
-        base = make_aligner("pif", short_data.fix_v[0], short_data.fix_p[0],
+        base = make_aligner("pif", short_data.fix_v[0],
                             short_data.T)
-        shifted = make_aligner("pif", short_data.fix_v[0] + dv, short_data.fix_p[0],
+        shifted = make_aligner("pif", short_data.fix_v[0] + dv,
                                short_data.T)
         solved = 0
         for k in range(short_data.n_updates):
@@ -456,7 +508,7 @@ class TestPifInitialVelocity:
         # one pair is fitted exactly by the velocity correction alone, so the
         # attitude is unobservable whatever v0 is
         for dv in (np.zeros(3), np.array([0.3, -0.2, 0.25])):
-            al = make_aligner("pif", short_data.fix_v[0] + dv, short_data.fix_p[0],
+            al = make_aligner("pif", short_data.fix_v[0] + dv,
                               short_data.T)
             al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1))
             with pytest.raises(DegenerateSpectrum):

@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ifalign
 from ifalign import cli
 from ifalign import io as ifio
 from ifalign.simulate import ScenarioConfig, simulation_sensor_defaults
@@ -116,10 +119,35 @@ class TestOracleVerb:
         assert "alpha_v" in text and "substep halving" in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--jobs", "0"],
+        ["montecarlo", "--runs", "1"],
+        ["montecarlo", "--epochs", "5,abc"],
+        ["align", "--duration", "1", "--report-interval", "0.03"],
+    ],
+    ids=["mc-jobs-0", "mc-runs-1", "mc-epochs-abc", "align-report-interval"],
+)
+def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
+    from ifalign import harness
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an invalid argument must not start a process")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_console_entry_point(tmp_path):
+    # the subprocess imports the same ifalign as this process
+    src = str(Path(ifalign.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     rc = subprocess.run(
         [sys.executable, "-m", "ifalign.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert rc.returncode == 0
     assert "montecarlo" in rc.stdout

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ifalign.attitude import quat_canonical, quat_to_dcm, rotvec_to_dcm
 from ifalign.errors import DegenerateSpectrum
-from ifalign.quest import accumulate, jacobi_eigh4, optimal_quaternion, pair_operator
+from ifalign.quest import accumulate, optimal_quaternion, pair_operator
 
 
 def random_rotation(rng):
@@ -79,26 +77,6 @@ class TestAccumulate:
         alpha = rng.standard_normal(3)
         inc = accumulate(np.zeros((4, 4)), alpha, c @ alpha)
         assert abs(q @ inc @ q) < 1e-12 * max(1.0, np.trace(inc))
-
-
-class TestJacobi:
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_eigh(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((4, 4))
-        K = a @ a.T
-        w, v = jacobi_eigh4(K)
-        w_np = np.linalg.eigvalsh(K)
-        np.testing.assert_allclose(w, w_np, rtol=1e-10, atol=1e-12 * np.trace(K))
-        # eigenvector residuals
-        for i in range(4):
-            r = K @ v[:, i] - w[i] * v[:, i]
-            assert np.linalg.norm(r) < 1e-10 * max(1.0, np.trace(K))
-
-    def test_diagonal_input(self):
-        w, v = jacobi_eigh4(np.diag([3.0, 1.0, 2.0, 4.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0, 4.0])
 
 
 class TestOptimalQuaternion:
