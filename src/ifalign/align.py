@@ -19,32 +19,66 @@ smallest-eigenvalue eigenvector of the matrix the aligner solves
 (:meth:`_AlignerBase.solved_matrix`).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import earth
 from .attitude import compose_attitude, cross_floats, quat_to_dcm, rotvec_to_dcm
 from .increments import body_rotvec, double_integral_increment, sculling_increment
-from .quest import accumulate, optimal_quaternion, pair_operator
+from .quest import accumulate, optimal_quaternion, pair_gram
+
+
+# The per-update path runs on Python floats (see attitude.cross_floats):
+# running vectors are 3-tuples, the chains 3x3 arrays read as nested lists.
+
+def _rotate(c, v):
+    """``c @ v`` for a 3x3 matrix given as nested lists."""
+    x, y, z = v
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+    return (
+        c00 * x + c01 * y + c02 * z,
+        c10 * x + c11 * y + c12 * z,
+        c20 * x + c21 * y + c22 * z,
+    )
+
+
+def _add(a, b):
+    """``a + b``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 + b0, a1 + b1, a2 + b2)
+
+
+def _scaled_add(a, scale, b):
+    """``a + scale * b``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 + scale * b0, a1 + scale * b1, a2 + scale * b2)
+
+
+def _float3(value, name):
+    """A 3-vector as a tuple of Python floats."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector")
+    return tuple(array.tolist())
 
 
 # Integration rules for a nav-frame vector x(tau) that is linear over one
 # interval, from x_prev at tau=0 to x_next at tau=T, seen from the nav frame
 # at the interval start t (C_{n(t+tau)}^{n(t)} = I + tau [omega_in x] to
-# first order).  Python floats in (see attitude.cross_floats), 3-vector out.
+# first order).  Python floats in, 3-tuple out.
 
 def single_integral(x_prev, x_next, omega_in, T):
     """``int_0^T (I + tau [omega_in x]) x(tau) dtau``."""
     moment = [(T * T / 6.0) * p + (T * T / 3.0) * n for p, n in zip(x_prev, x_next)]
     rot = cross_floats(omega_in, moment)
-    return np.array([(T / 2.0) * (p + n) + r for p, n, r in zip(x_prev, x_next, rot)])
+    return tuple([(T / 2.0) * (p + n) + r for p, n, r in zip(x_prev, x_next, rot)])
 
 
 def double_integral(x_prev, x_next, omega_in, T):
     """``int_0^T int_0^s (I + tau [omega_in x]) x(tau) dtau ds``."""
     rot = cross_floats(omega_in, [p + n for p, n in zip(x_prev, x_next)])
-    return np.array(
+    return tuple(
         [
             (T * T / 3.0) * p + (T * T / 6.0) * n + (T ** 3 / 12.0) * r
             for p, n, r in zip(x_prev, x_next, rot)
@@ -53,13 +87,19 @@ def double_integral(x_prev, x_next, omega_in, T):
 
 
 def _earth_rate_gravity(omega_ie, v, g_n):
-    """``x = omega_ie x v - g`` on Python floats."""
-    return [w - g for w, g in zip(cross_floats(omega_ie, v), g_n)]
+    """``x = omega_ie x v - g``."""
+    w0, w1, w2 = cross_floats(omega_ie, v)
+    g0, g1, g2 = g_n
+    return (w0 - g0, w1 - g1, w2 - g2)
 
 
-@dataclass(frozen=True)
 class AidFix:
     """Aided ground velocity and curvilinear position at one time instant.
+
+    ``AidFix(t, v, p)`` checks that ``v`` and ``p`` are 3-vectors.
+    ``v_floats`` and ``p_floats`` hold them as 3-tuples of Python floats,
+    which is what the aligners read; the array attributes are built from
+    them on access.
 
     Attributes
     ----------
@@ -71,13 +111,24 @@ class AidFix:
         Curvilinear position [lon, lat, h] (rad, rad, m).
     """
 
-    t: float
-    v: np.ndarray
-    p: np.ndarray
+    __slots__ = ("t", "v_floats", "p_floats")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+    def __init__(self, t, v, p):
+        self.t = float(t)
+        self.v_floats = _float3(v, "v")
+        self.p_floats = _float3(p, "p")
+
+    @classmethod
+    def from_floats(cls, t, v_floats, p_floats):
+        """A fix from a float time and two float 3-tuples, taken as they are."""
+        fix = cls.__new__(cls)
+        fix.t = t
+        fix.v_floats = v_floats
+        fix.p_floats = p_floats
+        return fix
+
+    v = property(lambda self: np.array(self.v_floats))
+    p = property(lambda self: np.array(self.p_floats))
 
 
 class AlignmentEstimate:
@@ -112,30 +163,54 @@ class AlignmentEstimate:
         )
 
 
+# Snapshot fields every aligner carries besides its declared STATE.
+_CORE_STATE = {"c_nav": (3, 3), "c_body": (3, 3), "K": (4, 4)}
+
+
+def _state_array(name):
+    """Read-only property: the float state ``_<name>`` as a float64 array."""
+    private = "_" + name
+    return property(lambda self: np.array(getattr(self, private)))
+
+
 class _AlignerBase:
     """Shared chain propagation, state bookkeeping and eigen solve.
 
     ``update()`` folds one interval into the state; ``estimate()`` solves
     the state for the attitude.  A subclass declares its snapshot tag
     ``KIND`` and, in ``STATE``, the shape of every accumulator it carries
-    besides the two chains and ``K``.  The zeroed state, :meth:`to_dict`
-    and :meth:`from_dict` are built from that declaration.
+    besides the two chains and ``K``.  Those accumulators live on Python
+    floats (3-tuples, or a float for shape ``()``) under ``_<name>``;
+    ``<name>`` reads them as a float64 array, as does ``v0``.  The zeroed
+    state, :meth:`to_dict` and :meth:`from_dict` are built from the
+    declaration.
     """
 
     KIND = None
     STATE = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.STATE:
+            setattr(cls, name, _state_array(name))
 
     def __init__(self, v0, T):
         if T <= 0.0:
             raise ValueError("update interval T must be positive")
         self.T = float(T)
         self.M = 0
-        self.v0 = np.asarray(v0, dtype=float).copy()
+        self._v0 = _float3(v0, "v0")
         self.c_nav = np.eye(3)   # C_{n(t_M)}^{n(0)}
         self.c_body = np.eye(3)  # C_{b(t_M)}^{b(0)}
         self.K = np.zeros((4, 4))
         for name, shape in self.STATE.items():
-            setattr(self, name, np.zeros(shape))
+            self._set_state(name, np.zeros(shape))
+
+    v0 = _state_array("v0")
+
+    def _set_state(self, name, value):
+        floats = value.tolist()
+        setattr(self, "_" + name, tuple(floats) if value.ndim else floats)
 
     @property
     def t(self):
@@ -152,12 +227,15 @@ class _AlignerBase:
             )
 
     def _advance_chains(self, interval, omega_in):
-        """Rotate both chains across one interval; returns their prior values."""
+        """Rotate both chains across one interval; returns their prior
+        values as nested lists."""
+        T = self.T
+        w0, w1, w2 = omega_in
         c_nav_prev = self.c_nav
         c_body_prev = self.c_body
-        self.c_nav = c_nav_prev @ rotvec_to_dcm(self.T * omega_in)
+        self.c_nav = c_nav_prev @ rotvec_to_dcm((T * w0, T * w1, T * w2))
         self.c_body = c_body_prev @ rotvec_to_dcm(body_rotvec(interval))
-        return c_nav_prev, c_body_prev
+        return c_nav_prev.tolist(), c_body_prev.tolist()
 
     def solved_matrix(self):
         """The 4x4 matrix whose smallest eigenvector is the estimate (here ``K``)."""
@@ -175,8 +253,9 @@ class _AlignerBase:
         )
 
     @classmethod
-    def _state_names(cls):
-        return ("c_nav", "c_body", "K", *cls.STATE)
+    def _fields(cls):
+        """Every array field of a snapshot besides ``v0``, with its shape."""
+        return {**_CORE_STATE, **cls.STATE}
 
     def to_dict(self):
         """JSON-serializable snapshot of the full state."""
@@ -184,9 +263,9 @@ class _AlignerBase:
             "kind": self.KIND,
             "T": self.T,
             "M": self.M,
-            "v0": self.v0.tolist(),
+            "v0": list(self._v0),
         }
-        for name in self._state_names():
+        for name in self._fields():
             state[name] = getattr(self, name).tolist()
         return state
 
@@ -194,18 +273,32 @@ class _AlignerBase:
     def from_dict(cls, state):
         """Rebuild an aligner from :meth:`to_dict` output.
 
-        Raises ValueError for another aligner's snapshot or one that lacks
-        a field this class declares.
+        Raises ValueError for another aligner's snapshot, or one that lacks
+        a field this class declares or holds one of the wrong shape.
         """
         if state.get("kind") != cls.KIND:
             raise ValueError(f"state is not a {cls.__name__} snapshot")
-        missing = [n for n in ("T", "M", "v0", *cls._state_names()) if n not in state]
+        shapes = {"v0": (3,), **cls._fields()}
+        missing = [n for n in ("T", "M", *shapes) if n not in state]
         if missing:
             raise ValueError(f"{cls.__name__} snapshot lacks {', '.join(missing)}")
-        out = cls(state["v0"], state["T"])
+        values = {}
+        for name, shape in shapes.items():
+            try:
+                values[name] = np.array(state[name], dtype=float)
+            except (TypeError, ValueError):
+                values[name] = None
+            if values[name] is None or values[name].shape != shape:
+                raise ValueError(
+                    f"{cls.__name__} snapshot field {name} is not a float "
+                    f"array of shape {shape}"
+                )
+        out = cls(values["v0"], state["T"])
         out.M = int(state["M"])
-        for name in out._state_names():
-            setattr(out, name, np.array(state[name], dtype=float))
+        for name in _CORE_STATE:
+            setattr(out, name, values[name])
+        for name in cls.STATE:
+            out._set_state(name, values[name])
         return out
 
 
@@ -222,7 +315,7 @@ class VelocityIntegrationAligner(_AlignerBase):
     """
 
     KIND = "vif"
-    STATE = {"alpha": 3, "beta_partial": 3, "beta": 3}
+    STATE = {"alpha": (3,), "beta_partial": (3,), "beta": (3,)}
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -231,21 +324,25 @@ class VelocityIntegrationAligner(_AlignerBase):
         """
         self._check_fixes(fix_prev, fix_next)
         T = self.T
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(fix_prev.v, fix_prev.p)
+        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
+        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
 
         c_nav_prev, c_body_prev = self._advance_chains(interval, omega_in)
 
-        self.alpha = self.alpha + c_body_prev @ sculling_increment(interval)
+        self._alpha = _add(self._alpha, _rotate(c_body_prev, sculling_increment(interval)))
 
-        omega_ie, omega_in, g_n = omega_ie.tolist(), omega_in.tolist(), g_n.tolist()
-        x_prev = _earth_rate_gravity(omega_ie, fix_prev.v.tolist(), g_n)
-        x_next = _earth_rate_gravity(omega_ie, fix_next.v.tolist(), g_n)
-        self.beta_partial = self.beta_partial + c_nav_prev @ single_integral(
-            x_prev, x_next, omega_in, T
+        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
+        x_next = _earth_rate_gravity(omega_ie, v_next, g_n)
+        self._beta_partial = _add(
+            self._beta_partial,
+            _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T)),
         )
-        self.beta = self.c_nav @ fix_next.v - self.v0 + self.beta_partial
+        self._beta = _add(
+            _scaled_add(_rotate(self.c_nav.tolist(), v_next), -1.0, self._v0),
+            self._beta_partial,
+        )
 
-        self.K = accumulate(self.K, self.alpha, self.beta)
+        self.K = accumulate(self.K, self._alpha, self._beta)
         self.M += 1
 
 
@@ -275,8 +372,8 @@ class PositionIntegrationAligner(_AlignerBase):
 
     KIND = "pif"
     STATE = {
-        "alpha": 3, "beta": 3, "s_body": 3, "s_x": 3, "u_r": 3, "u_x": 3,
-        "t_alpha": 3, "t_beta": 3, "t_sq": (),
+        "alpha": (3,), "beta": (3,), "s_body": (3,), "s_x": (3,), "u_r": (3,),
+        "u_x": (3,), "t_alpha": (3,), "t_beta": (3,), "t_sq": (),
     }
 
     def update(self, interval, fix_prev, fix_next):
@@ -287,39 +384,43 @@ class PositionIntegrationAligner(_AlignerBase):
         """
         self._check_fixes(fix_prev, fix_next)
         T = self.T
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(fix_prev.v, fix_prev.p)
+        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
+        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
 
         c_nav_prev, c_body_prev = self._advance_chains(interval, omega_in)
 
         # Double integral of rotated specific force: completed-interval
         # prefix times T, plus the within-interval two-sample tail.
-        self.alpha = (
-            self.alpha
-            + T * self.s_body
-            + c_body_prev @ double_integral_increment(interval, T)
+        self._alpha = _add(
+            _scaled_add(self._alpha, T, self._s_body),
+            _rotate(c_body_prev, double_integral_increment(interval, T)),
         )
-        self.s_body = self.s_body + c_body_prev @ sculling_increment(interval)
+        self._s_body = _add(
+            self._s_body, _rotate(c_body_prev, sculling_increment(interval))
+        )
 
-        omega_ie, omega_in, g_n = omega_ie.tolist(), omega_in.tolist(), g_n.tolist()
-        v_prev, v_next = fix_prev.v.tolist(), fix_next.v.tolist()
         x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
         x_next = _earth_rate_gravity(omega_ie, v_next, g_n)
-        self.u_r = self.u_r + c_nav_prev @ single_integral(v_prev, v_next, omega_in, T)
-        self.u_x = (
-            self.u_x
-            + c_nav_prev @ double_integral(x_prev, x_next, omega_in, T)
-            + T * self.s_x
+        self._u_r = _add(
+            self._u_r, _rotate(c_nav_prev, single_integral(v_prev, v_next, omega_in, T))
         )
-        self.s_x = self.s_x + c_nav_prev @ single_integral(x_prev, x_next, omega_in, T)
+        self._u_x = _scaled_add(
+            _add(self._u_x, _rotate(c_nav_prev, double_integral(x_prev, x_next, omega_in, T))),
+            T,
+            self._s_x,
+        )
+        self._s_x = _add(
+            self._s_x, _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T))
+        )
 
         self.M += 1
         t = self.t
-        self.beta = self.u_r - t * self.v0 + self.u_x
-        self.t_alpha = self.t_alpha + t * self.alpha
-        self.t_beta = self.t_beta + t * self.beta
-        self.t_sq += t * t
+        self._beta = _add(_scaled_add(self._u_r, -t, self._v0), self._u_x)
+        self._t_alpha = _scaled_add(self._t_alpha, t, self._alpha)
+        self._t_beta = _scaled_add(self._t_beta, t, self._beta)
+        self._t_sq += t * t
 
-        self.K = accumulate(self.K, self.alpha, self.beta)
+        self.K = accumulate(self.K, self._alpha, self._beta)
 
     def solved_matrix(self):
         """``K`` with the initial-velocity correction minimized out."""
@@ -327,8 +428,7 @@ class PositionIntegrationAligner(_AlignerBase):
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
             return np.zeros((4, 4))
-        b = pair_operator(self.t_alpha, self.t_beta)
-        return self.K - (b.T @ b) / self.t_sq
+        return self.K - pair_gram(self._t_alpha, self._t_beta) / self._t_sq
 
 
 ALIGNER_CLASSES = {

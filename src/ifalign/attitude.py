@@ -60,11 +60,12 @@ def cross3(a, b):
 def rotvec_to_dcm(phi):
     """Rodrigues formula mapping a rotation vector to a DCM.
 
-    For ``|phi| < 1e-7`` the sin/cos coefficients are replaced by their
+    ``phi`` is a 3-vector array or a 3-sequence of Python floats.  For
+    ``|phi| < 1e-7`` the sin/cos coefficients are replaced by their
     two-term series so the 0/0 limit is exact; the two branches agree to
     1e-14 at the switch point.
     """
-    x, y, z = np.asarray(phi, dtype=float).tolist()
+    x, y, z = phi.tolist() if isinstance(phi, np.ndarray) else phi
     angle2 = x * x + y * y + z * z
     if angle2 < _SMALL_ANGLE ** 2:
         a = 1.0 - angle2 / 6.0

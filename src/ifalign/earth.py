@@ -161,7 +161,8 @@ def aiding_kinematics(v, p):
 
     Scalar fast path equivalent to ``earth_rate_n``, ``earth_rate_n +
     transport_rate_n`` and ``gravity_n`` (asserted equal in tests); the
-    recursive aligners call this once per update.
+    recursive aligners call this once per update.  Returns three 3-tuples
+    of Python floats.
     """
     lat = float(p[1])
     h = float(p[2])
@@ -174,20 +175,17 @@ def aiding_kinematics(v, p):
     r_e = SEMI_MAJOR_AXIS / math.sqrt(t)
     r_n = SEMI_MAJOR_AXIS * (1.0 - ECCENTRICITY_SQ) / (t * math.sqrt(t))
 
-    omega_ie = np.array([EARTH_RATE * cos_lat, EARTH_RATE * sin_lat, 0.0])
+    omega_ie = (EARTH_RATE * cos_lat, EARTH_RATE * sin_lat, 0.0)
     v_n, v_e = float(v[0]), float(v[2])
-    omega_in = np.array(
-        [
-            omega_ie[0] + v_e / (r_e + h),
-            omega_ie[1] + v_e * (sin_lat / cos_lat) / (r_e + h),
-            -v_n / (r_n + h),
-        ]
+    omega_in = (
+        omega_ie[0] + v_e / (r_e + h),
+        omega_ie[1] + v_e * (sin_lat / cos_lat) / (r_e + h),
+        -v_n / (r_n + h),
     )
     g = GRAVITY_EQUATOR * (1.0 + SOMIGLIANA_K * sin2) / math.sqrt(t) - (
         FREE_AIR_GRADIENT * h
     )
-    g_n = np.array([0.0, -g, 0.0])
-    return omega_ie, omega_in, g_n
+    return omega_ie, omega_in, (0.0, -g, 0.0)
 
 
 def nav_to_ecef_dcm(p):

@@ -12,7 +12,7 @@ from . import io as ifio
 from .align import AidFix, make_aligner
 from .attitude import dcm_to_euler, quat_to_dcm
 from .errors import DegenerateSpectrum
-from .increments import ImuInterval
+from .increments import ImuInterval, check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 RAD2DEG = 180.0 / math.pi
@@ -26,6 +26,12 @@ class AlignmentData:
     Increment arrays carry one row per IMU sample; fix arrays one row per
     update-interval endpoint.  ``truth_c_b_n`` (body-to-nav DCMs at the
     endpoints) enables error reporting and is absent in replay mode.
+
+    The rows are validated once, when the object is built
+    (:func:`~ifalign.increments.check_increments`, matching row counts,
+    finite fixes; ``ValueError`` otherwise), and turned into the
+    :class:`ImuInterval` and :class:`AidFix` objects that :meth:`interval`
+    and :meth:`fix` hand out.  Do not modify the arrays afterwards.
     """
 
     T: float
@@ -36,21 +42,51 @@ class AlignmentData:
     fix_p: np.ndarray
     truth_c_b_n: np.ndarray = None
     metadata: dict = field(default_factory=dict)
+    _intervals: list = field(init=False, repr=False, compare=False)
+    _fixes: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.dtheta, self.dv = check_increments(self.dtheta, self.dv)
+        self.fix_t = np.asarray(self.fix_t, dtype=float)
+        self.fix_v = np.asarray(self.fix_v, dtype=float)
+        self.fix_p = np.asarray(self.fix_p, dtype=float)
+        n_fixes = self.fix_t.size
+        if (
+            self.fix_t.shape != (n_fixes,)
+            or self.fix_v.shape != (n_fixes, 3)
+            or self.fix_p.shape != (n_fixes, 3)
+            or self.dtheta.shape[0] != 2 * (n_fixes - 1)
+        ):
+            raise ValueError(
+                f"{self.dtheta.shape[0]} IMU rows and fix arrays of shapes "
+                f"{self.fix_t.shape}, {self.fix_v.shape}, {self.fix_p.shape} "
+                "do not make whole update intervals (2 IMU rows per interval, "
+                "one fix per interval endpoint)"
+            )
+        if not (np.isfinite(self.fix_t).all() and np.isfinite(self.fix_v).all()
+                and np.isfinite(self.fix_p).all()):
+            raise ValueError("fixes must be finite")
+        dtheta = list(map(tuple, self.dtheta.tolist()))
+        dv = list(map(tuple, self.dv.tolist()))
+        self._intervals = list(map(
+            ImuInterval.from_floats, dtheta[0::2], dtheta[1::2], dv[0::2], dv[1::2]
+        ))
+        self._fixes = list(map(
+            AidFix.from_floats,
+            self.fix_t.tolist(),
+            map(tuple, self.fix_v.tolist()),
+            map(tuple, self.fix_p.tolist()),
+        ))
 
     @property
     def n_updates(self):
         return self.fix_t.size - 1
 
     def fix(self, k):
-        return AidFix(t=float(self.fix_t[k]), v=self.fix_v[k], p=self.fix_p[k])
+        return self._fixes[k]
 
     def interval(self, k):
-        return ImuInterval(
-            dtheta1=self.dtheta[2 * k],
-            dtheta2=self.dtheta[2 * k + 1],
-            dv1=self.dv[2 * k],
-            dv2=self.dv[2 * k + 1],
-        )
+        return self._intervals[k]
 
     @classmethod
     def from_simulation(cls, truth, errors=None, rng=None, metadata=None):

@@ -9,11 +9,12 @@ in ``T`` for smooth rates:
 * the body-frame rotation vector (coning correction).
 
 All three are exact when angular rate and specific force vary linearly in
-time over the interval.
+time over the interval.  The kernels read an interval's increments as
+Python floats and return 3-tuples of floats: for 3-vectors, arithmetic on
+Python floats costs several times less than numpy calls and rounds the
+same.  :func:`check_increments` validates increment rows once, where they
+enter the program.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +23,47 @@ from .attitude import cross_floats
 _CONING_BOUND = 0.1  # rad; sanity bound for one update interval
 
 
-@dataclass(frozen=True)
+def check_increments(dtheta, dv):
+    """Validate IMU increment rows as consecutive update intervals.
+
+    ``dtheta`` and ``dv`` hold one row per IMU sample, two samples per
+    update interval.  Returns both as float64 arrays of shape ``(2N, 3)``.
+
+    Raises
+    ------
+    ValueError
+        If the two are not ``(2N, 3)`` arrays of one shape, if an increment
+        is not finite, or if the rotation ``|dtheta1 + dtheta2|`` of an
+        interval reaches 0.1 rad.
+    """
+    dtheta = np.asarray(dtheta, dtype=float)
+    dv = np.asarray(dv, dtype=float)
+    if dtheta.ndim != 2 or dtheta.shape[1] != 3 or dtheta.shape[0] % 2 or dv.shape != dtheta.shape:
+        raise ValueError(
+            f"increments must be two (2N, 3) arrays, got {dtheta.shape} and {dv.shape}"
+        )
+    finite = np.isfinite(dtheta).all(axis=1) & np.isfinite(dv).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"increments must be finite (row {np.argmin(finite)} is not)"
+        )
+    angle = dtheta[0::2] + dtheta[1::2]
+    too_large = np.sum(angle * angle, axis=1) >= _CONING_BOUND ** 2
+    if too_large.any():
+        raise ValueError(
+            "angular increment exceeds 0.1 rad over one update interval "
+            f"(interval {np.argmax(too_large)})"
+        )
+    return dtheta, dv
+
+
 class ImuInterval:
     """Gyro/accelerometer increments over the two halves of one update interval.
+
+    ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` validates its rows with
+    :func:`check_increments`.  ``floats`` holds the four increments as
+    3-tuples of Python floats, which is what the kernels read; the array
+    attributes are built from it on access.
 
     Attributes
     ----------
@@ -32,44 +71,28 @@ class ImuInterval:
         Incremental angles (rad) integrated over the first/second half.
     dv1, dv2 : ndarray, shape (3,)
         Incremental velocities (m/s) integrated over the first/second half.
+    floats : tuple
+        ``(dtheta1, dtheta2, dv1, dv2)`` as 3-tuples of Python floats.
     """
 
-    dtheta1: np.ndarray
-    dtheta2: np.ndarray
-    dv1: np.ndarray
-    dv2: np.ndarray
+    __slots__ = ("floats",)
 
-    def __post_init__(self):
-        checksum = 0.0
-        components = []
-        for name in ("dtheta1", "dtheta2", "dv1", "dv2"):
-            value = getattr(self, name)
-            if type(value) is not np.ndarray or value.dtype != np.float64:
-                value = np.asarray(value, dtype=float)
-                object.__setattr__(self, name, value)
-            if value.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            x, y, z = value.tolist()
-            checksum += x + y + z
-            components.append((x, y, z))
-        if not math.isfinite(checksum):
-            raise ValueError("increments must be finite")
-        (a0, a1, a2), (b0, b1, b2) = components[0], components[1]
-        s0, s1, s2 = a0 + b0, a1 + b1, a2 + b2
-        if s0 * s0 + s1 * s1 + s2 * s2 >= _CONING_BOUND ** 2:
-            raise ValueError(
-                "angular increment exceeds 0.1 rad over one update interval"
-            )
+    def __init__(self, dtheta1, dtheta2, dv1, dv2):
+        dtheta, dv = check_increments([dtheta1, dtheta2], [dv1, dv2])
+        self.floats = tuple(map(tuple, dtheta.tolist() + dv.tolist()))
 
+    @classmethod
+    def from_floats(cls, dtheta1, dtheta2, dv1, dv2):
+        """An interval from float 3-tuples that already passed
+        :func:`check_increments`; they are neither copied nor checked."""
+        interval = cls.__new__(cls)
+        interval.floats = (dtheta1, dtheta2, dv1, dv2)
+        return interval
 
-def _floats(interval):
-    """The four increments of an interval as lists of Python floats."""
-    return (
-        interval.dtheta1.tolist(),
-        interval.dtheta2.tolist(),
-        interval.dv1.tolist(),
-        interval.dv2.tolist(),
-    )
+    dtheta1 = property(lambda self: np.array(self.floats[0]))
+    dtheta2 = property(lambda self: np.array(self.floats[1]))
+    dv1 = property(lambda self: np.array(self.floats[2]))
+    dv2 = property(lambda self: np.array(self.floats[3]))
 
 
 def sculling_increment(interval):
@@ -78,11 +101,11 @@ def sculling_increment(interval):
     ``dv1 + dv2 + (dtheta1 + dtheta2) x (dv1 + dv2) / 2
     + 2 (dtheta1 x dv2 + dv1 x dtheta2) / 3``
     """
-    dth1, dth2, dv1, dv2 = _floats(interval)
+    dth1, dth2, dv1, dv2 = interval.floats
     rot = cross_floats(
         [a + b for a, b in zip(dth1, dth2)], [a + b for a, b in zip(dv1, dv2)]
     )
-    return np.array(
+    return tuple(
         [
             a + b + 0.5 * c + (2.0 / 3.0) * (d + e)
             for a, b, c, d, e in zip(
@@ -100,9 +123,9 @@ def double_integral_increment(interval, T):
     """
     if T <= 0.0:
         raise ValueError("update interval T must be positive")
-    dth1, dth2, dv1, dv2 = _floats(interval)
+    dth1, dth2, dv1, dv2 = interval.floats
     scale = T / 30.0
-    return np.array(
+    return tuple(
         [
             scale * (25.0 * a + 5.0 * b + 12.0 * c + 8.0 * d + 2.0 * e + 2.0 * f)
             for a, b, c, d, e, f in zip(
@@ -122,8 +145,8 @@ def body_rotvec(interval):
 
     ``dtheta1 + dtheta2 + 2 (dtheta1 x dtheta2) / 3``
     """
-    dth1, dth2 = interval.dtheta1.tolist(), interval.dtheta2.tolist()
-    return np.array(
+    dth1, dth2 = interval.floats[:2]
+    return tuple(
         [
             a + b + (2.0 / 3.0) * c
             for a, b, c in zip(dth1, dth2, cross_floats(dth1, dth2))

@@ -246,7 +246,7 @@ class NavigationReference:
         q = y[0:4]          # encodes C_{b}^{n} via R(q)
         v = y[4:7]
         p = y[7:10]
-        w_ie, w_in, g_n = earth.aiding_kinematics(v, p)
+        w_ie, w_in, g_n = map(np.array, earth.aiding_kinematics(v, p))
         c_b_n = quat_to_dcm(quat_normalize(q)).T
         w_nb_b = self._w_ib[stage] - c_b_n.T @ w_in
 

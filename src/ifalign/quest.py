@@ -31,10 +31,32 @@ def pair_operator(alpha, beta):
     )
 
 
+def pair_gram(alpha, beta):
+    """``B^T B`` for ``B = pair_operator(alpha, beta)``, in closed form.
+
+    With ``d = beta - alpha`` and ``s = beta + alpha`` it is
+    ``[[d.d, (d x s)^T], [d x s, d d^T + (s.s) I - s s^T]]``: ten distinct
+    entries, computed on Python floats, so the result is exactly symmetric.
+    """
+    a0, a1, a2 = alpha
+    b0, b1, b2 = beta
+    d0, d1, d2 = b0 - a0, b1 - a1, b2 - a2
+    s0, s1, s2 = b0 + a0, b1 + a1, b2 + a2
+    x0, x1, x2 = d1 * s2 - d2 * s1, d2 * s0 - d0 * s2, d0 * s1 - d1 * s0
+    k12, k13, k23 = d0 * d1 - s0 * s1, d0 * d2 - s0 * s2, d1 * d2 - s1 * s2
+    return np.array(
+        [
+            [d0 * d0 + d1 * d1 + d2 * d2, x0, x1, x2],
+            [x0, d0 * d0 + s1 * s1 + s2 * s2, k12, k13],
+            [x1, k12, d1 * d1 + s0 * s0 + s2 * s2, k23],
+            [x2, k13, k23, d2 * d2 + s0 * s0 + s1 * s1],
+        ]
+    )
+
+
 def accumulate(K, alpha, beta):
     """Add one vector pair to the 4x4 accumulator; returns the new matrix."""
-    b = pair_operator(alpha, beta)
-    return K + b.T @ b
+    return K + pair_gram(alpha, beta)
 
 
 def optimal_quaternion(K):

@@ -233,13 +233,15 @@ class TruthModel:
     Attitude and velocity are closed-form; position (and everything derived
     from it) interpolates the fine-grid integration with a cubic spline, so
     the model can be evaluated at arbitrary times by reference integrators.
+    Only those use it, so the spline (and scipy) is built on the first
+    :meth:`position` call.
     """
 
     def __init__(self, cfg, t_grid, p_grid):
-        from scipy.interpolate import CubicSpline
-
         self.cfg = cfg
-        self._p_spline = CubicSpline(t_grid, p_grid, axis=0)
+        self._t_grid = t_grid
+        self._p_grid = p_grid
+        self._p_spline = None
 
     def euler(self, t):
         c = self.cfg
@@ -270,6 +272,10 @@ class TruthModel:
         )
 
     def position(self, t):
+        if self._p_spline is None:
+            from scipy.interpolate import CubicSpline
+
+            self._p_spline = CubicSpline(self._t_grid, self._p_grid, axis=0)
         return self._p_spline(t)
 
     def c_b_n(self, t):

@@ -130,6 +130,28 @@ class TestSerialization:
             with pytest.raises(ValueError, match=f"lacks {name}$"):
                 type(al).from_dict(state)
 
+    def test_wrong_shape_is_a_value_error(self, short_data):
+        # a 2-element alpha and a 1x1 K are refused when loaded, not found
+        # later as an IndexError in estimate()
+        al = make_aligner("vif", short_data.fix_v[0], short_data.T)
+        drive(al, short_data, n=10)
+        state = al.to_dict()
+        state["alpha"] = state["alpha"][:2]
+        state["K"] = [[1.0]]
+        with pytest.raises(ValueError, match="field (alpha|K) "):
+            VelocityIntegrationAligner.from_dict(state)
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_every_field_shape_checked(self, method, short_data):
+        al = make_aligner(method, short_data.fix_v[0], short_data.T)
+        drive(al, short_data, n=10)
+        for name in ("v0", "c_nav", "c_body", "K", *al.STATE):
+            for bad in (np.ravel(al.to_dict()[name]).tolist() + [0.0], [[1.0, 2.0], [3.0]]):
+                state = al.to_dict()
+                state[name] = bad
+                with pytest.raises(ValueError, match=f"field {name} "):
+                    type(al).from_dict(state)
+
     def test_snapshots_from_before_the_merged_nav_accumulators(self, short_data):
         # Older snapshots carry the initial position "p0", and their pif
         # keeps earth-rate and gravity terms apart instead of s_x and u_x:
@@ -147,6 +169,80 @@ class TestSerialization:
             assert not hasattr(loaded, "p0")
             for name in ("v0", "c_nav", "c_body", "K", *al.STATE):
                 assert getattr(loaded, name).tobytes() == getattr(al, name).tobytes()
+
+
+class _NumpyVectorAligner:
+    """Reference: the aligners' update bodies on numpy 3-vectors.
+
+    The arithmetic the float path writes out component by component, kept
+    here with numpy vectors, numpy cross products, matrix products of the
+    chains and ``K + B^T B`` from the residual operator.
+    """
+
+    def __init__(self, cls, v0, T):
+        self.cls, self.T, self.M = cls, T, 0
+        self.v0 = np.array(v0, dtype=float)
+        self.c_nav, self.c_body, self.K = np.eye(3), np.eye(3), np.zeros((4, 4))
+        for name, shape in cls.STATE.items():
+            setattr(self, name, np.zeros(shape))
+
+    def update(self, interval, fix_prev, fix_next):
+        from ifalign.quest import pair_operator
+
+        T = self.T
+        v_prev, v_next = fix_prev.v, fix_next.v
+        omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(v_prev, fix_prev.p))
+        c_nav_prev, c_body_prev = self.c_nav, self.c_body
+        self.c_nav = c_nav_prev @ rotvec_to_dcm(T * omega_in)
+        self.c_body = c_body_prev @ rotvec_to_dcm(np.array(body_rotvec(interval)))
+        scull = np.array(sculling_increment(interval))
+        x_prev = np.cross(omega_ie, v_prev) - g_n
+        x_next = np.cross(omega_ie, v_next) - g_n
+
+        def single(a, b):
+            return (T / 2.0) * (a + b) + np.cross(omega_in, (T * T / 6.0) * a + (T * T / 3.0) * b)
+
+        def double(a, b):
+            return (T * T / 3.0) * a + (T * T / 6.0) * b + (T ** 3 / 12.0) * np.cross(omega_in, a + b)
+
+        if self.cls is VelocityIntegrationAligner:
+            self.alpha = self.alpha + c_body_prev @ scull
+            self.beta_partial = self.beta_partial + c_nav_prev @ single(x_prev, x_next)
+            self.beta = self.c_nav @ v_next - self.v0 + self.beta_partial
+            self.M += 1
+        else:
+            dbl = np.array(double_integral_increment(interval, T))
+            self.alpha = self.alpha + T * self.s_body + c_body_prev @ dbl
+            self.s_body = self.s_body + c_body_prev @ scull
+            self.u_r = self.u_r + c_nav_prev @ single(v_prev, v_next)
+            self.u_x = self.u_x + c_nav_prev @ double(x_prev, x_next) + T * self.s_x
+            self.s_x = self.s_x + c_nav_prev @ single(x_prev, x_next)
+            self.M += 1
+            t = self.M * T
+            self.beta = self.u_r - t * self.v0 + self.u_x
+            self.t_alpha = self.t_alpha + t * self.alpha
+            self.t_beta = self.t_beta + t * self.beta
+            self.t_sq = self.t_sq + t * t
+        b = pair_operator(self.alpha, self.beta)
+        self.K = self.K + b.T @ b
+
+
+class TestFloatPathParity:
+    @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
+    def test_matches_numpy_vector_reference(self, cls, short_data):
+        assert short_data.n_updates == 1000
+        al = cls(short_data.fix_v[0], short_data.T)
+        ref = _NumpyVectorAligner(cls, short_data.fix_v[0], short_data.T)
+        for k in range(short_data.n_updates):
+            args = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
+            al.update(*args)
+            ref.update(*args)
+        assert al.M == ref.M
+        for name in ("c_nav", "c_body", "K", *cls.STATE):
+            got, want = getattr(al, name), getattr(ref, name)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64, name
+            assert got.shape == np.shape(want), name
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
 class TestIntegrationRules:
@@ -363,7 +459,7 @@ class TestPifPrefixSums:
         u_r_hist = []
         for k in range(n):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
-            omega_ie, omega_in, g_n = earth.aiding_kinematics(f0.v, f0.p)
+            omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(f0.v, f0.p))
             c_body_hist.append(al.c_body.copy())
             c_nav_hist.append(al.c_nav.copy())
             scull_hist.append(sculling_increment(iv))

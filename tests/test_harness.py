@@ -127,6 +127,84 @@ class TestRunAlignment:
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
+class TestAlignmentDataValidation:
+    """IMU and fix rows are checked once, when the data object is built."""
+
+    @staticmethod
+    def arrays(truth):
+        from ifalign.simulate import gps_fixes, sample_imu
+
+        dtheta, dv = sample_imu(truth)
+        fix_t, fix_v, fix_p = gps_fixes(truth)
+        return dict(T=truth.cfg.update_interval_s, dtheta=dtheta, dv=dv,
+                    fix_t=fix_t, fix_v=fix_v, fix_p=fix_p)
+
+    def test_valid_rows_become_intervals_and_fixes(self, short_truth):
+        data = AlignmentData(**self.arrays(short_truth))
+        k = 37
+        interval, fix = data.interval(k), data.fix(k)
+        for got, row in ((interval.dtheta1, data.dtheta[2 * k]),
+                         (interval.dtheta2, data.dtheta[2 * k + 1]),
+                         (interval.dv1, data.dv[2 * k]),
+                         (interval.dv2, data.dv[2 * k + 1]),
+                         (fix.v, data.fix_v[k]), (fix.p, data.fix_p[k])):
+            assert got.tobytes() == row.tobytes()
+        assert fix.t == data.fix_t[k]
+        assert data.interval(data.n_updates - 1) is not None
+
+    @pytest.mark.parametrize("case", ["nan_dtheta", "inf_dv", "coning_at_bound",
+                                      "coning_above_bound", "nan_fix"])
+    def test_bad_rows_rejected_at_construction(self, case, short_truth):
+        arrays = self.arrays(short_truth)
+        dtheta, dv = arrays["dtheta"], arrays["dv"]
+        if case == "nan_dtheta":
+            dtheta[101, 2] = np.nan
+        elif case == "inf_dv":
+            dv[6, 0] = np.inf
+        elif case == "coning_at_bound":
+            # |dtheta1 + dtheta2| == 0.1 rad exactly
+            dtheta[40], dtheta[41] = [0.05, 0.0, 0.0], [0.05, 0.0, 0.0]
+        elif case == "coning_above_bound":
+            dtheta[41] = [0.0, 0.0, 0.12]
+        else:
+            arrays["fix_v"][3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite|0.1 rad"):
+            AlignmentData(**arrays)
+
+    @pytest.mark.parametrize("case", ["imu_short", "imu_odd", "fix_v_short", "fix_p_2d"])
+    def test_row_counts_must_match_fixes(self, case, short_truth):
+        arrays = self.arrays(short_truth)
+        if case == "imu_short":
+            arrays["dtheta"] = arrays["dtheta"][:-2]
+            arrays["dv"] = arrays["dv"][:-2]
+        elif case == "imu_odd":
+            arrays["dtheta"] = arrays["dtheta"][:-1]
+        elif case == "fix_v_short":
+            arrays["fix_v"] = arrays["fix_v"][:-1]
+        else:
+            arrays["fix_p"] = arrays["fix_p"][:, :2]
+        with pytest.raises(ValueError):
+            AlignmentData(**arrays)
+
+    @pytest.mark.parametrize("case", ["nan_dtheta", "coning_above_bound"])
+    def test_bad_log_rows_rejected_at_ingest(self, case, short_truth, tmp_path):
+        from ifalign.simulate import gps_fixes, sample_imu
+
+        dtheta, dv = sample_imu(short_truth)
+        if case == "nan_dtheta":
+            dtheta[333, 1] = np.nan
+        else:
+            dtheta[332] = [0.0, 0.11, 0.0]
+        t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
+        ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
+        ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
+        with pytest.raises(ValueError, match="finite|0.1 rad"):
+            AlignmentData.from_logs(
+                tmp_path / "imu.csv", tmp_path / "gps.csv",
+                short_truth.cfg.update_interval_s,
+            )
+
+
 class TestOracleDrift:
     def test_accumulator_drift_vs_oracle_over_300s(self):
         # perfect sensors: recursive accumulators vs the fine-step reference

@@ -158,8 +158,8 @@ class TestSculling:
     @given(small_vectors(0.01), small_vectors(0.01), small_vectors(0.05), small_vectors(0.05))
     @settings(max_examples=30, deadline=None)
     def test_swap_preserves_leading_sum(self, th1, th2, v1, v2):
-        fwd = sculling_increment(ImuInterval(th1, th2, v1, v2))
-        rev = sculling_increment(ImuInterval(th2, th1, v2, v1))
+        fwd = np.array(sculling_increment(ImuInterval(th1, th2, v1, v2)))
+        rev = np.array(sculling_increment(ImuInterval(th2, th1, v2, v1)))
         # cross terms flip with the swap; the symmetric part is the plain sum
         # plus the half-sum cross correction, which both orderings share.
         shared = v1 + v2 + 0.5 * cross3(th1 + th2, v1 + v2)
@@ -273,8 +273,8 @@ class TestBodyRotvec:
     @given(small_vectors(0.02), small_vectors(0.02))
     @settings(max_examples=30, deadline=None)
     def test_swap_preserves_leading_sum(self, th1, th2):
-        fwd = body_rotvec(ImuInterval(th1, th2, np.zeros(3), np.zeros(3)))
-        rev = body_rotvec(ImuInterval(th2, th1, np.zeros(3), np.zeros(3)))
+        fwd = np.array(body_rotvec(ImuInterval(th1, th2, np.zeros(3), np.zeros(3))))
+        rev = np.array(body_rotvec(ImuInterval(th2, th1, np.zeros(3), np.zeros(3))))
         np.testing.assert_allclose(0.5 * (fwd + rev), th1 + th2, atol=1e-18)
 
 

@@ -31,6 +31,23 @@ class TestAccumulate:
             w = np.linalg.eigvalsh(K)
             assert w.min() >= -1e-9 * max(1.0, np.trace(K))
 
+    def test_closed_form_matches_operator_product(self, rng):
+        # accumulate adds the closed-form B^T B; it must equal the product
+        # of the residual operator with itself and keep K exactly symmetric
+        for _ in range(200):
+            a = rng.standard_normal((4, 4))
+            K = a @ a.T
+            alpha = rng.uniform(-1e3, 1e3) * rng.standard_normal(3)
+            beta = rng.uniform(-1e3, 1e3) * rng.standard_normal(3)
+            b = pair_operator(alpha, beta)
+            expected = K + b.T @ b
+            out = accumulate(K, alpha, beta)
+            assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+            np.testing.assert_array_equal(out, out.T)
+            np.testing.assert_array_equal(
+                accumulate(K, alpha.tolist(), beta.tolist()), out
+            )
+
     def test_pair_operator_matches_mul_matrices(self, rng):
         from ifalign.attitude import quat_mul_matrices
 

@@ -73,6 +73,31 @@ class TestTruthKinematics:
         expected = cfg.p0[1] + 100.0 * 10.0 / (r_n + 0.0)
         assert truth.p[-1, 1] == pytest.approx(expected, rel=1e-6)
 
+    def test_position_spline_built_on_first_use(self):
+        # truth synthesis neither builds the spline nor imports scipy; the
+        # first position() call does both and interpolates the grid
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ifalign
+
+        code = (
+            "import sys\n"
+            "from ifalign.simulate import ScenarioConfig, generate_truth\n"
+            "truth = generate_truth(ScenarioConfig(duration_s=2.0))\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+            "k = 777\n"
+            "assert abs(truth.model.position(truth.t[k]) - truth.p[k]).max() == 0.0\n"
+            "assert 'scipy.interpolate' in sys.modules\n"
+        )
+        src = str(Path(ifalign.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr
+
     def test_polar_crossing_rejected(self):
         cfg = ScenarioConfig(
             latitude_deg=89.85,

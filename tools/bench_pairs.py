@@ -1,0 +1,126 @@
+"""Alternating parent/change runs of the benchmark, summarized as a BENCH_*.json.
+
+Run from anywhere, with two git checkouts of the repository, one at the
+parent commit and one at the change:
+
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
+        --seed 9 --pairs align_300s=10,replay_dense=3,montecarlo=3 \
+        --out BENCH_5.json
+
+Each run is ``python3 perfbench/run.py --workload W --seed S --seconds 30
+--trace 0`` inside one checkout, which builds what it runs from that
+checkout's sources.  Pair ``i`` of a workload runs the parent first when
+``i`` is even and the change first when it is odd.  The output holds every
+run's end-to-end metrics, correctness and failure counts, and per metric
+each side's median and quartiles, the pairs the change won (ties count for
+neither side) and whether the gain rule holds: the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range.  Progress goes to standard error.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One benchmark run in ``checkout``: its result and environment records."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    environment = next(json.loads(line.split(":", 1)[1]) for line in lines
+                       if line.startswith("environment:"))
+    return json.loads(lines[-1]), environment
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(runs, metrics):
+    summary = {}
+    for name, better in metrics.items():
+        sides = {side: [r[side]["metrics"][name]["value"] for r in runs]
+                 for side in ("parent", "change")}
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"]))
+        stats = {side: quartiles(values) for side, values in sides.items()}
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        summary[name] = {
+            "better": better,
+            **stats,
+            "change_wins": wins,
+            "pairs": len(runs),
+            "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
+            "gain_rule_holds": wins >= 0.9 * len(runs) and gain > iqr,
+        }
+    return summary
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--pairs", required=True,
+                        help="comma-separated workload=count, e.g. align_300s=10")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    plan = [(name, int(count)) for name, count in
+            (item.split("=") for item in args.pairs.split(","))]
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    environments = {}
+    workloads = {}
+    for workload, count in plan:
+        runs = []
+        for i in range(count):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                started = time.monotonic()
+                result, environment = run_once(checkouts[side], workload, args.seed,
+                                               args.seconds)
+                environments[side] = environment
+                pair[side] = {
+                    "correct": result["correct"],
+                    "attempted": result["attempted"],
+                    "failed": result["failed"],
+                    "metrics": result["metrics"],
+                }
+                print(f"{workload} pair {i} {side}: correct={result['correct']} "
+                      f"updates_per_s={result['metrics']['updates_per_s']['value']:.0f} "
+                      f"({time.monotonic() - started:.0f} s)", file=sys.stderr)
+            runs.append(pair)
+        workloads[workload] = {"summary": summarize(runs, metrics), "runs": runs}
+
+    shared = {k: environments["change"][k]
+              for k in ("nproc", "cpu", "python", "numpy", "scipy", "seed")}
+    record = {
+        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {args.seconds:g} --trace 0",
+        "parent": {k: environments["parent"][k] for k in ("commit", "src_sha256")},
+        "change": {k: environments["change"][k] for k in ("commit", "src_sha256")},
+        **shared,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
