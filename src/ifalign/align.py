@@ -22,16 +22,18 @@ smallest-eigenvalue eigenvector of the matrix the aligner solves
 import numpy as np
 
 from . import earth
-from .attitude import compose_attitude, cross_floats, quat_to_dcm, rotvec_to_dcm
-from .increments import body_rotvec, double_integral_increment, sculling_increment
+from .attitude import compose_attitude, cross_floats, matmul3, quat_to_dcm, rotvec_to_dcm
+from .increments import (
+    as_float3, body_rotvec, double_integral_increment, sculling_increment,
+)
 from .quest import accumulate, optimal_quaternion, pair_gram
 
 
-# The per-update path runs on Python floats (see attitude.cross_floats):
-# running vectors are 3-tuples, the chains 3x3 arrays read as nested lists.
+# The per-update path runs on Python floats (see attitude.as_floats):
+# running vectors are 3-tuples, the chains and K nested tuples.
 
 def _rotate(c, v):
-    """``c @ v`` for a 3x3 matrix given as nested lists."""
+    """``c @ v`` for a 3x3 matrix given as nested sequences."""
     x, y, z = v
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
     return (
@@ -53,14 +55,6 @@ def _scaled_add(a, scale, b):
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a0 + scale * b0, a1 + scale * b1, a2 + scale * b2)
-
-
-def _float3(value, name):
-    """A 3-vector as a tuple of Python floats."""
-    array = np.asarray(value, dtype=float)
-    if array.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    return tuple(array.tolist())
 
 
 # Integration rules for a nav-frame vector x(tau) that is linear over one
@@ -115,8 +109,8 @@ class AidFix:
 
     def __init__(self, t, v, p):
         self.t = float(t)
-        self.v_floats = _float3(v, "v")
-        self.p_floats = _float3(p, "p")
+        self.v_floats = as_float3(v, "v")
+        self.p_floats = as_float3(p, "p")
 
     @classmethod
     def from_floats(cls, t, v_floats, p_floats):
@@ -137,8 +131,8 @@ class AlignmentEstimate:
     ``q`` encodes the estimated constant nav-to-body attitude at t=0
     (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
     body-to-nav matrix at the current time (composed lazily from the chain
-    snapshots), and ``lambda_min`` the smallest eigenvalue of the solved
-    matrix, a residual-energy figure of merit.
+    snapshots, nested float tuples), and ``lambda_min`` the smallest
+    eigenvalue of the solved matrix, a residual-energy figure of merit.
     """
 
     __slots__ = ("t", "q", "lambda_min", "_c_nav", "_c_body")
@@ -153,7 +147,7 @@ class AlignmentEstimate:
     @property
     def c_b_n(self):
         return compose_attitude(
-            self._c_nav.T, quat_to_dcm(self.q).T, self._c_body
+            tuple(zip(*self._c_nav)), quat_to_dcm(self.q).T, self._c_body
         )
 
     def __repr__(self):
@@ -173,17 +167,22 @@ def _state_array(name):
     return property(lambda self: np.array(getattr(self, private)))
 
 
+def _frozen(floats):
+    """``ndarray.tolist()`` output with every list turned into a tuple."""
+    return tuple(map(_frozen, floats)) if isinstance(floats, list) else floats
+
+
 class _AlignerBase:
     """Shared chain propagation, state bookkeeping and eigen solve.
 
     ``update()`` folds one interval into the state; ``estimate()`` solves
     the state for the attitude.  A subclass declares its snapshot tag
     ``KIND`` and, in ``STATE``, the shape of every accumulator it carries
-    besides the two chains and ``K``.  Those accumulators live on Python
-    floats (3-tuples, or a float for shape ``()``) under ``_<name>``;
-    ``<name>`` reads them as a float64 array, as does ``v0``.  The zeroed
-    state, :meth:`to_dict` and :meth:`from_dict` are built from the
-    declaration.
+    besides the two chains and ``K``.  The chains, ``K`` and those
+    accumulators live on Python floats (nested tuples, or a float for shape
+    ``()``) under ``_<name>``; ``<name>`` reads them as a float64 array, as
+    does ``v0``.  The zeroed state, :meth:`to_dict` and :meth:`from_dict`
+    are built from the declaration.
     """
 
     KIND = None
@@ -191,7 +190,7 @@ class _AlignerBase:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for name in cls.STATE:
+        for name in cls._fields():
             setattr(cls, name, _state_array(name))
 
     def __init__(self, v0, T):
@@ -199,18 +198,17 @@ class _AlignerBase:
             raise ValueError("update interval T must be positive")
         self.T = float(T)
         self.M = 0
-        self._v0 = _float3(v0, "v0")
-        self.c_nav = np.eye(3)   # C_{n(t_M)}^{n(0)}
-        self.c_body = np.eye(3)  # C_{b(t_M)}^{b(0)}
-        self.K = np.zeros((4, 4))
-        for name, shape in self.STATE.items():
+        self._v0 = as_float3(v0, "v0")
+        for name, shape in self._fields().items():
             self._set_state(name, np.zeros(shape))
+        # the chains C_{n(t_M)}^{n(0)} and C_{b(t_M)}^{b(0)} start at identity
+        self._set_state("c_nav", np.eye(3))
+        self._set_state("c_body", np.eye(3))
 
     v0 = _state_array("v0")
 
     def _set_state(self, name, value):
-        floats = value.tolist()
-        setattr(self, "_" + name, tuple(floats) if value.ndim else floats)
+        setattr(self, "_" + name, _frozen(value.tolist()))
 
     @property
     def t(self):
@@ -227,15 +225,14 @@ class _AlignerBase:
             )
 
     def _advance_chains(self, interval, omega_in):
-        """Rotate both chains across one interval; returns their prior
-        values as nested lists."""
+        """Rotate both chains across one interval; returns their prior values."""
         T = self.T
         w0, w1, w2 = omega_in
-        c_nav_prev = self.c_nav
-        c_body_prev = self.c_body
-        self.c_nav = c_nav_prev @ rotvec_to_dcm((T * w0, T * w1, T * w2))
-        self.c_body = c_body_prev @ rotvec_to_dcm(body_rotvec(interval))
-        return c_nav_prev.tolist(), c_body_prev.tolist()
+        c_nav_prev = self._c_nav
+        c_body_prev = self._c_body
+        self._c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
+        self._c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
+        return c_nav_prev, c_body_prev
 
     def solved_matrix(self):
         """The 4x4 matrix whose smallest eigenvector is the estimate (here ``K``)."""
@@ -249,7 +246,7 @@ class _AlignerBase:
         """
         q, lam = optimal_quaternion(self.solved_matrix())
         return AlignmentEstimate(
-            t=self.t, q=q, lambda_min=lam, c_nav=self.c_nav, c_body=self.c_body
+            t=self.t, q=q, lambda_min=lam, c_nav=self._c_nav, c_body=self._c_body
         )
 
     @classmethod
@@ -295,9 +292,7 @@ class _AlignerBase:
                 )
         out = cls(values["v0"], state["T"])
         out.M = int(state["M"])
-        for name in _CORE_STATE:
-            setattr(out, name, values[name])
-        for name in cls.STATE:
+        for name in cls._fields():
             out._set_state(name, values[name])
         return out
 
@@ -337,12 +332,16 @@ class VelocityIntegrationAligner(_AlignerBase):
             self._beta_partial,
             _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T)),
         )
+        # beta = (C_nav - I) v_next + (v_next - v0) + beta_partial; the plain
+        # C_nav v_next - v0 cancels two vectors of the vehicle's speed
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self._c_nav
+        c_minus_i = ((c00 - 1.0, c01, c02), (c10, c11 - 1.0, c12), (c20, c21, c22 - 1.0))
         self._beta = _add(
-            _scaled_add(_rotate(self.c_nav.tolist(), v_next), -1.0, self._v0),
+            _add(_rotate(c_minus_i, v_next), _scaled_add(v_next, -1.0, self._v0)),
             self._beta_partial,
         )
 
-        self.K = accumulate(self.K, self._alpha, self._beta)
+        self._K = accumulate(self._K, self._alpha, self._beta)
         self.M += 1
 
 
@@ -420,7 +419,7 @@ class PositionIntegrationAligner(_AlignerBase):
         self._t_beta = _scaled_add(self._t_beta, t, self._beta)
         self._t_sq += t * t
 
-        self.K = accumulate(self.K, self._alpha, self._beta)
+        self._K = accumulate(self._K, self._alpha, self._beta)
 
     def solved_matrix(self):
         """``K`` with the initial-velocity correction minimized out."""
@@ -428,7 +427,11 @@ class PositionIntegrationAligner(_AlignerBase):
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
             return np.zeros((4, 4))
-        return self.K - pair_gram(self._t_alpha, self._t_beta) / self._t_sq
+        t_sq = self._t_sq
+        return np.array([
+            [k - g / t_sq for k, g in zip(k_row, g_row)]
+            for k_row, g_row in zip(self._K, pair_gram(self._t_alpha, self._t_beta))
+        ])
 
 
 ALIGNER_CLASSES = {

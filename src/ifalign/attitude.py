@@ -36,36 +36,56 @@ def skew(v):
     )
 
 
-def cross_floats(a, b):
-    """Cross product of two 3-sequences of Python floats, as a tuple.
+def as_floats(value):
+    """An array as (nested) lists of Python floats; any other sequence as is.
 
-    The per-update kernels work on Python floats: for 3-vectors, arithmetic
-    on them costs several times less than numpy calls and rounds the same.
+    The per-update and report-row paths work on Python floats: for 3x3 and
+    4x4 objects, arithmetic on them costs several times less than numpy
+    calls and rounds the same.
     """
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def cross_floats(a, b):
+    """Cross product of two 3-sequences of Python floats, as a tuple."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
+def matmul3(a, b):
+    """Product of two 3x3 matrices given as nested float sequences, as
+    nested 3-tuples."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20,
+         a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20,
+         a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20,
+         a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22),
+    )
+
+
 def cross3(a, b):
     """Cross product of two 3-vectors (faster than np.cross for scalars)."""
-    return np.array(
-        cross_floats(
-            a.tolist() if type(a) is np.ndarray else a,
-            b.tolist() if type(b) is np.ndarray else b,
-        )
-    )
+    return np.array(cross_floats(as_floats(a), as_floats(b)))
 
 
 def rotvec_to_dcm(phi):
     """Rodrigues formula mapping a rotation vector to a DCM.
 
-    ``phi`` is a 3-vector array or a 3-sequence of Python floats.  For
+    ``phi`` is a 3-vector array or a 3-sequence of Python floats; the DCM
+    comes back as nested 3-tuples of floats.  For
     ``|phi| < 1e-7`` the sin/cos coefficients are replaced by their
     two-term series so the 0/0 limit is exact; the two branches agree to
     1e-14 at the switch point.
     """
-    x, y, z = phi.tolist() if isinstance(phi, np.ndarray) else phi
+    x, y, z = as_floats(phi)
     angle2 = x * x + y * y + z * z
     if angle2 < _SMALL_ANGLE ** 2:
         a = 1.0 - angle2 / 6.0
@@ -78,12 +98,10 @@ def rotvec_to_dcm(phi):
     bxy = b * x * y
     bxz = b * x * z
     byz = b * y * z
-    return np.array(
-        [
-            [1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
-            [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
-            [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)],
-        ]
+    return (
+        (1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y),
+        (bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x),
+        (bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)),
     )
 
 
@@ -171,18 +189,24 @@ def quat_mul_matrices(q):
 
 
 def quat_to_dcm(q):
-    """Nav-to-body DCM encoded by a unit quaternion.
+    """Nav-to-body DCM encoded by a unit quaternion, or one per row of an
+    ``(N, 4)`` stack (shape ``(N, 3, 3)``).
 
-    ``(s^2 - eta.eta) I + 2 eta eta^T - 2 s skew(eta)``; the transpose is the
-    body-to-nav attitude matrix.
+    ``(s^2 - eta.eta) I + 2 eta eta^T - 2 s skew(eta)``, written out
+    component-wise: one quaternion is computed on Python floats, a stack on
+    ``(N,)`` columns, with the same operations and so the same rounding.
+    The transpose is the body-to-nav attitude matrix.
     """
-    s = q[0]
-    eta = np.asarray(q[1:], dtype=float)
-    return (
-        (s * s - eta @ eta) * np.eye(3)
-        + 2.0 * np.outer(eta, eta)
-        - 2.0 * s * skew(eta)
+    q = np.asarray(q, dtype=float)
+    s, x, y, z = q.tolist() if q.ndim == 1 else q.T
+    ss = s * s - (x * x + y * y + z * z)
+    xx, yy, zz = 2.0 * x * x, 2.0 * y * y, 2.0 * z * z
+    xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
+    sx, sy, sz = 2.0 * s * x, 2.0 * s * y, 2.0 * s * z
+    entries = np.array(
+        [ss + xx, xy + sz, xz - sy, xy - sz, ss + yy, yz + sx, xz + sy, yz - sx, ss + zz]
     )
+    return entries.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def dcm_to_quat(dcm, tol=1e-6):
@@ -247,12 +271,25 @@ def orthonormalize(dcm):
 def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
     """Current body-to-nav attitude from the two chains and the initial attitude.
 
-    ``C_b^n(t) = C_n0^nt @ C_b^n(0) @ C_bt^b0``.  The product is repaired by
-    symmetric orthogonalization only if orthonormality drift exceeds 1e-9,
-    so accumulation bugs stay visible in tests.
+    ``C_b^n(t) = C_n0^nt @ C_b^n(0) @ C_bt^b0``, computed on Python floats
+    (each factor an array or nested float sequences) and returned as an
+    array.  The product is repaired by symmetric orthogonalization only if
+    orthonormality drift ``max|C^T C - I|`` exceeds 1e-9, so accumulation
+    bugs stay visible in tests.
     """
-    c = c_n0_to_nt @ c_b_to_n0 @ c_bt_to_b0
-    drift = np.max(np.abs(c.T @ c - np.eye(3)))
+    c = matmul3(
+        matmul3(as_floats(c_n0_to_nt), as_floats(c_b_to_n0)), as_floats(c_bt_to_b0)
+    )
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+    drift = max(
+        abs(c00 * c00 + c10 * c10 + c20 * c20 - 1.0),
+        abs(c01 * c01 + c11 * c11 + c21 * c21 - 1.0),
+        abs(c02 * c02 + c12 * c12 + c22 * c22 - 1.0),
+        abs(c00 * c01 + c10 * c11 + c20 * c21),
+        abs(c00 * c02 + c10 * c12 + c20 * c22),
+        abs(c01 * c02 + c11 * c12 + c21 * c22),
+    )
+    c = np.array(c)
     if drift > _REPAIR_TOL:
         c = orthonormalize(c)
     return c
@@ -274,25 +311,17 @@ def euler_to_dcm(angles):
 
 
 def dcm_to_euler(dcm):
-    """(roll, pitch, yaw) of a body-to-nav DCM.
+    """(roll, pitch, yaw) of a body-to-nav DCM, computed on Python floats.
 
     Emits :class:`GimbalProximityWarning` (never fails) when pitch is within
     1e-6 rad of +-90 deg, where the roll/yaw split degenerates.
     """
-    sp = min(1.0, max(-1.0, dcm[1, 0]))
-    pitch = np.arcsin(sp)
-    if abs(pitch) > np.pi / 2.0 - 1e-6:
+    (c00, _, _), (c10, c11, c12), (c20, _, _) = as_floats(dcm)
+    pitch = math.asin(min(1.0, max(-1.0, c10)))
+    if abs(pitch) > math.pi / 2.0 - 1e-6:
         warnings.warn(
             "pitch within 1e-6 rad of +-90 deg; roll and yaw are not separable",
             GimbalProximityWarning,
             stacklevel=2,
         )
-    roll = np.arctan2(-dcm[1, 2], dcm[1, 1])
-    yaw = np.arctan2(dcm[2, 0], dcm[0, 0])
-    return np.array([roll, pitch, yaw])
-
-
-def wrap_angle(angle):
-    """Wrap an angle (radians) to (-pi, pi]."""
-    wrapped = np.mod(-np.asarray(angle, dtype=float) + np.pi, 2.0 * np.pi)
-    return -(wrapped - np.pi)
+    return np.array([math.atan2(-c12, c11), pitch, math.atan2(c20, c00)])

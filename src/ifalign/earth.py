@@ -73,22 +73,6 @@ def curvature_matrix(p):
     )
 
 
-def curvature_matrix_inv(p):
-    """Inverse of :func:`curvature_matrix`, mapping position rates to velocity."""
-    lon, lat, h = p
-    cos_lat = np.cos(lat)
-    if abs(cos_lat) < _COS_LAT_MIN:
-        raise PolarSingularity(f"curvature matrix undefined at latitude {lat!r}")
-    r_n, r_e = radii_of_curvature(lat)
-    return np.array(
-        [
-            [0.0, r_n + h, 0.0],
-            [0.0, 0.0, 1.0],
-            [(r_e + h) * cos_lat, 0.0, 0.0],
-        ]
-    )
-
-
 def earth_rate_n(lat):
     """Earth rotation rate resolved in the local North-Up-East frame (rad/s)."""
     lat = np.asarray(lat, dtype=float)

@@ -118,7 +118,7 @@ class AlignmentData:
             t_truth, q_truth, _, _ = ifio.read_truth(truth_path)
             if t_truth.size != fix_t.size or np.max(np.abs(t_truth - fix_t)) > 1e-6:
                 raise ValueError("truth log grid does not match the update grid")
-            truth_c = np.stack([quat_to_dcm(q).T for q in q_truth])
+            truth_c = np.ascontiguousarray(quat_to_dcm(q_truth).transpose(0, 2, 1))
         meta = dict(metadata or {})
         meta.setdefault("imu_path", str(imu_path))
         meta.setdefault("gps_path", str(gps_path))
@@ -162,9 +162,7 @@ class RunReport:
             for key in sorted(self.metadata):
                 fh.write(f"# {key}={self.metadata[key]}\n")
             fh.write(
-                "# k_eigenvalues="
-                + ",".join("%.12g" % x for x in self.k_eigenvalues)
-                + "\n"
+                "# k_eigenvalues=" + ",".join(_solve_precision(self.k_eigenvalues)) + "\n"
             )
             cols = "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg"
             if self.err_deg is not None:
@@ -177,6 +175,23 @@ class RunReport:
                     row.extend(self.err_deg[i])
                 row.append(1.0 if self.degenerate[i] else 0.0)
                 fh.write(",".join("%.12g" % x for x in row) + "\n")
+
+
+def _solve_precision(eigenvalues):
+    """Eigenvalues printed to the precision of the solve.
+
+    A symmetric eigensolver is accurate to about ``eps * max|lambda|``
+    absolute, so each value keeps only the digits above that (and a value
+    below it prints as 0): the printed digits do not depend on the solver.
+    """
+    values = np.asarray(eigenvalues, dtype=float).tolist()
+    resolution = np.finfo(float).eps * max(map(abs, values))
+    exponent = math.floor(math.log10(resolution)) if resolution else 0
+    out = []
+    for x in values:
+        digits = math.floor(math.log10(abs(x))) - exponent if x else 0
+        out.append("%.*g" % (digits, x) if digits > 0 else "0")
+    return out
 
 
 def attitude_error_deg(c_est, c_true):

@@ -57,13 +57,29 @@ def check_increments(dtheta, dv):
     return dtheta, dv
 
 
+def as_float3(value, name):
+    """A 3-vector as a tuple of Python floats; ValueError naming ``name``
+    (and the expected shape) for anything else."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != (3,):
+        raise ValueError(
+            f"{name} must be a 3-vector of shape (3,), got "
+            + ("a ragged sequence" if array is None else f"shape {array.shape}")
+        )
+    return tuple(array.tolist())
+
+
 class ImuInterval:
     """Gyro/accelerometer increments over the two halves of one update interval.
 
-    ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` validates its rows with
-    :func:`check_increments`.  ``floats`` holds the four increments as
-    3-tuples of Python floats, which is what the kernels read; the array
-    attributes are built from it on access.
+    ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` checks that each argument is
+    a 3-vector and validates the rows with :func:`check_increments`.
+    ``floats`` holds the four increments as 3-tuples of Python floats, which
+    is what the kernels read; the array attributes are built from it on
+    access.
 
     Attributes
     ----------
@@ -78,8 +94,13 @@ class ImuInterval:
     __slots__ = ("floats",)
 
     def __init__(self, dtheta1, dtheta2, dv1, dv2):
-        dtheta, dv = check_increments([dtheta1, dtheta2], [dv1, dv2])
-        self.floats = tuple(map(tuple, dtheta.tolist() + dv.tolist()))
+        self.floats = tuple(
+            as_float3(value, name)
+            for value, name in zip(
+                (dtheta1, dtheta2, dv1, dv2), ("dtheta1", "dtheta2", "dv1", "dv2")
+            )
+        )
+        check_increments(self.floats[:2], self.floats[2:])
 
     @classmethod
     def from_floats(cls, dtheta1, dtheta2, dv1, dv2):

@@ -81,7 +81,7 @@ def _chain_dcms(omega_fn, ts):
     out[0] = np.eye(3)
     c = np.eye(3)
     for i in range(n):
-        c = c @ rotvec_to_dcm(phis[i])
+        c = c @ np.array(rotvec_to_dcm(phis[i]))
         out[i + 1] = c
     return out
 

@@ -9,9 +9,11 @@ LAPACK's symmetric eigensolver); it encodes the nav-to-body matrix via
 :func:`ifalign.attitude.quat_to_dcm`.
 """
 
+import math
+
 import numpy as np
 
-from .attitude import quat_canonical
+from .attitude import as_floats, quat_canonical
 from .errors import DegenerateSpectrum
 
 GAP_TOL = 1e-9
@@ -37,6 +39,7 @@ def pair_gram(alpha, beta):
     With ``d = beta - alpha`` and ``s = beta + alpha`` it is
     ``[[d.d, (d x s)^T], [d x s, d d^T + (s.s) I - s s^T]]``: ten distinct
     entries, computed on Python floats, so the result is exactly symmetric.
+    Returned as nested 4-tuples of floats.
     """
     a0, a1, a2 = alpha
     b0, b1, b2 = beta
@@ -44,25 +47,28 @@ def pair_gram(alpha, beta):
     s0, s1, s2 = b0 + a0, b1 + a1, b2 + a2
     x0, x1, x2 = d1 * s2 - d2 * s1, d2 * s0 - d0 * s2, d0 * s1 - d1 * s0
     k12, k13, k23 = d0 * d1 - s0 * s1, d0 * d2 - s0 * s2, d1 * d2 - s1 * s2
-    return np.array(
-        [
-            [d0 * d0 + d1 * d1 + d2 * d2, x0, x1, x2],
-            [x0, d0 * d0 + s1 * s1 + s2 * s2, k12, k13],
-            [x1, k12, d1 * d1 + s0 * s0 + s2 * s2, k23],
-            [x2, k13, k23, d2 * d2 + s0 * s0 + s1 * s1],
-        ]
+    return (
+        (d0 * d0 + d1 * d1 + d2 * d2, x0, x1, x2),
+        (x0, d0 * d0 + s1 * s1 + s2 * s2, k12, k13),
+        (x1, k12, d1 * d1 + s0 * s0 + s2 * s2, k23),
+        (x2, k13, k23, d2 * d2 + s0 * s0 + s1 * s1),
     )
 
 
 def accumulate(K, alpha, beta):
-    """Add one vector pair to the 4x4 accumulator; returns the new matrix."""
-    return K + pair_gram(alpha, beta)
+    """Add one vector pair to the 4x4 accumulator ``K`` (an array or nested
+    float sequences); returns the new matrix as nested 4-tuples of floats."""
+    return tuple([
+        (k0 + g0, k1 + g1, k2 + g2, k3 + g3)
+        for (k0, k1, k2, k3), (g0, g1, g2, g3) in zip(as_floats(K), pair_gram(alpha, beta))
+    ])
 
 
 def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
-    Returns ``(q, lambda_min)`` with canonical sign.
+    ``K`` is an array or nested float sequences.  Returns ``(q, lambda_min)``
+    with canonical sign; only the eigen-solve itself runs in numpy.
 
     Raises
     ------
@@ -74,8 +80,10 @@ def optimal_quaternion(K):
         eigenvalues) so callers can still log a reproducible value.
     """
     w, v = np.linalg.eigh(K)
-    lam = float(w[0])
-    trace = float(np.trace(K))
+    (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = as_floats(K)
+    trace = k00 + k11 + k22 + k33
+    w = w.tolist()
+    lam = w[0]
     if w[1] - w[0] <= GAP_TOL * trace:
         tied = [
             quat_canonical(v[:, i])
@@ -89,5 +97,6 @@ def optimal_quaternion(K):
             q=tied[0],
             lambda_min=lam,
         )
-    q = quat_canonical(v[:, 0])
-    return q / np.linalg.norm(q), lam
+    q0, q1, q2, q3 = quat_canonical(v[:, 0]).tolist()
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    return np.array([q0 / norm, q1 / norm, q2 / norm, q3 / norm]), lam

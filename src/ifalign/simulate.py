@@ -343,10 +343,6 @@ class Truth:
         """Substep-grid indices of the update-interval endpoints."""
         return np.arange(self.cfg.n_updates + 1) * self.substeps_per_update
 
-    def sample_indices(self):
-        """Substep-grid indices of the IMU sample endpoints."""
-        return np.arange(self.cfg.n_samples + 1) * self.cfg.substeps_per_sample
-
 
 def _integrate_position(cfg, t, v):
     """Fixed-point integration of the curvilinear position rates."""

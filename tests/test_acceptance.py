@@ -316,7 +316,7 @@ class TestCriterion6EigenSolver:
         worst = 0.0
         for _ in range(200):
             phi = rng.uniform(-2.5, 2.5, 3)
-            c_b_n0 = rotvec_to_dcm(phi)
+            c_b_n0 = np.array(rotvec_to_dcm(phi))
             from ifalign.attitude import dcm_to_quat
 
             q_true = dcm_to_quat(c_b_n0.T)

@@ -245,6 +245,31 @@ class TestFloatPathParity:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
+class TestVifBetaRounding:
+    def test_beta_rounds_to_its_own_size_not_the_speed(self, short_data):
+        # beta = C_nav v_next - v0 + beta_partial takes the difference of two
+        # vectors of the vehicle's speed (120 m/s) to get ~1 m/s: rounding
+        # C_nav v_next first would cost ulps of 120 m/s.  The same formula,
+        # evaluated exactly on the stored floats, is the reference.
+        from fractions import Fraction
+
+        al = VelocityIntegrationAligner(short_data.fix_v[0], short_data.T)
+        assert np.linalg.norm(short_data.fix_v[0]) > 100.0
+        eps = np.finfo(float).eps
+        for k in range(5):
+            al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
+            c = al.c_nav.tolist()
+            v_next = short_data.fix(k + 1).v.tolist()
+            v0, partial = al.v0.tolist(), al.beta_partial.tolist()
+            exact = [
+                sum((Fraction(c[i][j]) * Fraction(v_next[j]) for j in range(3)), Fraction(0))
+                - Fraction(v0[i]) + Fraction(partial[i])
+                for i in range(3)
+            ]
+            error = max(abs(Fraction(b) - e) for b, e in zip(al.beta.tolist(), exact))
+            assert float(error) <= 4.0 * eps * np.linalg.norm(al.beta), k
+
+
 class TestIntegrationRules:
     # For x linear over the interval, (I + tau [omega x]) x(tau) is quadratic
     # in tau and (T - tau) times it cubic: Simpson's rule integrates both

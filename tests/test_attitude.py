@@ -54,7 +54,7 @@ class TestRotvecToDcm:
     @given(rotation_vectors())
     @settings(max_examples=50, deadline=None)
     def test_orthonormal_and_inverse(self, phi):
-        c = attitude.rotvec_to_dcm(phi)
+        c = np.array(attitude.rotvec_to_dcm(phi))
         assert_valid_dcm(c)
         np.testing.assert_allclose(
             c @ attitude.rotvec_to_dcm(-phi), np.eye(3), atol=1e-12
@@ -70,8 +70,8 @@ class TestRotvecToDcm:
     def test_branch_boundary_continuity(self):
         direction = np.array([1.0, -2.0, 2.0]) / 3.0
         phi = 1e-7 * direction
-        closed = attitude.rotvec_to_dcm(phi * (1.0 + 1e-12))
-        series = attitude.rotvec_to_dcm(phi * (1.0 - 1e-12))
+        closed = np.array(attitude.rotvec_to_dcm(phi * (1.0 + 1e-12)))
+        series = np.array(attitude.rotvec_to_dcm(phi * (1.0 - 1e-12)))
         assert np.max(np.abs(closed - series)) < 1e-14
 
 
@@ -124,6 +124,16 @@ class TestQuatDcm:
                 [q[1], q[2], q[3], q[0]]
             ).as_matrix()
             np.testing.assert_allclose(ours, theirs, atol=1e-13)
+
+    def test_stack_equals_rows_bitwise(self):
+        # one call on an (N, 4) stack computes what N single calls do
+        rng = np.random.default_rng(11)
+        q = rng.standard_normal((50, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        stacked = attitude.quat_to_dcm(q)
+        assert stacked.shape == (50, 3, 3)
+        rows = np.stack([attitude.quat_to_dcm(row) for row in q])
+        assert stacked.tobytes() == rows.tobytes()
 
     def test_not_a_rotation(self):
         with pytest.raises(NotARotation):
@@ -180,6 +190,20 @@ class TestComposeAttitude:
         drifted = c0 + 1e-7 * np.ones((3, 3))
         out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
         assert_valid_dcm(out)
+
+    def test_repairs_drift_in_any_gram_entry(self):
+        # C^T C - I has six distinct entries; a drift of 1e-6 in any one of
+        # them (a column stretched, or tilted toward another) is repaired
+        c0 = np.array(attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7])))
+        for i in range(3):
+            for j in range(i, 3):
+                drifted = c0.copy()
+                if i == j:
+                    drifted[:, i] *= 1.0 + 1e-6
+                else:
+                    drifted[:, i] += 1e-6 * c0[:, j]
+                out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
+                assert_valid_dcm(out)
 
 
 class TestEuler:
@@ -240,7 +264,7 @@ class TestHelpers:
     @given(rotation_vectors())
     @settings(max_examples=40, deadline=None)
     def test_rotation_angle(self, phi):
-        c = attitude.rotvec_to_dcm(phi)
+        c = np.array(attitude.rotvec_to_dcm(phi))
         assert attitude.rotation_angle(c) == pytest.approx(
             np.linalg.norm(phi), abs=1e-7
         )
@@ -267,10 +291,3 @@ class TestHelpers:
         b = np.array([-0.7, 0.25, 1.5])
         np.testing.assert_allclose(attitude.skew(a) @ b, np.cross(a, b))
         np.testing.assert_allclose(attitude.cross3(a, b), np.cross(a, b))
-
-    @pytest.mark.parametrize(
-        "angle, expected",
-        [(0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi), (3.5 * math.pi, -0.5 * math.pi)],
-    )
-    def test_wrap_angle(self, angle, expected):
-        assert attitude.wrap_angle(angle) == pytest.approx(expected, abs=1e-12)

@@ -46,8 +46,17 @@ class TestCurvatureMatrix:
 
     @pytest.mark.parametrize("lat_deg", [-80.0, -45.0, 0.0, 30.0, 60.0, 80.0])
     def test_inverse_pair(self, lat_deg):
+        # the velocity that a position rate comes from, written out here
         p = np.array([0.3, lat_deg * D2R, 1200.0])
-        prod = earth.curvature_matrix(p) @ earth.curvature_matrix_inv(p)
+        r_n, r_e = earth.radii_of_curvature(p[1])
+        inverse = np.array(
+            [
+                [0.0, r_n + p[2], 0.0],
+                [0.0, 0.0, 1.0],
+                [(r_e + p[2]) * math.cos(p[1]), 0.0, 0.0],
+            ]
+        )
+        prod = earth.curvature_matrix(p) @ inverse
         np.testing.assert_allclose(prod, np.eye(3), atol=1e-12)
 
     def test_polar_rejection(self):

@@ -4,6 +4,7 @@ import pytest
 from ifalign import io as ifio
 from ifalign.harness import (
     AlignmentData,
+    RunReport,
     attitude_error_deg,
     monte_carlo,
     run_alignment,
@@ -87,6 +88,29 @@ class TestRunAlignment:
             rep_file.est_deg[settled], rep_mem.est_deg[settled], atol=1e-7
         )
 
+    def test_replay_truth_matches_in_memory_truth(self, short_truth, tmp_path):
+        # the truth log's quaternions become body-to-nav DCMs, one per fix
+        from ifalign.attitude import dcm_to_quat
+        from ifalign.simulate import gps_fixes, sample_imu
+
+        data_mem = AlignmentData.from_simulation(short_truth)
+        dtheta, dv = sample_imu(short_truth)
+        t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
+        ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
+        ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
+        idx = short_truth.update_indices()
+        q = np.stack([dcm_to_quat(short_truth.c_b_n[i].T) for i in idx])
+        ifio.write_truth(
+            tmp_path / "truth.csv", short_truth.t[idx], q, short_truth.v[idx],
+            short_truth.p[idx],
+        )
+        data_file = AlignmentData.from_logs(
+            tmp_path / "imu.csv", tmp_path / "gps.csv",
+            short_truth.cfg.update_interval_s, truth_path=tmp_path / "truth.csv",
+        )
+        assert data_file.truth_c_b_n.shape == data_mem.truth_c_b_n.shape
+        np.testing.assert_allclose(data_file.truth_c_b_n, data_mem.truth_c_b_n, atol=1e-10)
+
     def test_report_interval_must_tile(self, short_truth):
         data = AlignmentData.from_simulation(short_truth)
         with pytest.raises(ValueError):
@@ -125,6 +149,31 @@ class TestRunAlignment:
         rep2 = run_alignment(data, "vif", report_interval_s=1.0)
         rep2.write_csv(tmp_path / "r2.csv")
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+    def test_k_eigenvalues_printed_to_solve_precision(self, tmp_path):
+        # eigh is accurate to about eps * max|lambda| absolute (1e-5 here):
+        # two solvers that differ by 2e-9 relative on lambda_min (as Jacobi
+        # and LAPACK did) print the same header, which stays within a few
+        # times that accuracy of the values
+        eigenvalues = np.array([27.41837123456, 3.1e3, 8.2e6, 4.7e10])
+        other = eigenvalues * np.array([1.0 + 2e-9, 1.0, 1.0, 1.0])
+
+        def header(values):
+            report = RunReport(
+                method="vif", t=np.array([1.0]), est_deg=np.zeros((1, 3)),
+                err_deg=None, degenerate=np.zeros(1, dtype=bool),
+                k_eigenvalues=values, metadata={},
+            )
+            report.write_csv(tmp_path / "r.csv")
+            lines = (tmp_path / "r.csv").read_text().splitlines()
+            return next(line for line in lines if line.startswith("# k_eigenvalues="))
+
+        assert header(eigenvalues) == header(other)
+        assert header(eigenvalues) == "# k_eigenvalues=27.4184,3100,8200000,47000000000"
+        printed = np.array([float(x) for x in header(eigenvalues).split("=")[1].split(",")])
+        resolution = np.finfo(float).eps * 4.7e10
+        assert np.max(np.abs(printed - eigenvalues)) <= 5.0 * resolution
 
 
 class TestAlignmentDataValidation:

@@ -90,6 +90,13 @@ class TestImuInterval:
         with pytest.raises(ValueError):
             ImuInterval(np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
 
+    def test_ragged_rows_name_the_argument(self):
+        # not numpy's "inhomogeneous shape" message
+        with pytest.raises(ValueError, match=r"^dtheta1 must be a 3-vector of shape \(3,\)"):
+            ImuInterval([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^dv2 must be a 3-vector of shape \(3,\)"):
+            ImuInterval(np.zeros(3), np.zeros(3), np.zeros(3), [0.0, [0.0], 0.0])
+
 
 class TestSculling:
     def test_no_rotation_is_plain_sum(self):
@@ -264,9 +271,9 @@ class TestBodyRotvec:
         errs = []
         for T in (0.04, 0.02, 0.01):
             iv = make_interval(omega_fn, lambda t: np.zeros(np.shape(t) + (3,)), 0.0, T, n=4000)
-            c_approx = rotvec_to_dcm(body_rotvec(iv))
+            c_approx = np.array(rotvec_to_dcm(body_rotvec(iv)))
             ref = oracle.rotation_vector_reference(omega_fn, 0.0, T, n=4000)
-            errs.append(rotation_angle(c_approx @ rotvec_to_dcm(ref).T))
+            errs.append(rotation_angle(c_approx @ np.array(rotvec_to_dcm(ref)).T))
         assert errs[0] / errs[1] >= 7.5
         assert errs[1] / errs[2] >= 7.5
 

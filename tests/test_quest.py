@@ -8,7 +8,7 @@ from ifalign.quest import accumulate, optimal_quaternion, pair_operator
 
 def random_rotation(rng):
     phi = rng.uniform(-2.0, 2.0, 3)
-    return rotvec_to_dcm(phi)
+    return np.array(rotvec_to_dcm(phi))
 
 
 class TestAccumulate:
@@ -24,9 +24,9 @@ class TestAccumulate:
 
     def test_increment_is_symmetric_psd(self, rng):
         for _ in range(20):
-            K = accumulate(
+            K = np.array(accumulate(
                 np.zeros((4, 4)), rng.standard_normal(3), rng.standard_normal(3)
-            )
+            ))
             np.testing.assert_allclose(K, K.T, atol=1e-12)
             w = np.linalg.eigvalsh(K)
             assert w.min() >= -1e-9 * max(1.0, np.trace(K))
@@ -41,7 +41,7 @@ class TestAccumulate:
             beta = rng.uniform(-1e3, 1e3) * rng.standard_normal(3)
             b = pair_operator(alpha, beta)
             expected = K + b.T @ b
-            out = accumulate(K, alpha, beta)
+            out = np.array(accumulate(K, alpha, beta))
             assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
             np.testing.assert_array_equal(out, out.T)
             np.testing.assert_array_equal(
@@ -107,6 +107,22 @@ class TestOptimalQuaternion:
             optimal_quaternion(np.eye(4))
         assert err.value.q is not None
         assert err.value.lambda_min == pytest.approx(1.0)
+
+    def test_gap_rule_is_relative_to_the_whole_trace(self):
+        # degenerate while lambda_1 - lambda_0 <= GAP_TOL * trace(K), with
+        # every diagonal entry in the trace
+        from ifalign.quest import GAP_TOL
+
+        for factor, degenerate in ((0.9, True), (1.1, False)):
+            gap = factor * GAP_TOL * 17.0
+            K = np.diag([1.0, 1.0 + gap, 5.0, 10.0])
+            if degenerate:
+                with pytest.raises(DegenerateSpectrum):
+                    optimal_quaternion(K)
+            else:
+                q, lam = optimal_quaternion(K)
+                np.testing.assert_array_equal(q, [1.0, 0.0, 0.0, 0.0])
+                assert lam == 1.0
 
     def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
