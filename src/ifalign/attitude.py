@@ -25,17 +25,6 @@ _ORTHO_TOL = 1e-10
 _REPAIR_TOL = 1e-9
 
 
-def skew(v):
-    """3x3 skew-symmetric matrix such that ``skew(a) @ b == cross(a, b)``."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def as_floats(value):
     """An array as (nested) lists of Python floats; any other sequence as is.
 
@@ -296,18 +285,26 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
 
 
 def euler_to_dcm(angles):
-    """Body-to-nav DCM from (roll, pitch, yaw) in radians."""
-    roll, pitch, yaw = angles
+    """Body-to-nav DCM from (roll, pitch, yaw) in radians, or one per row of
+    an ``(N, 3)`` stack (shape ``(N, 3, 3)``), with the same operations on
+    each."""
+    angles = np.asarray(angles, dtype=float)
+    roll, pitch, yaw = np.moveaxis(angles, -1, 0)
     cr, sr = np.cos(roll), np.sin(roll)
     cp, sp = np.cos(pitch), np.sin(pitch)
     cy, sy = np.cos(yaw), np.sin(yaw)
-    return np.array(
-        [
-            [cy * cp, -cy * sp * cr - sy * sr, cy * sp * sr - sy * cr],
-            [sp, cp * cr, -cp * sr],
-            [sy * cp, -sy * sp * cr + cy * sr, sy * sp * sr + cy * cr],
-        ]
-    )
+    cysp, sysp = cy * sp, sy * sp
+    c = np.empty(angles.shape[:-1] + (3, 3))
+    c[..., 0, 0] = cy * cp
+    c[..., 0, 1] = -cysp * cr - sy * sr
+    c[..., 0, 2] = cysp * sr - sy * cr
+    c[..., 1, 0] = sp
+    c[..., 1, 1] = cp * cr
+    c[..., 1, 2] = -cp * sr
+    c[..., 2, 0] = sy * cp
+    c[..., 2, 1] = -sysp * cr + cy * sr
+    c[..., 2, 2] = sysp * sr + cy * cr
+    return c
 
 
 def dcm_to_euler(dcm):

@@ -5,8 +5,13 @@ north, axis 1 up (away from the ellipsoid) and axis 2 east.  Curvilinear
 position is the 3-vector ``p = [lon, lat, h]`` in radians/meters, ground
 velocity the 3-vector ``v = [vN, vU, vE]`` in m/s.
 
-All functions broadcast over leading dimensions, so ``lat`` may be a scalar
-or an array and vector arguments may be ``(..., 3)``.
+Each formula (curvature radii, normal gravity, earth rate, transport rate)
+is written once, component-wise, in ``_radii`` and ``_local_level``.  The
+per-update path calls them on Python floats through
+:func:`aiding_kinematics`, which takes one fix and returns tuples of
+floats.  Every other function calls them on numpy columns and broadcasts
+over leading dimensions, so ``lat`` may be a scalar or an array and vector
+arguments may be ``(..., 3)``.
 """
 
 import math
@@ -29,146 +34,126 @@ FREE_AIR_GRADIENT = 3.086e-6                # (m/s^2)/m
 _COS_LAT_MIN = 1e-9
 
 
-def radii_of_curvature(lat):
-    """Meridian and transverse curvature radii of the WGS-84 ellipsoid.
-
-    Parameters
-    ----------
-    lat : float or ndarray
-        Geodetic latitude in radians.
-
-    Returns
-    -------
-    r_meridian, r_transverse : float or ndarray
-        North-south and east-west radii of curvature in meters.
-    """
-    sin2 = np.sin(lat) ** 2
+def _radii(sin2):
+    """Meridian and transverse curvature radii from ``sin(lat)**2``, and
+    the ``sqrt(1 - e^2 sin^2 lat)`` they share with normal gravity."""
     t = 1.0 - ECCENTRICITY_SQ * sin2
-    r_transverse = SEMI_MAJOR_AXIS / np.sqrt(t)
-    r_meridian = SEMI_MAJOR_AXIS * (1.0 - ECCENTRICITY_SQ) / t ** 1.5
-    return r_meridian, r_transverse
+    root_t = t ** 0.5
+    r_n = SEMI_MAJOR_AXIS * (1.0 - ECCENTRICITY_SQ) / (t * root_t)
+    return r_n, SEMI_MAJOR_AXIS / root_t, root_t
 
 
-def curvature_matrix(p):
-    """Matrix mapping ground velocity to curvilinear position rates.
+def _local_level(sin_lat, cos_lat, h, v_n, v_e):
+    """Normal gravity, earth rate, transport rate and inertial rate.
 
-    ``pdot = Rc @ v`` with ``p = [lon, lat, h]`` and ``v = [vN, vU, vE]``.
-
-    Raises
-    ------
-    PolarSingularity
-        If ``|cos(lat)| < 1e-9``; longitude rate is undefined at the poles.
+    Arithmetic and ``** 0.5`` only (here and in :func:`_radii`), so the
+    arguments may be Python floats or numpy columns.  Returns the gravity
+    magnitude, then the earth, transport and inertial (earth plus
+    transport) rates as North-Up-East 3-tuples of components.
     """
-    lon, lat, h = p
+    sin2 = sin_lat * sin_lat
+    r_n, r_e, root_t = _radii(sin2)
+    g = GRAVITY_EQUATOR * (1.0 + SOMIGLIANA_K * sin2) / root_t - FREE_AIR_GRADIENT * h
+    ie_n = EARTH_RATE * cos_lat
+    ie_u = EARTH_RATE * sin_lat
+    en_n = v_e / (r_e + h)
+    en_u = v_e * (sin_lat / cos_lat) / (r_e + h)
+    en_e = -v_n / (r_n + h)
+    return g, (ie_n, ie_u, 0.0), (en_n, en_u, en_e), (ie_n + en_n, ie_u + en_u, en_e)
+
+
+def _off_pole(p):
+    """Columns ``sin(lat)``, ``cos(lat)`` and ``h`` of positions ``p``.
+
+    Raises :class:`PolarSingularity` if ``|cos(lat)| < 1e-9``, where the
+    longitude and transport rates are undefined.
+    """
+    p = np.asarray(p, dtype=float)
+    lat = p[..., 1]
     cos_lat = np.cos(lat)
-    if abs(cos_lat) < _COS_LAT_MIN:
-        raise PolarSingularity(f"curvature matrix undefined at latitude {lat!r}")
-    r_n, r_e = radii_of_curvature(lat)
-    return np.array(
-        [
-            [0.0, 0.0, 1.0 / ((r_e + h) * cos_lat)],
-            [1.0 / (r_n + h), 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-        ]
-    )
+    if np.any(np.abs(cos_lat) < _COS_LAT_MIN):
+        raise PolarSingularity("longitude and transport rates undefined at the poles")
+    return np.sin(lat), cos_lat, p[..., 2]
+
+
+def _stack(components):
+    """``(..., 3)`` array from three float-or-column components."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def radii_of_curvature(lat):
+    """Meridian and transverse curvature radii (m) at geodetic latitude (rad)."""
+    r_n, r_e, _ = _radii(np.sin(lat) ** 2)
+    return r_n, r_e
+
+
+def curvilinear_rate(v, p):
+    """Curvilinear position rate ``[lon', lat', h']`` of ground velocity ``v``.
+
+    ``[vE / ((r_e + h) cos lat), vN / (r_n + h), vU]`` at positions ``p``;
+    the same map turns N-U-E meter offsets into ``[dlon, dlat, dh]``.
+    Raises :class:`PolarSingularity` within 1e-9 of the poles.
+    """
+    v = np.asarray(v, dtype=float)
+    sin_lat, cos_lat, h = _off_pole(p)
+    r_n, r_e, _ = _radii(sin_lat * sin_lat)
+    return _stack((v[..., 2] / ((r_e + h) * cos_lat), v[..., 0] / (r_n + h), v[..., 1]))
 
 
 def earth_rate_n(lat):
     """Earth rotation rate resolved in the local North-Up-East frame (rad/s)."""
-    lat = np.asarray(lat, dtype=float)
-    return np.stack(
-        [
-            EARTH_RATE * np.cos(lat),
-            EARTH_RATE * np.sin(lat),
-            np.zeros_like(lat),
-        ],
-        axis=-1,
-    )
+    return _stack(_local_level(np.sin(lat), np.cos(lat), 0.0, 0.0, 0.0)[1])
 
 
 def transport_rate_n(v, p):
     """Angular rate of the local-level frame relative to Earth (rad/s).
 
     Caused by translation over the curved ellipsoid; derived consistently
-    with :func:`curvature_matrix` for the North-Up-East frame.
+    with :func:`curvilinear_rate` for the North-Up-East frame.
     """
     v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lat = p[..., 1]
-    h = p[..., 2]
-    cos_lat = np.cos(lat)
-    if np.any(np.abs(cos_lat) < _COS_LAT_MIN):
-        raise PolarSingularity("transport rate undefined at the poles")
-    r_n, r_e = radii_of_curvature(lat)
-    v_n = v[..., 0]
-    v_e = v[..., 2]
-    return np.stack(
-        [
-            v_e / (r_e + h),
-            v_e * np.tan(lat) / (r_e + h),
-            -v_n / (r_n + h),
-        ],
-        axis=-1,
-    )
+    return _stack(_local_level(*_off_pole(p), v[..., 0], v[..., 2])[2])
+
+
+def kinematics_n(v, p):
+    """Earth rate, inertial rate and gravity as ``(..., 3)`` arrays.
+
+    The column form of :func:`aiding_kinematics`.
+    """
+    v = np.asarray(v, dtype=float)
+    g, omega_ie, _, omega_in = _local_level(*_off_pole(p), v[..., 0], v[..., 2])
+    return _stack(omega_ie), _stack(omega_in), _stack((0.0, -g, 0.0))
 
 
 def inertial_rate_n(v, p):
-    """Angular rate of the navigation frame relative to inertial space (rad/s).
-
-    Sum of the earth rate and the transport rate.
-    """
-    p = np.asarray(p, dtype=float)
-    return earth_rate_n(p[..., 1]) + transport_rate_n(v, p)
+    """Angular rate of the navigation frame relative to inertial space (rad/s)."""
+    return kinematics_n(v, p)[1]
 
 
 def gravity_magnitude(lat, h=0.0):
     """Normal gravity (Somigliana) with a linear free-air height correction."""
-    sin2 = np.sin(lat) ** 2
-    g0 = GRAVITY_EQUATOR * (1.0 + SOMIGLIANA_K * sin2) / np.sqrt(
-        1.0 - ECCENTRICITY_SQ * sin2
-    )
-    return g0 - FREE_AIR_GRADIENT * h
+    return _local_level(np.sin(lat), np.cos(lat), h, 0.0, 0.0)[0]
 
 
 def gravity_n(p):
     """Gravity vector in the North-Up-East frame: ``[0, -g, 0]``."""
     p = np.asarray(p, dtype=float)
-    lat = p[..., 1]
-    h = p[..., 2]
-    g = gravity_magnitude(lat, h)
-    zero = np.zeros_like(g)
-    return np.stack([zero, -g, zero], axis=-1)
+    return _stack((0.0, -gravity_magnitude(p[..., 1], p[..., 2]), 0.0))
 
 
 def aiding_kinematics(v, p):
     """Earth rate, inertial rate and gravity at one aiding fix.
 
-    Scalar fast path equivalent to ``earth_rate_n``, ``earth_rate_n +
-    transport_rate_n`` and ``gravity_n`` (asserted equal in tests); the
-    recursive aligners call this once per update.  Returns three 3-tuples
-    of Python floats.
+    The float form of :func:`kinematics_n`, which the recursive aligners
+    call once per update with 3-sequences of Python floats.  Returns three
+    3-tuples of floats.
     """
-    lat = float(p[1])
-    h = float(p[2])
-    sin_lat = math.sin(lat)
+    _, lat, h = p
+    v_n, _, v_e = v
     cos_lat = math.cos(lat)
     if abs(cos_lat) < _COS_LAT_MIN:
         raise PolarSingularity("transport rate undefined at the poles")
-    sin2 = sin_lat * sin_lat
-    t = 1.0 - ECCENTRICITY_SQ * sin2
-    r_e = SEMI_MAJOR_AXIS / math.sqrt(t)
-    r_n = SEMI_MAJOR_AXIS * (1.0 - ECCENTRICITY_SQ) / (t * math.sqrt(t))
-
-    omega_ie = (EARTH_RATE * cos_lat, EARTH_RATE * sin_lat, 0.0)
-    v_n, v_e = float(v[0]), float(v[2])
-    omega_in = (
-        omega_ie[0] + v_e / (r_e + h),
-        omega_ie[1] + v_e * (sin_lat / cos_lat) / (r_e + h),
-        -v_n / (r_n + h),
-    )
-    g = GRAVITY_EQUATOR * (1.0 + SOMIGLIANA_K * sin2) / math.sqrt(t) - (
-        FREE_AIR_GRADIENT * h
-    )
+    g, omega_ie, _, omega_in = _local_level(math.sin(lat), cos_lat, h, v_n, v_e)
     return omega_ie, omega_in, (0.0, -g, 0.0)
 
 

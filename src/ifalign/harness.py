@@ -200,22 +200,32 @@ def attitude_error_deg(c_est, c_true):
     return dcm_to_euler(delta) * RAD2DEG
 
 
+def _report_stride(report_interval_s, T):
+    """Updates per report row; ``ValueError`` unless a positive whole number."""
+    stride = report_interval_s / T
+    if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+        raise ValueError("report interval must be a positive multiple of T")
+    return int(round(stride))
+
+
 def run_alignment(data, method, report_interval_s=1.0, metadata=None):
     """Drive one aligner over an :class:`AlignmentData` stream.
 
     Every interval is folded in; the attitude is solved once per report
     row.  Rows where the attitude is still unobservable are marked
-    degenerate, not fatal.
+    degenerate, not fatal.  A report interval longer than the run (no
+    report row) raises ``ValueError``.
     """
-    stride = report_interval_s / data.T
-    if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-        raise ValueError("report interval must be a positive multiple of T")
-    stride = int(round(stride))
-
-    aligner = make_aligner(method, v0=data.fix_v[0], T=data.T)
-
+    stride = _report_stride(report_interval_s, data.T)
     n_updates = data.n_updates
     n_rows = n_updates // stride
+    if n_rows == 0:
+        raise ValueError(
+            f"report interval {report_interval_s:g} s is longer than the run "
+            f"({n_updates * data.T:g} s): no report row"
+        )
+    aligner = make_aligner(method, v0=data.fix_v[0], T=data.T)
+
     t_rows = np.empty(n_rows)
     est_rows = np.full((n_rows, 3), np.nan)
     err_rows = np.full((n_rows, 3), np.nan) if data.truth_c_b_n is not None else None
@@ -308,11 +318,23 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
     Each run draws its noise from a generator keyed by (seed, run index),
     so results do not depend on scheduling or on ``jobs``, the number of
     worker processes (default: the CPU count; at most ``n_runs``).  Failed
-    runs are excluded from the statistics and listed in the summary.
+    runs are excluded from the statistics and listed in the summary.  An
+    epoch that is not a report row of the scenario raises ``ValueError``
+    before the truth is generated or a worker started.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
     epochs = [float(e) for e in epochs]
+    stride = _report_stride(report_interval_s, cfg.update_interval_s)
+    row_s = stride * cfg.update_interval_s
+    n_rows = cfg.n_updates // stride
+    for epoch in epochs:
+        row = round(epoch / row_s)
+        if abs(epoch - row * row_s) > 1e-9 or not 1 <= row <= n_rows:
+            raise ValueError(
+                f"epoch {epoch:g} s is not a report row: rows are every "
+                f"{row_s:g} s up to {n_rows * row_s:g} s"
+            )
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:

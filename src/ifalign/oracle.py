@@ -173,13 +173,12 @@ class AlignmentReference:
                 raise ValueError("epochs must be multiples of the substep")
             epoch_steps.add(k)
 
-        m = self.model
-        ts = 0.5 * h * np.arange(2 * n_steps + 1)
-        self._w_ib = m.omega_ib_b(ts)
-        self._w_in = m.omega_in_n(ts)
-        self._f_b = m.specific_force_b(ts)
-        self._v = m.velocity(ts)
-        p = m.position(ts)
+        truth = self.model.kinematics(0.5 * h * np.arange(2 * n_steps + 1))
+        self._w_ib = truth["omega_ib_b"]
+        self._w_in = truth["omega_in_n"]
+        self._f_b = truth["f_b"]
+        self._v = truth["v"]
+        p = truth["p"]
         self._g_n = earth.gravity_n(p)
         self._wxv = np.cross(earth.earth_rate_n(p[:, 1]), self._v)
 
@@ -254,7 +253,7 @@ class NavigationReference:
         dy[0:4] = _quat_rate(q, w_nb_b)
         coriolis = cross3(w_ie + w_in, v)  # (2 w_ie + w_en) x v
         dy[4:7] = c_b_n @ self._f_b[stage] - coriolis + g_n
-        dy[7:10] = earth.curvature_matrix(p) @ v
+        dy[7:10] = earth.curvilinear_rate(v, p)
         return dy
 
     def deviations(self, t_end, check_every=0.1):
@@ -266,9 +265,9 @@ class NavigationReference:
         n_steps = int(round(t_end / h))
         stride = max(1, int(round(check_every / h)))
 
-        ts = 0.5 * h * np.arange(2 * n_steps + 1)
-        self._w_ib = m.omega_ib_b(ts)
-        self._f_b = m.specific_force_b(ts)
+        truth = m.kinematics(0.5 * h * np.arange(2 * n_steps + 1))
+        self._w_ib = truth["omega_ib_b"]
+        self._f_b = truth["f_b"]
 
         y = np.zeros(10)
         y[0:4] = dcm_to_quat(m.c_b_n(0.0).T)  # R(q) = C_b^n

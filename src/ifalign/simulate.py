@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import earth
+from .attitude import euler_to_dcm
 from .errors import PolarSingularity
 
 D2R = math.pi / 180.0
@@ -209,38 +210,21 @@ def _cumquad0(y, dx):
     return out
 
 
-def _euler_to_dcm_batch(roll, pitch, yaw):
-    """Vectorized body-to-nav DCMs from Euler angle arrays."""
-    cr, sr = np.cos(roll), np.sin(roll)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    c = np.empty(roll.shape + (3, 3))
-    c[..., 0, 0] = cy * cp
-    c[..., 0, 1] = -cy * sp * cr - sy * sr
-    c[..., 0, 2] = cy * sp * sr - sy * cr
-    c[..., 1, 0] = sp
-    c[..., 1, 1] = cp * cr
-    c[..., 1, 2] = -cp * sr
-    c[..., 2, 0] = sy * cp
-    c[..., 2, 1] = -sy * sp * cr + cy * sr
-    c[..., 2, 2] = sy * sp * sr + cy * cr
-    return c
-
-
 class TruthModel:
     """Analytic truth accessors backed by the integrated position history.
 
-    Attitude and velocity are closed-form; position (and everything derived
-    from it) interpolates the fine-grid integration with a cubic spline, so
-    the model can be evaluated at arbitrary times by reference integrators.
-    Only those use it, so the spline (and scipy) is built on the first
-    :meth:`position` call.
+    Attitude and velocity are closed-form.  Position is integrated from the
+    velocity on the fine grid ``t_grid`` (``p_grid``); between grid points
+    a cubic spline interpolates it, so the model can be evaluated at
+    arbitrary times by reference integrators.  Only those use the spline,
+    so it (and scipy) is built on the first :meth:`position` call.
     """
 
-    def __init__(self, cfg, t_grid, p_grid):
+    def __init__(self, cfg, t_grid):
         self.cfg = cfg
-        self._t_grid = t_grid
-        self._p_grid = p_grid
+        self.t_grid = t_grid
+        self.v_grid = self.velocity(t_grid)
+        self.p_grid = _integrate_position(cfg, self.v_grid)
         self._p_spline = None
 
     def euler(self, t):
@@ -275,21 +259,35 @@ class TruthModel:
         if self._p_spline is None:
             from scipy.interpolate import CubicSpline
 
-            self._p_spline = CubicSpline(self._t_grid, self._p_grid, axis=0)
+            self._p_spline = CubicSpline(self.t_grid, self.p_grid, axis=0)
         return self._p_spline(t)
 
     def c_b_n(self, t):
-        e = self.euler(t)
-        return _euler_to_dcm_batch(e[..., 0], e[..., 1], e[..., 2])
+        return euler_to_dcm(self.euler(t))
 
-    def omega_nb_b(self, t):
-        e = self.euler(t)
-        r = self.euler_rate(t)
-        roll, pitch = e[..., 0], e[..., 1]
-        roll_d, pitch_d, yaw_d = r[..., 0], r[..., 1], r[..., 2]
-        sr, cr = np.sin(roll), np.cos(roll)
-        sp, cp = np.sin(pitch), np.cos(pitch)
-        return np.stack(
+    def kinematics(self, t, p=None, v=None):
+        """The truth at times ``t``, as a dict keyed by the :class:`Truth` fields.
+
+        The one derivation of ``c_b_n``, ``omega_in_n``, ``omega_ib_b`` and
+        ``f_b``: the attitude and velocity rate equations solved for the
+        body rate and the specific force.  ``p`` and ``v`` are the position
+        and velocity at ``t`` where the caller has them (default: the
+        spline's position and the closed-form velocity).
+        """
+        p = self.position(t) if p is None else p
+        v = self.velocity(t) if v is None else v
+        omega_ie, omega_in, g_n = earth.kinematics_n(v, p)
+        # vdot + (2 w_ie + w_en) x v - g: the specific force in the nav frame
+        f_n = self.velocity_rate(t) + np.cross(omega_ie + omega_in, v) - g_n
+        del omega_ie, g_n  # freed before the attitude columns: lower peak memory
+
+        euler = self.euler(t)
+        c_b_n = euler_to_dcm(euler)
+        c_n_b = np.swapaxes(c_b_n, -1, -2)
+        roll_d, pitch_d, yaw_d = np.moveaxis(self.euler_rate(t), -1, 0)
+        sr, cr = np.sin(euler[..., 0]), np.cos(euler[..., 0])
+        sp, cp = np.sin(euler[..., 1]), np.cos(euler[..., 1])
+        omega_nb_b = np.stack(
             [
                 roll_d - yaw_d * sp,
                 pitch_d * sr - yaw_d * cr * cp,
@@ -297,27 +295,21 @@ class TruthModel:
             ],
             axis=-1,
         )
-
-    def omega_in_n(self, t):
-        p = self.position(t)
-        v = self.velocity(t)
-        return earth.earth_rate_n(p[..., 1]) + earth.transport_rate_n(v, p)
+        return {
+            "euler": euler,
+            "c_b_n": c_b_n,
+            "v": v,
+            "p": p,
+            "omega_ib_b": omega_nb_b + np.einsum("...ij,...j->...i", c_n_b, omega_in),
+            "f_b": np.einsum("...ij,...j->...i", c_n_b, f_n),
+            "omega_in_n": omega_in,
+        }
 
     def omega_ib_b(self, t):
-        c_n_b = np.swapaxes(self.c_b_n(t), -1, -2)
-        win = self.omega_in_n(t)
-        return self.omega_nb_b(t) + np.einsum("...ij,...j->...i", c_n_b, win)
+        return self.kinematics(t)["omega_ib_b"]
 
     def specific_force_b(self, t):
-        p = self.position(t)
-        v = self.velocity(t)
-        vdot = self.velocity_rate(t)
-        omega_ie = earth.earth_rate_n(p[..., 1])
-        omega_en = earth.transport_rate_n(v, p)
-        coriolis = np.cross(2.0 * omega_ie + omega_en, v)
-        g_n = earth.gravity_n(p)
-        c_n_b = np.swapaxes(self.c_b_n(t), -1, -2)
-        return np.einsum("...ij,...j->...i", c_n_b, vdot + coriolis - g_n)
+        return self.kinematics(t)["f_b"]
 
 
 @dataclass(frozen=True)
@@ -344,63 +336,36 @@ class Truth:
         return np.arange(self.cfg.n_updates + 1) * self.substeps_per_update
 
 
-def _integrate_position(cfg, t, v):
-    """Fixed-point integration of the curvilinear position rates."""
-    lon0, lat0, h0 = cfg.p0
+def _integrate_position(cfg, v):
+    """Fixed-point integration of the curvilinear position rates.
+
+    The rates depend on latitude and height only: height integrates
+    directly, latitude is iterated, and longitude integrates the last rate.
+    """
     dt = cfg.substep_s
-    h = h0 + _cumquad0(v[:, 1], dt)
-    lat = np.full_like(h, lat0)
-    lon = np.full_like(h, lon0)
+    v = np.asfortranarray(v)  # contiguous columns for the column arithmetic
+    p = np.empty_like(v)
+    p[:] = cfg.p0
+    p[:, 2] += _cumquad0(v[:, 1], dt)
     for _ in range(4):
-        r_n, r_e = earth.radii_of_curvature(lat)
-        lat_new = lat0 + _cumquad0(v[:, 0] / (r_n + h), dt)
-        lon_new = lon0 + _cumquad0(v[:, 2] / ((r_e + h) * np.cos(lat)), dt)
-        shift = max(np.max(np.abs(lat_new - lat)), np.max(np.abs(lon_new - lon)))
-        lat, lon = lat_new, lon_new
+        rate = earth.curvilinear_rate(v, p)
+        lat = cfg.p0[1] + _cumquad0(rate[:, 1], dt)
+        shift = np.max(np.abs(lat - p[:, 1]))
+        p[:, 1] = lat
         if shift < 1e-15:
             break
-    if np.any(np.abs(lat) > 89.9 * D2R):
+    p[:, 0] += _cumquad0(rate[:, 0], dt)
+    if np.any(np.abs(p[:, 1]) > 89.9 * D2R):
         raise PolarSingularity("trajectory crosses 89.9 deg latitude")
-    return np.stack([lon, lat, h], axis=-1)
+    return np.ascontiguousarray(p)
 
 
 def generate_truth(cfg):
     """Evaluate the truth trajectory of a scenario on its substep grid."""
     n = int(round(cfg.duration_s / cfg.substep_s))
     t = np.arange(n + 1) * cfg.substep_s
-
-    v = np.asarray(cfg.vel_mean_mps, dtype=float) + np.stack(
-        [cfg.vel_north.value(t), cfg.vel_up.value(t), cfg.vel_east.value(t)], axis=-1
-    )
-    p = _integrate_position(cfg, t, v)
-    model = TruthModel(cfg, t, p)
-
-    euler = model.euler(t)
-    c_b_n = _euler_to_dcm_batch(euler[:, 0], euler[:, 1], euler[:, 2])
-    c_n_b = np.swapaxes(c_b_n, -1, -2)
-
-    omega_ie = earth.earth_rate_n(p[:, 1])
-    omega_en = earth.transport_rate_n(v, p)
-    omega_in = omega_ie + omega_en
-    omega_ib = model.omega_nb_b(t) + np.einsum("nij,nj->ni", c_n_b, omega_in)
-
-    vdot = model.velocity_rate(t)
-    coriolis = np.cross(2.0 * omega_ie + omega_en, v)
-    g_n = earth.gravity_n(p)
-    f_b = np.einsum("nij,nj->ni", c_n_b, vdot + coriolis - g_n)
-
-    return Truth(
-        cfg=cfg,
-        t=t,
-        euler=euler,
-        c_b_n=c_b_n,
-        v=v,
-        p=p,
-        omega_ib_b=omega_ib,
-        f_b=f_b,
-        omega_in_n=omega_in,
-        model=model,
-    )
+    model = TruthModel(cfg, t)
+    return Truth(cfg=cfg, t=t, model=model, **model.kinematics(t, model.p_grid, model.v_grid))
 
 
 def _simpson_weights(n_panels, dx):
@@ -458,17 +423,6 @@ def _lever_arm_offsets(truth, idx, lever):
     return arm_n, vel_off
 
 
-def _meters_to_curvilinear(p, offsets_n):
-    """Convert N-U-E meter offsets at positions ``p`` to [dlon, dlat, dh]."""
-    lat = p[:, 1]
-    h = p[:, 2]
-    r_n, r_e = earth.radii_of_curvature(lat)
-    dlon = offsets_n[:, 2] / ((r_e + h) * np.cos(lat))
-    dlat = offsets_n[:, 0] / (r_n + h)
-    dh = offsets_n[:, 1]
-    return np.stack([dlon, dlat, dh], axis=-1)
-
-
 def gps_fixes(truth, errors=None, rng=None, stride_s=None):
     """GPS velocity/position stream at a fixed cadence.
 
@@ -495,14 +449,14 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
         lever = errors.lever_arm
         if np.any(lever != 0.0):
             arm_n, vel_off = _lever_arm_offsets(truth, idx, lever)
-            p = p + _meters_to_curvilinear(p, arm_n)
+            p = p + earth.curvilinear_rate(arm_n, p)
             v = v + vel_off
         if errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0:
             if rng is None:
                 raise ValueError("rng is required when GPS noise is nonzero")
             v = v + errors.gps_vel_sigma_mps * rng.standard_normal(v.shape)
             pos_noise = errors.gps_pos_sigma_m * rng.standard_normal(p.shape)
-            p = p + _meters_to_curvilinear(p, pos_noise)
+            p = p + earth.curvilinear_rate(pos_noise, p)
     return t, v, p
 
 

@@ -254,6 +254,15 @@ class TestEuler:
         )
         np.testing.assert_allclose(back, angles, atol=1e-10)
 
+    def test_stack_equals_rows_bitwise(self):
+        # one call on an (N, 3) stack computes what N single calls do
+        rng = np.random.default_rng(12)
+        angles = rng.uniform(-math.pi, math.pi, (50, 3))
+        stacked = attitude.euler_to_dcm(angles)
+        assert stacked.shape == (50, 3, 3)
+        rows = np.stack([attitude.euler_to_dcm(row) for row in angles])
+        assert stacked.tobytes() == rows.tobytes()
+
     def test_gimbal_warning(self):
         c = attitude.euler_to_dcm(np.array([0.1, math.pi / 2.0, 0.0]))
         with pytest.warns(GimbalProximityWarning):
@@ -285,9 +294,3 @@ class TestHelpers:
             attitude.quat_canonical(np.array([0.0, -0.6, 0.8, 0.0])),
             [0.0, 0.6, -0.8, 0.0],
         )
-
-    def test_skew_matches_cross(self):
-        a = np.array([0.3, -1.2, 2.0])
-        b = np.array([-0.7, 0.25, 1.5])
-        np.testing.assert_allclose(attitude.skew(a) @ b, np.cross(a, b))
-        np.testing.assert_allclose(attitude.cross3(a, b), np.cross(a, b))

@@ -125,9 +125,13 @@ class TestOracleVerb:
         ["montecarlo", "--jobs", "0"],
         ["montecarlo", "--runs", "1"],
         ["montecarlo", "--epochs", "5,abc"],
+        ["montecarlo", "--duration", "10", "--runs", "2", "--epochs", "5.5"],
+        ["montecarlo", "--duration", "10", "--runs", "2", "--epochs", "5,20"],
         ["align", "--duration", "1", "--report-interval", "0.03"],
+        ["align", "--duration", "1", "--report-interval", "2"],
     ],
-    ids=["mc-jobs-0", "mc-runs-1", "mc-epochs-abc", "align-report-interval"],
+    ids=["mc-jobs-0", "mc-runs-1", "mc-epochs-abc", "mc-epoch-off-grid",
+         "mc-epoch-after-end", "align-report-interval", "align-no-report-row"],
 )
 def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     from ifalign import harness
@@ -135,7 +139,11 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("an invalid argument must not start a process")
 
+    def no_truth(*args, **kwargs):
+        raise AssertionError("an invalid Monte-Carlo epoch must not generate the truth")
+
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "generate_truth", no_truth)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -33,20 +33,21 @@ class TestRadii:
 
 
 class TestCurvatureMatrix:
+    # the curvature matrix Rc with pdot = Rc v, applied by curvilinear_rate
     def test_pure_climb_changes_only_height(self):
-        rc = earth.curvature_matrix(np.array([0.0, 0.0, 0.0]))
-        pdot = rc @ np.array([0.0, 1.0, 0.0])
+        pdot = earth.curvilinear_rate(np.array([0.0, 1.0, 0.0]), np.zeros(3))
         np.testing.assert_allclose(pdot, [0.0, 0.0, 1.0])
 
     def test_northward_motion_latitude_rate(self):
         p = np.array([0.0, 0.0, 0.0])
         r_n, _ = earth.radii_of_curvature(0.0)
-        pdot = earth.curvature_matrix(p) @ np.array([r_n, 0.0, 0.0])
+        pdot = earth.curvilinear_rate(np.array([r_n, 0.0, 0.0]), p)
         assert pdot[1] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("lat_deg", [-80.0, -45.0, 0.0, 30.0, 60.0, 80.0])
     def test_inverse_pair(self, lat_deg):
-        # the velocity that a position rate comes from, written out here
+        # the velocity that a position rate comes from, written out here;
+        # one call maps all three columns (the rows of inverse.T)
         p = np.array([0.3, lat_deg * D2R, 1200.0])
         r_n, r_e = earth.radii_of_curvature(p[1])
         inverse = np.array(
@@ -56,12 +57,12 @@ class TestCurvatureMatrix:
                 [(r_e + p[2]) * math.cos(p[1]), 0.0, 0.0],
             ]
         )
-        prod = earth.curvature_matrix(p) @ inverse
+        prod = earth.curvilinear_rate(inverse.T, p).T
         np.testing.assert_allclose(prod, np.eye(3), atol=1e-12)
 
     def test_polar_rejection(self):
         with pytest.raises(PolarSingularity):
-            earth.curvature_matrix(np.array([0.0, math.pi / 2.0, 0.0]))
+            earth.curvilinear_rate(np.zeros(3), np.array([0.0, math.pi / 2.0, 0.0]))
 
 
 class TestEarthRate:
@@ -116,7 +117,7 @@ class TestTransportRate:
         p = np.array([0.4, lat_deg * D2R, 500.0])
         v = np.array(v)
         dt = 1e-3
-        pdot = earth.curvature_matrix(p) @ v
+        pdot = earth.curvilinear_rate(v, p)
         c_mid = earth.nav_to_ecef_dcm(p)
         c_plus = earth.nav_to_ecef_dcm(p + pdot * dt)
         c_minus = earth.nav_to_ecef_dcm(p - pdot * dt)
@@ -167,12 +168,21 @@ class TestGravity:
 class TestAidingKinematics:
     @pytest.mark.parametrize("lat_deg", [-55.0, 0.0, 30.0, 72.0])
     def test_matches_reference_functions(self, lat_deg):
-        p = np.array([-0.8, lat_deg * D2R, 850.0])
-        v = np.array([123.0, -4.0, 67.0])
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(v, p)
-        np.testing.assert_allclose(omega_ie, earth.earth_rate_n(p[1]), rtol=1e-15)
-        np.testing.assert_allclose(omega_in, earth.inertial_rate_n(v, p), rtol=1e-12)
-        np.testing.assert_allclose(g_n, earth.gravity_n(p), rtol=1e-15)
+        # the float form against the column forms, at several heights and
+        # velocities with every component nonzero and of either sign
+        for h, v in [
+            (850.0, (123.0, -4.0, 67.0)),
+            (0.0, (-80.0, 3.0, -150.0)),
+            (-120.0, (40.0, -15.0, 250.0)),
+            (11000.0, (-230.0, 25.0, 9.0)),
+        ]:
+            p = np.array([-0.8, lat_deg * D2R, h])
+            v = np.array(v)
+            floats = earth.aiding_kinematics(v, p)
+            columns = earth.earth_rate_n(p[1]), earth.inertial_rate_n(v, p), earth.gravity_n(p)
+            for one, column, together in zip(floats, columns, earth.kinematics_n(v, p)):
+                np.testing.assert_allclose(one, column, rtol=1e-15)
+                np.testing.assert_array_equal(together, column)
 
     def test_polar_rejection(self):
         with pytest.raises(PolarSingularity):

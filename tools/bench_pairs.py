@@ -16,6 +16,11 @@ each side's median and quartiles, the pairs the change won (ties count for
 neither side) and whether the gain rule holds: the change wins at least
 nine tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  Progress goes to standard error.
+
+The output is rewritten after every pair, so an interrupted session keeps
+the pairs it finished.  A run that exits nonzero stops the session: its
+exit code and the tail of its standard error go into the output under
+``"failed_run"``, and the script exits with status 1.
 """
 
 import argparse
@@ -29,13 +34,27 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
+class RunFailed(Exception):
+    """A benchmark run exited nonzero; ``record`` says how."""
+
+    def __init__(self, record):
+        super().__init__(f"exit code {record['returncode']}")
+        self.record = record
+
+
 def run_once(checkout, workload, seed, seconds):
-    """One benchmark run in ``checkout``: its result and environment records."""
+    """One benchmark run in ``checkout``: its result and environment records.
+
+    Raises :class:`RunFailed` if the run exits nonzero.
+    """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if done.returncode:
+        raise RunFailed({"returncode": done.returncode,
+                         "stderr_tail": done.stderr.splitlines()[-20:]})
     lines = done.stdout.splitlines()
     environment = next(json.loads(line.split(":", 1)[1]) for line in lines
                        if line.startswith("environment:"))
@@ -43,6 +62,8 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def quartiles(values):
+    if len(values) == 1:  # statistics.quantiles needs two points
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -86,15 +107,39 @@ def main(argv=None):
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     environments = {}
     workloads = {}
+
+    def write(failed_run=None):
+        record = {
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                       f"--seconds {args.seconds:g} --trace 0",
+            **{side: {k: env[k] for k in ("commit", "src_sha256")}
+               for side, env in environments.items()},
+        }
+        if "change" in environments:
+            record.update({k: environments["change"][k]
+                           for k in ("nproc", "cpu", "python", "numpy", "scipy", "seed")})
+        record["workloads"] = {name: {"summary": summarize(runs, metrics), "runs": runs}
+                               for name, runs in workloads.items() if runs}
+        if failed_run is not None:
+            record["failed_run"] = failed_run
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+
     for workload, count in plan:
-        runs = []
+        runs = workloads[workload] = []
         for i in range(count):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
                 started = time.monotonic()
-                result, environment = run_once(checkouts[side], workload, args.seed,
-                                               args.seconds)
+                try:
+                    result, environment = run_once(checkouts[side], workload, args.seed,
+                                                   args.seconds)
+                except RunFailed as failure:
+                    write({"workload": workload, "pair": i, "side": side,
+                           **failure.record})
+                    print(f"{workload} pair {i} {side}: failed ({failure}); "
+                          f"wrote {args.out}", file=sys.stderr)
+                    return 1
                 environments[side] = environment
                 pair[side] = {
                     "correct": result["correct"],
@@ -106,19 +151,7 @@ def main(argv=None):
                       f"updates_per_s={result['metrics']['updates_per_s']['value']:.0f} "
                       f"({time.monotonic() - started:.0f} s)", file=sys.stderr)
             runs.append(pair)
-        workloads[workload] = {"summary": summarize(runs, metrics), "runs": runs}
-
-    shared = {k: environments["change"][k]
-              for k in ("nproc", "cpu", "python", "numpy", "scipy", "seed")}
-    record = {
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "parent": {k: environments["parent"][k] for k in ("commit", "src_sha256")},
-        "change": {k: environments["change"][k] for k in ("commit", "src_sha256")},
-        **shared,
-        "workloads": workloads,
-    }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+            write()
     return 0
 
 
