@@ -23,23 +23,11 @@ from .harness import (
     run_alignment,
 )
 from .oracle import AlignmentReference, richardson_check
-from .simulate import (
-    ScenarioConfig,
-    SensorErrors,
-    generate_truth,
-    gps_fixes,
-    run_rng,
-    sample_imu,
-    simulation_sensor_defaults,
-)
+from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 
 def _load_config(args):
-    if args.config:
-        cfg, errors = ifio.load_config(args.config)
-    else:
-        cfg = ScenarioConfig()
-        errors = simulation_sensor_defaults()
+    cfg, errors = ifio.load_config(args.config) if args.config else ifio.config_from_dict({})
     if getattr(args, "seed", None) is not None:
         errors = replace(errors, seed=args.seed)
     if getattr(args, "no_lever_arm", False):

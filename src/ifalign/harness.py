@@ -5,6 +5,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -107,12 +108,9 @@ class AlignmentData:
         )
 
     @classmethod
-    def from_logs(cls, imu_path, gps_path, T, truth_path=None, max_gap_s=2.0,
-                  metadata=None):
+    def from_logs(cls, imu_path, gps_path, T, truth_path=None, metadata=None):
         """Replay mode: ingest CSV logs (see :mod:`ifalign.io` for formats)."""
-        dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(
-            imu_path, gps_path, T, max_gap_s
-        )
+        dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(imu_path, gps_path, T)
         truth_c = None
         if truth_path is not None:
             t_truth, q_truth, _, _ = ifio.read_truth(truth_path)
@@ -288,7 +286,8 @@ class McSummary:
         return "\n".join(lines)
 
 
-# Pool workers inherit the truth by fork, not 39 MB (120 s) pickled per task.
+# Pool workers inherit the truth by fork, not 39 MB (120 s) pickled per task;
+# the pool forks whatever the interpreter's default start method is.
 _MC_CONTEXT = {}
 
 
@@ -349,7 +348,8 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
     results = {}
     failed = []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        with (ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
+              if jobs > 1 else nullcontext()) as pool:
             outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)
             for index, errs, message in outcomes:
                 if message is None:

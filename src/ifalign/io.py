@@ -10,19 +10,20 @@ CSV conventions (decimal dot, 12 significant digits, headered):
   matrix).
 
 The scenario/sensor configuration is a single YAML document with
-``scenario`` and ``sensors`` sections; see ``data/default_scenario.yaml``
-for the full schema with the default values.
+``scenario`` and ``sensors`` sections, whose keys are the fields of
+:class:`ScenarioConfig` and :class:`SensorErrors`; see
+``data/default_scenario.yaml`` for the grouping and the defaults.
 """
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
 
 from .errors import FormatError, GapError, RateMismatch
-from .simulate import ScenarioConfig, SensorErrors, SineProfile
+from .simulate import ScenarioConfig, SensorErrors, simulation_sensor_defaults
 
 _FMT = "%.12g"
 
@@ -123,89 +124,97 @@ def read_truth(path):
 # Configuration files.
 
 
-def _profile_to_dict(profile):
-    return {
-        "amplitude": profile.amplitude,
-        "period_s": profile.period_s,
-        "phase_deg": profile.phase_deg,
-    }
+@dataclass(frozen=True)
+class _Config:  # the whole document, one section per config dataclass
+    scenario: ScenarioConfig
+    sensors: SensorErrors
 
 
-def _profile_from_dict(d):
-    return SineProfile(
-        amplitude=float(d.get("amplitude", 0.0)),
-        period_s=float(d.get("period_s", 1.0)),
-        phase_deg=float(d.get("phase_deg", 0.0)),
-    )
+# These ScenarioConfig fields sit one level down in the YAML, at (group, key).
+_GROUPED = {
+    "roll": ("attitude", "roll"),
+    "pitch": ("attitude", "pitch"),
+    "yaw": ("attitude", "yaw"),
+    "vel_mean_mps": ("velocity", "mean_mps"),
+    "vel_north": ("velocity", "north"),
+    "vel_up": ("velocity", "up"),
+    "vel_east": ("velocity", "east"),
+}
+
+
+def _layout(obj):
+    """Nested YAML keys of a config dataclass, each leaf a field name."""
+    grouped = _GROUPED if isinstance(obj, ScenarioConfig) else {}
+    layout = {}
+    for f in fields(obj):
+        group, key = grouped.get(f.name, (None, f.name))
+        (layout.setdefault(group, {}) if group else layout)[key] = f.name
+    return layout
+
+
+def _dump(obj, layout=None):
+    doc = {}
+    for key, sub in (layout or _layout(obj)).items():
+        value = _dump(obj, sub) if isinstance(sub, dict) else getattr(obj, sub)
+        doc[key] = _dump(value) if is_dataclass(value) else (
+            list(value) if isinstance(value, tuple) else value)
+    return doc
+
+
+def _leaves(layout, doc, path):
+    """``(field name, value, key path)`` of each key in the mapping ``doc``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path or 'config'} must be a mapping, got {doc!r}")
+    for key, value in doc.items():
+        key_path = f"{path}.{key}" if path else str(key)
+        if key not in layout:
+            raise FormatError(f"unknown key {key_path}")
+        if isinstance(layout[key], dict):
+            yield from _leaves(layout[key], value, key_path)
+        else:
+            yield layout[key], value, key_path
+
+
+def _override(default, doc, path=""):
+    """``default`` with the fields that the mapping ``doc`` names replaced."""
+    changes = {name: _value(getattr(default, name), value, key_path)
+               for name, value, key_path in _leaves(_layout(default), doc, path)}
+    try:
+        return replace(default, **changes)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+_KIND = {float: "a number", int: "an integer", tuple: "a list"}
+
+
+def _value(default, value, path):
+    """``value`` as the type of ``default`` (floats from strings too: ``1e-3``)."""
+    if is_dataclass(default):
+        return _override(default, value, path)
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_value(0.0, x, f"{path}[{i}]") for i, x in enumerate(value))
+    if isinstance(default, float) and type(value) in (int, float, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    elif isinstance(default, int) and type(value) is int:
+        return value
+    raise FormatError(f"{path} must be {_KIND[type(default)]}, got {value!r}")
 
 
 def config_to_dict(cfg, errors):
-    return {
-        "scenario": {
-            "latitude_deg": cfg.latitude_deg,
-            "longitude_deg": cfg.longitude_deg,
-            "height_m": cfg.height_m,
-            "duration_s": cfg.duration_s,
-            "imu_rate_hz": cfg.imu_rate_hz,
-            "update_interval_s": cfg.update_interval_s,
-            "substep_s": cfg.substep_s,
-            "attitude": {
-                "roll": _profile_to_dict(cfg.roll),
-                "pitch": _profile_to_dict(cfg.pitch),
-                "yaw": _profile_to_dict(cfg.yaw),
-            },
-            "velocity": {
-                "mean_mps": list(cfg.vel_mean_mps),
-                "north": _profile_to_dict(cfg.vel_north),
-                "up": _profile_to_dict(cfg.vel_up),
-                "east": _profile_to_dict(cfg.vel_east),
-            },
-        },
-        "sensors": {
-            "gyro_drift_deg_h": errors.gyro_drift_deg_h,
-            "gyro_noise_deg_h_sqrt_hz": errors.gyro_noise_deg_h_sqrt_hz,
-            "accel_bias_ug": errors.accel_bias_ug,
-            "accel_noise_ug_sqrt_hz": errors.accel_noise_ug_sqrt_hz,
-            "gps_vel_sigma_mps": errors.gps_vel_sigma_mps,
-            "gps_pos_sigma_m": errors.gps_pos_sigma_m,
-            "lever_arm_m": list(errors.lever_arm_m),
-            "seed": errors.seed,
-        },
-    }
+    return _dump(_Config(cfg, errors))
 
 
 def config_from_dict(doc):
-    sc = doc.get("scenario", {})
-    att = sc.get("attitude", {})
-    vel = sc.get("velocity", {})
-    cfg = ScenarioConfig(
-        latitude_deg=float(sc.get("latitude_deg", 30.0)),
-        longitude_deg=float(sc.get("longitude_deg", 0.0)),
-        height_m=float(sc.get("height_m", 0.0)),
-        duration_s=float(sc.get("duration_s", 300.0)),
-        imu_rate_hz=float(sc.get("imu_rate_hz", 100.0)),
-        update_interval_s=float(sc.get("update_interval_s", 0.02)),
-        substep_s=float(sc.get("substep_s", 0.001)),
-        roll=_profile_from_dict(att.get("roll", {})),
-        pitch=_profile_from_dict(att.get("pitch", {})),
-        yaw=_profile_from_dict(att.get("yaw", {})),
-        vel_mean_mps=tuple(float(x) for x in vel.get("mean_mps", (0.0, 0.0, 0.0))),
-        vel_north=_profile_from_dict(vel.get("north", {})),
-        vel_up=_profile_from_dict(vel.get("up", {})),
-        vel_east=_profile_from_dict(vel.get("east", {})),
-    )
-    se = doc.get("sensors", {})
-    errors = SensorErrors(
-        gyro_drift_deg_h=float(se.get("gyro_drift_deg_h", 0.0)),
-        gyro_noise_deg_h_sqrt_hz=float(se.get("gyro_noise_deg_h_sqrt_hz", 0.0)),
-        accel_bias_ug=float(se.get("accel_bias_ug", 0.0)),
-        accel_noise_ug_sqrt_hz=float(se.get("accel_noise_ug_sqrt_hz", 0.0)),
-        gps_vel_sigma_mps=float(se.get("gps_vel_sigma_mps", 0.0)),
-        gps_pos_sigma_m=float(se.get("gps_pos_sigma_m", 0.0)),
-        lever_arm_m=tuple(float(x) for x in se.get("lever_arm_m", (0.0, 0.0, 0.0))),
-        seed=int(se.get("seed", 0)),
-    )
-    return cfg, errors
+    """``(ScenarioConfig, SensorErrors)``: the CLI's built-in defaults with
+    the keys ``doc`` names replaced.  Raises :class:`FormatError` naming the
+    key path of an unknown key, a section that is not a mapping or a value
+    of the wrong type."""
+    config = _override(_Config(ScenarioConfig(), simulation_sensor_defaults()), doc)
+    return config.scenario, config.sensors
 
 
 def save_config(path, cfg, errors):
@@ -215,9 +224,11 @@ def save_config(path, cfg, errors):
 
 def load_config(path):
     with open(path, "r", encoding="ascii") as fh:
-        doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict):
-        raise FormatError("config must be a YAML mapping", path=path)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise FormatError(f"config is not YAML: {' '.join(str(exc).split())}",
+                              path=path) from None
     return config_from_dict(doc)
 
 
@@ -230,20 +241,22 @@ def config_hash(cfg, errors):
 # ---------------------------------------------------------------------------
 # Log ingestion.
 
+MAX_GAP_S = 2.0  # longest gap between GPS fixes that interpolation bridges, s
 
-def interpolate_fixes(gps_t, gps_v, gps_p, grid_t, max_gap_s=2.0):
+
+def interpolate_fixes(gps_t, gps_v, gps_p, grid_t):
     """Linear interpolation of GPS fixes onto the update-endpoint grid.
 
     Longitude is unwrapped before interpolation so dateline crossings stay
     continuous.  Raises :class:`GapError` when fixes do not cover the grid
-    or any gap between consecutive fixes exceeds ``max_gap_s``.
+    or any gap between consecutive fixes exceeds ``MAX_GAP_S``.
     """
     if np.any(np.diff(gps_t) <= 0.0):
         raise FormatError("GPS timestamps must be strictly increasing")
     gaps = np.diff(gps_t)
-    if gaps.size and float(np.max(gaps)) > max_gap_s:
+    if gaps.size and float(np.max(gaps)) > MAX_GAP_S:
         raise GapError(
-            f"GPS gap of {float(np.max(gaps)):.3f} s exceeds {max_gap_s} s"
+            f"GPS gap of {float(np.max(gaps)):.3f} s exceeds {MAX_GAP_S} s"
         )
     tol = 1e-9
     if gps_t[0] > grid_t[0] + tol or gps_t[-1] < grid_t[-1] - tol:
@@ -261,7 +274,7 @@ def interpolate_fixes(gps_t, gps_v, gps_p, grid_t, max_gap_s=2.0):
     return v, p
 
 
-def ingest_logs(imu_path, gps_path, T, max_gap_s=2.0):
+def ingest_logs(imu_path, gps_path, T):
     """Pair an IMU sample log with interpolated GPS aiding.
 
     Returns ``(dtheta, dv, fix_t, fix_v, fix_p)`` where the increment
@@ -294,5 +307,5 @@ def ingest_logs(imu_path, gps_path, T, max_gap_s=2.0):
     t0 = float(t_end[0] - dt)
     grid_t = t0 + np.arange(n_updates + 1) * T
     gps_t, gps_v, gps_p = read_gps(gps_path)
-    fix_v, fix_p = interpolate_fixes(gps_t, gps_v, gps_p, grid_t, max_gap_s)
+    fix_v, fix_p = interpolate_fixes(gps_t, gps_v, gps_p, grid_t)
     return dtheta, dv, grid_t, fix_v, fix_p

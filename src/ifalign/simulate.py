@@ -13,7 +13,7 @@ body-frame lever arm, with white velocity/position noise.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class SineProfile:
         return self.amplitude * w * np.cos(w * np.asarray(t, dtype=float) + self.phase_deg * D2R)
 
 
+def _check_vector3(name, value):
+    if np.shape(value) != (3,) or not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        raise ValueError(f"{name} must be three finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Truth-trajectory definition.
@@ -64,6 +69,10 @@ class ScenarioConfig:
     latitude_deg: float = 30.0
     longitude_deg: float = 0.0
     height_m: float = 0.0
+    duration_s: float = 300.0
+    imu_rate_hz: float = 100.0
+    update_interval_s: float = 0.02
+    substep_s: float = 0.001
     roll: SineProfile = field(default_factory=lambda: SineProfile(15.0, 90.0, 0.0))
     pitch: SineProfile = field(default_factory=lambda: SineProfile(10.0, 80.0, 70.0))
     yaw: SineProfile = field(default_factory=lambda: SineProfile(30.0, 140.0, 30.0))
@@ -71,14 +80,13 @@ class ScenarioConfig:
     vel_north: SineProfile = field(default_factory=lambda: SineProfile(17.0, 210.0, 0.0))
     vel_up: SineProfile = field(default_factory=lambda: SineProfile(2.0, 50.0, 90.0))
     vel_east: SineProfile = field(default_factory=lambda: SineProfile(16.0, 190.0, 200.0))
-    duration_s: float = 300.0
-    imu_rate_hz: float = 100.0
-    update_interval_s: float = 0.02
-    substep_s: float = 0.001
 
     def __post_init__(self):
-        if self.duration_s <= 0.0:
-            raise ValueError("duration must be positive")
+        _check_vector3("vel_mean_mps", self.vel_mean_mps)
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not self.substep_s > 0.0:
+            raise ValueError("substep must be positive")
         if abs(self.imu_rate_hz * self.update_interval_s - 2.0) > 1e-9:
             raise ValueError(
                 "imu_rate_hz * update_interval_s must be 2 (two samples per update)"
@@ -135,20 +143,10 @@ class SensorErrors:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "gyro_drift_deg_h",
-            "gyro_noise_deg_h_sqrt_hz",
-            "accel_bias_ug",
-            "accel_noise_ug_sqrt_hz",
-            "gps_vel_sigma_mps",
-            "gps_pos_sigma_m",
-        ):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def lever_arm(self):
-        return np.asarray(self.lever_arm_m, dtype=float)
+        for f in fields(self):
+            if f.type is float and getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must be nonnegative")
+        _check_vector3("lever_arm_m", self.lever_arm_m)
 
     def without_lever_arm(self):
         return replace(self, lever_arm_m=(0.0, 0.0, 0.0))
@@ -296,7 +294,6 @@ class TruthModel:
             axis=-1,
         )
         return {
-            "euler": euler,
             "c_b_n": c_b_n,
             "v": v,
             "p": p,
@@ -318,7 +315,6 @@ class Truth:
 
     cfg: ScenarioConfig
     t: np.ndarray            # (N,)
-    euler: np.ndarray        # (N, 3) rad
     c_b_n: np.ndarray        # (N, 3, 3)
     v: np.ndarray            # (N, 3) m/s
     p: np.ndarray            # (N, 3) [lon, lat, h]
@@ -413,12 +409,12 @@ def sample_imu(truth, errors=None, rng=None):
 
 
 def _lever_arm_offsets(truth, idx, lever):
-    """Nav-frame position offset and velocity offset of the GPS antenna."""
+    """Nav-frame position offset and velocity offset ``C (omega_eb x l)`` of
+    the GPS antenna, with ``omega_eb = omega_ib - C^T omega_ie``."""
     c_b_n = truth.c_b_n[idx]
-    omega_ib = truth.omega_ib_b[idx]
-    omega_in = truth.omega_in_n[idx]
+    omega_ie = earth.earth_rate_n(truth.p[idx, 1])
     arm_n = np.einsum("nij,j->ni", c_b_n, lever)
-    omega_eb_b = omega_ib - np.einsum("nji,nj->ni", c_b_n, omega_in)
+    omega_eb_b = truth.omega_ib_b[idx] - np.einsum("nji,nj->ni", c_b_n, omega_ie)
     vel_off = np.einsum("nij,nj->ni", c_b_n, np.cross(omega_eb_b, lever))
     return arm_n, vel_off
 
@@ -446,7 +442,7 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
     p = truth.p[idx].copy()
 
     if errors is not None:
-        lever = errors.lever_arm
+        lever = np.asarray(errors.lever_arm_m, dtype=float)
         if np.any(lever != 0.0):
             arm_n, vel_off = _lever_arm_offsets(truth, idx, lever)
             p = p + earth.curvilinear_rate(arm_n, p)

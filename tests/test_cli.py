@@ -149,6 +149,43 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("scenario: {durationn_s: 10}", "scenario.durationn_s"),
+        ("sensors: {lever_arm_m: 1.0}", "sensors.lever_arm_m"),
+        ("sensors: {lever_arm_m: [1, 2]}", "lever_arm_m"),
+        ("scenario: {attitude: {roll: 5}}", "scenario.attitude.roll"),
+        ("scenario: [1, 2]", "scenario"),
+    ],
+    ids=["unknown-key", "arm-scalar", "arm-two-elements", "profile-scalar",
+         "section-list"],
+)
+def test_invalid_config_exit_code(text, key, tmp_path, monkeypatch, capsys):
+    from ifalign import harness
+
+    def no_truth(*args, **kwargs):
+        raise AssertionError("an invalid config must not generate the truth")
+
+    monkeypatch.setattr(harness, "generate_truth", no_truth)
+    monkeypatch.setattr(cli, "generate_truth", no_truth)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text + "\n")
+    assert cli.main(["align", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+def test_partial_config_is_default_plus_its_keys(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("scenario: {duration_s: 4}\n")
+    assert cli.main(["align", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["align", "--duration", "4", "--out", str(tmp_path / "b")]) == 0
+    for method in ("vif", "pif"):
+        name = f"report_{method}.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_console_entry_point(tmp_path):
     # the subprocess imports the same ifalign as this process
     src = str(Path(ifalign.__file__).resolve().parent.parent)

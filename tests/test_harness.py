@@ -325,7 +325,7 @@ class TestMonteCarlo:
         class RecordingExecutor:
             """Stands in for the process pool: records its size, maps in-process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 workers.append(max_workers)
 
             def __enter__(self):
@@ -349,6 +349,33 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=jobs, truth=mc_truth)
         assert workers == [3]
+
+    def test_pool_forks_under_any_default_start_method(self):
+        # workers find the truth only in the forked parent's memory
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ifalign
+
+        code = (
+            "import multiprocessing\n"
+            "from ifalign.harness import monte_carlo\n"
+            "from ifalign.simulate import ScenarioConfig, simulation_sensor_defaults\n"
+            "multiprocessing.set_start_method('forkserver')\n"
+            "summary = monte_carlo(ScenarioConfig(duration_s=4.0),\n"
+            "                      simulation_sensor_defaults(3), 2, 'vif',\n"
+            "                      epochs=[4.0], jobs=2)\n"
+            "assert summary.n_runs == 2 and not summary.failed, summary.failed\n"
+        )
+        src = str(Path(ifalign.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_summary_table_format(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,64 @@ class TestConfigFiles:
         cfg, errors = ifio.config_from_dict(doc)
         assert cfg == ScenarioConfig()
         assert errors == simulation_sensor_defaults()
+        # every key written out: omitted keys would fall back unnoticed
+        assert doc == ifio.config_to_dict(ScenarioConfig(), simulation_sensor_defaults())
+
+    def test_omitted_keys_take_the_defaults(self):
+        assert ifio.config_from_dict({}) == (ScenarioConfig(), simulation_sensor_defaults())
+        loaded = ifio.config_from_dict({
+            "scenario": {"duration_s": 10, "attitude": {"roll": {"amplitude": 5}}},
+            "sensors": {"seed": 4, "lever_arm_m": [1, 0, 0]},
+        })
+        expected = (
+            ScenarioConfig(duration_s=10.0, roll=SineProfile(5.0, 90.0, 0.0)),
+            replace(simulation_sensor_defaults(seed=4), lever_arm_m=(1.0, 0.0, 0.0)),
+        )
+        assert loaded == expected
+        # integers in the document are read as the floats they stand for
+        assert ifio.config_hash(*loaded) == ifio.config_hash(*expected)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"scenario": {"durationn_s": 10}}, "unknown key scenario.durationn_s"),
+        ({"scenario": {"attitude": {"rol": {}}}}, "unknown key scenario.attitude.rol"),
+        ({"sensor": {}}, "unknown key sensor"),
+        ({"scenario": [1, 2]}, "scenario must be a mapping"),
+        ({"scenario": {"attitude": {"roll": 5}}}, "scenario.attitude.roll must be a mapping"),
+        ({"sensors": {"lever_arm_m": 1.0}}, "sensors.lever_arm_m must be a list"),
+        ({"sensors": {"lever_arm_m": [1, "x", 0]}}, r"sensors.lever_arm_m\[1\] must be a number"),
+        ({"sensors": {"lever_arm_m": [1, 2]}}, "sensors: lever_arm_m must be three"),
+        ({"sensors": {"seed": 1.5}}, "sensors.seed must be an integer"),
+        ({"sensors": {"accel_bias_ug": True}}, "sensors.accel_bias_ug must be a number"),
+        ({"scenario": {"duration_s": "ten"}}, "scenario.duration_s must be a number"),
+        ({"scenario": {"duration_s": -1}}, "scenario: duration must be positive"),
+        ({"scenario": {"duration_s": math.inf}}, "scenario: duration must be positive"),
+        ({"scenario": {"substep_s": 0}}, "scenario: substep must be positive"),
+        (None, "config must be a mapping"),
+    ])
+    def test_bad_document_names_the_key(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            ifio.config_from_dict(doc)
+
+    def test_yaml_exponent_without_dot(self, tmp_path):
+        # YAML 1.1 reads 1e-3 as a string; it is still the number it spells
+        path = tmp_path / "scenario.yaml"
+        path.write_text("scenario: {substep_s: 1e-3}\n")
+        assert ifio.load_config(path)[0].substep_s == 0.001
+
+    def test_hash_is_stable(self):
+        # digests of configs saved before the schema was read off the dataclasses
+        from ifalign.simulate import turning_scenario
+
+        assert ifio.config_hash(
+            ScenarioConfig(), simulation_sensor_defaults()
+        ) == "ce575fee8e2d7b70"
+        assert ifio.config_hash(
+            turning_scenario(30.0), SensorErrors(lever_arm_m=(1.0, 0.0, 0.0), seed=4)
+        ) == "11e0699862063c42"
+        assert ifio.config_hash(
+            ScenarioConfig(duration_s=50.0, vel_mean_mps=(10.0, 1.0, -3.0)),
+            simulation_sensor_defaults(99),
+        ) == "ca75ce7cc2ff0fe8"
 
     def test_hash_changes_with_config(self):
         cfg = ScenarioConfig()
@@ -134,7 +193,7 @@ class TestInterpolation:
         v = np.zeros((4, 3))
         p = np.zeros((4, 3))
         with pytest.raises(GapError):
-            ifio.interpolate_fixes(t, v, p, np.array([0.0, 4.0]), max_gap_s=2.0)
+            ifio.interpolate_fixes(t, v, p, np.array([0.0, 4.0]))
 
     def test_coverage_required(self):
         t = np.array([0.5, 1.0])

@@ -38,6 +38,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SensorErrors(gps_vel_sigma_mps=-0.1)
 
+    @pytest.mark.parametrize("vector", [(1.0, 2.0), 1.0, (1.0, math.nan, 0.0)],
+                             ids=["two-elements", "scalar", "nan"])
+    def test_vectors_must_be_three_finite_numbers(self, vector):
+        with pytest.raises(ValueError, match="lever_arm_m"):
+            SensorErrors(lever_arm_m=vector)
+        with pytest.raises(ValueError, match="vel_mean_mps"):
+            ScenarioConfig(vel_mean_mps=vector)
+
     def test_profile_needs_period(self):
         with pytest.raises(ValueError):
             SineProfile(amplitude=1.0, period_s=0.0)
@@ -256,6 +264,25 @@ class TestGps:
             )
         v_fd = (to_m(p_next) - to_m(p_prev)) / (2.0 * dt)
         np.testing.assert_allclose(v_fd, fix_v[i], atol=2e-4)
+
+    def test_lever_arm_velocity_matches_ecef_derivative(self):
+        # the antenna's ground velocity is the rate of the arm in the
+        # Earth-fixed frame, C_n^e C_b^n l, resolved back into the nav frame
+        truth = generate_truth(ScenarioConfig(duration_s=60.0))
+        lever = np.array([1.0, 1.0, 1.0])
+        _, fix_v, _ = gps_fixes(truth, SensorErrors(lever_arm_m=tuple(lever)))
+        idx = truth.update_indices()
+        dt = truth.cfg.substep_s
+
+        def arm_e(j):
+            return earth.nav_to_ecef_dcm(truth.p[j]) @ truth.c_b_n[j] @ lever
+
+        worst = 0.0
+        for k, i in enumerate(idx[1:-1], start=1):
+            rate_e = (arm_e(i + 1) - arm_e(i - 1)) / (2.0 * dt)
+            rate_n = earth.nav_to_ecef_dcm(truth.p[i]).T @ rate_e
+            worst = max(worst, np.max(np.abs(fix_v[k] - truth.v[i] - rate_n)))
+        assert worst < 1e-9
 
     def test_noise_is_seed_deterministic(self, short_truth):
         errs = simulation_sensor_defaults(seed=42)

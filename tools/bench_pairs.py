@@ -18,9 +18,11 @@ nine tenths of the pairs and the medians differ by more than the parent's
 interquartile range.  Progress goes to standard error.
 
 The output is rewritten after every pair, so an interrupted session keeps
-the pairs it finished.  A run that exits nonzero stops the session: its
-exit code and the tail of its standard error go into the output under
-``"failed_run"``, and the script exits with status 1.
+the pairs it finished.  A run that exits nonzero, or whose result is not
+``correct`` or counts failed operations, stops the session: its exit code
+and the tail of its standard error, or its result counts and ``FAILED:``
+lines, go into the output under ``"failed_run"``, and the script exits
+with status 1.
 """
 
 import argparse
@@ -35,17 +37,18 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 class RunFailed(Exception):
-    """A benchmark run exited nonzero; ``record`` says how."""
+    """A benchmark run exited nonzero or was incorrect; ``record`` says how."""
 
-    def __init__(self, record):
-        super().__init__(f"exit code {record['returncode']}")
+    def __init__(self, reason, record):
+        super().__init__(reason)
         self.record = record
 
 
 def run_once(checkout, workload, seed, seconds):
     """One benchmark run in ``checkout``: its result and environment records.
 
-    Raises :class:`RunFailed` if the run exits nonzero.
+    Raises :class:`RunFailed` if the run exits nonzero, is not correct or
+    counts failed operations.
     """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -53,12 +56,20 @@ def run_once(checkout, workload, seed, seconds):
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode:
-        raise RunFailed({"returncode": done.returncode,
+        raise RunFailed(f"exit code {done.returncode}",
+                        {"returncode": done.returncode,
                          "stderr_tail": done.stderr.splitlines()[-20:]})
     lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        raise RunFailed(f"correct={result['correct']} failed={result['failed']}",
+                        {"correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"],
+                         "failed_lines": [line.strip() for line in lines
+                                          if line.strip().startswith("FAILED:")]})
     environment = next(json.loads(line.split(":", 1)[1]) for line in lines
                        if line.startswith("environment:"))
-    return json.loads(lines[-1]), environment
+    return result, environment
 
 
 def quartiles(values):
