@@ -42,7 +42,6 @@ from .simulate import (
     SensorErrors,
     SineProfile,
     Truth,
-    TruthModel,
     generate_truth,
     gps_fixes,
     sample_imu,
@@ -72,7 +71,6 @@ __all__ = [
     "SensorErrors",
     "SineProfile",
     "Truth",
-    "TruthModel",
     "VelocityIntegrationAligner",
     "accumulate",
     "body_rotvec",

@@ -3,8 +3,8 @@
 Verbs: ``simulate`` (emit truth/IMU/GPS logs), ``align`` (run one method on
 a scenario or on logs), ``montecarlo`` (batch statistics), ``oracle``
 (fine-step reference integrals).  Exit codes: 0 success, 2 file-format
-problem or invalid argument value, 3 numerical failure (attitude still
-unobservable at the end).
+problem, unreadable file or invalid argument value, 3 numerical failure
+(attitude still unobservable at the end).
 """
 
 import argparse
@@ -144,14 +144,14 @@ def _cmd_oracle(args):
     cfg, _ = _load_config(args)
     t_end = args.t_end if args.t_end is not None else cfg.duration_s
     truth = generate_truth(replace(cfg, duration_s=max(t_end, cfg.update_interval_s)))
-    ref = AlignmentReference(truth.model, substep=args.substep)
+    ref = AlignmentReference(truth, substep=args.substep)
     out = ref.run(t_end)
     print(f"reference integrals at t={t_end} s (substep {args.substep} s)")
     for name in ("alpha_v", "beta_v", "alpha_p", "beta_p"):
         vec = out[name][-1]
         print(f"  {name}: {vec[0]:.9e} {vec[1]:.9e} {vec[2]:.9e}")
     if args.richardson:
-        change = richardson_check(truth.model, t_end, args.substep)
+        change = richardson_check(truth, t_end, args.substep)
         print(f"  substep halving changes outputs by {change:.3e}")
     return 0
 
@@ -210,14 +210,12 @@ def main(argv=None):
     p_oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
-    if getattr(args, "methods", None) is not None and not args.methods:
-        args.methods = None
     if hasattr(args, "methods") and args.methods is None:
         args.methods = ["vif", "pif"]
 
     try:
         return args.func(args)
-    except (FormatError, GapError, RateMismatch, ValueError) as exc:
+    except (FormatError, GapError, RateMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IfalignError as exc:

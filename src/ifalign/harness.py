@@ -206,7 +206,7 @@ def _report_stride(report_interval_s, T):
     return int(round(stride))
 
 
-def run_alignment(data, method, report_interval_s=1.0, metadata=None):
+def run_alignment(data, method, report_interval_s=1.0):
     """Drive one aligner over an :class:`AlignmentData` stream.
 
     Every interval is folded in; the attitude is solved once per report
@@ -247,9 +247,7 @@ def run_alignment(data, method, report_interval_s=1.0, metadata=None):
                 )
         row += 1
 
-    meta = dict(data.metadata)
-    meta.update(metadata or {})
-    meta["method"] = method
+    meta = dict(data.metadata, method=method)
     return RunReport(
         method=method,
         t=t_rows,

@@ -153,11 +153,17 @@ def _layout(obj):
 
 
 def _dump(obj, layout=None):
+    """The YAML mapping of a config dataclass, each value converted to its
+    field's declared type, so that ``50`` and ``50.0`` dump (and hash) alike."""
+    kinds = {f.name: f.type for f in fields(obj)}
     doc = {}
     for key, sub in (layout or _layout(obj)).items():
-        value = _dump(obj, sub) if isinstance(sub, dict) else getattr(obj, sub)
+        if isinstance(sub, dict):
+            doc[key] = _dump(obj, sub)
+            continue
+        value, kind = getattr(obj, sub), kinds[sub]
         doc[key] = _dump(value) if is_dataclass(value) else (
-            list(value) if isinstance(value, tuple) else value)
+            [float(x) for x in value] if kind is tuple else kind(value))
     return doc
 
 

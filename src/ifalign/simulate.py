@@ -38,17 +38,14 @@ class SineProfile:
         if self.amplitude != 0.0 and self.period_s <= 0.0:
             raise ValueError("period must be positive when amplitude is nonzero")
 
-    def value(self, t):
+    def evaluate(self, t):
+        """``(value, rate)`` at times ``t``, from one argument column."""
+        t = np.asarray(t, dtype=float)
         if self.amplitude == 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float))
+            return np.zeros_like(t), np.zeros_like(t)
         w = 2.0 * math.pi / self.period_s
-        return self.amplitude * np.sin(w * np.asarray(t, dtype=float) + self.phase_deg * D2R)
-
-    def rate(self, t):
-        if self.amplitude == 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        w = 2.0 * math.pi / self.period_s
-        return self.amplitude * w * np.cos(w * np.asarray(t, dtype=float) + self.phase_deg * D2R)
+        arg = w * t + self.phase_deg * D2R
+        return self.amplitude * np.sin(arg), self.amplitude * w * np.cos(arg)
 
 
 def _check_vector3(name, value):
@@ -208,81 +205,42 @@ def _cumquad0(y, dx):
     return out
 
 
-class TruthModel:
-    """Analytic truth accessors backed by the integrated position history.
+def _stack(profiles, t):
+    """Values and rates of three profiles at ``t``, as two ``(..., 3)`` stacks."""
+    values, rates = zip(*(profile.evaluate(t) for profile in profiles))
+    return np.stack(values, axis=-1), np.stack(rates, axis=-1)
+
+
+class Truth:
+    """Truth trajectory of a scenario, sampled on its fine substep grid.
 
     Attitude and velocity are closed-form.  Position is integrated from the
-    velocity on the fine grid ``t_grid`` (``p_grid``); between grid points
-    a cubic spline interpolates it, so the model can be evaluated at
-    arbitrary times by reference integrators.  Only those use the spline,
-    so it (and scipy) is built on the first :meth:`position` call.
+    velocity on the grid ``t`` (``p``); between grid points a cubic spline
+    interpolates it, so :meth:`kinematics` evaluates the truth at arbitrary
+    times for the reference integrators.  Only those use the spline, so it
+    (and scipy) is built on the first :meth:`position` call.  The grid
+    arrays ``c_b_n`` (N, 3, 3), ``v`` (m/s), ``p`` ([lon, lat, h]),
+    ``omega_ib_b``, ``omega_in_n`` (rad/s) and ``f_b`` (m/s^2), each
+    (N, 3), come from the same derivation as :meth:`kinematics`.
     """
 
-    def __init__(self, cfg, t_grid):
+    def __init__(self, cfg):
         self.cfg = cfg
-        self.t_grid = t_grid
-        self.v_grid = self.velocity(t_grid)
-        self.p_grid = _integrate_position(cfg, self.v_grid)
+        n = int(round(cfg.duration_s / cfg.substep_s))
+        self.t = np.arange(n + 1) * cfg.substep_s
+        v, v_rate = self.velocity(self.t)
+        p = _integrate_position(cfg, v)
         self._p_spline = None
+        vars(self).update(self._derive(self.t, v, v_rate, p))
 
-    def euler(self, t):
+    def _attitude(self, t):
+        """Body-to-nav DCM ``(..., 3, 3)`` and body rate relative to the nav
+        frame ``(..., 3)`` (rad/s) at ``t``, from the Euler angle profiles."""
         c = self.cfg
-        return np.stack(
-            [c.roll.value(t) * D2R, c.pitch.value(t) * D2R, c.yaw.value(t) * D2R],
-            axis=-1,
-        )
-
-    def euler_rate(self, t):
-        c = self.cfg
-        return np.stack(
-            [c.roll.rate(t) * D2R, c.pitch.rate(t) * D2R, c.yaw.rate(t) * D2R],
-            axis=-1,
-        )
-
-    def velocity(self, t):
-        c = self.cfg
-        mean = np.asarray(c.vel_mean_mps, dtype=float)
-        osc = np.stack(
-            [c.vel_north.value(t), c.vel_up.value(t), c.vel_east.value(t)], axis=-1
-        )
-        return mean + osc
-
-    def velocity_rate(self, t):
-        c = self.cfg
-        return np.stack(
-            [c.vel_north.rate(t), c.vel_up.rate(t), c.vel_east.rate(t)], axis=-1
-        )
-
-    def position(self, t):
-        if self._p_spline is None:
-            from scipy.interpolate import CubicSpline
-
-            self._p_spline = CubicSpline(self.t_grid, self.p_grid, axis=0)
-        return self._p_spline(t)
-
-    def c_b_n(self, t):
-        return euler_to_dcm(self.euler(t))
-
-    def kinematics(self, t, p=None, v=None):
-        """The truth at times ``t``, as a dict keyed by the :class:`Truth` fields.
-
-        The one derivation of ``c_b_n``, ``omega_in_n``, ``omega_ib_b`` and
-        ``f_b``: the attitude and velocity rate equations solved for the
-        body rate and the specific force.  ``p`` and ``v`` are the position
-        and velocity at ``t`` where the caller has them (default: the
-        spline's position and the closed-form velocity).
-        """
-        p = self.position(t) if p is None else p
-        v = self.velocity(t) if v is None else v
-        omega_ie, omega_in, g_n = earth.kinematics_n(v, p)
-        # vdot + (2 w_ie + w_en) x v - g: the specific force in the nav frame
-        f_n = self.velocity_rate(t) + np.cross(omega_ie + omega_in, v) - g_n
-        del omega_ie, g_n  # freed before the attitude columns: lower peak memory
-
-        euler = self.euler(t)
+        euler, euler_rate = _stack((c.roll, c.pitch, c.yaw), t)
+        euler, euler_rate = euler * D2R, euler_rate * D2R
         c_b_n = euler_to_dcm(euler)
-        c_n_b = np.swapaxes(c_b_n, -1, -2)
-        roll_d, pitch_d, yaw_d = np.moveaxis(self.euler_rate(t), -1, 0)
+        roll_d, pitch_d, yaw_d = np.moveaxis(euler_rate, -1, 0)
         sr, cr = np.sin(euler[..., 0]), np.cos(euler[..., 0])
         sp, cp = np.sin(euler[..., 1]), np.cos(euler[..., 1])
         omega_nb_b = np.stack(
@@ -293,6 +251,41 @@ class TruthModel:
             ],
             axis=-1,
         )
+        return c_b_n, omega_nb_b
+
+    def velocity(self, t):
+        """Velocity and its rate (m/s, m/s^2) at ``t``, as ``(..., 3)``."""
+        c = self.cfg
+        osc, v_rate = _stack((c.vel_north, c.vel_up, c.vel_east), t)
+        return np.asarray(c.vel_mean_mps, dtype=float) + osc, v_rate
+
+    def position(self, t):
+        if self._p_spline is None:
+            from scipy.interpolate import CubicSpline
+
+            self._p_spline = CubicSpline(self.t, self.p, axis=0)
+        return self._p_spline(t)
+
+    def kinematics(self, t):
+        """The truth at times ``t``: a dict of ``c_b_n``, ``v``, ``p``,
+        ``omega_ib_b``, ``f_b`` and ``omega_in_n``, shaped like the grid
+        arrays."""
+        return self._derive(t, *self.velocity(t), self.position(t))
+
+    def _derive(self, t, v, v_rate, p):
+        """The one derivation of ``c_b_n``, ``omega_in_n``, ``omega_ib_b``
+        and ``f_b``: the attitude and velocity rate equations solved for the
+        body rate and the specific force.  ``v_rate`` is overwritten."""
+        omega_ie, omega_in, g_n = earth.kinematics_n(v, p)
+        # vdot + (2 w_ie + w_en) x v - g: the specific force in the nav frame,
+        # formed in the rate's own array (lower peak memory)
+        f_n = v_rate
+        f_n += np.cross(omega_ie + omega_in, v)
+        f_n -= g_n
+        del omega_ie, g_n  # freed before the attitude columns
+
+        c_b_n, omega_nb_b = self._attitude(t)
+        c_n_b = np.swapaxes(c_b_n, -1, -2)
         return {
             "c_b_n": c_b_n,
             "v": v,
@@ -301,27 +294,6 @@ class TruthModel:
             "f_b": np.einsum("...ij,...j->...i", c_n_b, f_n),
             "omega_in_n": omega_in,
         }
-
-    def omega_ib_b(self, t):
-        return self.kinematics(t)["omega_ib_b"]
-
-    def specific_force_b(self, t):
-        return self.kinematics(t)["f_b"]
-
-
-@dataclass(frozen=True)
-class Truth:
-    """Truth trajectory sampled on the fine substep grid."""
-
-    cfg: ScenarioConfig
-    t: np.ndarray            # (N,)
-    c_b_n: np.ndarray        # (N, 3, 3)
-    v: np.ndarray            # (N, 3) m/s
-    p: np.ndarray            # (N, 3) [lon, lat, h]
-    omega_ib_b: np.ndarray   # (N, 3) rad/s
-    f_b: np.ndarray          # (N, 3) m/s^2
-    omega_in_n: np.ndarray   # (N, 3) rad/s
-    model: TruthModel
 
     @property
     def substeps_per_update(self):
@@ -358,10 +330,7 @@ def _integrate_position(cfg, v):
 
 def generate_truth(cfg):
     """Evaluate the truth trajectory of a scenario on its substep grid."""
-    n = int(round(cfg.duration_s / cfg.substep_s))
-    t = np.arange(n + 1) * cfg.substep_s
-    model = TruthModel(cfg, t)
-    return Truth(cfg=cfg, t=t, model=model, **model.kinematics(t, model.p_grid, model.v_grid))
+    return Truth(cfg)
 
 
 def _simpson_weights(n_panels, dx):

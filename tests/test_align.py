@@ -414,7 +414,7 @@ class TestManeuveringRun:
             "vif", short_data.fix_v[0], short_data.T
         )
         drive(al, short_data)
-        ref = AlignmentReference(short_truth.model, substep=0.005).run(
+        ref = AlignmentReference(short_truth, substep=0.005).run(
             short_truth.cfg.duration_s
         )
         assert rotation_angle(al.c_body @ ref["c_body"][-1].T) < 1e-7
@@ -431,7 +431,7 @@ class TestManeuveringRun:
         )
         drive(vif, short_data)
         drive(pif, short_data)
-        ref = AlignmentReference(short_truth.model, substep=0.005).run(
+        ref = AlignmentReference(short_truth, substep=0.005).run(
             short_truth.cfg.duration_s
         )
         for al, a_key, b_key in ((vif, "alpha_v", "beta_v"), (pif, "alpha_p", "beta_p")):

@@ -176,6 +176,17 @@ def test_invalid_config_exit_code(text, key, tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--imu"])
+def test_missing_file_exit_code(flag, tmp_path, capsys):
+    gps = tmp_path / "gps.csv"
+    gps.write_text(ifio.GPS_HEADER + "\n0,0.5,0,0,0,0,0\n")
+    missing = tmp_path / "missing.file"
+    argv = ["align", flag, str(missing)] + (["--gps", str(gps)] if flag == "--imu" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
 def test_partial_config_is_default_plus_its_keys(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text("scenario: {duration_s: 4}\n")

@@ -263,7 +263,7 @@ class TestOracleDrift:
 
         truth = generate_truth(ScenarioConfig())
         data = AlignmentData.from_simulation(truth)
-        ref = AlignmentReference(truth.model, substep=0.005).run(300.0)
+        ref = AlignmentReference(truth, substep=0.005).run(300.0)
         for method, a_key, b_key in (
             ("vif", "alpha_v", "beta_v"),
             ("pif", "alpha_p", "beta_p"),

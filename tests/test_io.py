@@ -153,6 +153,28 @@ class TestConfigFiles:
             simulation_sensor_defaults(99),
         ) == "ca75ce7cc2ff0fe8"
 
+    def test_hash_reads_values_as_their_field_types(self, tmp_path):
+        # integers where the fields are floats hash like the floats, and
+        # like the same config saved and loaded back
+        typed = (
+            ScenarioConfig(duration_s=50.0, vel_mean_mps=(10.0, 1.0, -3.0),
+                           roll=SineProfile(15.0, 90.0, 0.0)),
+            replace(simulation_sensor_defaults(99), lever_arm_m=(1.0, 0.0, 0.0)),
+        )
+        untyped = (
+            ScenarioConfig(duration_s=50, vel_mean_mps=(10, 1, -3),
+                           roll=SineProfile(15, 90, 0)),
+            replace(simulation_sensor_defaults(99), lever_arm_m=(1, 0, 0),
+                    accel_bias_ug=50),
+        )
+        ifio.save_config(tmp_path / "untyped.yaml", *untyped)
+        loaded = ifio.load_config(tmp_path / "untyped.yaml")
+        assert loaded == typed
+        assert ifio.config_hash(*untyped) == ifio.config_hash(*typed)
+        assert ifio.config_hash(*loaded) == ifio.config_hash(*typed)
+        assert ifio.config_hash(ScenarioConfig(duration_s=50), simulation_sensor_defaults()) \
+            == ifio.config_hash(ScenarioConfig(duration_s=50.0), simulation_sensor_defaults())
+
     def test_hash_changes_with_config(self):
         cfg = ScenarioConfig()
         errors = simulation_sensor_defaults()

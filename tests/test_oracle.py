@@ -58,17 +58,17 @@ class TestKernelReferences:
 class TestAlignmentReference:
     def test_defining_identity_holds(self, short_truth):
         # C_b^n(0) alpha == beta for both integral forms, by construction
-        ref = oracle.AlignmentReference(short_truth.model, substep=0.005).run(10.0)
+        ref = oracle.AlignmentReference(short_truth, substep=0.005).run(10.0)
         c0 = short_truth.c_b_n[0]
         assert np.linalg.norm(c0 @ ref["alpha_v"][-1] - ref["beta_v"][-1]) < 1e-9
         assert np.linalg.norm(c0 @ ref["alpha_p"][-1] - ref["beta_p"][-1]) < 1e-8
 
     def test_richardson_convergence(self, short_truth):
-        change = oracle.richardson_check(short_truth.model, 5.0, 0.004)
+        change = oracle.richardson_check(short_truth, 5.0, 0.004)
         assert change < 1e-10
 
     def test_epoch_grid(self, short_truth):
-        ref = oracle.AlignmentReference(short_truth.model, substep=0.005).run(
+        ref = oracle.AlignmentReference(short_truth, substep=0.005).run(
             2.0, epochs=[1.0, 2.0]
         )
         np.testing.assert_allclose(ref["t"], [1.0, 2.0])
@@ -76,7 +76,7 @@ class TestAlignmentReference:
 
     def test_rejects_off_grid_epochs(self, short_truth):
         with pytest.raises(ValueError):
-            oracle.AlignmentReference(short_truth.model, substep=0.004).run(
+            oracle.AlignmentReference(short_truth, substep=0.004).run(
                 1.0, epochs=[0.35]
             )
 
@@ -87,7 +87,7 @@ class TestAttitudeComposition:
         # attitude vs the true attitude at t
         from ifalign.attitude import compose_attitude
 
-        ref = oracle.AlignmentReference(short_truth.model, substep=0.002).run(10.0)
+        ref = oracle.AlignmentReference(short_truth, substep=0.002).run(10.0)
         c0 = short_truth.c_b_n[0]
         composed = compose_attitude(ref["c_nav"][-1].T, c0, ref["c_body"][-1])
         idx = int(round(10.0 / short_truth.cfg.substep_s))
@@ -96,7 +96,7 @@ class TestAttitudeComposition:
 
 class TestNavigationReference:
     def test_static_consistency(self, static_truth):
-        dev = oracle.NavigationReference(static_truth.model, substep=0.002).deviations(
+        dev = oracle.NavigationReference(static_truth, substep=0.002).deviations(
             5.0, check_every=1.0
         )
         assert dev["attitude_rad"] < 1e-10

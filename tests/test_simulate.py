@@ -97,7 +97,7 @@ class TestTruthKinematics:
             "truth = generate_truth(ScenarioConfig(duration_s=2.0))\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "k = 777\n"
-            "assert abs(truth.model.position(truth.t[k]) - truth.p[k]).max() == 0.0\n"
+            "assert abs(truth.position(truth.t[k]) - truth.p[k]).max() == 0.0\n"
             "assert 'scipy.interpolate' in sys.modules\n"
         )
         src = str(Path(ifalign.__file__).resolve().parent.parent)
@@ -105,6 +105,17 @@ class TestTruthKinematics:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path))
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("name", ["short_truth", "static_truth"])
+    def test_kinematics_reproduces_the_grid(self, name, request):
+        # the grid arrays and kinematics(t) share one derivation
+        truth = request.getfixturevalue(name)
+        idx = np.r_[np.arange(0, truth.t.size, 997), truth.t.size - 1]
+        kinematics = truth.kinematics(truth.t[idx])
+        for field in ("c_b_n", "v", "p", "omega_ib_b", "f_b", "omega_in_n"):
+            grid = getattr(truth, field)
+            np.testing.assert_allclose(kinematics[field], grid[idx], rtol=1e-15,
+                                       atol=1e-15 * np.abs(grid).max(), err_msg=field)
 
     def test_polar_crossing_rejected(self):
         cfg = ScenarioConfig(
@@ -134,7 +145,7 @@ class TestTruthKinematics:
     def test_reintegration_self_consistency(self, short_truth):
         # Propagating the navigation rate equations from the emitted angular
         # rate and specific force must reproduce the emitted trajectory.
-        ref = NavigationReference(short_truth.model, substep=0.001)
+        ref = NavigationReference(short_truth, substep=0.001)
         worst = ref.deviations(short_truth.cfg.duration_s, check_every=1.0)
         assert worst["attitude_rad"] < 1e-8
         assert worst["velocity_mps"] < 1e-8
@@ -150,8 +161,9 @@ class TestImuSampling:
         i = 37  # arbitrary sample
         t0, t1 = i * cfg.sample_dt, (i + 1) * cfg.sample_dt
         ts = np.linspace(t0, t1, 201)
-        w = short_truth.model.omega_ib_b(ts)
-        f = short_truth.model.specific_force_b(ts)
+        kinematics = short_truth.kinematics(ts)
+        w = kinematics["omega_ib_b"]
+        f = kinematics["f_b"]
         dt = (t1 - t0) / 200
         np.testing.assert_allclose(
             dtheta[i], np.sum(0.5 * dt * (w[1:] + w[:-1]), axis=0), atol=1e-12
