@@ -11,12 +11,13 @@ its t=0 orientation (from earth/transport rates) -- and accumulate a pair of
   earth-rate/gravity vector ``x = omega_ie x v - g``.
 * :class:`PositionIntegrationAligner`: alpha and beta are the corresponding
   nested double integrals, which smooth aiding noise harder at the price of
-  slower transient response.  The initial velocity is an unknown of its fit.
+  slower transient response.
 
 Every ``update()`` folds the current pair into a 4x4 accumulator;
 ``estimate()`` solves for the optimal attitude quaternion, the
 smallest-eigenvalue eigenvector of the matrix the aligner solves
-(:meth:`_AlignerBase.solved_matrix`).
+(:meth:`_AlignerBase.solved_matrix`), in which the initial velocity is an
+unknown of the fit.
 """
 
 import numpy as np
@@ -158,7 +159,9 @@ class AlignmentEstimate:
 
 
 # Snapshot fields every aligner carries besides its declared STATE.
-_CORE_STATE = {"c_nav": (3, 3), "c_body": (3, 3), "K": (4, 4)}
+_CORE_STATE = {
+    "c_nav": (3, 3), "c_body": (3, 3), "K": (4, 4), "w_alpha": (3,), "w_beta": (3,), "w_sq": (),
+}
 
 
 def _state_array(name):
@@ -173,16 +176,28 @@ def _frozen(floats):
 
 
 class _AlignerBase:
-    """Shared chain propagation, state bookkeeping and eigen solve.
+    """Shared chain propagation, state bookkeeping and the fit.
 
     ``update()`` folds one interval into the state; ``estimate()`` solves
     the state for the attitude.  A subclass declares its snapshot tag
     ``KIND`` and, in ``STATE``, the shape of every accumulator it carries
-    besides the two chains and ``K``.  The chains, ``K`` and those
-    accumulators live on Python floats (nested tuples, or a float for shape
-    ``()``) under ``_<name>``; ``<name>`` reads them as a float64 array, as
-    does ``v0``.  The zeroed state, :meth:`to_dict` and :meth:`from_dict`
-    are built from the declaration.
+    besides the two chains, ``K`` and the fit sums.  All of them live on
+    Python floats (nested tuples, or a float for shape ``()``) under
+    ``_<name>``; ``<name>`` reads them as a float64 array, as does ``v0``.
+    The zeroed state, :meth:`to_dict` and :meth:`from_dict` are built from
+    the declaration.
+
+    ``beta`` carries the initial velocity, which only the first (noisy)
+    fix gives: as a constant in ``vif`` and a ramp in time in ``pif``.  So
+    the fit treats it as an unknown: with weights ``w_k`` (1 for ``vif``,
+    the update time ``t_k`` for ``pif``) it minimizes
+    ``sum_k |C alpha_k - beta_k + w_k u|^2`` over the correction ``u`` as
+    well as the attitude ``C``.  Minimizing ``u`` out exactly leaves
+    ``K - B^T B / sum_k w_k^2`` with
+    ``B = pair_operator(sum_k w_k alpha_k, sum_k w_k beta_k)`` (``pair_operator``
+    is linear), which :meth:`solved_matrix` returns; ``w_alpha``, ``w_beta``
+    and ``w_sq`` carry the sums.  ``beta`` is centred on ``v0``, the first
+    fix's velocity, to keep its rounding small; no estimate depends on it.
     """
 
     KIND = None
@@ -193,12 +208,12 @@ class _AlignerBase:
         for name in cls._fields():
             setattr(cls, name, _state_array(name))
 
-    def __init__(self, v0, T):
+    def __init__(self, T):
         if T <= 0.0:
             raise ValueError("update interval T must be positive")
         self.T = float(T)
         self.M = 0
-        self._v0 = as_float3(v0, "v0")
+        self._v0 = (0.0, 0.0, 0.0)
         for name, shape in self._fields().items():
             self._set_state(name, np.zeros(shape))
         # the chains C_{n(t_M)}^{n(0)} and C_{b(t_M)}^{b(0)} start at identity
@@ -215,7 +230,13 @@ class _AlignerBase:
         """Elapsed alignment time (s)."""
         return self.M * self.T
 
-    def _check_fixes(self, fix_prev, fix_next):
+    def _fold(self, interval, fix_prev, fix_next):
+        """The per-interval work both forms share, up to their own sums.
+
+        Checks the fixes, takes ``v0`` from the first one, advances both
+        chains and ``M`` by one interval, and returns the chains' prior
+        values, the nav-frame rate and ``x = omega_ie x v - g`` at both ends.
+        """
         if not isinstance(fix_prev, AidFix) or not isinstance(fix_next, AidFix):
             raise TypeError("fixes must be AidFix instances")
         if abs((fix_next.t - fix_prev.t) - self.T) > 1e-6:
@@ -223,20 +244,39 @@ class _AlignerBase:
                 f"fixes must straddle one update interval of {self.T} s, "
                 f"got {fix_prev.t} -> {fix_next.t}"
             )
-
-    def _advance_chains(self, interval, omega_in):
-        """Rotate both chains across one interval; returns their prior values."""
         T = self.T
+        v_prev = fix_prev.v_floats
+        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
+        if self.M == 0:
+            self._v0 = v_prev
         w0, w1, w2 = omega_in
-        c_nav_prev = self._c_nav
-        c_body_prev = self._c_body
+        c_nav_prev, c_body_prev = self._c_nav, self._c_body
         self._c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
         self._c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
-        return c_nav_prev, c_body_prev
+        self.M += 1
+        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
+        x_next = _earth_rate_gravity(omega_ie, fix_next.v_floats, g_n)
+        return c_nav_prev, c_body_prev, omega_in, x_prev, x_next
+
+    def _add_pair(self, w):
+        """Add ``(alpha, beta)`` to ``K`` and, with weight ``w``, to the fit sums."""
+        alpha, beta = self._alpha, self._beta
+        self._K = accumulate(self._K, alpha, beta)
+        self._w_alpha = _scaled_add(self._w_alpha, w, alpha)
+        self._w_beta = _scaled_add(self._w_beta, w, beta)
+        self._w_sq += w * w
 
     def solved_matrix(self):
-        """The 4x4 matrix whose smallest eigenvector is the estimate (here ``K``)."""
-        return self.K
+        """``K`` with the initial-velocity correction minimized out."""
+        if self.M < 2:
+            # a single pair is absorbed entirely by the velocity correction;
+            # the subtraction below would leave only rounding noise
+            return np.zeros((4, 4))
+        w_sq = self._w_sq
+        return np.array([
+            [k - g / w_sq for k, g in zip(k_row, g_row)]
+            for k_row, g_row in zip(self._K, pair_gram(self._w_alpha, self._w_beta))
+        ])
 
     def estimate(self):
         """Solve the accumulated state for an :class:`AlignmentEstimate`.
@@ -290,10 +330,10 @@ class _AlignerBase:
                     f"{cls.__name__} snapshot field {name} is not a float "
                     f"array of shape {shape}"
                 )
-        out = cls(values["v0"], state["T"])
+        out = cls(state["T"])
         out.M = int(state["M"])
-        for name in cls._fields():
-            out._set_state(name, values[name])
+        for name, value in values.items():
+            out._set_state(name, value)
         return out
 
 
@@ -302,8 +342,6 @@ class VelocityIntegrationAligner(_AlignerBase):
 
     Parameters
     ----------
-    v0 : array_like, shape (3,)
-        Aided ground velocity at the start of alignment (m/s).
     T : float
         Update interval (s); aiding fixes are required at both ends of
         every interval.
@@ -317,20 +355,16 @@ class VelocityIntegrationAligner(_AlignerBase):
 
         Returns None; :meth:`estimate` solves for the attitude.
         """
-        self._check_fixes(fix_prev, fix_next)
-        T = self.T
-        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
-
-        c_nav_prev, c_body_prev = self._advance_chains(interval, omega_in)
+        c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
+            interval, fix_prev, fix_next
+        )
+        v_next = fix_next.v_floats
 
         self._alpha = _add(self._alpha, _rotate(c_body_prev, sculling_increment(interval)))
 
-        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
-        x_next = _earth_rate_gravity(omega_ie, v_next, g_n)
         self._beta_partial = _add(
             self._beta_partial,
-            _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T)),
+            _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)),
         )
         # beta = (C_nav - I) v_next + (v_next - v0) + beta_partial; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
@@ -341,8 +375,7 @@ class VelocityIntegrationAligner(_AlignerBase):
             self._beta_partial,
         )
 
-        self._K = accumulate(self._K, self._alpha, self._beta)
-        self.M += 1
+        self._add_pair(1.0)
 
 
 class PositionIntegrationAligner(_AlignerBase):
@@ -353,27 +386,12 @@ class PositionIntegrationAligner(_AlignerBase):
     (rotated single-interval velocity integrals) and ``s_x`` (nav-frame
     single integrals of ``x = omega_ie x v - g``), plus the running ``u_r``
     (integrated aided velocity) and ``u_x`` (double integral of ``x``)
-    terms of beta.
-
-    ``beta = u_r - t*v0 + u_x`` carries the initial velocity as a ramp
-    in ``t``, so an error in the ``v0`` argument (a noisy first aiding fix)
-    would grow with time.  The fit therefore treats the initial velocity as
-    an unknown: with ``t_k`` the update times, it minimizes
-    ``sum_k |C alpha_k - beta_k + t_k w|^2`` over the velocity correction
-    ``w`` as well as the attitude ``C``.  Minimizing ``w`` out exactly
-    leaves ``K - B^T B / sum_k t_k^2`` with
-    ``B = pair_operator(sum_k t_k alpha_k, sum_k t_k beta_k)`` (exact since
-    :func:`~ifalign.quest.pair_operator` is linear), which
-    :meth:`solved_matrix` returns.  ``t_alpha``, ``t_beta`` and ``t_sq``
-    carry those three sums; ``K``, ``alpha`` and ``beta`` keep their plain
-    meaning, and the estimate does not depend on ``v0``.
+    terms of ``beta = u_r - t*v0 + u_x``, whose pairs enter the fit with
+    weight ``t``.
     """
 
     KIND = "pif"
-    STATE = {
-        "alpha": (3,), "beta": (3,), "s_body": (3,), "s_x": (3,), "u_r": (3,),
-        "u_x": (3,), "t_alpha": (3,), "t_beta": (3,), "t_sq": (),
-    }
+    STATE = {"alpha": (3,), "beta": (3,), "s_body": (3,), "s_x": (3,), "u_r": (3,), "u_x": (3,)}
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -381,12 +399,10 @@ class PositionIntegrationAligner(_AlignerBase):
         Same semantics and error behavior as the velocity-integration
         aligner.
         """
-        self._check_fixes(fix_prev, fix_next)
+        c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
+            interval, fix_prev, fix_next
+        )
         T = self.T
-        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
-
-        c_nav_prev, c_body_prev = self._advance_chains(interval, omega_in)
 
         # Double integral of rotated specific force: completed-interval
         # prefix times T, plus the within-interval two-sample tail.
@@ -398,8 +414,7 @@ class PositionIntegrationAligner(_AlignerBase):
             self._s_body, _rotate(c_body_prev, sculling_increment(interval))
         )
 
-        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
-        x_next = _earth_rate_gravity(omega_ie, v_next, g_n)
+        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
         self._u_r = _add(
             self._u_r, _rotate(c_nav_prev, single_integral(v_prev, v_next, omega_in, T))
         )
@@ -412,26 +427,9 @@ class PositionIntegrationAligner(_AlignerBase):
             self._s_x, _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T))
         )
 
-        self.M += 1
         t = self.t
         self._beta = _add(_scaled_add(self._u_r, -t, self._v0), self._u_x)
-        self._t_alpha = _scaled_add(self._t_alpha, t, self._alpha)
-        self._t_beta = _scaled_add(self._t_beta, t, self._beta)
-        self._t_sq += t * t
-
-        self._K = accumulate(self._K, self._alpha, self._beta)
-
-    def solved_matrix(self):
-        """``K`` with the initial-velocity correction minimized out."""
-        if self.M < 2:
-            # a single pair is absorbed entirely by the velocity correction;
-            # the subtraction below would leave only rounding noise
-            return np.zeros((4, 4))
-        t_sq = self._t_sq
-        return np.array([
-            [k - g / t_sq for k, g in zip(k_row, g_row)]
-            for k_row, g_row in zip(self._K, pair_gram(self._t_alpha, self._t_beta))
-        ])
+        self._add_pair(t)
 
 
 ALIGNER_CLASSES = {
@@ -439,10 +437,10 @@ ALIGNER_CLASSES = {
 }
 
 
-def make_aligner(method, v0, T):
+def make_aligner(method, T):
     """Factory keyed by method name ('vif' or 'pif')."""
     try:
         cls = ALIGNER_CLASSES[method]
     except KeyError:
         raise ValueError(f"unknown alignment method {method!r}") from None
-    return cls(v0, T)
+    return cls(T)

@@ -77,7 +77,7 @@ def _cmd_align(args):
     meta = {"config_hash": ifio.config_hash(cfg, errors), "seed": errors.seed}
     if args.imu or args.gps:
         if not (args.imu and args.gps):
-            raise SystemExit("--imu and --gps must be given together")
+            raise ValueError("--imu and --gps must be given together")
         data = AlignmentData.from_logs(
             args.imu, args.gps, args.interval, truth_path=args.truth, metadata=meta
         )
@@ -113,7 +113,6 @@ def _print_report_tail(report):
 def _cmd_montecarlo(args):
     cfg, errors = _load_config(args)
     epochs = [float(e) for e in args.epochs.split(",")]
-    exit_code = 0
     for method in args.methods:
         summary = monte_carlo(
             cfg, errors, args.runs, method, epochs=epochs, jobs=args.jobs
@@ -125,19 +124,19 @@ def _cmd_montecarlo(args):
             path = out / f"montecarlo_{method}.csv"
             _write_summary_csv(path, summary)
             print(f"wrote {path}")
-    return exit_code
+    return 0
 
 
 def _write_summary_csv(path, summary):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch_s,roll_mean_deg,roll_3sigma_deg,pitch_mean_deg,"
-                 "pitch_3sigma_deg,yaw_mean_deg,yaw_3sigma_deg\n")
-        for i, epoch in enumerate(summary.epochs):
-            cells = [epoch]
-            for axis in range(3):
-                cells.append(summary.mean_deg[i, axis])
-                cells.append(summary.three_sigma_deg[i, axis])
-            fh.write(",".join("%.12g" % c for c in cells) + "\n")
+    columns = [summary.epochs]
+    for axis in range(3):
+        columns += [summary.mean_deg[:, axis], summary.three_sigma_deg[:, axis]]
+    ifio.write_csv(
+        path,
+        "epoch_s,roll_mean_deg,roll_3sigma_deg,pitch_mean_deg,"
+        "pitch_3sigma_deg,yaw_mean_deg,yaw_3sigma_deg",
+        columns,
+    )
 
 
 def _cmd_oracle(args):

@@ -155,24 +155,17 @@ class RunReport:
         return out
 
     def write_csv(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# ifalign run report\n")
-            for key in sorted(self.metadata):
-                fh.write(f"# {key}={self.metadata[key]}\n")
-            fh.write(
-                "# k_eigenvalues=" + ",".join(_solve_precision(self.k_eigenvalues)) + "\n"
-            )
-            cols = "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg"
-            if self.err_deg is not None:
-                cols += ",roll_err_deg,pitch_err_deg,yaw_err_deg"
-            cols += ",degenerate"
-            fh.write(cols + "\n")
-            for i in range(self.t.size):
-                row = [self.t[i], *self.est_deg[i]]
-                if self.err_deg is not None:
-                    row.extend(self.err_deg[i])
-                row.append(1.0 if self.degenerate[i] else 0.0)
-                fh.write(",".join("%.12g" % x for x in row) + "\n")
+        preamble = "# ifalign run report\n" + "".join(
+            f"# {key}={self.metadata[key]}\n" for key in sorted(self.metadata)
+        )
+        preamble += "# k_eigenvalues=" + ",".join(_solve_precision(self.k_eigenvalues)) + "\n"
+        header = "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg"
+        columns = [self.t, self.est_deg]
+        if self.err_deg is not None:
+            header += ",roll_err_deg,pitch_err_deg,yaw_err_deg"
+            columns.append(self.err_deg)
+        columns.append(self.degenerate.astype(float))
+        ifio.write_csv(path, header + ",degenerate", columns, preamble)
 
 
 def _solve_precision(eigenvalues):
@@ -222,7 +215,7 @@ def run_alignment(data, method, report_interval_s=1.0):
             f"report interval {report_interval_s:g} s is longer than the run "
             f"({n_updates * data.T:g} s): no report row"
         )
-    aligner = make_aligner(method, v0=data.fix_v[0], T=data.T)
+    aligner = make_aligner(method, T=data.T)
 
     t_rows = np.empty(n_rows)
     est_rows = np.full((n_rows, 3), np.nan)

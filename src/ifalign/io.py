@@ -32,11 +32,14 @@ GPS_HEADER = "t_s,lat_rad,lon_rad,h_m,vN_mps,vU_mps,vE_mps"
 TRUTH_HEADER = "t_s,q_s,q_x,q_y,q_z,vN,vU,vE,lat,lon,h"
 
 
-def _write_csv(path, header, columns):
-    rows = np.column_stack(columns)
+def write_csv(path, header, columns, preamble=""):
+    """Write equal-length ``columns`` under ``header``, 12 significant digits.
+
+    ``preamble`` (whole lines, such as ``#`` comments) precedes the header.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
+        fh.write(preamble + header + "\n")
+        for row in np.column_stack(columns).tolist():
             fh.write(",".join(_FMT % x for x in row) + "\n")
 
 
@@ -68,7 +71,7 @@ def _read_csv(path, header, n_cols):
 
 def write_imu(path, t_end, dtheta, dv):
     """IMU sample log: one row per half-interval increment."""
-    _write_csv(
+    write_csv(
         path,
         IMU_HEADER,
         [t_end, dtheta[:, 0], dtheta[:, 1], dtheta[:, 2], dv[:, 0], dv[:, 1], dv[:, 2]],
@@ -82,7 +85,7 @@ def read_imu(path):
 
 def write_gps(path, t, v, p):
     """GPS fix log; positions internally [lon, lat, h], stored lat-first."""
-    _write_csv(
+    write_csv(
         path,
         GPS_HEADER,
         [t, p[:, 1], p[:, 0], p[:, 2], v[:, 0], v[:, 1], v[:, 2]],
@@ -99,7 +102,7 @@ def read_gps(path):
 
 def write_truth(path, t, q, v, p):
     """Reference trajectory log (simulation mode only)."""
-    _write_csv(
+    write_csv(
         path,
         TRUTH_HEADER,
         [

@@ -124,8 +124,8 @@ class TestCriterion2MonteCarlo:
             "position-form scatter is not below velocity-form scatter. With the"
             " initial velocity solved inside the pif fit, the remaining yaw"
             " scatter comes from accelerometer white noise, where the two forms"
-            " tie (measured yaw 3sigma pif/vif: 0.144/0.132 deg at seed 0 with"
-            " 100 runs, 0.180/0.169 at seed 1 and 0.144/0.143 at seed 2 with 48"
+            " tie (measured yaw 3sigma pif/vif: 0.144/0.116 deg at seed 0 with"
+            " 100 runs, 0.180/0.151 at seed 1 and 0.144/0.123 at seed 2 with 48"
             " runs); see CHANGES.md"
         )
 
@@ -277,7 +277,7 @@ class TestCriterion5FormulaResiduals:
         c0 = default_truth.c_b_n[0]
         residuals = {}
         for method, bound in (("vif", 1e-4), ("pif", 1e-2)):
-            al = make_aligner(method, data.fix_v[0], data.T)
+            al = make_aligner(method, data.T)
             for k in range(data.n_updates):
                 al.update(data.interval(k), data.fix(k), data.fix(k + 1))
             residuals[method] = float(np.linalg.norm(c0 @ al.alpha - al.beta))

@@ -108,6 +108,24 @@ class TestMonteCarloVerb:
         assert "method=vif" in capsys.readouterr().out
 
 
+    def test_summary_csv_bytes(self, tmp_path):
+        from ifalign.harness import McSummary
+
+        summary = McSummary(
+            method="vif", epochs=np.array([10.0, 300.0]),
+            mean_deg=np.array([[1 / 7, -0.0, 2e-9], [-3.5, 1e3, 0.125]]),
+            three_sigma_deg=np.array([[29.2105908, 0.5, 1e-17], [0.1, 0.2, 0.116263]]),
+            n_runs=100, failed=[],
+        )
+        cli._write_summary_csv(tmp_path / "mc.csv", summary)
+        assert (tmp_path / "mc.csv").read_text() == (
+            "epoch_s,roll_mean_deg,roll_3sigma_deg,pitch_mean_deg,pitch_3sigma_deg,"
+            "yaw_mean_deg,yaw_3sigma_deg\n"
+            "10,0.142857142857,29.2105908,-0,0.5,2e-09,1e-17\n"
+            "300,-3.5,0.1,1000,0.2,0.125,0.116263\n"
+        )
+
+
 class TestOracleVerb:
     def test_reference_output(self, short_config, capsys):
         rc = cli.main(
@@ -185,6 +203,12 @@ def test_missing_file_exit_code(flag, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+
+@pytest.mark.parametrize("flag", ["--imu", "--gps"])
+def test_replay_log_without_its_partner_exit_code(flag, tmp_path, capsys):
+    assert cli.main(["align", flag, str(tmp_path / "log.csv")]) == 2
+    assert capsys.readouterr().err == "error: --imu and --gps must be given together\n"
 
 
 def test_partial_config_is_default_plus_its_keys(tmp_path):

@@ -41,7 +41,7 @@ class TestRunAlignment:
 
         data = AlignmentData.from_simulation(short_truth)
         rep = run_alignment(data, method, report_interval_s=1.0)
-        al = make_aligner(method, data.fix_v[0], data.T)
+        al = make_aligner(method, data.T)
         for k in range(data.n_updates):
             al.update(data.interval(k), data.fix(k), data.fix(k + 1))
         expected = np.linalg.eigvalsh(al.solved_matrix())
@@ -150,6 +150,41 @@ class TestRunAlignment:
         rep2.write_csv(tmp_path / "r2.csv")
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
+
+    def test_report_csv_bytes_of_a_fixed_report(self, tmp_path):
+        # the rows print with %.12g, NaN and negative zero included, with
+        # and without the truth columns
+        nan = float("nan")
+        report = RunReport(
+            method="pif", t=np.array([0.5, 1.0, 1.5]),
+            est_deg=np.array([[nan, nan, nan], [1.0 / 3.0, -0.0, 1e-20],
+                              [-179.99999999999, 2.5, 123456789.123456789]]),
+            err_deg=np.array([[nan, nan, nan], [-2.0 / 3.0, 0.0, -1e-13],
+                              [7e-5, -45.0, 0.1 + 0.2]]),
+            degenerate=np.array([True, False, False]),
+            k_eigenvalues=np.array([0.0, 1.5, 2.25e3, 4e6]),
+            metadata={"seed": 3, "config_hash": "abc", "method": "pif"},
+        )
+        preamble = (
+            "# ifalign run report\n# config_hash=abc\n# method=pif\n# seed=3\n"
+            "# k_eigenvalues=0,1.5,2250,4000000\n"
+        )
+        report.write_csv(tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == preamble + (
+            "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg,"
+            "roll_err_deg,pitch_err_deg,yaw_err_deg,degenerate\n"
+            "0.5,nan,nan,nan,nan,nan,nan,1\n"
+            "1,0.333333333333,-0,1e-20,-0.666666666667,0,-1e-13,0\n"
+            "1.5,-180,2.5,123456789.123,7e-05,-45,0.3,0\n"
+        )
+        report.err_deg = None
+        report.write_csv(tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == preamble + (
+            "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg,degenerate\n"
+            "0.5,nan,nan,nan,1\n"
+            "1,0.333333333333,-0,1e-20,0\n"
+            "1.5,-180,2.5,123456789.123,0\n"
+        )
 
     def test_k_eigenvalues_printed_to_solve_precision(self, tmp_path):
         # eigh is accurate to about eps * max|lambda| absolute (1e-5 here):
@@ -268,7 +303,7 @@ class TestOracleDrift:
             ("vif", "alpha_v", "beta_v"),
             ("pif", "alpha_p", "beta_p"),
         ):
-            al = make_aligner(method, data.fix_v[0], data.T)
+            al = make_aligner(method, data.T)
             for k in range(data.n_updates):
                 al.update(data.interval(k), data.fix(k), data.fix(k + 1))
             rel_a = np.linalg.norm(al.alpha - ref[a_key][-1]) / np.linalg.norm(
