@@ -65,20 +65,21 @@ def _scaled_add(a, scale, b):
 
 def single_integral(x_prev, x_next, omega_in, T):
     """``int_0^T (I + tau [omega_in x]) x(tau) dtau``."""
-    moment = [(T * T / 6.0) * p + (T * T / 3.0) * n for p, n in zip(x_prev, x_next)]
-    rot = cross_floats(omega_in, moment)
-    return tuple([(T / 2.0) * (p + n) + r for p, n, r in zip(x_prev, x_next, rot)])
+    p0, p1, p2 = x_prev
+    n0, n1, n2 = x_next
+    a, b = T * T / 6.0, T * T / 3.0
+    r0, r1, r2 = cross_floats(omega_in, (a * p0 + b * n0, a * p1 + b * n1, a * p2 + b * n2))
+    h = T / 2.0
+    return (h * (p0 + n0) + r0, h * (p1 + n1) + r1, h * (p2 + n2) + r2)
 
 
 def double_integral(x_prev, x_next, omega_in, T):
     """``int_0^T int_0^s (I + tau [omega_in x]) x(tau) dtau ds``."""
-    rot = cross_floats(omega_in, [p + n for p, n in zip(x_prev, x_next)])
-    return tuple(
-        [
-            (T * T / 3.0) * p + (T * T / 6.0) * n + (T ** 3 / 12.0) * r
-            for p, n, r in zip(x_prev, x_next, rot)
-        ]
-    )
+    p0, p1, p2 = x_prev
+    n0, n1, n2 = x_next
+    r0, r1, r2 = cross_floats(omega_in, (p0 + n0, p1 + n1, p2 + n2))
+    a, b, c = T * T / 3.0, T * T / 6.0, T ** 3 / 12.0
+    return (a * p0 + b * n0 + c * r0, a * p1 + b * n1 + c * r1, a * p2 + b * n2 + c * r2)
 
 
 def _earth_rate_gravity(omega_ie, v, g_n):
@@ -272,10 +273,24 @@ class _AlignerBase:
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
             return np.zeros((4, 4))
+        (
+            (k00, k01, k02, k03),
+            (k10, k11, k12, k13),
+            (k20, k21, k22, k23),
+            (k30, k31, k32, k33),
+        ) = self._K
+        (
+            (g00, g01, g02, g03),
+            (g10, g11, g12, g13),
+            (g20, g21, g22, g23),
+            (g30, g31, g32, g33),
+        ) = pair_gram(self._w_alpha, self._w_beta)
         w_sq = self._w_sq
         return np.array([
-            [k - g / w_sq for k, g in zip(k_row, g_row)]
-            for k_row, g_row in zip(self._K, pair_gram(self._w_alpha, self._w_beta))
+            [k00 - g00 / w_sq, k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq],
+            [k10 - g10 / w_sq, k11 - g11 / w_sq, k12 - g12 / w_sq, k13 - g13 / w_sq],
+            [k20 - g20 / w_sq, k21 - g21 / w_sq, k22 - g22 / w_sq, k23 - g23 / w_sq],
+            [k30 - g30 / w_sq, k31 - g31 / w_sq, k32 - g32 / w_sq, k33 - g33 / w_sq],
         ])
 
     def estimate(self):

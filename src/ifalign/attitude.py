@@ -288,6 +288,12 @@ def euler_to_dcm(angles):
     """Body-to-nav DCM from (roll, pitch, yaw) in radians, or one per row of
     an ``(N, 3)`` stack (shape ``(N, 3, 3)``), with the same operations on
     each."""
+    return _euler_dcm_trig(angles)[0]
+
+
+def _euler_dcm_trig(angles):
+    """:func:`euler_to_dcm` of ``angles``, and the ``(cos, sin)`` pairs of
+    roll and pitch it was built from, as ``c, (cr, sr, cp, sp)``."""
     angles = np.asarray(angles, dtype=float)
     roll, pitch, yaw = np.moveaxis(angles, -1, 0)
     cr, sr = np.cos(roll), np.sin(roll)
@@ -304,7 +310,7 @@ def euler_to_dcm(angles):
     c[..., 2, 0] = sy * cp
     c[..., 2, 1] = -sysp * cr + cy * sr
     c[..., 2, 2] = sysp * sr + cy * cr
-    return c
+    return c, (cr, sr, cp, sp)
 
 
 def dcm_to_euler(dcm):

@@ -12,8 +12,10 @@ All three are exact when angular rate and specific force vary linearly in
 time over the interval.  The kernels read an interval's increments as
 Python floats and return 3-tuples of floats: for 3-vectors, arithmetic on
 Python floats costs several times less than numpy calls and rounds the
-same.  :func:`check_increments` validates increment rows once, where they
-enter the program.
+same.  Each kernel is written out component-wise, one expression per
+component: a comprehension would build a list (and, before Python 3.12, a
+frame) per vector.  :func:`check_increments` validates increment rows
+once, where they enter the program.
 """
 
 import numpy as np
@@ -123,16 +125,18 @@ def sculling_increment(interval):
     + 2 (dtheta1 x dv2 + dv1 x dtheta2) / 3``
     """
     dth1, dth2, dv1, dv2 = interval.floats
-    rot = cross_floats(
-        [a + b for a, b in zip(dth1, dth2)], [a + b for a, b in zip(dv1, dv2)]
-    )
-    return tuple(
-        [
-            a + b + 0.5 * c + (2.0 / 3.0) * (d + e)
-            for a, b, c, d, e in zip(
-                dv1, dv2, rot, cross_floats(dth1, dv2), cross_floats(dv1, dth2)
-            )
-        ]
+    p0, p1, p2 = dth1
+    q0, q1, q2 = dth2
+    a0, a1, a2 = dv1
+    b0, b1, b2 = dv2
+    r0, r1, r2 = cross_floats((p0 + q0, p1 + q1, p2 + q2), (a0 + b0, a1 + b1, a2 + b2))
+    c0, c1, c2 = cross_floats(dth1, dv2)
+    d0, d1, d2 = cross_floats(dv1, dth2)
+    k = 2.0 / 3.0
+    return (
+        a0 + b0 + 0.5 * r0 + k * (c0 + d0),
+        a1 + b1 + 0.5 * r1 + k * (c1 + d1),
+        a2 + b2 + 0.5 * r2 + k * (c2 + d2),
     )
 
 
@@ -145,19 +149,17 @@ def double_integral_increment(interval, T):
     if T <= 0.0:
         raise ValueError("update interval T must be positive")
     dth1, dth2, dv1, dv2 = interval.floats
+    a0, a1, a2 = dv1
+    b0, b1, b2 = dv2
+    c0, c1, c2 = cross_floats(dth1, dv1)
+    d0, d1, d2 = cross_floats(dth1, dv2)
+    e0, e1, e2 = cross_floats(dv1, dth2)
+    f0, f1, f2 = cross_floats(dth2, dv2)
     scale = T / 30.0
-    return tuple(
-        [
-            scale * (25.0 * a + 5.0 * b + 12.0 * c + 8.0 * d + 2.0 * e + 2.0 * f)
-            for a, b, c, d, e, f in zip(
-                dv1,
-                dv2,
-                cross_floats(dth1, dv1),
-                cross_floats(dth1, dv2),
-                cross_floats(dv1, dth2),
-                cross_floats(dth2, dv2),
-            )
-        ]
+    return (
+        scale * (25.0 * a0 + 5.0 * b0 + 12.0 * c0 + 8.0 * d0 + 2.0 * e0 + 2.0 * f0),
+        scale * (25.0 * a1 + 5.0 * b1 + 12.0 * c1 + 8.0 * d1 + 2.0 * e1 + 2.0 * f1),
+        scale * (25.0 * a2 + 5.0 * b2 + 12.0 * c2 + 8.0 * d2 + 2.0 * e2 + 2.0 * f2),
     )
 
 
@@ -166,10 +168,9 @@ def body_rotvec(interval):
 
     ``dtheta1 + dtheta2 + 2 (dtheta1 x dtheta2) / 3``
     """
-    dth1, dth2 = interval.floats[:2]
-    return tuple(
-        [
-            a + b + (2.0 / 3.0) * c
-            for a, b, c in zip(dth1, dth2, cross_floats(dth1, dth2))
-        ]
-    )
+    dth1, dth2, _, _ = interval.floats
+    a0, a1, a2 = dth1
+    b0, b1, b2 = dth2
+    c0, c1, c2 = cross_floats(dth1, dth2)
+    k = 2.0 / 3.0
+    return (a0 + b0 + k * c0, a1 + b1 + k * c1, a2 + b2 + k * c2)

@@ -58,10 +58,24 @@ def pair_gram(alpha, beta):
 def accumulate(K, alpha, beta):
     """Add one vector pair to the 4x4 accumulator ``K`` (an array or nested
     float sequences); returns the new matrix as nested 4-tuples of floats."""
-    return tuple([
-        (k0 + g0, k1 + g1, k2 + g2, k3 + g3)
-        for (k0, k1, k2, k3), (g0, g1, g2, g3) in zip(as_floats(K), pair_gram(alpha, beta))
-    ])
+    (
+        (k00, k01, k02, k03),
+        (k10, k11, k12, k13),
+        (k20, k21, k22, k23),
+        (k30, k31, k32, k33),
+    ) = as_floats(K)
+    (
+        (g00, g01, g02, g03),
+        (g10, g11, g12, g13),
+        (g20, g21, g22, g23),
+        (g30, g31, g32, g33),
+    ) = pair_gram(alpha, beta)
+    return (
+        (k00 + g00, k01 + g01, k02 + g02, k03 + g03),
+        (k10 + g10, k11 + g11, k12 + g12, k13 + g13),
+        (k20 + g20, k21 + g21, k22 + g22, k23 + g23),
+        (k30 + g30, k31 + g31, k32 + g32, k33 + g33),
+    )
 
 
 def optimal_quaternion(K):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import earth
-from .attitude import euler_to_dcm
+from .attitude import _euler_dcm_trig
 from .errors import PolarSingularity
 
 D2R = math.pi / 180.0
@@ -239,10 +239,8 @@ class Truth:
         c = self.cfg
         euler, euler_rate = _stack((c.roll, c.pitch, c.yaw), t)
         euler, euler_rate = euler * D2R, euler_rate * D2R
-        c_b_n = euler_to_dcm(euler)
+        c_b_n, (cr, sr, cp, sp) = _euler_dcm_trig(euler)
         roll_d, pitch_d, yaw_d = np.moveaxis(euler_rate, -1, 0)
-        sr, cr = np.sin(euler[..., 0]), np.cos(euler[..., 0])
-        sp, cp = np.sin(euler[..., 1]), np.cos(euler[..., 1])
         omega_nb_b = np.stack(
             [
                 roll_d - yaw_d * sp,

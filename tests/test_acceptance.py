@@ -122,11 +122,11 @@ class TestCriterion2MonteCarlo:
             report(line + " FAIL")
         assert pif3 < vif3, (
             "position-form scatter is not below velocity-form scatter. With the"
-            " initial velocity solved inside the pif fit, the remaining yaw"
-            " scatter comes from accelerometer white noise, where the two forms"
-            " tie (measured yaw 3sigma pif/vif: 0.144/0.116 deg at seed 0 with"
-            " 100 runs, 0.180/0.151 at seed 1 and 0.144/0.123 at seed 2 with 48"
-            " runs); see CHANGES.md"
+            " initial velocity solved inside both fits, the remaining yaw"
+            " scatter comes mostly from accelerometer white noise, and vif's"
+            " 3sigma is 15-19% below pif's on seeds 0-2 (measured yaw 3sigma"
+            " pif/vif: 0.144/0.116 deg at seed 0 with 100 runs, 0.180/0.151 at"
+            " seed 1 and 0.144/0.123 at seed 2 with 48 runs); see CHANGES.md"
         )
 
     def test_runtime_budget(self, mc_summaries):

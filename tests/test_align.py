@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifalign.align import (
     AidFix,
@@ -20,6 +22,7 @@ from ifalign.increments import (
     double_integral_increment,
     sculling_increment,
 )
+from ifalign.quest import pair_gram
 from ifalign import earth
 
 
@@ -295,6 +298,47 @@ class TestIntegrationRules:
         for rule, expected in ((single_integral, single), (double_integral, double)):
             got = rule(*args)
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def vectors(scale):
+    return st.tuples(
+        st.floats(-scale, scale), st.floats(-scale, scale), st.floats(-scale, scale)
+    )
+
+
+class TestFloatKernels:
+    """The written-out rules and solve must round like numpy formulas with
+    the same operation order, and the rules return 3-tuples of floats."""
+
+    @given(vectors(1e3), vectors(1e3), vectors(1e-3), st.floats(1e-3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_rules_bitwise_equal_to_numpy_formulas(self, x_prev, x_next, omega, T):
+        p, n, w = np.array(x_prev), np.array(x_next), np.array(omega)
+        single = (T / 2.0) * (p + n) + np.cross(w, (T * T / 6.0) * p + (T * T / 3.0) * n)
+        double = (
+            (T * T / 3.0) * p + (T * T / 6.0) * n + (T ** 3 / 12.0) * np.cross(w, p + n)
+        )
+        for rule, expected in ((single_integral, single), (double_integral, double)):
+            got = rule(x_prev, x_next, omega, T)
+            assert type(got) is tuple and all(type(x) is float for x in got)
+            np.testing.assert_array_equal(got, expected)
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16),
+        vectors(1e3), vectors(1e3), st.floats(1e-3, 1e6),
+        st.sampled_from([VelocityIntegrationAligner, PositionIntegrationAligner]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_solved_matrix_bitwise_equal_to_numpy_formula(
+        self, k, w_alpha, w_beta, w_sq, cls
+    ):
+        K = np.reshape(k, (4, 4))
+        state = cls(0.02).to_dict()
+        state.update(M=5, K=K.tolist(), w_alpha=w_alpha, w_beta=w_beta, w_sq=w_sq)
+        solved = cls.from_dict(state).solved_matrix()
+        np.testing.assert_array_equal(
+            solved, np.subtract(K, np.divide(pair_gram(w_alpha, w_beta), w_sq))
+        )
 
 
 class TestGuards:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifalign.attitude import quat_canonical, quat_to_dcm, rotvec_to_dcm
 from ifalign.errors import DegenerateSpectrum
-from ifalign.quest import accumulate, optimal_quaternion, pair_operator
+from ifalign.quest import accumulate, optimal_quaternion, pair_gram, pair_operator
 
 
 def random_rotation(rng):
@@ -47,6 +49,22 @@ class TestAccumulate:
             np.testing.assert_array_equal(
                 accumulate(K, alpha.tolist(), beta.tolist()), out
             )
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=16, max_size=16),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_numpy_formula(self, k, alpha, beta):
+        # the written-out sum rounds like numpy's, and stays on Python floats
+        K = np.reshape(k, (4, 4))
+        out = accumulate(K, alpha, beta)
+        assert type(out) is tuple and len(out) == 4
+        for row in out:
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(x) is float for x in row)
+        np.testing.assert_array_equal(out, np.add(K, pair_gram(alpha, beta)))
 
     def test_pair_operator_matches_mul_matrices(self, rng):
         from ifalign.attitude import quat_mul_matrices
