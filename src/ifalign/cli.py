@@ -168,7 +168,8 @@ def main(argv=None):
     p_sim.add_argument("--run-index", type=int, default=0)
     p_sim.add_argument(
         "--gps-interval", type=float, default=None,
-        help="GPS fix spacing in seconds (default: every update endpoint)",
+        help="GPS fix spacing in seconds, a positive multiple of half the IMU "
+        "sample period (5 ms by default); default: every update endpoint",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 

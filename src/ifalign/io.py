@@ -257,9 +257,12 @@ def interpolate_fixes(gps_t, gps_v, gps_p, grid_t):
     """Linear interpolation of GPS fixes onto the update-endpoint grid.
 
     Longitude is unwrapped before interpolation so dateline crossings stay
-    continuous.  Raises :class:`GapError` when fixes do not cover the grid
-    or any gap between consecutive fixes exceeds ``MAX_GAP_S``.
+    continuous.  Raises :class:`GapError` when the log holds no fixes, the
+    fixes do not cover the grid or any gap between consecutive fixes
+    exceeds ``MAX_GAP_S``.
     """
+    if gps_t.size == 0:
+        raise GapError("GPS log holds no fixes")
     if np.any(np.diff(gps_t) <= 0.0):
         raise FormatError("GPS timestamps must be strictly increasing")
     gaps = np.diff(gps_t)

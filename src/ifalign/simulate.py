@@ -1,15 +1,16 @@
 """Kinematically-consistent trajectory synthesis and sensor models.
 
 The truth trajectory is built from per-axis sinusoidal attitude and velocity
-profiles.  Position is integrated from the velocity profile on a fine
-substep grid; angular rate and specific force are then derived by inverting
-the attitude and velocity rate equations, so re-integrating the navigation
-equations from the synthesized sensor streams reproduces the trajectory to
-integrator precision.
+profiles.  It is sampled at the Simpson nodes of the IMU samples (each
+sample's start, midpoint and end, a step of half the sample period).
+Position is integrated from the velocity profile on that grid; angular rate
+and specific force are derived by inverting the attitude and velocity rate
+equations, so re-integrating the navigation equations from the synthesized
+sensor streams reproduces the trajectory to integrator precision.
 
-Sensor models: IMU increments as fine-grid integrals of the true rates plus
-constant bias and white increment noise; a GPS displaced from the IMU by a
-body-frame lever arm, with white velocity/position noise.
+Sensor models: IMU increments as one Simpson panel pair of the true rates
+per sample, plus constant bias and white increment noise; a GPS displaced
+from the IMU by a body-frame lever arm, with white velocity/position noise.
 """
 
 import math
@@ -59,8 +60,8 @@ class ScenarioConfig:
 
     Attitude profiles are in degrees, velocity in m/s, all periods/phases in
     seconds/degrees.  ``imu_rate_hz * update_interval_s`` must equal 2 (two
-    IMU samples per update interval), and the substep must divide the IMU
-    sample period into an even number of panels.
+    IMU samples per update interval).  The truth grid step is half the IMU
+    sample period (``grid_dt``); it follows from ``imu_rate_hz``.
     """
 
     latitude_deg: float = 30.0
@@ -69,7 +70,6 @@ class ScenarioConfig:
     duration_s: float = 300.0
     imu_rate_hz: float = 100.0
     update_interval_s: float = 0.02
-    substep_s: float = 0.001
     roll: SineProfile = field(default_factory=lambda: SineProfile(15.0, 90.0, 0.0))
     pitch: SineProfile = field(default_factory=lambda: SineProfile(10.0, 80.0, 70.0))
     yaw: SineProfile = field(default_factory=lambda: SineProfile(30.0, 140.0, 30.0))
@@ -82,16 +82,9 @@ class ScenarioConfig:
         _check_vector3("vel_mean_mps", self.vel_mean_mps)
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive and finite")
-        if not self.substep_s > 0.0:
-            raise ValueError("substep must be positive")
         if abs(self.imu_rate_hz * self.update_interval_s - 2.0) > 1e-9:
             raise ValueError(
                 "imu_rate_hz * update_interval_s must be 2 (two samples per update)"
-            )
-        n_sub = self.sample_dt / self.substep_s
-        if abs(n_sub - round(n_sub)) > 1e-9 or round(n_sub) < 2 or round(n_sub) % 2:
-            raise ValueError(
-                "substep must divide the IMU sample period into an even panel count"
             )
         n_upd = self.duration_s / self.update_interval_s
         if abs(n_upd - round(n_upd)) > 1e-9:
@@ -103,16 +96,17 @@ class ScenarioConfig:
         return 1.0 / self.imu_rate_hz
 
     @property
+    def grid_dt(self):
+        """Truth grid step: the Simpson node spacing of one IMU sample."""
+        return self.sample_dt / 2.0
+
+    @property
     def n_updates(self):
         return int(round(self.duration_s / self.update_interval_s))
 
     @property
     def n_samples(self):
         return 2 * self.n_updates
-
-    @property
-    def substeps_per_sample(self):
-        return int(round(self.sample_dt / self.substep_s))
 
     @property
     def p0(self):
@@ -185,19 +179,20 @@ def turning_scenario(duration_s=120.0):
     )
 
 
+def _simpson_pairs(y, dx):
+    """Simpson integral over each panel pair ``[y[2i], y[2i+2]]`` (axis 0)."""
+    return (dx / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+
+
 def _cumquad0(y, dx):
     """Fourth-order cumulative quadrature starting at zero.
 
     Composite Simpson on sample pairs; odd points get the three-point
-    half-panel rule.  Needs an even panel count, which the config
-    validation guarantees for the substep grid.
+    half-panel rule.  The truth grid always has an even panel count.
     """
-    n = y.size - 1
-    if n % 2:
-        raise ValueError("cumulative quadrature needs an even panel count")
     out = np.empty_like(y)
     out[0] = 0.0
-    pair = (dx / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    pair = _simpson_pairs(y, dx)
     half = (dx / 12.0) * (5.0 * y[0:-2:2] + 8.0 * y[1:-1:2] - y[2::2])
     even = np.concatenate(([0.0], np.cumsum(pair)))
     out[2::2] = even[1:]
@@ -212,13 +207,14 @@ def _stack(profiles, t):
 
 
 class Truth:
-    """Truth trajectory of a scenario, sampled on its fine substep grid.
+    """Truth trajectory of a scenario, sampled at the IMU's Simpson nodes.
 
     Attitude and velocity are closed-form.  Position is integrated from the
     velocity on the grid ``t`` (``p``); between grid points a cubic spline
     interpolates it, so :meth:`kinematics` evaluates the truth at arbitrary
     times for the reference integrators.  Only those use the spline, so it
     (and scipy) is built on the first :meth:`position` call.  The grid
+    ``t`` has ``4 * n_updates + 1`` rows, ``cfg.grid_dt`` apart; its
     arrays ``c_b_n`` (N, 3, 3), ``v`` (m/s), ``p`` ([lon, lat, h]),
     ``omega_ib_b``, ``omega_in_n`` (rad/s) and ``f_b`` (m/s^2), each
     (N, 3), come from the same derivation as :meth:`kinematics`.
@@ -226,8 +222,7 @@ class Truth:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        n = int(round(cfg.duration_s / cfg.substep_s))
-        self.t = np.arange(n + 1) * cfg.substep_s
+        self.t = np.arange(4 * cfg.n_updates + 1) * cfg.grid_dt
         v, v_rate = self.velocity(self.t)
         p = _integrate_position(cfg, v)
         self._p_spline = None
@@ -293,13 +288,9 @@ class Truth:
             "omega_in_n": omega_in,
         }
 
-    @property
-    def substeps_per_update(self):
-        return 2 * self.cfg.substeps_per_sample
-
     def update_indices(self):
-        """Substep-grid indices of the update-interval endpoints."""
-        return np.arange(self.cfg.n_updates + 1) * self.substeps_per_update
+        """Grid indices of the update-interval endpoints."""
+        return np.arange(self.cfg.n_updates + 1) * 4
 
 
 def _integrate_position(cfg, v):
@@ -308,7 +299,7 @@ def _integrate_position(cfg, v):
     The rates depend on latitude and height only: height integrates
     directly, latitude is iterated, and longitude integrates the last rate.
     """
-    dt = cfg.substep_s
+    dt = cfg.grid_dt
     v = np.asfortranarray(v)  # contiguous columns for the column arithmetic
     p = np.empty_like(v)
     p[:] = cfg.p0
@@ -327,37 +318,22 @@ def _integrate_position(cfg, v):
 
 
 def generate_truth(cfg):
-    """Evaluate the truth trajectory of a scenario on its substep grid."""
+    """Evaluate the truth trajectory of a scenario on its grid."""
     return Truth(cfg)
-
-
-def _simpson_weights(n_panels, dx):
-    w = np.ones(n_panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (dx / 3.0)
-
-
-def _integrate_samples(series, n_sub, dx):
-    """Composite-Simpson integral of a (N,3) series over consecutive windows."""
-    n_windows = (series.shape[0] - 1) // n_sub
-    idx = np.arange(n_windows)[:, None] * n_sub + np.arange(n_sub + 1)[None, :]
-    w = _simpson_weights(n_sub, dx)
-    return np.einsum("j,njk->nk", w, series[idx])
 
 
 def sample_imu(truth, errors=None, rng=None):
     """Synthesize IMU increments, one row per sample (half update interval).
 
-    Returns ``(dtheta, dv)`` arrays of shape (n_samples, 3).  With
-    ``errors`` given, adds the constant per-axis bias plus white increment
+    Each increment is the Simpson integral of the true rate over the
+    sample's three grid nodes.  Returns ``(dtheta, dv)`` arrays of shape
+    (n_samples, 3).  With ``errors`` given, adds the constant per-axis bias plus white increment
     noise with per-sample sigma ``density * sqrt(sample_dt)``; the random
     draws consume ``rng`` in the order gyro then accelerometer.
     """
     cfg = truth.cfg
-    n_sub = cfg.substeps_per_sample
-    dtheta = _integrate_samples(truth.omega_ib_b, n_sub, cfg.substep_s)
-    dv = _integrate_samples(truth.f_b, n_sub, cfg.substep_s)
+    dtheta = _simpson_pairs(truth.omega_ib_b, cfg.grid_dt)
+    dv = _simpson_pairs(truth.f_b, cfg.grid_dt)
 
     if errors is not None:
         dt = cfg.sample_dt
@@ -400,9 +376,11 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
     if stride_s is None:
         idx = truth.update_indices()
     else:
-        step = stride_s / cfg.substep_s
-        if abs(step - round(step)) > 1e-9:
-            raise ValueError("stride must be a multiple of the substep")
+        step = stride_s / cfg.grid_dt
+        if not 0.5 <= step < math.inf or abs(step - round(step)) > 1e-9:
+            raise ValueError(
+                f"stride must be a positive multiple of the {cfg.grid_dt:g} s truth grid step"
+            )
         idx = np.arange(0, truth.t.size, int(round(step)))
     t = truth.t[idx]
     v = truth.v[idx].copy()

@@ -44,6 +44,17 @@ class TestSimulateVerb:
         t, v, p = ifio.read_gps(out / "gps.csv")
         assert t.size == 17  # 8 s at 2 Hz inclusive
 
+    @pytest.mark.parametrize("interval", ["0", "-0.5"])
+    def test_gps_interval_must_be_positive(self, interval, short_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["simulate", "--config", str(short_config), "--out", str(out),
+                       "--gps-interval", interval])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stride must be a positive multiple")
+        assert err.count("\n") == 1
+        assert not (out / "gps.csv").exists()
+
 
 class TestAlignVerb:
     def test_simulation_mode_both_methods(self, short_config, tmp_path, capsys):
@@ -73,6 +84,15 @@ class TestAlignVerb:
         assert rc == 0
         report = (tmp_path / "rep" / "report_vif.csv").read_text()
         assert "yaw_err_deg" in report
+
+    def test_empty_gps_log_exit_code(self, short_config, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        cli.main(["simulate", "--config", str(short_config), "--out", str(logs)])
+        (logs / "gps.csv").write_text(ifio.GPS_HEADER + "\n")
+        rc = cli.main(["align", "--imu", str(logs / "imu.csv"),
+                       "--gps", str(logs / "gps.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: GPS log holds no fixes\n"
 
     def test_format_error_exit_code(self, tmp_path):
         bad = tmp_path / "imu.csv"

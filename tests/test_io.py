@@ -125,7 +125,7 @@ class TestConfigFiles:
         ({"scenario": {"duration_s": "ten"}}, "scenario.duration_s must be a number"),
         ({"scenario": {"duration_s": -1}}, "scenario: duration must be positive"),
         ({"scenario": {"duration_s": math.inf}}, "scenario: duration must be positive"),
-        ({"scenario": {"substep_s": 0}}, "scenario: substep must be positive"),
+        ({"scenario": {"substep_s": 0.001}}, "unknown key scenario.substep_s"),
         (None, "config must be a mapping"),
     ])
     def test_bad_document_names_the_key(self, doc, message):
@@ -135,23 +135,23 @@ class TestConfigFiles:
     def test_yaml_exponent_without_dot(self, tmp_path):
         # YAML 1.1 reads 1e-3 as a string; it is still the number it spells
         path = tmp_path / "scenario.yaml"
-        path.write_text("scenario: {substep_s: 1e-3}\n")
-        assert ifio.load_config(path)[0].substep_s == 0.001
+        path.write_text("scenario: {height_m: 1e-3}\n")
+        assert ifio.load_config(path)[0].height_m == 0.001
 
     def test_hash_is_stable(self):
-        # digests of configs saved before the schema was read off the dataclasses
+        # digests pinned once scenario.substep_s left the schema
         from ifalign.simulate import turning_scenario
 
         assert ifio.config_hash(
             ScenarioConfig(), simulation_sensor_defaults()
-        ) == "ce575fee8e2d7b70"
+        ) == "428d2238df1a2f62"
         assert ifio.config_hash(
             turning_scenario(30.0), SensorErrors(lever_arm_m=(1.0, 0.0, 0.0), seed=4)
-        ) == "11e0699862063c42"
+        ) == "a90ea432e327704b"
         assert ifio.config_hash(
             ScenarioConfig(duration_s=50.0, vel_mean_mps=(10.0, 1.0, -3.0)),
             simulation_sensor_defaults(99),
-        ) == "ca75ce7cc2ff0fe8"
+        ) == "2c30b9f48f5cccf2"
 
     def test_hash_reads_values_as_their_field_types(self, tmp_path):
         # integers where the fields are floats hash like the floats, and
@@ -220,6 +220,11 @@ class TestInterpolation:
         with pytest.raises(GapError):
             ifio.interpolate_fixes(t, np.zeros((2, 3)), np.zeros((2, 3)),
                                    np.array([0.0, 1.0]))
+
+    def test_empty_log_rejected(self):
+        with pytest.raises(GapError, match="GPS log holds no fixes"):
+            ifio.interpolate_fixes(np.empty(0), np.empty((0, 3)), np.empty((0, 3)),
+                                   np.array([0.0, 0.5]))
 
     def test_non_monotone_rejected(self):
         t = np.array([0.0, 0.5, 0.5])

@@ -90,7 +90,7 @@ class TestAttitudeComposition:
         ref = oracle.AlignmentReference(short_truth, substep=0.002).run(10.0)
         c0 = short_truth.c_b_n[0]
         composed = compose_attitude(ref["c_nav"][-1].T, c0, ref["c_body"][-1])
-        idx = int(round(10.0 / short_truth.cfg.substep_s))
+        idx = int(round(10.0 / short_truth.cfg.grid_dt))
         assert rotation_angle(composed @ short_truth.c_b_n[idx].T) < 1e-8
 
 

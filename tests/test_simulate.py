@@ -16,6 +16,7 @@ from ifalign.simulate import (
     run_rng,
     sample_imu,
     simulation_sensor_defaults,
+    turning_scenario,
 )
 
 D2R = math.pi / 180.0
@@ -29,10 +30,6 @@ class TestConfigValidation:
     def test_duration_must_tile_updates(self):
         with pytest.raises(ValueError):
             ScenarioConfig(duration_s=0.03)
-
-    def test_substep_must_split_sample_evenly(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(substep_s=0.003)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -96,7 +93,7 @@ class TestTruthKinematics:
             "from ifalign.simulate import ScenarioConfig, generate_truth\n"
             "truth = generate_truth(ScenarioConfig(duration_s=2.0))\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n"
-            "k = 777\n"
+            "k = int(round(0.775 / truth.cfg.grid_dt))\n"
             "assert abs(truth.position(truth.t[k]) - truth.p[k]).max() == 0.0\n"
             "assert 'scipy.interpolate' in sys.modules\n"
         )
@@ -129,10 +126,10 @@ class TestTruthKinematics:
             generate_truth(cfg)
 
     def test_body_rate_matches_attitude_derivative(self, short_truth):
-        # finite-difference the true attitude across one substep and compare
-        # with the emitted body rate
-        i = 5000
-        dt = short_truth.cfg.substep_s
+        # finite-difference the true attitude across one grid step and
+        # compare with the emitted body rate
+        dt = short_truth.cfg.grid_dt
+        i = int(round(5.0 / dt))
         c0 = short_truth.c_b_n[i - 1]
         c1 = short_truth.c_b_n[i + 1]
         w_nb_skew = short_truth.c_b_n[i].T @ (c1 - c0) / (2.0 * dt)
@@ -154,8 +151,8 @@ class TestTruthKinematics:
 
 class TestImuSampling:
     def test_zero_errors_match_fine_integrals(self, short_truth):
-        # Simpson on the substep grid vs an independent trapezoid on a
-        # 10x-refined evaluation of the model
+        # Simpson on the sample's grid nodes vs an independent trapezoid on
+        # a 200-panel evaluation of the model
         dtheta, dv = sample_imu(short_truth)
         cfg = short_truth.cfg
         i = 37  # arbitrary sample
@@ -201,6 +198,25 @@ class TestImuSampling:
     def test_noise_requires_rng(self, static_truth):
         with pytest.raises(ValueError):
             sample_imu(static_truth, SensorErrors(accel_noise_ug_sqrt_hz=1.0))
+
+    @pytest.mark.parametrize("cfg, bound", [(ScenarioConfig(), 1e-14),
+                                            (turning_scenario(120.0), 2e-12)],
+                             ids=["default-300s", "turning-120s"])
+    def test_increments_match_fine_simpson_of_kinematics(self, cfg, bound):
+        # one Simpson panel pair per sample on the truth grid against a
+        # 10-panel (1 ms) composite Simpson of kinematics(t) over each sample
+        truth = generate_truth(cfg)
+        n, n_sub = cfg.n_samples, 10
+        h = cfg.sample_dt / n_sub
+        kinematics = truth.kinematics(np.arange(n * n_sub + 1) * h)
+        weights = np.ones(n_sub + 1)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        weights *= h / 3.0
+        for increment, name in zip(sample_imu(truth), ("omega_ib_b", "f_b")):
+            rate = kinematics[name]
+            fine = sum(w * rate[j:j + n * n_sub:n_sub] for j, w in enumerate(weights))
+            rel = np.linalg.norm(increment - fine, axis=1) / np.linalg.norm(fine, axis=1)
+            assert rel.max() <= bound, name
 
 
 class TestGps:
@@ -255,14 +271,14 @@ class TestGps:
 
     def test_antenna_velocity_matches_position_derivative(self):
         # cross-check the lever-arm velocity against a finite difference of
-        # the antenna position across substeps
+        # the antenna position across grid steps
         cfg = ScenarioConfig(duration_s=2.0)
         truth = generate_truth(cfg)
         errs = SensorErrors(lever_arm_m=(1.0, 1.0, 1.0))
-        i = 500
-        _, fix_v, fix_p = gps_fixes(truth, errs, stride_s=cfg.substep_s)
+        dt = cfg.grid_dt
+        i = int(round(0.5 / dt))
+        _, fix_v, fix_p = gps_fixes(truth, errs, stride_s=dt)
         p_prev, p_next = fix_p[i - 1], fix_p[i + 1]
-        dt = truth.cfg.substep_s
         # convert curvilinear positions to local meters around sample i
         r_n, r_e = earth.radii_of_curvature(truth.p[i, 1])
         lat, h = truth.p[i, 1], truth.p[i, 2]
@@ -284,14 +300,16 @@ class TestGps:
         lever = np.array([1.0, 1.0, 1.0])
         _, fix_v, _ = gps_fixes(truth, SensorErrors(lever_arm_m=tuple(lever)))
         idx = truth.update_indices()
-        dt = truth.cfg.substep_s
+        dt = 0.001
+        t = truth.t[idx[1:-1]]
+        before, after = truth.kinematics(t - dt), truth.kinematics(t + dt)
 
-        def arm_e(j):
-            return earth.nav_to_ecef_dcm(truth.p[j]) @ truth.c_b_n[j] @ lever
+        def arm_e(kin, j):
+            return earth.nav_to_ecef_dcm(kin["p"][j]) @ kin["c_b_n"][j] @ lever
 
         worst = 0.0
         for k, i in enumerate(idx[1:-1], start=1):
-            rate_e = (arm_e(i + 1) - arm_e(i - 1)) / (2.0 * dt)
+            rate_e = (arm_e(after, k - 1) - arm_e(before, k - 1)) / (2.0 * dt)
             rate_n = earth.nav_to_ecef_dcm(truth.p[i]).T @ rate_e
             worst = max(worst, np.max(np.abs(fix_v[k] - truth.v[i] - rate_n)))
         assert worst < 1e-9
@@ -307,12 +325,15 @@ class TestGps:
         t, v, p = gps_fixes(short_truth, stride_s=0.5)
         assert t[1] - t[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("stride", [0.0, -0.5, 0.003, math.inf, math.nan])
+    def test_gps_stride_must_be_a_positive_grid_multiple(self, short_truth, stride):
+        with pytest.raises(ValueError, match="positive multiple of the 0.005 s"):
+            gps_fixes(short_truth, stride_s=stride)
+
     def test_lever_effect_increases_transient_error(self):
         # enabling the lever arm on the same seed must increase the peak
         # transient yaw error when the vehicle turns
         from ifalign.harness import AlignmentData, run_alignment
-        from ifalign.simulate import turning_scenario
-
         truth = generate_truth(turning_scenario(duration_s=60.0))
         errors = simulation_sensor_defaults(seed=5)
         peaks = {}
