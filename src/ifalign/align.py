@@ -23,7 +23,7 @@ unknown of the fit.
 import numpy as np
 
 from . import earth
-from .attitude import compose_attitude, cross_floats, matmul3, quat_to_dcm, rotvec_to_dcm
+from .attitude import compose_attitude, cross_floats, matmul3, quat_dcm_entries, rotvec_to_dcm
 from .increments import (
     as_float3, body_rotvec, double_integral_increment, sculling_increment,
 )
@@ -148,8 +148,12 @@ class AlignmentEstimate:
 
     @property
     def c_b_n(self):
+        c00, c01, c02, c10, c11, c12, c20, c21, c22 = quat_dcm_entries(*self.q.tolist())
+        (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = self._c_nav
         return compose_attitude(
-            tuple(zip(*self._c_nav)), quat_to_dcm(self.q).T, self._c_body
+            ((n00, n10, n20), (n01, n11, n21), (n02, n12, n22)),
+            ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22)),
+            self._c_body,
         )
 
     def __repr__(self):
@@ -169,6 +173,9 @@ def _state_array(name):
     """Read-only property: the float state ``_<name>`` as a float64 array."""
     private = "_" + name
     return property(lambda self: np.array(getattr(self, private)))
+
+
+_ZERO_4X4 = ((0.0,) * 4,) * 4
 
 
 def _frozen(floats):
@@ -269,10 +276,14 @@ class _AlignerBase:
 
     def solved_matrix(self):
         """``K`` with the initial-velocity correction minimized out."""
+        return np.array(self._solved())
+
+    def _solved(self):
+        """:meth:`solved_matrix` as nested 4-tuples of floats."""
         if self.M < 2:
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
-            return np.zeros((4, 4))
+            return _ZERO_4X4
         (
             (k00, k01, k02, k03),
             (k10, k11, k12, k13),
@@ -286,12 +297,12 @@ class _AlignerBase:
             (g30, g31, g32, g33),
         ) = pair_gram(self._w_alpha, self._w_beta)
         w_sq = self._w_sq
-        return np.array([
-            [k00 - g00 / w_sq, k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq],
-            [k10 - g10 / w_sq, k11 - g11 / w_sq, k12 - g12 / w_sq, k13 - g13 / w_sq],
-            [k20 - g20 / w_sq, k21 - g21 / w_sq, k22 - g22 / w_sq, k23 - g23 / w_sq],
-            [k30 - g30 / w_sq, k31 - g31 / w_sq, k32 - g32 / w_sq, k33 - g33 / w_sq],
-        ])
+        return (
+            (k00 - g00 / w_sq, k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq),
+            (k10 - g10 / w_sq, k11 - g11 / w_sq, k12 - g12 / w_sq, k13 - g13 / w_sq),
+            (k20 - g20 / w_sq, k21 - g21 / w_sq, k22 - g22 / w_sq, k23 - g23 / w_sq),
+            (k30 - g30 / w_sq, k31 - g31 / w_sq, k32 - g32 / w_sq, k33 - g33 / w_sq),
+        )
 
     def estimate(self):
         """Solve the accumulated state for an :class:`AlignmentEstimate`.
@@ -299,7 +310,7 @@ class _AlignerBase:
         A pure function of the state.  Raises :class:`DegenerateSpectrum`
         while the attitude is unobservable; further updates may follow.
         """
-        q, lam = optimal_quaternion(self.solved_matrix())
+        q, lam = optimal_quaternion(self._solved())
         return AlignmentEstimate(
             t=self.t, q=q, lambda_min=lam, c_nav=self._c_nav, c_body=self._c_body
         )

@@ -125,14 +125,20 @@ def rotation_angle(dcm):
     return math.atan2(s, c)
 
 
-def quat_canonical(q):
-    """Flip the sign so that s >= 0 (first nonzero component positive at s=0)."""
+def flips_sign(q):
+    """Whether the canonical sign of ``q`` is the opposite one: its first
+    nonzero component is negative."""
     for component in q:
         if component > 0.0:
-            return q
+            return False
         if component < 0.0:
-            return -q
-    return q
+            return True
+    return False
+
+
+def quat_canonical(q):
+    """Flip the sign so that s >= 0 (first nonzero component positive at s=0)."""
+    return -q if flips_sign(q) else q
 
 
 def quat_normalize(q):
@@ -177,25 +183,37 @@ def quat_mul_matrices(q):
     return qplus, qminus
 
 
-def quat_to_dcm(q):
-    """Nav-to-body DCM encoded by a unit quaternion, or one per row of an
-    ``(N, 4)`` stack (shape ``(N, 3, 3)``).
+def quat_dcm_entries(s, x, y, z):
+    """The nine entries of :func:`quat_to_dcm`, row by row, as a flat tuple.
 
     ``(s^2 - eta.eta) I + 2 eta eta^T - 2 s skew(eta)``, written out
-    component-wise: one quaternion is computed on Python floats, a stack on
-    ``(N,)`` columns, with the same operations and so the same rounding.
-    The transpose is the body-to-nav attitude matrix.
+    component-wise with arithmetic only, so the components may be Python
+    floats or numpy columns.
     """
-    q = np.asarray(q, dtype=float)
-    s, x, y, z = q.tolist() if q.ndim == 1 else q.T
     ss = s * s - (x * x + y * y + z * z)
     xx, yy, zz = 2.0 * x * x, 2.0 * y * y, 2.0 * z * z
     xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
     sx, sy, sz = 2.0 * s * x, 2.0 * s * y, 2.0 * s * z
-    entries = np.array(
-        [ss + xx, xy + sz, xz - sy, xy - sz, ss + yy, yz + sx, xz + sy, yz - sx, ss + zz]
+    return (
+        ss + xx, xy + sz, xz - sy,
+        xy - sz, ss + yy, yz + sx,
+        xz + sy, yz - sx, ss + zz,
     )
-    return entries.T.reshape(q.shape[:-1] + (3, 3))
+
+
+def quat_to_dcm(q):
+    """Nav-to-body DCM encoded by a unit quaternion, or one per row of an
+    ``(N, 4)`` stack (shape ``(N, 3, 3)``).
+
+    :func:`quat_dcm_entries` on Python floats for one quaternion, on
+    ``(N,)`` columns for a stack: the same operations and so the same
+    rounding.  The transpose is the body-to-nav attitude matrix.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        return np.array(quat_dcm_entries(*q.tolist())).reshape(3, 3)
+    entries = quat_dcm_entries(*np.moveaxis(q, -1, 0))
+    return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def dcm_to_quat(dcm, tol=1e-6):

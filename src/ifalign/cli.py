@@ -48,12 +48,12 @@ def _add_config_args(parser):
 
 def _cmd_simulate(args):
     cfg, errors = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     truth = generate_truth(cfg)
     rng = run_rng(errors.seed, args.run_index)
     dtheta, dv = sample_imu(truth, errors, rng)
     t_fix, v_fix, p_fix = gps_fixes(truth, errors, rng, stride_s=args.gps_interval)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     n_samples = cfg.n_samples
     t_end = (np.arange(n_samples) + 1) * cfg.sample_dt

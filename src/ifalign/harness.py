@@ -11,12 +11,13 @@ import numpy as np
 
 from . import io as ifio
 from .align import AidFix, make_aligner
-from .attitude import dcm_to_euler, quat_to_dcm
+from .attitude import as_floats, dcm_to_euler, matmul3, quat_to_dcm
 from .errors import DegenerateSpectrum
 from .increments import ImuInterval, check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 RAD2DEG = 180.0 / math.pi
+_NAN_ROW = (math.nan, math.nan, math.nan)
 DEFAULT_EPOCHS = (5.0, 10.0, 20.0, 60.0, 100.0, 300.0)
 
 
@@ -67,11 +68,11 @@ class AlignmentData:
         if not (np.isfinite(self.fix_t).all() and np.isfinite(self.fix_v).all()
                 and np.isfinite(self.fix_p).all()):
             raise ValueError("fixes must be finite")
-        dtheta = list(map(tuple, self.dtheta.tolist()))
-        dv = list(map(tuple, self.dv.tolist()))
-        self._intervals = list(map(
-            ImuInterval.from_floats, dtheta[0::2], dtheta[1::2], dv[0::2], dv[1::2]
-        ))
+        # One flat 12-tuple per interval, zipped from the twelve increment
+        # columns: no (N, 12) copy and no per-row list on the way.
+        n = self.n_updates
+        columns = self.dtheta.reshape(n, 6).T.tolist() + self.dv.reshape(n, 6).T.tolist()
+        self._intervals = list(map(ImuInterval.from_floats, zip(*columns)))
         self._fixes = list(map(
             AidFix.from_floats,
             self.fix_t.tolist(),
@@ -187,8 +188,14 @@ def _solve_precision(eigenvalues):
 
 def attitude_error_deg(c_est, c_true):
     """Roll/pitch/yaw components (deg) of the DCM discrepancy est vs truth."""
-    delta = c_est @ c_true.T
-    return dcm_to_euler(delta) * RAD2DEG
+    return _attitude_error(as_floats(c_est), np.transpose(c_true).tolist()) * RAD2DEG
+
+
+def _attitude_error(c_est, c_true_t):
+    """Roll/pitch/yaw (rad) of ``c_est @ c_true.T``, from the floats of
+    ``c_est`` and of the transposed truth.  ``matmul3`` may round the
+    product differently from numpy's ``@`` in the last bits."""
+    return dcm_to_euler(matmul3(c_est, c_true_t))
 
 
 def _report_stride(report_interval_s, T):
@@ -217,36 +224,36 @@ def run_alignment(data, method, report_interval_s=1.0):
         )
     aligner = make_aligner(method, T=data.T)
 
-    t_rows = np.empty(n_rows)
-    est_rows = np.full((n_rows, 3), np.nan)
-    err_rows = np.full((n_rows, 3), np.nan) if data.truth_c_b_n is not None else None
-    degen_rows = np.zeros(n_rows, dtype=bool)
+    # Each row is appended to a list (NaN while degenerate); the (R, 3)
+    # arrays are built once at the end.
+    truth_t = None if data.truth_c_b_n is None else data.truth_c_b_n.transpose(0, 2, 1)
+    est_rows, err_rows, degenerate = [], [], []
 
-    row = 0
     for k in range(n_updates):
         aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
         if (k + 1) % stride:
             continue
-        t_rows[row] = data.fix_t[k + 1]
         try:
             estimate = aligner.estimate()
         except DegenerateSpectrum:
-            degen_rows[row] = True
-        else:
-            est_rows[row] = dcm_to_euler(estimate.c_b_n) * RAD2DEG
-            if err_rows is not None:
-                err_rows[row] = attitude_error_deg(
-                    estimate.c_b_n, data.truth_c_b_n[k + 1]
-                )
-        row += 1
+            degenerate.append(True)
+            est_rows.append(_NAN_ROW)
+            err_rows.append(_NAN_ROW)
+            continue
+        degenerate.append(False)
+        est_rows.append(dcm_to_euler(estimate.c_b_n))
+        if truth_t is not None:
+            err_rows.append(
+                _attitude_error(estimate.c_b_n.tolist(), truth_t[k + 1].tolist())
+            )
 
     meta = dict(data.metadata, method=method)
     return RunReport(
         method=method,
-        t=t_rows,
-        est_deg=est_rows,
-        err_deg=err_rows,
-        degenerate=degen_rows,
+        t=data.fix_t[stride:n_rows * stride + 1:stride].copy(),
+        est_deg=np.array(est_rows) * RAD2DEG,
+        err_deg=np.array(err_rows) * RAD2DEG if truth_t is not None else None,
+        degenerate=np.array(degenerate),
         k_eigenvalues=np.linalg.eigvalsh(aligner.solved_matrix()),
         metadata=meta,
     )

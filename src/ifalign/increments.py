@@ -20,8 +20,6 @@ once, where they enter the program.
 
 import numpy as np
 
-from .attitude import cross_floats
-
 _CONING_BOUND = 0.1  # rad; sanity bound for one update interval
 
 
@@ -79,9 +77,9 @@ class ImuInterval:
 
     ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` checks that each argument is
     a 3-vector and validates the rows with :func:`check_increments`.
-    ``floats`` holds the four increments as 3-tuples of Python floats, which
-    is what the kernels read; the array attributes are built from it on
-    access.
+    ``floats`` holds the four increments as one flat 12-tuple of Python
+    floats, which is what the kernels read; the array attributes are built
+    from it on access.
 
     Attributes
     ----------
@@ -90,32 +88,32 @@ class ImuInterval:
     dv1, dv2 : ndarray, shape (3,)
         Incremental velocities (m/s) integrated over the first/second half.
     floats : tuple
-        ``(dtheta1, dtheta2, dv1, dv2)`` as 3-tuples of Python floats.
+        ``dtheta1 + dtheta2 + dv1 + dv2`` as one 12-tuple of Python floats.
     """
 
     __slots__ = ("floats",)
 
     def __init__(self, dtheta1, dtheta2, dv1, dv2):
-        self.floats = tuple(
-            as_float3(value, name)
-            for value, name in zip(
-                (dtheta1, dtheta2, dv1, dv2), ("dtheta1", "dtheta2", "dv1", "dv2")
-            )
+        floats = (
+            as_float3(dtheta1, "dtheta1") + as_float3(dtheta2, "dtheta2")
+            + as_float3(dv1, "dv1") + as_float3(dv2, "dv2")
         )
-        check_increments(self.floats[:2], self.floats[2:])
+        check_increments((floats[0:3], floats[3:6]), (floats[6:9], floats[9:12]))
+        self.floats = floats
 
     @classmethod
-    def from_floats(cls, dtheta1, dtheta2, dv1, dv2):
-        """An interval from float 3-tuples that already passed
-        :func:`check_increments`; they are neither copied nor checked."""
+    def from_floats(cls, floats):
+        """An interval from a flat 12-tuple of floats (``dtheta1, dtheta2,
+        dv1, dv2``) that already passed :func:`check_increments`; it is
+        neither copied nor checked."""
         interval = cls.__new__(cls)
-        interval.floats = (dtheta1, dtheta2, dv1, dv2)
+        interval.floats = floats
         return interval
 
-    dtheta1 = property(lambda self: np.array(self.floats[0]))
-    dtheta2 = property(lambda self: np.array(self.floats[1]))
-    dv1 = property(lambda self: np.array(self.floats[2]))
-    dv2 = property(lambda self: np.array(self.floats[3]))
+    dtheta1 = property(lambda self: np.array(self.floats[0:3]))
+    dtheta2 = property(lambda self: np.array(self.floats[3:6]))
+    dv1 = property(lambda self: np.array(self.floats[6:9]))
+    dv2 = property(lambda self: np.array(self.floats[9:12]))
 
 
 def sculling_increment(interval):
@@ -124,19 +122,14 @@ def sculling_increment(interval):
     ``dv1 + dv2 + (dtheta1 + dtheta2) x (dv1 + dv2) / 2
     + 2 (dtheta1 x dv2 + dv1 x dtheta2) / 3``
     """
-    dth1, dth2, dv1, dv2 = interval.floats
-    p0, p1, p2 = dth1
-    q0, q1, q2 = dth2
-    a0, a1, a2 = dv1
-    b0, b1, b2 = dv2
-    r0, r1, r2 = cross_floats((p0 + q0, p1 + q1, p2 + q2), (a0 + b0, a1 + b1, a2 + b2))
-    c0, c1, c2 = cross_floats(dth1, dv2)
-    d0, d1, d2 = cross_floats(dv1, dth2)
+    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval.floats
+    s0, s1, s2 = p0 + q0, p1 + q1, p2 + q2
+    u0, u1, u2 = a0 + b0, a1 + b1, a2 + b2
     k = 2.0 / 3.0
     return (
-        a0 + b0 + 0.5 * r0 + k * (c0 + d0),
-        a1 + b1 + 0.5 * r1 + k * (c1 + d1),
-        a2 + b2 + 0.5 * r2 + k * (c2 + d2),
+        u0 + 0.5 * (s1 * u2 - s2 * u1) + k * ((p1 * b2 - p2 * b1) + (a1 * q2 - a2 * q1)),
+        u1 + 0.5 * (s2 * u0 - s0 * u2) + k * ((p2 * b0 - p0 * b2) + (a2 * q0 - a0 * q2)),
+        u2 + 0.5 * (s0 * u1 - s1 * u0) + k * ((p0 * b1 - p1 * b0) + (a0 * q1 - a1 * q0)),
     )
 
 
@@ -148,18 +141,15 @@ def double_integral_increment(interval, T):
     """
     if T <= 0.0:
         raise ValueError("update interval T must be positive")
-    dth1, dth2, dv1, dv2 = interval.floats
-    a0, a1, a2 = dv1
-    b0, b1, b2 = dv2
-    c0, c1, c2 = cross_floats(dth1, dv1)
-    d0, d1, d2 = cross_floats(dth1, dv2)
-    e0, e1, e2 = cross_floats(dv1, dth2)
-    f0, f1, f2 = cross_floats(dth2, dv2)
+    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval.floats
     scale = T / 30.0
     return (
-        scale * (25.0 * a0 + 5.0 * b0 + 12.0 * c0 + 8.0 * d0 + 2.0 * e0 + 2.0 * f0),
-        scale * (25.0 * a1 + 5.0 * b1 + 12.0 * c1 + 8.0 * d1 + 2.0 * e1 + 2.0 * f1),
-        scale * (25.0 * a2 + 5.0 * b2 + 12.0 * c2 + 8.0 * d2 + 2.0 * e2 + 2.0 * f2),
+        scale * (25.0 * a0 + 5.0 * b0 + 12.0 * (p1 * a2 - p2 * a1) + 8.0 * (p1 * b2 - p2 * b1)
+                 + 2.0 * (a1 * q2 - a2 * q1) + 2.0 * (q1 * b2 - q2 * b1)),
+        scale * (25.0 * a1 + 5.0 * b1 + 12.0 * (p2 * a0 - p0 * a2) + 8.0 * (p2 * b0 - p0 * b2)
+                 + 2.0 * (a2 * q0 - a0 * q2) + 2.0 * (q2 * b0 - q0 * b2)),
+        scale * (25.0 * a2 + 5.0 * b2 + 12.0 * (p0 * a1 - p1 * a0) + 8.0 * (p0 * b1 - p1 * b0)
+                 + 2.0 * (a0 * q1 - a1 * q0) + 2.0 * (q0 * b1 - q1 * b0)),
     )
 
 
@@ -168,9 +158,10 @@ def body_rotvec(interval):
 
     ``dtheta1 + dtheta2 + 2 (dtheta1 x dtheta2) / 3``
     """
-    dth1, dth2, _, _ = interval.floats
-    a0, a1, a2 = dth1
-    b0, b1, b2 = dth2
-    c0, c1, c2 = cross_floats(dth1, dth2)
+    a0, a1, a2, b0, b1, b2 = interval.floats[:6]
     k = 2.0 / 3.0
-    return (a0 + b0 + k * c0, a1 + b1 + k * c1, a2 + b2 + k * c2)
+    return (
+        a0 + b0 + k * (a1 * b2 - a2 * b1),
+        a1 + b1 + k * (a2 * b0 - a0 * b2),
+        a2 + b2 + k * (a0 * b1 - a1 * b0),
+    )

@@ -37,10 +37,11 @@ def write_csv(path, header, columns, preamble=""):
 
     ``preamble`` (whole lines, such as ``#`` comments) precedes the header.
     """
+    table = np.column_stack(columns)
+    line = ",".join([_FMT] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(preamble + header + "\n")
-        for row in np.column_stack(columns).tolist():
-            fh.write(",".join(_FMT % x for x in row) + "\n")
+        fh.writelines([line % tuple(row) for row in table.tolist()])
 
 
 def _read_csv(path, header, n_cols):

@@ -141,6 +141,14 @@ def rotation_vector_reference(omega_fn, t0, t1, n=2000):
 # Truth references: RK4 on augmented states.
 
 
+def _positive_step(substep):
+    """``substep`` as a float; ``ValueError`` unless it is positive."""
+    substep = float(substep)
+    if not substep > 0.0:
+        raise ValueError(f"substep must be positive, got {substep:g} s")
+    return substep
+
+
 class AlignmentReference:
     """Fine-step reference for the alignment integrals of a truth trajectory.
 
@@ -153,7 +161,7 @@ class AlignmentReference:
 
     def __init__(self, truth, substep=0.001):
         self.truth = truth
-        self.substep = float(substep)
+        self.substep = _positive_step(substep)
 
     def run(self, t_end, epochs=None):
         """Integrate from 0 to ``t_end``; returns reference series at epochs.
@@ -224,7 +232,7 @@ class NavigationReference:
 
     def __init__(self, truth, substep=0.001):
         self.truth = truth
-        self.substep = float(substep)
+        self.substep = _positive_step(substep)
 
     def deviations(self, t_end, check_every=0.1):
         """Max attitude/velocity/position deviation from the truth over [0, t_end]."""

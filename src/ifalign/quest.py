@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .attitude import as_floats, quat_canonical
+from .attitude import as_floats, flips_sign, quat_canonical
 from .errors import DegenerateSpectrum
 
 GAP_TOL = 1e-9
@@ -82,7 +82,9 @@ def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
     ``K`` is an array or nested float sequences.  Returns ``(q, lambda_min)``
-    with canonical sign; only the eigen-solve itself runs in numpy.
+    with canonical sign.  Only the eigen-solve itself runs in numpy: its
+    eigenvalues and the chosen eigenvector are read out with one
+    ``tolist()`` each, and the sign and norm are set on Python floats.
 
     Raises
     ------
@@ -93,9 +95,9 @@ def optimal_quaternion(K):
         (lexicographically smallest canonical eigenvector among the tied
         eigenvalues) so callers can still log a reproducible value.
     """
-    w, v = np.linalg.eigh(K)
     (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = as_floats(K)
     trace = k00 + k11 + k22 + k33
+    w, v = np.linalg.eigh(K)
     w = w.tolist()
     lam = w[0]
     if w[1] - w[0] <= GAP_TOL * trace:
@@ -111,6 +113,9 @@ def optimal_quaternion(K):
             q=tied[0],
             lambda_min=lam,
         )
-    q0, q1, q2, q3 = quat_canonical(v[:, 0]).tolist()
+    q = v[:, 0].tolist()
+    q0, q1, q2, q3 = q
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if flips_sign(q):
+        norm = -norm
     return np.array([q0 / norm, q1 / norm, q2 / norm, q3 / norm]), lam

@@ -53,7 +53,7 @@ class TestSimulateVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: stride must be a positive multiple")
         assert err.count("\n") == 1
-        assert not (out / "gps.csv").exists()
+        assert not out.exists()
 
 
 class TestAlignVerb:
@@ -155,6 +155,15 @@ class TestOracleVerb:
         assert rc == 0
         text = capsys.readouterr().out
         assert "alpha_v" in text and "substep halving" in text
+
+    @pytest.mark.parametrize("substep", ["0", "-0.01"])
+    def test_substep_must_be_positive(self, substep, short_config, capsys):
+        rc = cli.main(["oracle", "--config", str(short_config), "--t-end", "0.1",
+                       "--substep", substep])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: substep must be positive")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,42 @@ class TestRunAlignment:
         expected = np.linalg.eigvalsh(al.solved_matrix())
         np.testing.assert_array_equal(rep.k_eigenvalues, expected)
 
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_rows_equal_the_array_functions(self, method, short_truth):
+        # run_alignment keeps each row on floats; recompute it through the
+        # public array functions
+        from ifalign.align import make_aligner
+        from ifalign.attitude import compose_attitude, dcm_to_euler, quat_to_dcm
+        from ifalign.errors import DegenerateSpectrum
+        from ifalign.harness import RAD2DEG
+
+        data = AlignmentData.from_simulation(
+            short_truth, simulation_sensor_defaults(5), run_rng(5, 0)
+        )
+        rep = run_alignment(data, method, report_interval_s=data.T)
+        al = make_aligner(method, data.T)
+        est, err, degenerate = [], [], []
+        for k in range(data.n_updates):
+            al.update(data.interval(k), data.fix(k), data.fix(k + 1))
+            try:
+                q = al.estimate().q
+            except DegenerateSpectrum:
+                est.append(np.full(3, np.nan))
+                err.append(np.full(3, np.nan))
+                degenerate.append(True)
+                continue
+            c = compose_attitude(al.c_nav.T, quat_to_dcm(q).T, al.c_body)
+            est.append(dcm_to_euler(c) * RAD2DEG)
+            err.append(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T) * RAD2DEG)
+            degenerate.append(False)
+        est, err, degenerate = np.array(est), np.array(err), np.array(degenerate)
+        assert degenerate.any() and not degenerate.all()
+        assert rep.degenerate.tobytes() == degenerate.tobytes()
+        assert rep.est_deg[~degenerate].tobytes() == est[~degenerate].tobytes()
+        assert np.isnan(rep.est_deg[degenerate]).all()
+        assert np.isnan(rep.err_deg[degenerate]).all()
+        np.testing.assert_allclose(rep.err_deg, err, rtol=0.0, atol=1e-12)
+
     def test_replay_mode_has_no_error_columns(self, short_truth, tmp_path):
         from ifalign.simulate import gps_fixes, sample_imu
 
@@ -224,17 +260,31 @@ class TestAlignmentDataValidation:
                     fix_t=fix_t, fix_v=fix_v, fix_p=fix_p)
 
     def test_valid_rows_become_intervals_and_fixes(self, short_truth):
+        from ifalign.increments import (
+            ImuInterval, body_rotvec, double_integral_increment, sculling_increment,
+        )
+
         data = AlignmentData(**self.arrays(short_truth))
         k = 37
-        interval, fix = data.interval(k), data.fix(k)
-        for got, row in ((interval.dtheta1, data.dtheta[2 * k]),
-                         (interval.dtheta2, data.dtheta[2 * k + 1]),
-                         (interval.dv1, data.dv[2 * k]),
-                         (interval.dv2, data.dv[2 * k + 1]),
-                         (fix.v, data.fix_v[k]), (fix.p, data.fix_p[k])):
+        fix = data.fix(k)
+        for got, row in ((fix.v, data.fix_v[k]), (fix.p, data.fix_p[k])):
             assert got.tobytes() == row.tobytes()
         assert fix.t == data.fix_t[k]
-        assert data.interval(data.n_updates - 1) is not None
+        # every interval holds its four rows as one flat float row, and the
+        # kernels read it as they read an interval built from the vectors
+        for k in range(data.n_updates):
+            interval = data.interval(k)
+            rows = (data.dtheta[2 * k], data.dtheta[2 * k + 1],
+                    data.dv[2 * k], data.dv[2 * k + 1])
+            assert interval.floats == sum((tuple(row.tolist()) for row in rows), ())
+            for got, row in zip((interval.dtheta1, interval.dtheta2,
+                                 interval.dv1, interval.dv2), rows):
+                assert got.tobytes() == row.tobytes()
+            built = ImuInterval(*rows)
+            assert sculling_increment(interval) == sculling_increment(built)
+            assert body_rotvec(interval) == body_rotvec(built)
+            assert (double_integral_increment(interval, data.T)
+                    == double_integral_increment(built, data.T))
 
     @pytest.mark.parametrize("case", ["nan_dtheta", "inf_dv", "coning_at_bound",
                                       "coning_above_bound", "nan_fix"])

@@ -90,6 +90,15 @@ class TestImuInterval:
         with pytest.raises(ValueError):
             ImuInterval(np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
 
+    def test_floats_are_one_flat_row(self):
+        rows = [np.array([1e-3, 2e-3, 3e-3]) * (i + 1) for i in range(4)]
+        iv = ImuInterval(*rows)
+        assert iv.floats == sum((tuple(row.tolist()) for row in rows), ())
+        assert all(type(x) is float for x in iv.floats)
+        assert ImuInterval.from_floats(iv.floats).floats is iv.floats
+        for got, row in zip((iv.dtheta1, iv.dtheta2, iv.dv1, iv.dv2), rows):
+            assert got.tobytes() == row.tobytes()
+
     def test_ragged_rows_name_the_argument(self):
         # not numpy's "inhomogeneous shape" message
         with pytest.raises(ValueError, match=r"^dtheta1 must be a 3-vector of shape \(3,\)"):

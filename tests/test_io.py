@@ -22,6 +22,22 @@ def tiny_truth():
     return generate_truth(ScenarioConfig(duration_s=2.0))
 
 
+def test_write_csv_bytes_equal_per_value_format(tmp_path):
+    columns = [
+        np.array([0.0, -0.0, 1.0 / 3.0, 1e-17]),
+        np.array([[2.5e300, math.nan], [-math.inf, 123456789012345.0],
+                  [7.0, -1e-300], [0.1, 2.0 / 3.0]]),
+    ]
+    path = tmp_path / "table.csv"
+    ifio.write_csv(path, "a,b,c", columns, preamble="# note\n")
+    per_value = "".join(
+        ",".join("%.12g" % x for x in row) + "\n"
+        for row in np.column_stack(columns).tolist()
+    )
+    assert path.read_bytes() == ("# note\na,b,c\n" + per_value).encode("ascii")
+    assert path.read_text().splitlines()[2] == "0,2.5e+300,nan"
+
+
 class TestSensorCsvRoundTrip:
     def test_imu(self, tiny_truth, tmp_path):
         dtheta, dv = sample_imu(tiny_truth)

@@ -80,6 +80,12 @@ class TestAlignmentReference:
                 1.0, epochs=[0.35]
             )
 
+    @pytest.mark.parametrize("cls", [oracle.AlignmentReference, oracle.NavigationReference])
+    @pytest.mark.parametrize("substep", [0.0, -0.01, math.nan])
+    def test_rejects_step_that_is_not_positive(self, cls, substep, short_truth):
+        with pytest.raises(ValueError, match="substep must be positive"):
+            cls(short_truth, substep=substep)
+
 
 class TestAttitudeComposition:
     def test_compose_matches_truth_over_10s(self, short_truth):

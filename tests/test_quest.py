@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,21 @@ class TestOptimalQuaternion:
                 continue
             qc = quat_canonical(q.copy())
             np.testing.assert_array_equal(q, qc)
+
+    @pytest.mark.parametrize("column", [
+        [-0.5, 0.5, -0.5, 0.5],
+        [0.0, -0.6, 0.8, 0.0],
+        [-0.0, 0.0, -0.28, 0.96],
+        [0.0, 0.6, -0.8, 0.0],
+    ])
+    def test_canonical_sign_from_first_nonzero_component(self, column, monkeypatch):
+        # the solver's sign is arbitrary: hand optimal_quaternion an
+        # eigenvector whose first nonzero component has either sign
+        v = np.eye(4)
+        v[:, 0] = column
+        monkeypatch.setattr(np.linalg, "eigh", lambda K: (np.array([1.0, 2.0, 3.0, 4.0]), v))
+        q, lam = optimal_quaternion(np.diag([1.0, 2.0, 3.0, 4.0]))
+        expected = quat_canonical(np.array(column)) / math.sqrt(sum(x * x for x in column))
+        assert q.tobytes() == expected.tobytes()
+        assert lam == 1.0
+        assert next(x for x in q if x != 0.0) > 0.0
