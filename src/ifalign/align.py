@@ -33,29 +33,20 @@ from .quest import accumulate, optimal_quaternion, pair_gram
 # The per-update path runs on Python floats (see attitude.as_floats):
 # running vectors are 3-tuples, the chains and K nested tuples.
 
-def _rotate(c, v):
-    """``c @ v`` for a 3x3 matrix given as nested sequences."""
+def _rotate_add(a, c, v):
+    """``a + c @ v`` for a 3x3 matrix ``c`` given as nested sequences.
+
+    The product is summed before ``a`` is added, so it rounds as the two
+    steps ``c @ v`` and ``a + (c @ v)`` do.
+    """
+    a0, a1, a2 = a
     x, y, z = v
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
     return (
-        c00 * x + c01 * y + c02 * z,
-        c10 * x + c11 * y + c12 * z,
-        c20 * x + c21 * y + c22 * z,
+        a0 + (c00 * x + c01 * y + c02 * z),
+        a1 + (c10 * x + c11 * y + c12 * z),
+        a2 + (c20 * x + c21 * y + c22 * z),
     )
-
-
-def _add(a, b):
-    """``a + b``."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a0 + b0, a1 + b1, a2 + b2)
-
-
-def _scaled_add(a, scale, b):
-    """``a + scale * b``."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a0 + scale * b0, a1 + scale * b1, a2 + scale * b2)
 
 
 # Integration rules for a nav-frame vector x(tau) that is linear over one
@@ -80,13 +71,6 @@ def double_integral(x_prev, x_next, omega_in, T):
     r0, r1, r2 = cross_floats(omega_in, (p0 + n0, p1 + n1, p2 + n2))
     a, b, c = T * T / 3.0, T * T / 6.0, T ** 3 / 12.0
     return (a * p0 + b * n0 + c * r0, a * p1 + b * n1 + c * r1, a * p2 + b * n2 + c * r2)
-
-
-def _earth_rate_gravity(omega_ie, v, g_n):
-    """``x = omega_ie x v - g``."""
-    w0, w1, w2 = cross_floats(omega_ie, v)
-    g0, g1, g2 = g_n
-    return (w0 - g0, w1 - g1, w2 - g2)
 
 
 class AidFix:
@@ -132,29 +116,27 @@ class AlignmentEstimate:
 
     ``q`` encodes the estimated constant nav-to-body attitude at t=0
     (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
-    body-to-nav matrix at the current time (composed lazily from the chain
-    snapshots, nested float tuples), and ``lambda_min`` the smallest
-    eigenvalue of the solved matrix, a residual-energy figure of merit.
+    body-to-nav matrix at the current time, composed on each read from the
+    chain snapshots (nested float tuples) and the transposed DCM of ``q``,
+    both transposed once here; ``lambda_min`` is the smallest eigenvalue
+    of the solved matrix, a residual-energy figure of merit.
     """
 
-    __slots__ = ("t", "q", "lambda_min", "_c_nav", "_c_body")
+    __slots__ = ("t", "q", "lambda_min", "_c_nav_t", "_c_q_t", "_c_body")
 
     def __init__(self, t, q, lambda_min, c_nav, c_body):
         self.t = t
         self.q = q
         self.lambda_min = lambda_min
-        self._c_nav = c_nav
+        c00, c01, c02, c10, c11, c12, c20, c21, c22 = quat_dcm_entries(*q.tolist())
+        (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = c_nav
+        self._c_nav_t = ((n00, n10, n20), (n01, n11, n21), (n02, n12, n22))
+        self._c_q_t = ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22))
         self._c_body = c_body
 
     @property
     def c_b_n(self):
-        c00, c01, c02, c10, c11, c12, c20, c21, c22 = quat_dcm_entries(*self.q.tolist())
-        (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = self._c_nav
-        return compose_attitude(
-            ((n00, n10, n20), (n01, n11, n21), (n02, n12, n22)),
-            ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22)),
-            self._c_body,
-        )
+        return compose_attitude(self._c_nav_t, self._c_q_t, self._c_body)
 
     def __repr__(self):
         return (
@@ -262,16 +244,24 @@ class _AlignerBase:
         self._c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
         self._c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
         self.M += 1
-        x_prev = _earth_rate_gravity(omega_ie, v_prev, g_n)
-        x_next = _earth_rate_gravity(omega_ie, fix_next.v_floats, g_n)
+        e0, e1, e2 = omega_ie
+        g0, g1, g2 = g_n
+        p0, p1, p2 = v_prev
+        n0, n1, n2 = fix_next.v_floats
+        x_prev = (e1 * p2 - e2 * p1 - g0, e2 * p0 - e0 * p2 - g1, e0 * p1 - e1 * p0 - g2)
+        x_next = (e1 * n2 - e2 * n1 - g0, e2 * n0 - e0 * n2 - g1, e0 * n1 - e1 * n0 - g2)
         return c_nav_prev, c_body_prev, omega_in, x_prev, x_next
 
     def _add_pair(self, w):
         """Add ``(alpha, beta)`` to ``K`` and, with weight ``w``, to the fit sums."""
         alpha, beta = self._alpha, self._beta
         self._K = accumulate(self._K, alpha, beta)
-        self._w_alpha = _scaled_add(self._w_alpha, w, alpha)
-        self._w_beta = _scaled_add(self._w_beta, w, beta)
+        a0, a1, a2 = alpha
+        b0, b1, b2 = beta
+        wa0, wa1, wa2 = self._w_alpha
+        wb0, wb1, wb2 = self._w_beta
+        self._w_alpha = (wa0 + w * a0, wa1 + w * a1, wa2 + w * a2)
+        self._w_beta = (wb0 + w * b0, wb1 + w * b1, wb2 + w * b2)
         self._w_sq += w * w
 
     def solved_matrix(self):
@@ -384,21 +374,19 @@ class VelocityIntegrationAligner(_AlignerBase):
         c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
             interval, fix_prev, fix_next
         )
-        v_next = fix_next.v_floats
-
-        self._alpha = _add(self._alpha, _rotate(c_body_prev, sculling_increment(interval)))
-
-        self._beta_partial = _add(
-            self._beta_partial,
-            _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)),
+        self._alpha = _rotate_add(self._alpha, c_body_prev, sculling_increment(interval))
+        self._beta_partial = b0, b1, b2 = _rotate_add(
+            self._beta_partial, c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)
         )
         # beta = (C_nav - I) v_next + (v_next - v0) + beta_partial; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
         (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self._c_nav
-        c_minus_i = ((c00 - 1.0, c01, c02), (c10, c11 - 1.0, c12), (c20, c21, c22 - 1.0))
-        self._beta = _add(
-            _add(_rotate(c_minus_i, v_next), _scaled_add(v_next, -1.0, self._v0)),
-            self._beta_partial,
+        n0, n1, n2 = fix_next.v_floats
+        o0, o1, o2 = self._v0
+        self._beta = (
+            (c00 - 1.0) * n0 + c01 * n1 + c02 * n2 + (n0 - o0) + b0,
+            c10 * n0 + (c11 - 1.0) * n1 + c12 * n2 + (n1 - o1) + b1,
+            c20 * n0 + c21 * n1 + (c22 - 1.0) * n2 + (n2 - o2) + b2,
         )
 
         self._add_pair(1.0)
@@ -432,29 +420,31 @@ class PositionIntegrationAligner(_AlignerBase):
 
         # Double integral of rotated specific force: completed-interval
         # prefix times T, plus the within-interval two-sample tail.
-        self._alpha = _add(
-            _scaled_add(self._alpha, T, self._s_body),
-            _rotate(c_body_prev, double_integral_increment(interval, T)),
+        a0, a1, a2 = self._alpha
+        s0, s1, s2 = self._s_body
+        self._alpha = _rotate_add(
+            (a0 + T * s0, a1 + T * s1, a2 + T * s2),
+            c_body_prev,
+            double_integral_increment(interval, T),
         )
-        self._s_body = _add(
-            self._s_body, _rotate(c_body_prev, sculling_increment(interval))
-        )
+        self._s_body = _rotate_add(self._s_body, c_body_prev, sculling_increment(interval))
 
         v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
-        self._u_r = _add(
-            self._u_r, _rotate(c_nav_prev, single_integral(v_prev, v_next, omega_in, T))
+        self._u_r = r0, r1, r2 = _rotate_add(
+            self._u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
         )
-        self._u_x = _scaled_add(
-            _add(self._u_x, _rotate(c_nav_prev, double_integral(x_prev, x_next, omega_in, T))),
-            T,
-            self._s_x,
+        y0, y1, y2 = _rotate_add(
+            self._u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)
         )
-        self._s_x = _add(
-            self._s_x, _rotate(c_nav_prev, single_integral(x_prev, x_next, omega_in, T))
+        z0, z1, z2 = self._s_x
+        self._u_x = u0, u1, u2 = (y0 + T * z0, y1 + T * z1, y2 + T * z2)
+        self._s_x = _rotate_add(
+            self._s_x, c_nav_prev, single_integral(x_prev, x_next, omega_in, T)
         )
 
         t = self.t
-        self._beta = _add(_scaled_add(self._u_r, -t, self._v0), self._u_x)
+        o0, o1, o2 = self._v0
+        self._beta = (r0 - t * o0 + u0, r1 - t * o1 + u1, r2 - t * o2 + u2)
         self._add_pair(t)
 
 

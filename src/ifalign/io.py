@@ -45,7 +45,8 @@ def write_csv(path, header, columns, preamble=""):
 
 
 def _read_csv(path, header, n_cols):
-    rows = []
+    values = []  # every row's fields, one flat list
+    extend = values.extend
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline().rstrip("\n")
         if first != header:
@@ -64,10 +65,10 @@ def _read_csv(path, header, n_cols):
                     line=lineno,
                 )
             try:
-                rows.append([float(x) for x in parts])
+                extend(map(float, parts))
             except ValueError as exc:
                 raise FormatError(str(exc), path=path, line=lineno) from None
-    return np.array(rows, dtype=float).reshape(-1, n_cols)
+    return np.array(values, dtype=float).reshape(-1, n_cols)
 
 
 def write_imu(path, t_end, dtheta, dv):

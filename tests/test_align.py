@@ -388,6 +388,19 @@ class TestGuards:
             assert getattr(al, name).tobytes() == value.tobytes(), name
 
 
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_c_b_n_composed_from_the_quaternion_and_chains(self, method, short_data):
+        from ifalign.attitude import compose_attitude
+
+        al = make_aligner(method, short_data.T)
+        drive(al, short_data, n=150)
+        est = al.estimate()
+        first, second = est.c_b_n, est.c_b_n
+        assert first.tobytes() == second.tobytes()
+        expected = compose_attitude(al.c_nav.T, quat_to_dcm(est.q).T, al.c_body)
+        assert first.tobytes() == expected.tobytes()
+
+
 class TestStaticCase:
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_static_residual_with_true_attitude(self, method, static_truth, static_data):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,89 @@ class TestAlignmentDataValidation:
                 tmp_path / "imu.csv", tmp_path / "gps.csv",
                 short_truth.cfg.update_interval_s,
             )
+
+
+    @pytest.mark.parametrize("case", ["one_row_short", "single_dcm", "nan"])
+    def test_truth_checked_at_construction(self, case, short_truth):
+        arrays = self.arrays(short_truth)
+        truth = short_truth.c_b_n[short_truth.update_indices()]
+        if case == "one_row_short":
+            truth = truth[:-1]
+        elif case == "single_dcm":
+            truth = truth[0]
+        else:
+            truth[7, 1, 2] = np.nan
+        n_fixes = arrays["fix_t"].size
+        with pytest.raises(ValueError, match=rf"\(N\+1, 3, 3\) = \({n_fixes}, 3, 3\)"):
+            AlignmentData(**arrays, truth_c_b_n=truth)
+
+    def test_truth_log_checked_at_ingest(self, short_truth, tmp_path):
+        from ifalign.attitude import dcm_to_quat
+        from ifalign.simulate import gps_fixes, sample_imu
+
+        dtheta, dv = sample_imu(short_truth)
+        t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
+        ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
+        ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
+        idx = short_truth.update_indices()
+        q = np.stack([dcm_to_quat(short_truth.c_b_n[i].T) for i in idx])
+        q[12, 0] = np.nan
+        ifio.write_truth(tmp_path / "truth.csv", short_truth.t[idx], q,
+                         short_truth.v[idx], short_truth.p[idx])
+        with pytest.raises(ValueError, match=r"\(N\+1, 3, 3\)"):
+            AlignmentData.from_logs(
+                tmp_path / "imu.csv", tmp_path / "gps.csv",
+                short_truth.cfg.update_interval_s, truth_path=tmp_path / "truth.csv",
+            )
+
+
+class TestQuietBuild:
+    """The interval and fix objects are built with the cyclic collector paused."""
+
+    @pytest.fixture(scope="class")
+    def arrays(self):
+        truth = generate_truth(ScenarioConfig(duration_s=60.0))
+        return dict(TestAlignmentDataValidation.arrays(truth),
+                    truth_c_b_n=truth.c_b_n[truth.update_indices()])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled, arrays):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            AlignmentData(**arrays)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_state_restored_after_a_failed_build(self, arrays, monkeypatch):
+        from ifalign.increments import ImuInterval
+
+        def broken(floats):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(ImuInterval, "from_floats", broken)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError):
+            AlignmentData(**arrays)
+        assert gc.isenabled()
+
+    def test_no_collection_during_the_build(self, arrays):
+        assert gc.isenabled()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            data = AlignmentData(**arrays)
+        finally:
+            gc.callbacks.remove(count)
+        assert data.n_updates == 3000
+        assert starts == []
 
 
 class TestOracleDrift:

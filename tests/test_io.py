@@ -82,6 +82,21 @@ class TestSensorCsvRoundTrip:
             ifio.read_imu(path)
         assert err.value.line == 3
 
+    def test_malformed_row_after_blank_lines_reports_its_own_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(ifio.IMU_HEADER + "\n0.01,0,0,0,0,0,0\n\n  \n0.02,0,0,0,0,1e,0\n")
+        with pytest.raises(FormatError) as err:
+            ifio.read_imu(path)
+        assert err.value.line == 5
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(ifio.IMU_HEADER + "\n\n0.01,1,2,3,4,5,6\n\n0.02,7,8,9,10,11,12\n\n")
+        t, dtheta, dv = ifio.read_imu(path)
+        assert t.tolist() == [0.01, 0.02]
+        assert dtheta.tolist() == [[1.0, 2.0, 3.0], [7.0, 8.0, 9.0]]
+        assert dv.tolist() == [[4.0, 5.0, 6.0], [10.0, 11.0, 12.0]]
+
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(ifio.IMU_HEADER + "\n0.01,0,0\n")
