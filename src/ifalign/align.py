@@ -20,6 +20,8 @@ smallest-eigenvalue eigenvector of the matrix the aligner solves
 unknown of the fit.
 """
 
+import math
+
 import numpy as np
 
 from . import earth
@@ -76,7 +78,8 @@ def double_integral(x_prev, x_next, omega_in, T):
 class AidFix:
     """Aided ground velocity and curvilinear position at one time instant.
 
-    ``AidFix(t, v, p)`` checks that ``v`` and ``p`` are 3-vectors.
+    ``AidFix(t, v, p)`` checks that ``t`` is a finite number and ``v`` and
+    ``p`` finite 3-vectors.
     ``v_floats`` and ``p_floats`` hold them as 3-tuples of Python floats,
     which is what the aligners read; the array attributes are built from
     them on access.
@@ -95,6 +98,8 @@ class AidFix:
 
     def __init__(self, t, v, p):
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {t!r}")
         self.v_floats = as_float3(v, "v")
         self.p_floats = as_float3(p, "p")
 

@@ -9,9 +9,9 @@ Each formula (curvature radii, normal gravity, earth rate, transport rate)
 is written once, component-wise, in ``_radii`` and ``_local_level``.  The
 per-update path calls them on Python floats through
 :func:`aiding_kinematics`, which takes one fix and returns tuples of
-floats.  Every other function calls them on numpy columns and broadcasts
-over leading dimensions, so ``lat`` may be a scalar or an array and vector
-arguments may be ``(..., 3)``.
+floats.  :func:`kinematics_n` and :func:`curvilinear_rate` call them on
+numpy columns and broadcast over leading dimensions: their arguments may
+be ``(3,)`` or ``(..., 3)``.
 """
 
 import math
@@ -44,12 +44,12 @@ def _radii(sin2):
 
 
 def _local_level(sin_lat, cos_lat, h, v_n, v_e):
-    """Normal gravity, earth rate, transport rate and inertial rate.
+    """Normal gravity, earth rate and inertial rate.
 
     Arithmetic and ``** 0.5`` only (here and in :func:`_radii`), so the
     arguments may be Python floats or numpy columns.  Returns the gravity
-    magnitude, then the earth, transport and inertial (earth plus
-    transport) rates as North-Up-East 3-tuples of components.
+    magnitude, then the earth and inertial (earth plus transport) rates as
+    North-Up-East 3-tuples of components.
     """
     sin2 = sin_lat * sin_lat
     r_n, r_e, root_t = _radii(sin2)
@@ -59,7 +59,7 @@ def _local_level(sin_lat, cos_lat, h, v_n, v_e):
     en_n = v_e / (r_e + h)
     en_u = v_e * (sin_lat / cos_lat) / (r_e + h)
     en_e = -v_n / (r_n + h)
-    return g, (ie_n, ie_u, 0.0), (en_n, en_u, en_e), (ie_n + en_n, ie_u + en_u, en_e)
+    return g, (ie_n, ie_u, 0.0), (ie_n + en_n, ie_u + en_u, en_e)
 
 
 def _off_pole(p):
@@ -81,12 +81,6 @@ def _stack(components):
     return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
-def radii_of_curvature(lat):
-    """Meridian and transverse curvature radii (m) at geodetic latitude (rad)."""
-    r_n, r_e, _ = _radii(np.sin(lat) ** 2)
-    return r_n, r_e
-
-
 def curvilinear_rate(v, p):
     """Curvilinear position rate ``[lon', lat', h']`` of ground velocity ``v``.
 
@@ -100,45 +94,14 @@ def curvilinear_rate(v, p):
     return _stack((v[..., 2] / ((r_e + h) * cos_lat), v[..., 0] / (r_n + h), v[..., 1]))
 
 
-def earth_rate_n(lat):
-    """Earth rotation rate resolved in the local North-Up-East frame (rad/s)."""
-    return _stack(_local_level(np.sin(lat), np.cos(lat), 0.0, 0.0, 0.0)[1])
-
-
-def transport_rate_n(v, p):
-    """Angular rate of the local-level frame relative to Earth (rad/s).
-
-    Caused by translation over the curved ellipsoid; derived consistently
-    with :func:`curvilinear_rate` for the North-Up-East frame.
-    """
-    v = np.asarray(v, dtype=float)
-    return _stack(_local_level(*_off_pole(p), v[..., 0], v[..., 2])[2])
-
-
 def kinematics_n(v, p):
     """Earth rate, inertial rate and gravity as ``(..., 3)`` arrays.
 
     The column form of :func:`aiding_kinematics`.
     """
     v = np.asarray(v, dtype=float)
-    g, omega_ie, _, omega_in = _local_level(*_off_pole(p), v[..., 0], v[..., 2])
+    g, omega_ie, omega_in = _local_level(*_off_pole(p), v[..., 0], v[..., 2])
     return _stack(omega_ie), _stack(omega_in), _stack((0.0, -g, 0.0))
-
-
-def inertial_rate_n(v, p):
-    """Angular rate of the navigation frame relative to inertial space (rad/s)."""
-    return kinematics_n(v, p)[1]
-
-
-def gravity_magnitude(lat, h=0.0):
-    """Normal gravity (Somigliana) with a linear free-air height correction."""
-    return _local_level(np.sin(lat), np.cos(lat), h, 0.0, 0.0)[0]
-
-
-def gravity_n(p):
-    """Gravity vector in the North-Up-East frame: ``[0, -g, 0]``."""
-    p = np.asarray(p, dtype=float)
-    return _stack((0.0, -gravity_magnitude(p[..., 1], p[..., 2]), 0.0))
 
 
 def aiding_kinematics(v, p):
@@ -153,7 +116,7 @@ def aiding_kinematics(v, p):
     cos_lat = math.cos(lat)
     if abs(cos_lat) < _COS_LAT_MIN:
         raise PolarSingularity("transport rate undefined at the poles")
-    g, omega_ie, _, omega_in = _local_level(math.sin(lat), cos_lat, h, v_n, v_e)
+    g, omega_ie, omega_in = _local_level(math.sin(lat), cos_lat, h, v_n, v_e)
     return omega_ie, omega_in, (0.0, -g, 0.0)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import io as ifio
 from .align import AidFix, make_aligner
-from .attitude import as_floats, dcm_to_euler, matmul3, quat_to_dcm
+from .attitude import dcm_to_euler, matmul3, quat_to_dcm
 from .errors import DegenerateSpectrum
 from .increments import ImuInterval, check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
@@ -31,9 +31,9 @@ class AlignmentData:
     endpoints) enables error reporting and is absent in replay mode.
 
     The rows are validated once, when the object is built
-    (:func:`~ifalign.increments.check_increments`, matching row counts,
-    finite fixes, a finite ``(N+1, 3, 3)`` truth if any; ``ValueError``
-    otherwise), and turned into the
+    (a positive finite ``T``, :func:`~ifalign.increments.check_increments`,
+    matching row counts, finite fixes, a finite ``(N+1, 3, 3)`` truth if
+    any; ``ValueError`` otherwise), and turned into the
     :class:`ImuInterval` and :class:`AidFix` objects that :meth:`interval`
     and :meth:`fix` hand out.  Do not modify the arrays afterwards.
     """
@@ -50,6 +50,8 @@ class AlignmentData:
     _fixes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"update interval T must be positive and finite, got {self.T!r}")
         self.dtheta, self.dv = check_increments(self.dtheta, self.dv)
         self.fix_t = np.asarray(self.fix_t, dtype=float)
         self.fix_v = np.asarray(self.fix_v, dtype=float)
@@ -207,11 +209,6 @@ def _solve_precision(eigenvalues):
         digits = math.floor(math.log10(abs(x))) - exponent if x else 0
         out.append("%.*g" % (digits, x) if digits > 0 else "0")
     return out
-
-
-def attitude_error_deg(c_est, c_true):
-    """Roll/pitch/yaw components (deg) of the DCM discrepancy est vs truth."""
-    return _attitude_error(as_floats(c_est), np.transpose(c_true).tolist()) * RAD2DEG
 
 
 def _attitude_error(c_est, c_true_t):

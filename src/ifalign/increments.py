@@ -58,8 +58,8 @@ def check_increments(dtheta, dv):
 
 
 def as_float3(value, name):
-    """A 3-vector as a tuple of Python floats; ValueError naming ``name``
-    (and the expected shape) for anything else."""
+    """A finite 3-vector as a tuple of Python floats; ValueError naming
+    ``name`` (and the expected shape) for anything else."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -69,6 +69,8 @@ def as_float3(value, name):
             f"{name} must be a 3-vector of shape (3,), got "
             + ("a ragged sequence" if array is None else f"shape {array.shape}")
         )
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return tuple(array.tolist())
 
 

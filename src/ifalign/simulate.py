@@ -59,16 +59,15 @@ class ScenarioConfig:
     """Truth-trajectory definition.
 
     Attitude profiles are in degrees, velocity in m/s, all periods/phases in
-    seconds/degrees.  ``imu_rate_hz * update_interval_s`` must equal 2 (two
-    IMU samples per update interval).  The truth grid step is half the IMU
-    sample period (``grid_dt``); it follows from ``imu_rate_hz``.
+    seconds/degrees.  The IMU samples twice per update interval
+    (``sample_dt``), and the truth grid step is half the sample period
+    (``grid_dt``).
     """
 
     latitude_deg: float = 30.0
     longitude_deg: float = 0.0
     height_m: float = 0.0
     duration_s: float = 300.0
-    imu_rate_hz: float = 100.0
     update_interval_s: float = 0.02
     roll: SineProfile = field(default_factory=lambda: SineProfile(15.0, 90.0, 0.0))
     pitch: SineProfile = field(default_factory=lambda: SineProfile(10.0, 80.0, 70.0))
@@ -82,10 +81,8 @@ class ScenarioConfig:
         _check_vector3("vel_mean_mps", self.vel_mean_mps)
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive and finite")
-        if abs(self.imu_rate_hz * self.update_interval_s - 2.0) > 1e-9:
-            raise ValueError(
-                "imu_rate_hz * update_interval_s must be 2 (two samples per update)"
-            )
+        if not 0.0 < self.update_interval_s < math.inf:
+            raise ValueError("update interval must be positive and finite")
         n_upd = self.duration_s / self.update_interval_s
         if abs(n_upd - round(n_upd)) > 1e-9:
             raise ValueError("duration must be a whole number of update intervals")
@@ -93,7 +90,7 @@ class ScenarioConfig:
     @property
     def sample_dt(self):
         """IMU sample period (one half of the update interval), seconds."""
-        return 1.0 / self.imu_rate_hz
+        return self.update_interval_s / 2.0
 
     @property
     def grid_dt(self):
@@ -355,7 +352,7 @@ def _lever_arm_offsets(truth, idx, lever):
     """Nav-frame position offset and velocity offset ``C (omega_eb x l)`` of
     the GPS antenna, with ``omega_eb = omega_ib - C^T omega_ie``."""
     c_b_n = truth.c_b_n[idx]
-    omega_ie = earth.earth_rate_n(truth.p[idx, 1])
+    omega_ie = earth.kinematics_n(truth.v[idx], truth.p[idx])[0]
     arm_n = np.einsum("nij,j->ni", c_b_n, lever)
     omega_eb_b = truth.omega_ib_b[idx] - np.einsum("nji,nj->ni", c_b_n, omega_ie)
     vel_off = np.einsum("nij,nj->ni", c_b_n, np.cross(omega_eb_b, lever))

@@ -361,6 +361,17 @@ class TestGuards:
         with pytest.raises(PolarSingularity):
             al.update(short_data.interval(0), polar, nxt)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t", "v", "p"])
+    def test_fix_must_be_finite(self, field, bad, short_data):
+        args = {"t": 0.0, "v": short_data.fix_v[0].copy(), "p": short_data.fix_p[0].copy()}
+        if field == "t":
+            args["t"] = bad
+        else:
+            args[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            AidFix(**args)
+
     def test_update_folds_and_estimate_raises_until_observable(self, short_data):
         al = make_aligner("vif", short_data.T)
         assert al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1)) is None

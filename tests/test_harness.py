@@ -6,8 +6,9 @@ import pytest
 from ifalign import io as ifio
 from ifalign.harness import (
     AlignmentData,
+    RAD2DEG,
     RunReport,
-    attitude_error_deg,
+    _attitude_error,
     monte_carlo,
     run_alignment,
 )
@@ -56,7 +57,6 @@ class TestRunAlignment:
         from ifalign.align import make_aligner
         from ifalign.attitude import compose_attitude, dcm_to_euler, quat_to_dcm
         from ifalign.errors import DegenerateSpectrum
-        from ifalign.harness import RAD2DEG
 
         data = AlignmentData.from_simulation(
             short_truth, simulation_sensor_defaults(5), run_rng(5, 0)
@@ -307,6 +307,13 @@ class TestAlignmentDataValidation:
         with pytest.raises(ValueError, match="finite|0.1 rad"):
             AlignmentData(**arrays)
 
+    @pytest.mark.parametrize("T", [0.0, -0.02, float("nan"), float("inf")])
+    def test_update_interval_must_be_positive_and_finite(self, T, short_truth):
+        arrays = self.arrays(short_truth)
+        arrays["T"] = T
+        with pytest.raises(ValueError, match="update interval T must be positive and finite"):
+            AlignmentData(**arrays)
+
     @pytest.mark.parametrize("case", ["imu_short", "imu_odd", "fix_v_short", "fix_p_2d"])
     def test_row_counts_must_match_fixes(self, case, short_truth):
         arrays = self.arrays(short_truth)
@@ -452,16 +459,20 @@ class TestOracleDrift:
 
 
 class TestAttitudeError:
+    @staticmethod
+    def error_deg(c_est, c_true):
+        return _attitude_error(c_est.tolist(), c_true.T.tolist()) * RAD2DEG
+
     def test_zero_for_identical(self):
         c = np.eye(3)
-        np.testing.assert_allclose(attitude_error_deg(c, c), np.zeros(3))
+        np.testing.assert_allclose(self.error_deg(c, c), np.zeros(3))
 
     def test_small_yaw_offset(self):
         from ifalign.attitude import euler_to_dcm
 
         c_true = euler_to_dcm(np.array([0.1, 0.2, 0.3]))
         c_est = euler_to_dcm(np.array([0.1, 0.2, 0.3 + 1e-4]))
-        err = attitude_error_deg(c_est, c_true)
+        err = self.error_deg(c_est, c_true)
         assert err[2] == pytest.approx(np.degrees(1e-4), rel=1e-3)
 
 

@@ -158,6 +158,7 @@ class TestConfigFiles:
         ({"scenario": {"duration_s": math.inf}}, "scenario: duration must be positive"),
         ({"scenario": {"substep_s": 0.001}}, "unknown key scenario.substep_s"),
         (None, "config must be a mapping"),
+        ({"scenario": {"imu_rate_hz": 100.0}}, "unknown key scenario.imu_rate_hz"),
     ])
     def test_bad_document_names_the_key(self, doc, message):
         with pytest.raises(FormatError, match=message):
@@ -170,19 +171,20 @@ class TestConfigFiles:
         assert ifio.load_config(path)[0].height_m == 0.001
 
     def test_hash_is_stable(self):
-        # digests pinned once scenario.substep_s left the schema
+        # digests pinned once scenario.imu_rate_hz left the schema: each is
+        # the digest of the previous document with that one key deleted
         from ifalign.simulate import turning_scenario
 
         assert ifio.config_hash(
             ScenarioConfig(), simulation_sensor_defaults()
-        ) == "428d2238df1a2f62"
+        ) == "75bcd047c037d3e1"
         assert ifio.config_hash(
             turning_scenario(30.0), SensorErrors(lever_arm_m=(1.0, 0.0, 0.0), seed=4)
-        ) == "a90ea432e327704b"
+        ) == "ab52d65354f542bd"
         assert ifio.config_hash(
             ScenarioConfig(duration_s=50.0, vel_mean_mps=(10.0, 1.0, -3.0)),
             simulation_sensor_defaults(99),
-        ) == "2c30b9f48f5cccf2"
+        ) == "fb6972036e31e708"
 
     def test_hash_reads_values_as_their_field_types(self, tmp_path):
         # integers where the fields are floats hash like the floats, and

@@ -23,9 +23,12 @@ D2R = math.pi / 180.0
 
 
 class TestConfigValidation:
-    def test_rate_interval_mismatch(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(imu_rate_hz=100.0, update_interval_s=0.04)
+    def test_update_interval_must_be_positive_and_finite(self):
+        for interval in (0.0, -0.02, math.nan, math.inf):
+            with pytest.raises(ValueError, match="update interval"):
+                ScenarioConfig(update_interval_s=interval)
+        cfg = ScenarioConfig(duration_s=1.0, update_interval_s=0.04)
+        assert cfg.sample_dt == 0.02 and cfg.n_samples == 50
 
     def test_duration_must_tile_updates(self):
         with pytest.raises(ValueError):
@@ -53,11 +56,11 @@ class TestStaticTruth:
         # stationary vehicle with identity attitude: body rate equals the
         # earth rate resolved in the nav frame, specific force the gravity
         # reaction.
-        w_expected = earth.earth_rate_n(static_truth.p[0, 1])
+        w_expected, _, g_n = earth.kinematics_n(static_truth.v[0], static_truth.p[0])
         np.testing.assert_allclose(
             static_truth.omega_ib_b[0], w_expected, rtol=1e-12
         )
-        f_expected = -earth.gravity_n(static_truth.p[0])
+        f_expected = -g_n
         np.testing.assert_allclose(static_truth.f_b[0], f_expected, rtol=1e-12)
 
     def test_static_stays_put(self, static_truth):
@@ -74,7 +77,7 @@ class TestTruthKinematics:
             vel_north=SineProfile(0.0), vel_up=SineProfile(0.0), vel_east=SineProfile(0.0),
         )
         truth = generate_truth(cfg)
-        r_n, _ = earth.radii_of_curvature(cfg.p0[1])
+        r_n, _, _ = earth._radii(np.sin(cfg.p0[1]) ** 2)
         expected = cfg.p0[1] + 100.0 * 10.0 / (r_n + 0.0)
         assert truth.p[-1, 1] == pytest.approx(expected, rel=1e-6)
 
@@ -233,7 +236,7 @@ class TestGps:
         t, v, p = gps_fixes(static_truth, errs)
         np.testing.assert_allclose(v[0], static_truth.v[0], atol=1e-9)
         lever_n = static_truth.c_b_n[0] @ np.array([1.0, 1.0, 1.0])
-        r_n, r_e = earth.radii_of_curvature(static_truth.p[0, 1])
+        r_n, r_e, _ = earth._radii(np.sin(static_truth.p[0, 1]) ** 2)
         expected = static_truth.p[0] + np.array(
             [
                 lever_n[2] / ((r_e + 0.0) * math.cos(static_truth.p[0, 1])),
@@ -259,10 +262,9 @@ class TestGps:
         # at t=0 the yaw rate is 40 deg * 0.1 / 1 rad... amplitude*w*cos(0)
         yaw_rate = 40.0 * D2R * 0.1
         # body turn axis is Up; velocity offset = C (w x l)
-        w_eb_b = truth.omega_ib_b[0] - truth.c_b_n[0].T @ (
-            earth.earth_rate_n(truth.p[0, 1])
-            + earth.transport_rate_n(truth.v[0], truth.p[0])
-        )
+        w_eb_b = truth.omega_ib_b[0] - truth.c_b_n[0].T @ earth.kinematics_n(
+            truth.v[0], truth.p[0]
+        )[1]
         expected_speed = np.linalg.norm(np.cross(w_eb_b, [1.0, 0.0, 0.0]))
         assert expected_speed == pytest.approx(yaw_rate, rel=1e-6)
         assert np.linalg.norm(v[0] - truth.v[0]) == pytest.approx(
@@ -280,7 +282,7 @@ class TestGps:
         _, fix_v, fix_p = gps_fixes(truth, errs, stride_s=dt)
         p_prev, p_next = fix_p[i - 1], fix_p[i + 1]
         # convert curvilinear positions to local meters around sample i
-        r_n, r_e = earth.radii_of_curvature(truth.p[i, 1])
+        r_n, r_e, _ = earth._radii(np.sin(truth.p[i, 1]) ** 2)
         lat, h = truth.p[i, 1], truth.p[i, 2]
         def to_m(p):
             return np.array(

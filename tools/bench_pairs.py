@@ -11,11 +11,22 @@ Each run is ``python3 perfbench/run.py --workload W --seed S --seconds 30
 --trace 0`` inside one checkout, which builds what it runs from that
 checkout's sources.  Pair ``i`` of a workload runs the parent first when
 ``i`` is even and the change first when it is odd.  The output holds every
-run's end-to-end metrics, correctness and failure counts, and per metric
-each side's median and quartiles, the pairs the change won (ties count for
-neither side) and whether the gain rule holds: the change wins at least
-nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range.  Progress goes to standard error.
+run's end-to-end metrics, correctness and failure counts, and per metric:
+
+* ``parent``/``change``: each side's median and quartiles;
+* ``change_wins``: the pairs the change won (ties count for neither side);
+* ``gain_rule_holds``: the change wins at least nine tenths of the pairs
+  and the medians differ by more than the parent's interquartile range
+  (the rule a change that claims a gain must pass);
+* ``worse_beyond_bound``: the change's median is worse than the parent's
+  by more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
+  of the parent's median;
+* ``unresolved``: the parent's interquartile range over its median is
+  wider than that ``bound``, so the runs spread too widely to tell.
+
+A change that claims no gain must leave every metric neither
+``worse_beyond_bound`` nor ``unresolved``.  Progress goes to standard
+error.
 
 The output is rewritten after every pair, so an interrupted session keeps
 the pairs it finished.  A run that exits nonzero, or whose result is not
@@ -81,21 +92,26 @@ def quartiles(values):
 
 def summarize(runs, metrics):
     summary = {}
-    for name, better in metrics.items():
+    for name, metric in metrics.items():
+        better, bound = metric["better"], metric["bound"]
         sides = {side: [r[side]["metrics"][name]["value"] for r in runs]
                  for side in ("parent", "change")}
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"]))
         stats = {side: quartiles(values) for side, values in sides.items()}
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
-        gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        parent_median = stats["parent"]["median"]
+        gain = sign * (stats["change"]["median"] - parent_median)
         summary[name] = {
             "better": better,
+            "bound": bound,
             **stats,
             "change_wins": wins,
             "pairs": len(runs),
-            "median_ratio": stats["change"]["median"] / stats["parent"]["median"],
+            "median_ratio": stats["change"]["median"] / parent_median,
             "gain_rule_holds": wins >= 0.9 * len(runs) and gain > iqr,
+            "worse_beyond_bound": -gain > bound * abs(parent_median),
+            "unresolved": iqr > bound * abs(parent_median),
         }
     return summary
 
@@ -112,7 +128,7 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    metrics = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     plan = [(name, int(count)) for name, count in
             (item.split("=") for item in args.pairs.split(","))]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
