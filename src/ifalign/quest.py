@@ -4,14 +4,24 @@ Each pair (alpha, beta) that should satisfy ``C_b^n(0) @ alpha == beta``
 contributes a positive-semidefinite 4x4 increment ``B^T B`` with
 ``B = qplus([0, beta]) - qminus([0, alpha])``.  The quaternion minimizing
 ``q^T K q`` over unit quaternions is the eigenvector of the accumulated K
-belonging to its smallest eigenvalue (Davenport's q-method, solved with
-LAPACK's symmetric eigensolver); it encodes the nav-to-body matrix via
-:func:`ifalign.attitude.quat_to_dcm`.
+belonging to its smallest eigenvalue (Davenport's q-method); it encodes the
+nav-to-body matrix via :func:`ifalign.attitude.quat_to_dcm`.
+
+The eigen-solve calls ``numpy.linalg._umath_linalg.eigh_lo``, the LAPACK
+gufunc that ``numpy.linalg.eigh`` runs for real input with ``UPLO='L'``, on
+the same float64 array, so its results are bitwise those of
+``numpy.linalg.eigh``.  It is called directly because a report row solves
+at every update, and on a 4x4 array the wrapper's checks, type resolution
+and ``errstate`` block cost more than the solve: about 10 us per call
+against 4 us for the gufunc on an Intel Xeon vCPU.  Without the wrapper,
+a LAPACK failure shows only as NaN eigenvalues, which
+:func:`optimal_quaternion` turns into ``numpy.linalg.LinAlgError``.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
 from .attitude import as_floats, flips_sign, quat_canonical
 from .errors import DegenerateSpectrum
@@ -82,12 +92,17 @@ def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
     ``K`` is an array or nested float sequences.  Returns ``(q, lambda_min)``
-    with canonical sign.  Only the eigen-solve itself runs in numpy: its
+    with canonical sign.  Only the eigen-solve itself runs in numpy, on one
+    float64 array built from ``K``'s floats, through LAPACK's symmetric
+    eigensolver gufunc (``eigh_lo``, see the module docstring): its
     eigenvalues and the chosen eigenvector are read out with one
     ``tolist()`` each, and the sign and norm are set on Python floats.
 
     Raises
     ------
+    numpy.linalg.LinAlgError
+        If an eigenvalue is not finite: ``K`` holds a NaN or an infinity,
+        or LAPACK did not converge (the gufunc then returns NaN).
     DegenerateSpectrum
         If the two smallest eigenvalues differ by no more than
         ``GAP_TOL * trace(K)`` -- the attitude is unobservable from the
@@ -95,10 +110,16 @@ def optimal_quaternion(K):
         (lexicographically smallest canonical eigenvector among the tied
         eigenvalues) so callers can still log a reproducible value.
     """
-    (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = as_floats(K)
+    rows = as_floats(K)
+    (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = rows
     trace = k00 + k11 + k22 + k33
-    w, v = np.linalg.eigh(K)
+    w, v = _eigh_lo(np.array(rows, dtype=np.float64), signature="d->dd")
     w = w.tolist()
+    if not all(map(math.isfinite, w)):
+        raise np.linalg.LinAlgError(
+            f"eigen-solve gave non-finite eigenvalues {w}: K is not finite "
+            "or LAPACK did not converge"
+        )
     lam = w[0]
     if w[1] - w[0] <= GAP_TOL * trace:
         tied = [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ifalign.harness import AlignmentData
 from ifalign.simulate import ScenarioConfig, generate_truth
 
 
@@ -8,6 +9,12 @@ from ifalign.simulate import ScenarioConfig, generate_truth
 def short_truth():
     """Default maneuvering scenario truncated to 20 s (shared, read-only)."""
     return generate_truth(ScenarioConfig(duration_s=20.0))
+
+
+@pytest.fixture(scope="session")
+def short_data(short_truth):
+    """:func:`short_truth`'s IMU intervals and aiding fixes (shared, read-only)."""
+    return AlignmentData.from_simulation(short_truth)
 
 
 @pytest.fixture(scope="session")

@@ -44,11 +44,6 @@ def estimate_or_none(aligner):
 
 
 @pytest.fixture(scope="module")
-def short_data(short_truth):
-    return AlignmentData.from_simulation(short_truth)
-
-
-@pytest.fixture(scope="module")
 def static_data(static_truth):
     return AlignmentData.from_simulation(static_truth)
 

@@ -5,14 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifalign.attitude import quat_canonical, quat_to_dcm, rotvec_to_dcm
+from ifalign import quest
+from ifalign.align import make_aligner
+from ifalign.attitude import flips_sign, quat_canonical, quat_to_dcm, rotvec_to_dcm
 from ifalign.errors import DegenerateSpectrum
-from ifalign.quest import accumulate, optimal_quaternion, pair_gram, pair_operator
+from ifalign.quest import GAP_TOL, accumulate, optimal_quaternion, pair_gram, pair_operator
 
 
 def random_rotation(rng):
     phi = rng.uniform(-2.0, 2.0, 3)
     return np.array(rotvec_to_dcm(phi))
+
+
+def eigh_reference(K):
+    """The q-method solved through ``np.linalg.eigh``, with the gap rule,
+    tie-break, sign and norm steps of :func:`optimal_quaternion`.
+
+    Returns ``(q, lambda_min, degenerate)``; ``q`` is the tied candidate
+    when ``degenerate``.
+    """
+    rows = np.array(K, dtype=float).tolist()
+    trace = rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3]
+    w, v = np.linalg.eigh(np.array(rows))
+    w = w.tolist()
+    if w[1] - w[0] <= GAP_TOL * trace:
+        tied = [quat_canonical(v[:, i]) for i in range(4) if w[i] - w[0] <= GAP_TOL * trace]
+        tied.sort(key=lambda q: tuple(q))
+        return tied[0], w[0], True
+    q = v[:, 0].tolist()
+    q0, q1, q2, q3 = q
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if flips_sign(q):
+        norm = -norm
+    return np.array([q0 / norm, q1 / norm, q2 / norm, q3 / norm]), w[0], False
+
+
+def assert_matches_reference(K, solve=optimal_quaternion):
+    """``solve(K)`` (``optimal_quaternion`` by default) is bitwise equal to
+    :func:`eigh_reference` on ``K``, including a degenerate candidate."""
+    expected, expected_lam, degenerate = eigh_reference(K)
+    try:
+        q, lam = solve(K)
+    except DegenerateSpectrum as err:
+        q, lam = err.q, err.lambda_min
+        assert degenerate
+    else:
+        assert not degenerate
+    assert q.tobytes() == expected.tobytes()
+    assert lam == expected_lam
 
 
 class TestAccumulate:
@@ -215,9 +255,55 @@ class TestOptimalQuaternion:
         # eigenvector whose first nonzero component has either sign
         v = np.eye(4)
         v[:, 0] = column
-        monkeypatch.setattr(np.linalg, "eigh", lambda K: (np.array([1.0, 2.0, 3.0, 4.0]), v))
+        monkeypatch.setattr(
+            quest, "_eigh_lo", lambda K, **kwargs: (np.array([1.0, 2.0, 3.0, 4.0]), v)
+        )
         q, lam = optimal_quaternion(np.diag([1.0, 2.0, 3.0, 4.0]))
         expected = quat_canonical(np.array(column)) / math.sqrt(sum(x * x for x in column))
         assert q.tobytes() == expected.tobytes()
         assert lam == 1.0
         assert next(x for x in q if x != 0.0) > 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "entries", [[(1, 2), (2, 1)], [(2, 2)]], ids=["off_diagonal", "diagonal"]
+    )
+    def test_non_finite_k_is_a_linalg_error(self, value, entries):
+        K = np.diag([1.0, 2.0, 3.0, 4.0])
+        for entry in entries:
+            K[entry] = value
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            optimal_quaternion(K)
+        with pytest.raises(ValueError):
+            optimal_quaternion(K.tolist())
+
+
+class TestEighParity:
+    """``optimal_quaternion`` calls numpy's private LAPACK gufunc directly;
+    it must stay bitwise equal to the solve through ``np.linalg.eigh``."""
+
+    def test_random_psd(self, rng):
+        for _ in range(200):
+            a = rng.standard_normal((4, 4))
+            assert_matches_reference(a @ a.T)
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_every_solved_matrix_of_a_run(self, method, short_data):
+        # estimate() solves the nested float tuples the aligner keeps
+        al = make_aligner(method, short_data.T)
+
+        def solve(K):
+            estimate = al.estimate()
+            return estimate.q, estimate.lambda_min
+
+        for k in range(short_data.n_updates):
+            al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
+            assert_matches_reference(al.solved_matrix(), solve)
+
+    def test_degenerate_candidate(self, rng):
+        alpha = rng.standard_normal(3)
+        K = accumulate(np.zeros((4, 4)), alpha, random_rotation(rng) @ alpha)
+        for degenerate in (np.eye(4), np.zeros((4, 4)), np.diag([2.0, 2.0, 3.0, 4.0]), K):
+            assert_matches_reference(degenerate)
+            with pytest.raises(DegenerateSpectrum):
+                optimal_quaternion(degenerate)

@@ -10,8 +10,13 @@ parent commit and one at the change:
 Each run is ``python3 perfbench/run.py --workload W --seed S --seconds 30
 --trace 0`` inside one checkout, which builds what it runs from that
 checkout's sources.  Pair ``i`` of a workload runs the parent first when
-``i`` is even and the change first when it is odd.  The output holds every
-run's end-to-end metrics, correctness and failure counts, and per metric:
+``i`` is even and the change first when it is odd.  Before its pairs, each
+workload runs once with ``--trace 1`` on the change, which checks that
+traced outputs equal untraced ones and that every exact call, row and byte
+count is the one the workload expects; its correctness, ``FAILED:`` lines
+and per-layer metrics go into the output under ``"trace"``.  The output
+holds every run's end-to-end metrics, correctness and failure counts, and
+per metric:
 
 * ``parent``/``change``: each side's median and quartiles;
 * ``change_wins``: the pairs the change won (ties count for neither side);
@@ -29,11 +34,11 @@ A change that claims no gain must leave every metric neither
 error.
 
 The output is rewritten after every pair, so an interrupted session keeps
-the pairs it finished.  A run that exits nonzero, or whose result is not
-``correct`` or counts failed operations, stops the session: its exit code
-and the tail of its standard error, or its result counts and ``FAILED:``
-lines, go into the output under ``"failed_run"``, and the script exits
-with status 1.
+the pairs it finished.  A run, traced or not, that exits nonzero, or whose
+result is not ``correct`` or counts failed operations, stops the session:
+its exit code and the tail of its standard error, or its result counts and
+``FAILED:`` lines, go into the output under ``"failed_run"``, and the
+script exits with status 1.
 """
 
 import argparse
@@ -55,15 +60,16 @@ class RunFailed(Exception):
         self.record = record
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One benchmark run in ``checkout``: its result and environment records.
 
-    Raises :class:`RunFailed` if the run exits nonzero, is not correct or
-    counts failed operations.
+    The result gains ``failed_lines``, the run's ``FAILED:`` lines.  Raises
+    :class:`RunFailed` if the run exits nonzero, is not correct or counts
+    failed operations.
     """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode:
@@ -72,12 +78,12 @@ def run_once(checkout, workload, seed, seconds):
                          "stderr_tail": done.stderr.splitlines()[-20:]})
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])
+    result["failed_lines"] = [line.strip() for line in lines
+                              if line.strip().startswith("FAILED:")]
     if not result["correct"] or result["failed"]:
         raise RunFailed(f"correct={result['correct']} failed={result['failed']}",
-                        {"correct": result["correct"], "attempted": result["attempted"],
-                         "failed": result["failed"],
-                         "failed_lines": [line.strip() for line in lines
-                                          if line.strip().startswith("FAILED:")]})
+                        {k: result[k] for k in ("correct", "attempted", "failed",
+                                                "failed_lines")})
     environment = next(json.loads(line.split(":", 1)[1]) for line in lines
                        if line.startswith("environment:"))
     return result, environment
@@ -133,25 +139,44 @@ def main(argv=None):
             (item.split("=") for item in args.pairs.split(","))]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     environments = {}
+    traces = {}
     workloads = {}
 
     def write(failed_run=None):
         record = {
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                        f"--seconds {args.seconds:g} --trace 0",
+            "trace_command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                             f"--seconds {args.seconds:g} --trace 1",
             **{side: {k: env[k] for k in ("commit", "src_sha256")}
                for side, env in environments.items()},
         }
         if "change" in environments:
             record.update({k: environments["change"][k]
                            for k in ("nproc", "cpu", "python", "numpy", "scipy", "seed")})
-        record["workloads"] = {name: {"summary": summarize(runs, metrics), "runs": runs}
-                               for name, runs in workloads.items() if runs}
+        record["workloads"] = {
+            name: {"trace": traces[name], "summary": summarize(runs, metrics), "runs": runs}
+            for name, runs in workloads.items() if runs
+        }
         if failed_run is not None:
             record["failed_run"] = failed_run
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     for workload, count in plan:
+        started = time.monotonic()
+        try:
+            result, environments["change"] = run_once(
+                checkouts["change"], workload, args.seed, args.seconds, trace=1
+            )
+        except RunFailed as failure:
+            write({"workload": workload, "trace": 1, "side": "change", **failure.record})
+            print(f"{workload} traced change: failed ({failure}); wrote {args.out}",
+                  file=sys.stderr)
+            return 1
+        traces[workload] = {k: result[k] for k in ("correct", "attempted", "failed",
+                                                   "failed_lines", "metrics")}
+        print(f"{workload} traced change: correct={result['correct']} "
+              f"({time.monotonic() - started:.0f} s)", file=sys.stderr)
         runs = workloads[workload] = []
         for i in range(count):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
