@@ -121,10 +121,12 @@ class AlignmentEstimate:
 
     ``q`` encodes the estimated constant nav-to-body attitude at t=0
     (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
-    body-to-nav matrix at the current time, composed on each read from the
-    chain snapshots (nested float tuples) and the transposed DCM of ``q``,
-    both transposed once here; ``lambda_min`` is the smallest eigenvalue
-    of the solved matrix, a residual-energy figure of merit.
+    body-to-nav matrix at the current time, as nested 3-tuples of floats
+    (what :func:`ifalign.attitude.compose_attitude` returns), composed on
+    each read from the chain snapshots (nested float tuples) and the
+    transposed DCM of ``q``, both transposed once here; ``lambda_min`` is
+    the smallest eigenvalue of the solved matrix, a residual-energy figure
+    of merit.
     """
 
     __slots__ = ("t", "q", "lambda_min", "_c_nav_t", "_c_q_t", "_c_body")

@@ -279,9 +279,10 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
     """Current body-to-nav attitude from the two chains and the initial attitude.
 
     ``C_b^n(t) = C_n0^nt @ C_b^n(0) @ C_bt^b0``, computed on Python floats
-    (each factor an array or nested float sequences) and returned as an
-    array.  The product is repaired by symmetric orthogonalization only if
-    orthonormality drift ``max|C^T C - I|`` exceeds 1e-9, so accumulation
+    (each factor an array or nested float sequences) and returned as nested
+    3-tuples of floats; wrap it in ``np.array`` where an array is needed.
+    The product is repaired by symmetric orthogonalization (on numpy) only
+    if orthonormality drift ``max|C^T C - I|`` exceeds 1e-9, so accumulation
     bugs stay visible in tests.
     """
     c = matmul3(
@@ -296,9 +297,8 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
         abs(c00 * c02 + c10 * c12 + c20 * c22),
         abs(c01 * c02 + c11 * c12 + c21 * c22),
     )
-    c = np.array(c)
     if drift > _REPAIR_TOL:
-        c = orthonormalize(c)
+        return tuple(map(tuple, orthonormalize(np.array(c)).tolist()))
     return c
 
 
@@ -332,7 +332,8 @@ def _euler_dcm_trig(angles):
 
 
 def dcm_to_euler(dcm):
-    """(roll, pitch, yaw) of a body-to-nav DCM, computed on Python floats.
+    """(roll, pitch, yaw) of a body-to-nav DCM (an array or nested float
+    sequences), computed on Python floats and returned as a 3-tuple of them.
 
     Emits :class:`GimbalProximityWarning` (never fails) when pitch is within
     1e-6 rad of +-90 deg, where the roll/yaw split degenerates.
@@ -345,4 +346,4 @@ def dcm_to_euler(dcm):
             GimbalProximityWarning,
             stacklevel=2,
         )
-    return np.array([math.atan2(-c12, c11), pitch, math.atan2(c20, c00)])
+    return (math.atan2(-c12, c11), pitch, math.atan2(c20, c00))

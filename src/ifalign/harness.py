@@ -171,7 +171,13 @@ class RunReport:
     metadata: dict
 
     def errors_at(self, epochs):
-        """Errors (deg) at the requested epochs; epochs must be report rows."""
+        """Errors (deg) at the requested epochs; epochs must be report rows.
+
+        ``ValueError`` if the report has no error columns (a run without
+        truth).
+        """
+        if self.err_deg is None:
+            raise ValueError("the report has no error columns: the run had no truth")
         out = np.empty((len(epochs), 3))
         for i, epoch in enumerate(epochs):
             idx = np.flatnonzero(np.abs(self.t - epoch) < 1e-9)
@@ -212,9 +218,9 @@ def _solve_precision(eigenvalues):
 
 
 def _attitude_error(c_est, c_true_t):
-    """Roll/pitch/yaw (rad) of ``c_est @ c_true.T``, from the floats of
-    ``c_est`` and of the transposed truth.  ``matmul3`` may round the
-    product differently from numpy's ``@`` in the last bits."""
+    """Roll/pitch/yaw (rad) of ``c_est @ c_true.T`` as a float 3-tuple, from
+    the nested floats of ``c_est`` and of the transposed truth.  ``matmul3``
+    may round the product differently from numpy's ``@`` in the last bits."""
     return dcm_to_euler(matmul3(c_est, c_true_t))
 
 
@@ -244,8 +250,8 @@ def run_alignment(data, method, report_interval_s=1.0):
         )
     aligner = make_aligner(method, T=data.T)
 
-    # Each row is appended to a list (NaN while degenerate); the (R, 3)
-    # arrays are built once at the end.
+    # Each row is appended to a list as a float 3-tuple (NaN while
+    # degenerate); the (R, 3) arrays are built once at the end.
     truth_t = None if data.truth_c_b_n is None else data.truth_c_b_n.transpose(0, 2, 1)
     est_rows, err_rows, degenerate = [], [], []
 
@@ -263,9 +269,7 @@ def run_alignment(data, method, report_interval_s=1.0):
         degenerate.append(False)
         est_rows.append(dcm_to_euler(estimate.c_b_n))
         if truth_t is not None:
-            err_rows.append(
-                _attitude_error(estimate.c_b_n.tolist(), truth_t[k + 1].tolist())
-            )
+            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k + 1].tolist()))
 
     meta = dict(data.metadata, method=method)
     return RunReport(

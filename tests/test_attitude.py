@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestComposeAttitude:
         c0 = attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7]))
         drifted = c0 + 1e-7 * np.ones((3, 3))
         out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
-        assert_valid_dcm(out)
+        assert_valid_dcm(np.array(out))
 
     def test_repairs_drift_in_any_gram_entry(self):
         # C^T C - I has six distinct entries; a drift of 1e-6 in any one of
@@ -203,7 +204,33 @@ class TestComposeAttitude:
                 else:
                     drifted[:, i] += 1e-6 * c0[:, j]
                 out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
-                assert_valid_dcm(out)
+                assert_valid_dcm(np.array(out))
+
+    @staticmethod
+    def assert_nested_float_tuples(c):
+        assert type(c) is tuple and len(c) == 3
+        for row in c:
+            assert type(row) is tuple and len(row) == 3
+            assert all(type(x) is float for x in row)
+
+    def test_returns_the_float_product(self):
+        # no drift: the product of the three factors on floats, as is
+        c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
+        c0 = attitude.rotvec_to_dcm([0.3, -0.2, 0.7])
+        c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
+        out = attitude.compose_attitude(np.array(c_nav), c0, c_body)
+        self.assert_nested_float_tuples(out)
+        assert out == attitude.matmul3(attitude.matmul3(c_nav, c0), c_body)
+
+    def test_repair_is_the_polar_factor_of_the_product(self):
+        c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
+        c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
+        drifted = np.array(attitude.rotvec_to_dcm([0.3, -0.2, 0.7])) + 1e-7
+        out = attitude.compose_attitude(c_nav, drifted, c_body)
+        self.assert_nested_float_tuples(out)
+        product = attitude.matmul3(attitude.matmul3(c_nav, drifted.tolist()), c_body)
+        expected = attitude.orthonormalize(np.array(product))
+        assert np.array(out).tobytes() == expected.tobytes()
 
 
 class TestEuler:
@@ -267,6 +294,29 @@ class TestEuler:
         c = attitude.euler_to_dcm(np.array([0.1, math.pi / 2.0, 0.0]))
         with pytest.warns(GimbalProximityWarning):
             attitude.dcm_to_euler(c)
+
+    @staticmethod
+    def assert_three_floats(angles):
+        assert type(angles) is tuple and len(angles) == 3
+        assert all(type(x) is float for x in angles)
+
+    def test_returns_three_floats(self):
+        angles = [0.1, -0.2, 0.3]
+        c = attitude.euler_to_dcm(np.array(angles))
+        for dcm in (c, c.tolist()):
+            back = attitude.dcm_to_euler(dcm)
+            self.assert_three_floats(back)
+            np.testing.assert_allclose(back, angles, atol=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gimbal_warning_within_1e_6_of_vertical(self, sign):
+        near = attitude.euler_to_dcm(np.array([0.1, sign * (math.pi / 2 - 5e-7), 0.2]))
+        with pytest.warns(GimbalProximityWarning):
+            self.assert_three_floats(attitude.dcm_to_euler(near))
+        clear = attitude.euler_to_dcm(np.array([0.1, sign * (math.pi / 2 - 2e-6), 0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GimbalProximityWarning)
+            self.assert_three_floats(attitude.dcm_to_euler(clear))
 
 
 class TestHelpers:

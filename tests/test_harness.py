@@ -73,9 +73,9 @@ class TestRunAlignment:
                 err.append(np.full(3, np.nan))
                 degenerate.append(True)
                 continue
-            c = compose_attitude(al.c_nav.T, quat_to_dcm(q).T, al.c_body)
-            est.append(dcm_to_euler(c) * RAD2DEG)
-            err.append(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T) * RAD2DEG)
+            c = np.array(compose_attitude(al.c_nav.T, quat_to_dcm(q).T, al.c_body))
+            est.append(np.array(dcm_to_euler(c)) * RAD2DEG)
+            err.append(np.array(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T)) * RAD2DEG)
             degenerate.append(False)
         est, err, degenerate = np.array(est), np.array(err), np.array(degenerate)
         assert degenerate.any() and not degenerate.all()
@@ -84,6 +84,49 @@ class TestRunAlignment:
         assert np.isnan(rep.est_deg[degenerate]).all()
         assert np.isnan(rep.err_deg[degenerate]).all()
         np.testing.assert_allclose(rep.err_deg, err, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_err_rows_are_the_float_error_of_c_b_n(self, method, short_truth):
+        # each solved err_deg row is dcm_to_euler(matmul3(c_b_n, truth.T)) in
+        # degrees, bitwise, and each est_deg row dcm_to_euler(c_b_n)
+        from ifalign.align import make_aligner
+        from ifalign.attitude import dcm_to_euler, matmul3
+        from ifalign.errors import DegenerateSpectrum
+
+        data = AlignmentData.from_simulation(
+            short_truth, simulation_sensor_defaults(5), run_rng(5, 0)
+        )
+        rep = run_alignment(data, method, report_interval_s=0.5)
+        stride = int(round(0.5 / data.T))
+        al = make_aligner(method, data.T)
+        est, err = [], []
+        for k in range(data.n_updates):
+            al.update(data.interval(k), data.fix(k), data.fix(k + 1))
+            if (k + 1) % stride:
+                continue
+            try:
+                c_b_n = al.estimate().c_b_n
+            except DegenerateSpectrum:
+                continue
+            truth_row = data.truth_c_b_n[k + 1]
+            est.append(dcm_to_euler(c_b_n))
+            err.append(dcm_to_euler(matmul3(c_b_n, truth_row.T.tolist())))
+        solved = ~rep.degenerate
+        assert len(err) == solved.sum() > 0
+        assert rep.est_deg[solved].tobytes() == (np.array(est) * RAD2DEG).tobytes()
+        assert rep.err_deg[solved].tobytes() == (np.array(err) * RAD2DEG).tobytes()
+
+    def test_errors_at_needs_error_columns(self, short_truth):
+        # the same stream without a truth, as replay mode builds it
+        sim = AlignmentData.from_simulation(short_truth)
+        data = AlignmentData(
+            T=sim.T, dtheta=sim.dtheta, dv=sim.dv,
+            fix_t=sim.fix_t, fix_v=sim.fix_v, fix_p=sim.fix_p,
+        )
+        rep = run_alignment(data, "vif", report_interval_s=1.0)
+        assert rep.err_deg is None
+        with pytest.raises(ValueError, match="no error columns"):
+            rep.errors_at([1.0])
 
     def test_replay_mode_has_no_error_columns(self, short_truth, tmp_path):
         from ifalign.simulate import gps_fixes, sample_imu
@@ -461,7 +504,7 @@ class TestOracleDrift:
 class TestAttitudeError:
     @staticmethod
     def error_deg(c_est, c_true):
-        return _attitude_error(c_est.tolist(), c_true.T.tolist()) * RAD2DEG
+        return np.array(_attitude_error(c_est.tolist(), c_true.T.tolist())) * RAD2DEG
 
     def test_zero_for_identical(self):
         c = np.eye(3)
