@@ -160,7 +160,8 @@ def quat_mul_matrices(q):
 
     ``qplus(p) @ r == p (x) r`` and ``qminus(r) @ p == p (x) r``.  The
     argument need not be a unit quaternion; 3-vectors embedded as
-    ``[0, v]`` are the common use in the alignment residual operator.
+    ``[0, v]`` are the common use in the alignment residual operator.  A
+    ``(4, N)`` column stack gives ``(4, 4, N)`` matrices, one per column.
     """
     s = q[0]
     x, y, z = q[1], q[2], q[3]

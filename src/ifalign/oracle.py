@@ -13,40 +13,55 @@ from .attitude import (
     cross3,
     dcm_to_quat,
     dcm_to_rotvec,
+    quat_mul_matrices,
     quat_multiply,
     quat_normalize,
     quat_to_dcm,
     rotation_angle,
-    rotvec_to_dcm,
 )
 
-
-def _rk4(derivative, y, h, n_steps, quats):
-    """Classic RK4 of ``dy/dt = derivative(s, y)`` over ``n_steps`` steps of ``h``.
-
-    ``s`` indexes the half-step stage grid: ``2k`` starts step ``k`` and
-    ``2k + 1`` is its midpoint, so callers evaluate their inputs on that
-    grid once.  Yields ``(k, y)`` for ``k = 0 .. n_steps``; the quaternion
-    slices ``quats`` of ``y`` are renormalized after each step.
-    """
-    yield 0, y
-    for k in range(n_steps):
-        k1 = derivative(2 * k, y)
-        k2 = derivative(2 * k + 1, y + 0.5 * h * k1)
-        k3 = derivative(2 * k + 1, y + 0.5 * h * k2)
-        k4 = derivative(2 * k + 2, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for q in quats:
-            y[q] = quat_normalize(y[q])
-        yield k + 1, y
-
-
-def _quat_rate(q, w):
-    return 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
+# Steps per block of AlignmentReference.run: bounds its per-step operator
+# and stage arrays, so its peak memory stays that of the stage-grid truth.
+_BLOCK_STEPS = 4096
 
 
 def _stage_times(h, n_steps, t0=0.0):
     return t0 + 0.5 * h * np.arange(2 * n_steps + 1)
+
+
+def _attitude_chain(w_stage, h, q0):
+    """Classic RK4 of ``q' = ½ q ⊗ [0, ω]`` from ``q0`` in steps of ``h``.
+
+    ``w_stage`` is the rate on the half-step stage grid, ``(2n + 1, 3)``:
+    row ``2k`` starts step ``k`` and ``2k + 1`` is its midpoint.  The
+    equation is linear, so each step is ``q_{k+1} = Φ_k q_k``, and every
+    transition and stage operator is one ``(n, 4, 4)`` array; only that
+    product, renormalized, runs in a loop, on floats.  Returns the unit
+    quaternions at steps ``0 .. n``, ``(n + 1, 4)``, and the (unnormalized)
+    quaternions at the four stages of each step, ``(4, n, 4)``.  ``q``
+    encodes ``R(q) = C_{b(t)}^{b(t0)}``, the transpose of ``quat_to_dcm(q)``.
+    """
+    w = np.asarray(w_stage, dtype=float)
+    rate = 0.5 * np.moveaxis(quat_mul_matrices([np.zeros(len(w)), *w.T])[1], -1, 0)
+    eye = np.eye(4)
+    s1 = rate[0:-1:2]
+    op2 = eye + 0.5 * h * s1  # the stage quaternions are op q_k
+    s2 = rate[1::2] @ op2
+    op3 = eye + 0.5 * h * s2
+    s3 = rate[1::2] @ op3
+    op4 = eye + h * s3
+    s4 = rate[2::2] @ op4
+    phi = eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    s, x, y, z = map(float, q0)
+    q = [(s, x, y, z)]
+    for p in phi.tolist():
+        s, x, y, z = [r[0] * s + r[1] * x + r[2] * y + r[3] * z for r in p]
+        norm = (s * s + x * x + y * y + z * z) ** 0.5
+        s, x, y, z = s / norm, x / norm, y / norm, z / norm
+        q.append((s, x, y, z))
+    q = np.array(q)
+    stages = [np.einsum("nij,nj->ni", op, q[:-1]) for op in (op2, op3, op4)]
+    return q, np.stack([q[:-1], *stages])
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +91,9 @@ def _rotated_force(omega_fn, f_fn, t0, t1, n, exact_rotation):
     ts, theta = angle_integral(omega_fn, t0, t1, n)
     f = np.asarray(f_fn(ts), dtype=float)
     if exact_rotation:
-        return np.einsum("nij,nj->ni", _chain_dcms(omega_fn, ts), f)
+        q, _ = _attitude_chain(omega_fn(_stage_times((t1 - t0) / n, n, t0)),
+                               (t1 - t0) / n, (1.0, 0.0, 0.0, 0.0))
+        return np.einsum("nji,nj->ni", quat_to_dcm(q), f)  # R(q) f
     return f + np.cross(theta, f)
 
 
@@ -84,8 +101,8 @@ def rotated_velocity_integral(omega_fn, f_fn, t0, t1, n=10000, exact_rotation=Fa
     """Reference for the rotation-compensated velocity integral.
 
     With ``exact_rotation=False`` (default) the integrand uses the
-    first-order attitude ``I + theta(t) x``; with ``True`` the full DCM is
-    propagated by per-substep Rodrigues factors.
+    first-order attitude ``I + theta(t) x``; with ``True`` the full attitude
+    is propagated by the RK4 quaternion chain on the same grid.
     """
     integrand = _rotated_force(omega_fn, f_fn, t0, t1, n, exact_rotation)
     return _trapz(integrand, (t1 - t0) / n)
@@ -100,27 +117,6 @@ def rotated_velocity_double_integral(
     return _trapz(_cumtrapz(integrand, dt), dt)
 
 
-def _chain_dcms(omega_fn, ts):
-    """DCMs C_{b(t)}^{b(t0)} at the grid points by stepwise Rodrigues factors.
-
-    Each substep uses the midpoint rate with a trapezoid angle increment,
-    accurate enough once the grid is fine (the callers use n >= 1e3).
-    """
-    n = ts.size - 1
-    dt = ts[1] - ts[0]
-    w = np.asarray(omega_fn(ts), dtype=float)
-    w_mid = np.asarray(omega_fn(0.5 * (ts[:-1] + ts[1:])), dtype=float)
-    # Simpson increment per substep.
-    phis = (dt / 6.0) * (w[:-1] + 4.0 * w_mid + w[1:])
-    out = np.empty((n + 1, 3, 3))
-    out[0] = np.eye(3)
-    c = np.eye(3)
-    for i in range(n):
-        c = c @ np.array(rotvec_to_dcm(phis[i]))
-        out[i + 1] = c
-    return out
-
-
 def rotation_vector_reference(omega_fn, t0, t1, n=2000):
     """Rotation vector of the attitude accumulated over ``[t0, t1]``.
 
@@ -128,13 +124,9 @@ def rotation_vector_reference(omega_fn, t0, t1, n=2000):
     two-sample coning formula.
     """
     h = (t1 - t0) / n
-    w = np.asarray(omega_fn(_stage_times(h, n, t0)), dtype=float)
-    steps = _rk4(lambda s, q: _quat_rate(q, w[s]), np.array([1.0, 0.0, 0.0, 0.0]),
-                 h, n, (slice(0, 4),))
-    for _, q in steps:
-        pass
+    q, _ = _attitude_chain(omega_fn(_stage_times(h, n, t0)), h, (1.0, 0.0, 0.0, 0.0))
     # q propagates R(q) = C_{b(t)}^{b(t0)}; quat_to_dcm returns its transpose.
-    return dcm_to_rotvec(quat_to_dcm(q).T)
+    return dcm_to_rotvec(quat_to_dcm(q[-1]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +147,9 @@ class AlignmentReference:
     Integrates, with classic RK4 at a configurable substep, the body and
     navigation attitude chains together with every integral entering the
     velocity- and position-form observation vectors.  The truth is
-    evaluated once on the half-substep stage grid, so the sequential loop
-    does only small-array arithmetic.
+    evaluated once on the half-substep stage grid.  Both chains run through
+    :func:`_attitude_chain`, so each integrand is one batched product over
+    the RK4 stages of a block of ``_BLOCK_STEPS`` steps.
     """
 
     def __init__(self, truth, substep=0.001):
@@ -166,59 +159,66 @@ class AlignmentReference:
     def run(self, t_end, epochs=None):
         """Integrate from 0 to ``t_end``; returns reference series at epochs.
 
-        ``epochs`` must be multiples of the substep (default: just
-        ``t_end``).  Returns a dict of arrays keyed by quantity name.
+        ``epochs`` must be multiples of the substep in ``[0, t_end]``
+        (default: just ``t_end``).  Returns a dict of arrays keyed by
+        quantity name.
         """
-        if epochs is None:
-            epochs = [t_end]
-        epochs = sorted(float(e) for e in epochs)
+        if not t_end >= 0.0:
+            raise ValueError(f"t_end must not be negative, got {t_end:g} s")
+        epochs = [t_end] if epochs is None else [float(e) for e in epochs]
         h = self.substep
         n_steps = int(round(t_end / h))
         if abs(n_steps * h - t_end) > 1e-9:
             raise ValueError("t_end must be a multiple of the substep")
-        epoch_steps = set()
-        for e in epochs:
-            k = int(round(e / h))
-            if abs(k * h - e) > 1e-9:
-                raise ValueError("epochs must be multiples of the substep")
-            epoch_steps.add(k)
+        steps = [int(round(e / h)) for e in epochs]
+        if any(abs(k * h - e) > 1e-9 for k, e in zip(steps, epochs)):
+            raise ValueError("epochs must be multiples of the substep")
+        if not all(0 <= k <= n_steps for k in steps):
+            raise ValueError(f"epochs must lie in [0, t_end], got {epochs}")
+        wanted = np.unique(np.array(steps, dtype=int))  # sorted, each step once
 
         stage = self.truth.kinematics(_stage_times(h, n_steps))
         w_ib, w_in, f_b, v = (stage[name] for name in ("omega_ib_b", "omega_in_n", "f_b", "v"))
         omega_ie, _, g_n = earth.kinematics_n(v, stage["p"])
         x = np.cross(omega_ie, v) - g_n  # the aligners' nav-frame vector
 
-        def derivative(s, y):
-            c_b = quat_to_dcm(quat_normalize(y[0:4])).T   # C_{b(t)}^{b(0)}
-            c_n = quat_to_dcm(quat_normalize(y[4:8])).T   # C_{n(t)}^{n(0)}
-            dy = np.empty_like(y)
-            dy[0:4] = _quat_rate(y[0:4], w_ib[s])
-            dy[4:8] = _quat_rate(y[4:8], w_in[s])
-            dy[8:11] = c_b @ f_b[s]                 # alpha_v
-            dy[11:14] = c_n @ x[s]                  # I_x = int C (w_ie x v - g)
-            dy[14:17] = y[8:11]                     # alpha_p
-            dy[17:20] = y[11:14]                    # J_x, the double integral of x
-            dy[20:23] = c_n @ v[s]                  # U_r = int C v
-            return dy
+        q_b = q_n = (1.0, 0.0, 0.0, 0.0)
+        single = np.zeros((3, 3))  # alpha_v, I_x = int C x, U_r = int C v
+        double = np.zeros((2, 3))  # alpha_p and J_x, the integrals of the first two
+        rows = []
+        # One empty block when t_end is 0, so that its epoch gets a row.
+        for k0 in range(0, max(n_steps, 1), _BLOCK_STEPS):
+            k1 = min(k0 + _BLOCK_STEPS, n_steps)
+            q_body, stage_b = _attitude_chain(w_ib[2 * k0:2 * k1 + 1], h, q_b)
+            q_nav, stage_n = _attitude_chain(w_in[2 * k0:2 * k1 + 1], h, q_n)
+            q_stage = np.stack([stage_b, stage_n, stage_n], axis=2)
+            q_stage /= np.linalg.norm(q_stage, axis=-1, keepdims=True)
+            s = 2 * np.arange(k0, k1) + np.array([[0], [1], [1], [2]])  # stage rows
+            # slope[j, i] holds stage j of step k0 + i: C_{b(t)}^{b(0)} f_b,
+            # C_{n(t)}^{n(0)} x and C_{n(t)}^{n(0)} v (C is quat_to_dcm's transpose)
+            slope = np.einsum("jnmba,jnmb->jnma", quat_to_dcm(q_stage),
+                              np.stack([f_b[s], x[s], v[s]], axis=2))
+            incr = (h / 6.0) * (slope[0] + 2.0 * slope[1] + 2.0 * slope[2] + slope[3])
+            singles = np.cumsum(np.concatenate([single[None], incr]), axis=0)
+            incr = h * singles[:-1, :2] + (h * h / 6.0) * (slope[0] + slope[1] + slope[2])[:, :2]
+            doubles = np.cumsum(np.concatenate([double[None], incr]), axis=0)
+            # Steps k0 .. k1 - 1 of this block, and k1 too in the last one.
+            keep = wanted[(wanted >= k0) & (wanted < k1 + (k1 == n_steps))] - k0
+            rows.append((keep + k0, q_body[keep], q_nav[keep], singles[keep], doubles[keep]))
+            q_b, q_n, single, double = q_body[-1], q_nav[-1], singles[-1], doubles[-1]
 
-        y = np.zeros(23)
-        y[0] = 1.0
-        y[4] = 1.0
-        out = {name: [] for name in
-               ("t", "alpha_v", "beta_v", "alpha_p", "beta_p", "c_body", "c_nav")}
-        for k, y in _rk4(derivative, y, h, n_steps, (slice(0, 4), slice(4, 8))):
-            if k not in epoch_steps:
-                continue
-            t = k * h
-            c_n = quat_to_dcm(quat_normalize(y[4:8])).T
-            out["t"].append(t)
-            out["alpha_v"].append(y[8:11].copy())
-            out["beta_v"].append(c_n @ v[2 * k] - v[0] + y[11:14])
-            out["alpha_p"].append(y[14:17].copy())
-            out["beta_p"].append(y[20:23] - t * v[0] + y[17:20])
-            out["c_body"].append(quat_to_dcm(quat_normalize(y[0:4])).T)
-            out["c_nav"].append(c_n)
-        return {name: np.array(series) for name, series in out.items()}
+        ks, q_body, q_nav, singles, doubles = (np.concatenate(part) for part in zip(*rows))
+        t = ks * h
+        c_nav = np.swapaxes(quat_to_dcm(q_nav), -1, -2)
+        return {
+            "t": t,
+            "alpha_v": singles[:, 0],
+            "beta_v": np.einsum("nij,nj->ni", c_nav, v[2 * ks]) - v[0] + singles[:, 1],
+            "alpha_p": doubles[:, 0],
+            "beta_p": singles[:, 2] - t[:, None] * v[0] + doubles[:, 1],
+            "c_body": np.swapaxes(quat_to_dcm(q_body), -1, -2),
+            "c_nav": c_nav,
+        }
 
 
 class NavigationReference:
@@ -247,7 +247,7 @@ class NavigationReference:
             w_ie, w_in, g_n = map(np.array, earth.aiding_kinematics(v, p))
             c_b_n = quat_to_dcm(quat_normalize(q)).T
             dy = np.empty(10)
-            dy[0:4] = _quat_rate(q, w_ib[s] - c_b_n.T @ w_in)
+            dy[0:4] = 0.5 * quat_multiply(q, np.array([0.0, *(w_ib[s] - c_b_n.T @ w_in)]))
             coriolis = cross3(w_ie + w_in, v)  # (2 w_ie + w_en) x v
             dy[4:7] = c_b_n @ f_b[s] - coriolis + g_n
             dy[7:10] = earth.curvilinear_rate(v, p)
@@ -255,10 +255,17 @@ class NavigationReference:
 
         y = np.concatenate([dcm_to_quat(stage["c_b_n"][0].T), stage["v"][0], stage["p"][0]])
         worst = {"attitude_rad": 0.0, "velocity_mps": 0.0, "position_rad_m": 0.0}
-        for k, y in _rk4(derivative, y, h, n_steps, (slice(0, 4),)):
-            if k == 0 or (k % stride and k != n_steps):
-                continue
+        # Classic RK4 (nonlinear: w_in depends on v and p); stage 2k starts step k.
+        for k in range(1, n_steps + 1):
             s = 2 * k  # the even stage at the end of step k
+            k1 = derivative(s - 2, y)
+            k2 = derivative(s - 1, y + 0.5 * h * k1)
+            k3 = derivative(s - 1, y + 0.5 * h * k2)
+            k4 = derivative(s, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[0:4] = quat_normalize(y[0:4])
+            if k % stride and k != n_steps:
+                continue
             deviation = {
                 "attitude_rad": rotation_angle(quat_to_dcm(y[0:4]) @ stage["c_b_n"][s]),
                 "velocity_mps": float(np.max(np.abs(y[4:7] - stage["v"][s]))),
@@ -268,11 +275,11 @@ class NavigationReference:
         return worst
 
 
-def richardson_check(truth, t_end, substep, quantities=("alpha_v", "beta_v", "alpha_p", "beta_p")):
-    """Max change in the reference outputs when the substep is halved."""
+def richardson_check(truth, t_end, substep):
+    """Max change in the four reference integrals when the substep is halved."""
     coarse = AlignmentReference(truth, substep).run(t_end)
     fine = AlignmentReference(truth, substep / 2.0).run(t_end)
     return max(
         float(np.max(np.abs(coarse[name][-1] - fine[name][-1])))
-        for name in quantities
+        for name in ("alpha_v", "beta_v", "alpha_p", "beta_p")
     )

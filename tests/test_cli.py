@@ -165,6 +165,12 @@ class TestOracleVerb:
         assert err.startswith("error: substep must be positive")
         assert err.count("\n") == 1
 
+    def test_negative_end_is_refused(self, short_config, capsys):
+        rc = cli.main(["oracle", "--config", str(short_config), "--t-end", "-1",
+                       "--substep", "0.01"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: t_end must not be negative, got -1 s\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ifalign import oracle
-from ifalign.attitude import rotation_angle, rotvec_to_dcm
+from ifalign import earth, oracle
+from ifalign.attitude import (
+    quat_multiply,
+    quat_normalize,
+    quat_to_dcm,
+    rotation_angle,
+    rotvec_to_dcm,
+)
 
 
 def constant_profiles(w, f):
@@ -47,12 +53,65 @@ class TestKernelReferences:
         phi = oracle.rotation_vector_reference(omega_fn, 0.0, 0.5, n=500)
         np.testing.assert_allclose(phi, 0.5 * w, atol=1e-12)
 
-    def test_chain_dcms_match_rodrigues_for_constant_rate(self):
+    def test_attitude_chain_matches_rodrigues_for_constant_rate(self):
         w = np.array([0.1, 0.2, -0.15])
         omega_fn, _ = constant_profiles(w, np.zeros(3))
-        ts = np.linspace(0.0, 1.0, 101)
-        chains = oracle._chain_dcms(omega_fn, ts)
-        np.testing.assert_allclose(chains[-1], rotvec_to_dcm(w), atol=1e-10)
+        h, n = 0.01, 100  # the 101-point grid over [0, 1]
+        q, _ = oracle._attitude_chain(omega_fn(oracle._stage_times(h, n)), h, (1.0, 0.0, 0.0, 0.0))
+        np.testing.assert_allclose(quat_to_dcm(q[-1]).T, rotvec_to_dcm(w), atol=1e-10)
+
+
+def stepwise_reference(truth, h, t_end, epochs):
+    """The per-step RK4 of the 23-state ``y`` that ``AlignmentReference.run``
+    replaced: four derivative calls on numpy vectors per step.  It is the
+    written-out spec the block-wise run is checked against."""
+    n_steps = int(round(t_end / h))
+    epoch_steps = {int(round(e / h)) for e in epochs}
+    stage = truth.kinematics(oracle._stage_times(h, n_steps))
+    w_ib, w_in, f_b, v = (stage[name] for name in ("omega_ib_b", "omega_in_n", "f_b", "v"))
+    omega_ie, _, g_n = earth.kinematics_n(v, stage["p"])
+    x = np.cross(omega_ie, v) - g_n
+
+    def quat_rate(q, w):
+        return 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
+
+    def derivative(s, y):
+        c_b = quat_to_dcm(quat_normalize(y[0:4])).T   # C_{b(t)}^{b(0)}
+        c_n = quat_to_dcm(quat_normalize(y[4:8])).T   # C_{n(t)}^{n(0)}
+        return np.concatenate([
+            quat_rate(y[0:4], w_ib[s]), quat_rate(y[4:8], w_in[s]),
+            c_b @ f_b[s],    # alpha_v
+            c_n @ x[s],      # I_x
+            y[8:11],         # alpha_p
+            y[11:14],        # J_x
+            c_n @ v[s],      # U_r
+        ])
+
+    y = np.zeros(23)
+    y[0] = y[4] = 1.0
+    out = {name: [] for name in
+           ("t", "alpha_v", "beta_v", "alpha_p", "beta_p", "c_body", "c_nav")}
+    for k in range(n_steps + 1):
+        if k:
+            s = 2 * (k - 1)
+            k1 = derivative(s, y)
+            k2 = derivative(s + 1, y + 0.5 * h * k1)
+            k3 = derivative(s + 1, y + 0.5 * h * k2)
+            k4 = derivative(s + 2, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[0:4], y[4:8] = quat_normalize(y[0:4]), quat_normalize(y[4:8])
+        if k not in epoch_steps:
+            continue
+        t = k * h
+        c_n = quat_to_dcm(quat_normalize(y[4:8])).T
+        out["t"].append(t)
+        out["alpha_v"].append(y[8:11].copy())
+        out["beta_v"].append(c_n @ v[2 * k] - v[0] + y[11:14])
+        out["alpha_p"].append(y[14:17].copy())
+        out["beta_p"].append(y[20:23] - t * v[0] + y[17:20])
+        out["c_body"].append(quat_to_dcm(quat_normalize(y[0:4])).T)
+        out["c_nav"].append(c_n)
+    return {name: np.array(series) for name, series in out.items()}
 
 
 class TestAlignmentReference:
@@ -73,6 +132,28 @@ class TestAlignmentReference:
         )
         np.testing.assert_allclose(ref["t"], [1.0, 2.0])
         assert ref["alpha_v"].shape == (2, 3)
+
+    def test_matches_the_stepwise_rk4_across_blocks(self, short_truth, monkeypatch):
+        # 200 steps in blocks of 64: epochs at the start, inside a block and
+        # on a block boundary, so both chains and all five sums cross blocks
+        monkeypatch.setattr(oracle, "_BLOCK_STEPS", 64)
+        epochs = [0.0, 0.37, 0.64, 1.28, 1.5, 2.0]
+        got = oracle.AlignmentReference(short_truth, substep=0.01).run(2.0, epochs)
+        want = stepwise_reference(short_truth, 0.01, 2.0, epochs)
+        assert got.keys() == want.keys()
+        assert np.array_equal(got["t"], want["t"])
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-13 * scale, name
+
+    def test_rejects_negative_end_and_epochs_outside_the_run(self, short_truth):
+        ref = oracle.AlignmentReference(short_truth, substep=0.01)
+        with pytest.raises(ValueError, match="t_end must not be negative"):
+            ref.run(-1.0)
+        for epochs in ([0.5, 1.5], [-0.5]):
+            with pytest.raises(ValueError, match=r"epochs must lie in \[0, t_end\]"):
+                ref.run(1.0, epochs=epochs)
 
     def test_rejects_off_grid_epochs(self, short_truth):
         with pytest.raises(ValueError):
