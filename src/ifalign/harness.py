@@ -3,10 +3,8 @@
 import gc
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -313,6 +311,22 @@ class McSummary:
 _MC_CONTEXT = {}
 
 
+def _process_pool(jobs):
+    """A pool of ``jobs`` forked worker processes.
+
+    The pool machinery is imported here, so only a pooled Monte-Carlo batch
+    loads it.  ``numpy.random`` is imported before the fork: numpy loads it
+    on first use, and each worker would otherwise import it (and through
+    ``secrets``, ``hashlib`` and OpenSSL) at its first :func:`run_rng`.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    import numpy.random  # noqa: F401  (inherited by the workers)
+
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
+
+
 def _mc_run(args):
     """One Monte-Carlo run: ``(run index, errors at the epochs, failure or None)``."""
     run_index, method, epochs, report_interval_s = args
@@ -370,8 +384,7 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
     results = {}
     failed = []
     try:
-        with (ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
-              if jobs > 1 else nullcontext()) as pool:
+        with _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
             outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)
             for index, errs, message in outcomes:
                 if message is None:

@@ -15,12 +15,9 @@ The scenario/sensor configuration is a single YAML document with
 ``data/default_scenario.yaml`` for the grouping and the defaults.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
-import yaml
 
 from .errors import FormatError, GapError, RateMismatch
 from .simulate import ScenarioConfig, SensorErrors, simulation_sensor_defaults
@@ -228,12 +225,20 @@ def config_from_dict(doc):
     return config.scenario, config.sensors
 
 
+# yaml, json and hashlib are imported by the functions below, on first use:
+# a run that reads no config and hashes none never loads them.
+
+
 def save_config(path, cfg, errors):
+    import yaml
+
     with open(path, "w", encoding="ascii") as fh:
         yaml.safe_dump(config_to_dict(cfg, errors), fh, sort_keys=False)
 
 
 def load_config(path):
+    import yaml
+
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = yaml.safe_load(fh)
@@ -245,6 +250,9 @@ def load_config(path):
 
 def config_hash(cfg, errors):
     """Stable hex digest of a scenario + sensor configuration."""
+    import hashlib
+    import json
+
     doc = json.dumps(config_to_dict(cfg, errors), sort_keys=True)
     return hashlib.sha256(doc.encode("ascii")).hexdigest()[:16]
 

@@ -20,8 +20,8 @@ from .attitude import (
     rotation_angle,
 )
 
-# Steps per block of AlignmentReference.run: bounds its per-step operator
-# and stage arrays, so its peak memory stays that of the stage-grid truth.
+# Steps per block of AlignmentReference.run: bounds its stage-grid truth and
+# its per-step operator and stage arrays, so its peak memory is the block's.
 _BLOCK_STEPS = 4096
 
 
@@ -147,9 +147,9 @@ class AlignmentReference:
     Integrates, with classic RK4 at a configurable substep, the body and
     navigation attitude chains together with every integral entering the
     velocity- and position-form observation vectors.  The truth is
-    evaluated once on the half-substep stage grid.  Both chains run through
-    :func:`_attitude_chain`, so each integrand is one batched product over
-    the RK4 stages of a block of ``_BLOCK_STEPS`` steps.
+    evaluated on the half-substep stage grid, one block of ``_BLOCK_STEPS``
+    steps at a time.  Both chains run through :func:`_attitude_chain`, so
+    each integrand is one batched product over the RK4 stages of a block.
     """
 
     def __init__(self, truth, substep=0.001):
@@ -177,11 +177,7 @@ class AlignmentReference:
             raise ValueError(f"epochs must lie in [0, t_end], got {epochs}")
         wanted = np.unique(np.array(steps, dtype=int))  # sorted, each step once
 
-        stage = self.truth.kinematics(_stage_times(h, n_steps))
-        w_ib, w_in, f_b, v = (stage[name] for name in ("omega_ib_b", "omega_in_n", "f_b", "v"))
-        omega_ie, _, g_n = earth.kinematics_n(v, stage["p"])
-        x = np.cross(omega_ie, v) - g_n  # the aligners' nav-frame vector
-
+        times = _stage_times(h, n_steps)
         q_b = q_n = (1.0, 0.0, 0.0, 0.0)
         single = np.zeros((3, 3))  # alpha_v, I_x = int C x, U_r = int C v
         double = np.zeros((2, 3))  # alpha_p and J_x, the integrals of the first two
@@ -189,11 +185,17 @@ class AlignmentReference:
         # One empty block when t_end is 0, so that its epoch gets a row.
         for k0 in range(0, max(n_steps, 1), _BLOCK_STEPS):
             k1 = min(k0 + _BLOCK_STEPS, n_steps)
-            q_body, stage_b = _attitude_chain(w_ib[2 * k0:2 * k1 + 1], h, q_b)
-            q_nav, stage_n = _attitude_chain(w_in[2 * k0:2 * k1 + 1], h, q_n)
+            stage = self.truth.kinematics(times[2 * k0:2 * k1 + 1])  # this block's stages
+            w_ib, w_in, f_b, v = (stage[name] for name in ("omega_ib_b", "omega_in_n", "f_b", "v"))
+            omega_ie, _, g_n = earth.kinematics_n(v, stage["p"])
+            x = np.cross(omega_ie, v) - g_n  # the aligners' nav-frame vector
+            if k0 == 0:
+                v0 = v[0]
+            q_body, stage_b = _attitude_chain(w_ib, h, q_b)
+            q_nav, stage_n = _attitude_chain(w_in, h, q_n)
             q_stage = np.stack([stage_b, stage_n, stage_n], axis=2)
             q_stage /= np.linalg.norm(q_stage, axis=-1, keepdims=True)
-            s = 2 * np.arange(k0, k1) + np.array([[0], [1], [1], [2]])  # stage rows
+            s = 2 * np.arange(k1 - k0) + np.array([[0], [1], [1], [2]])  # stage rows
             # slope[j, i] holds stage j of step k0 + i: C_{b(t)}^{b(0)} f_b,
             # C_{n(t)}^{n(0)} x and C_{n(t)}^{n(0)} v (C is quat_to_dcm's transpose)
             slope = np.einsum("jnmba,jnmb->jnma", quat_to_dcm(q_stage),
@@ -204,18 +206,19 @@ class AlignmentReference:
             doubles = np.cumsum(np.concatenate([double[None], incr]), axis=0)
             # Steps k0 .. k1 - 1 of this block, and k1 too in the last one.
             keep = wanted[(wanted >= k0) & (wanted < k1 + (k1 == n_steps))] - k0
-            rows.append((keep + k0, q_body[keep], q_nav[keep], singles[keep], doubles[keep]))
+            rows.append((keep + k0, q_body[keep], q_nav[keep], singles[keep], doubles[keep],
+                         v[2 * keep]))
             q_b, q_n, single, double = q_body[-1], q_nav[-1], singles[-1], doubles[-1]
 
-        ks, q_body, q_nav, singles, doubles = (np.concatenate(part) for part in zip(*rows))
+        ks, q_body, q_nav, singles, doubles, v = (np.concatenate(part) for part in zip(*rows))
         t = ks * h
         c_nav = np.swapaxes(quat_to_dcm(q_nav), -1, -2)
         return {
             "t": t,
             "alpha_v": singles[:, 0],
-            "beta_v": np.einsum("nij,nj->ni", c_nav, v[2 * ks]) - v[0] + singles[:, 1],
+            "beta_v": np.einsum("nij,nj->ni", c_nav, v) - v0 + singles[:, 1],
             "alpha_p": doubles[:, 0],
-            "beta_p": singles[:, 2] - t[:, None] * v[0] + doubles[:, 1],
+            "beta_p": singles[:, 2] - t[:, None] * v0 + doubles[:, 1],
             "c_body": np.swapaxes(quat_to_dcm(q_body), -1, -2),
             "c_nav": c_nav,
         }
@@ -236,6 +239,8 @@ class NavigationReference:
 
     def deviations(self, t_end, check_every=0.1):
         """Max attitude/velocity/position deviation from the truth over [0, t_end]."""
+        if not t_end >= 0.0:
+            raise ValueError(f"t_end must not be negative, got {t_end:g} s")
         h = self.substep
         n_steps = int(round(t_end / h))
         stride = max(1, int(round(check_every / h)))

@@ -195,7 +195,7 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     def no_truth(*args, **kwargs):
         raise AssertionError("an invalid Monte-Carlo epoch must not generate the truth")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "_process_pool", no_pool)
     monkeypatch.setattr(harness, "generate_truth", no_truth)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

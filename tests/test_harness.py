@@ -561,7 +561,7 @@ class TestMonteCarlo:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(harness, "_process_pool", RecordingExecutor)
         errors = simulation_sensor_defaults(seed=3)
         cfg = mc_truth.cfg
         pooled = monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=64, truth=mc_truth)

@@ -206,6 +206,47 @@ class TestConfigFiles:
         assert ifio.config_hash(*untyped) == ifio.config_hash(*typed)
         assert ifio.config_hash(*loaded) == ifio.config_hash(*typed)
 
+    def test_config_hash_and_pool_modules_load_on_first_use(self, tmp_path):
+        # a run that reads, saves and hashes no config and starts no pool
+        # loads none of their modules, nor numpy.random; each config call
+        # then works on first use, the default digest is unchanged, and a
+        # pool's forked worker finds numpy.random already loaded
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ifalign
+
+        code = (
+            "import sys\n"
+            "import ifalign\n"
+            "from ifalign import io\n"
+            "from ifalign.simulate import ScenarioConfig, generate_truth\n"
+            "out = sys.argv[1]\n"
+            "truth = generate_truth(ScenarioConfig(duration_s=2.0))\n"
+            "data = ifalign.AlignmentData.from_simulation(truth)\n"
+            "ifalign.run_alignment(data, 'vif').write_csv(out + '/report.csv')\n"
+            "lazy = ['yaml', 'json', 'hashlib', '_hashlib', 'multiprocessing',\n"
+            "        'concurrent.futures.process', 'numpy.random']\n"
+            "early = [name for name in lazy if name in sys.modules]\n"
+            "assert not early, f'imported: {early}'\n"
+            "defaults = io.config_from_dict({})\n"
+            "assert io.config_hash(*defaults) == '75bcd047c037d3e1'\n"
+            "io.save_config(out + '/scenario.yaml', *defaults)\n"
+            "assert io.load_config(out + '/scenario.yaml') == defaults\n"
+            "def loaded(name):\n"
+            "    return name in sys.modules\n"
+            "with ifalign.harness._process_pool(1) as pool:\n"
+            "    assert pool.submit(loaded, 'numpy.random').result(), 'not inherited'\n"
+        )
+        src = str(Path(ifalign.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr
+
     def test_hash_changes_with_config(self):
         cfg = ScenarioConfig()
         errors = simulation_sensor_defaults()

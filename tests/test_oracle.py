@@ -189,3 +189,7 @@ class TestNavigationReference:
         assert dev["attitude_rad"] < 1e-10
         assert dev["velocity_mps"] < 1e-10
         assert dev["position_rad_m"] < 1e-10
+
+    def test_rejects_negative_end(self, short_truth):
+        with pytest.raises(ValueError, match="t_end must not be negative"):
+            oracle.NavigationReference(short_truth, substep=0.01).deviations(-1.0)
