@@ -22,8 +22,6 @@ unknown of the fit.
 
 import math
 
-import numpy as np
-
 from . import earth
 from .attitude import compose_attitude, cross_floats, matmul3, quat_dcm_entries, rotvec_to_dcm
 from .increments import (
@@ -79,41 +77,36 @@ class AidFix:
     """Aided ground velocity and curvilinear position at one time instant.
 
     ``AidFix(t, v, p)`` checks that ``t`` is a finite number and ``v`` and
-    ``p`` finite 3-vectors.
-    ``v_floats`` and ``p_floats`` hold them as 3-tuples of Python floats,
-    which is what the aligners read; the array attributes are built from
-    them on access.
+    ``p`` finite 3-vectors, and keeps them as Python floats, which is what
+    the aligners read.
 
     Attributes
     ----------
     t : float
         Time since the start of alignment (s).
-    v : ndarray, shape (3,)
+    v : tuple of 3 floats
         Ground velocity [vN, vU, vE] (m/s).
-    p : ndarray, shape (3,)
+    p : tuple of 3 floats
         Curvilinear position [lon, lat, h] (rad, rad, m).
     """
 
-    __slots__ = ("t", "v_floats", "p_floats")
+    __slots__ = ("t", "v", "p")
 
     def __init__(self, t, v, p):
         self.t = float(t)
         if not math.isfinite(self.t):
             raise ValueError(f"t must be finite, got {t!r}")
-        self.v_floats = as_float3(v, "v")
-        self.p_floats = as_float3(p, "p")
+        self.v = as_float3(v, "v")
+        self.p = as_float3(p, "p")
 
     @classmethod
-    def from_floats(cls, t, v_floats, p_floats):
+    def from_floats(cls, t, v, p):
         """A fix from a float time and two float 3-tuples, taken as they are."""
         fix = cls.__new__(cls)
         fix.t = t
-        fix.v_floats = v_floats
-        fix.p_floats = p_floats
+        fix.v = v
+        fix.p = p
         return fix
-
-    v = property(lambda self: np.array(self.v_floats))
-    p = property(lambda self: np.array(self.p_floats))
 
 
 class AlignmentEstimate:
@@ -123,8 +116,8 @@ class AlignmentEstimate:
     (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
     body-to-nav matrix at the current time, as nested 3-tuples of floats
     (what :func:`ifalign.attitude.compose_attitude` returns), composed on
-    each read from the chain snapshots (nested float tuples) and the
-    transposed DCM of ``q``, both transposed once here; ``lambda_min`` is
+    each read from the chains at the time of the estimate (nested float
+    tuples) and the transposed DCM of ``q``, both transposed once here; ``lambda_min`` is
     the smallest eigenvalue of the solved matrix, a residual-energy figure
     of merit.
     """
@@ -152,37 +145,20 @@ class AlignmentEstimate:
         )
 
 
-# Snapshot fields every aligner carries besides its declared STATE.
-_CORE_STATE = {
-    "c_nav": (3, 3), "c_body": (3, 3), "K": (4, 4), "w_alpha": (3,), "w_beta": (3,), "w_sq": (),
-}
-
-
-def _state_array(name):
-    """Read-only property: the float state ``_<name>`` as a float64 array."""
-    private = "_" + name
-    return property(lambda self: np.array(getattr(self, private)))
-
-
+_ZERO3 = (0.0, 0.0, 0.0)
 _ZERO_4X4 = ((0.0,) * 4,) * 4
-
-
-def _frozen(floats):
-    """``ndarray.tolist()`` output with every list turned into a tuple."""
-    return tuple(map(_frozen, floats)) if isinstance(floats, list) else floats
+_EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 class _AlignerBase:
     """Shared chain propagation, state bookkeeping and the fit.
 
     ``update()`` folds one interval into the state; ``estimate()`` solves
-    the state for the attitude.  A subclass declares its snapshot tag
-    ``KIND`` and, in ``STATE``, the shape of every accumulator it carries
-    besides the two chains, ``K`` and the fit sums.  All of them live on
-    Python floats (nested tuples, or a float for shape ``()``) under
-    ``_<name>``; ``<name>`` reads them as a float64 array, as does ``v0``.
-    The zeroed state, :meth:`to_dict` and :meth:`from_dict` are built from
-    the declaration.
+    the state for the attitude.  The state is public and lives on Python
+    floats: the running vectors (``alpha``, ``beta``, ``v0``, ``w_alpha``,
+    ``w_beta`` and each form's own sums) are 3-tuples, the chains ``c_nav``
+    and ``c_body`` nested 3x3 tuples, ``K`` a nested 4x4 tuple and ``w_sq``
+    a float.
 
     ``beta`` carries the initial velocity, which only the first (noisy)
     fix gives: as a constant in ``vif`` and a ramp in time in ``pif``.  So
@@ -197,30 +173,16 @@ class _AlignerBase:
     fix's velocity, to keep its rounding small; no estimate depends on it.
     """
 
-    KIND = None
-    STATE = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        for name in cls._fields():
-            setattr(cls, name, _state_array(name))
-
     def __init__(self, T):
         if T <= 0.0:
             raise ValueError("update interval T must be positive")
         self.T = float(T)
         self.M = 0
-        self._v0 = (0.0, 0.0, 0.0)
-        for name, shape in self._fields().items():
-            self._set_state(name, np.zeros(shape))
+        self.v0 = self.alpha = self.beta = self.w_alpha = self.w_beta = _ZERO3
+        self.w_sq = 0.0
+        self.K = _ZERO_4X4
         # the chains C_{n(t_M)}^{n(0)} and C_{b(t_M)}^{b(0)} start at identity
-        self._set_state("c_nav", np.eye(3))
-        self._set_state("c_body", np.eye(3))
-
-    v0 = _state_array("v0")
-
-    def _set_state(self, name, value):
-        setattr(self, "_" + name, _frozen(value.tolist()))
+        self.c_nav = self.c_body = _EYE3
 
     @property
     def t(self):
@@ -242,41 +204,38 @@ class _AlignerBase:
                 f"got {fix_prev.t} -> {fix_next.t}"
             )
         T = self.T
-        v_prev = fix_prev.v_floats
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p_floats)
+        v_prev = fix_prev.v
+        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p)
         if self.M == 0:
-            self._v0 = v_prev
+            self.v0 = v_prev
         w0, w1, w2 = omega_in
-        c_nav_prev, c_body_prev = self._c_nav, self._c_body
-        self._c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
-        self._c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
+        c_nav_prev, c_body_prev = self.c_nav, self.c_body
+        self.c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
+        self.c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
         self.M += 1
         e0, e1, e2 = omega_ie
         g0, g1, g2 = g_n
         p0, p1, p2 = v_prev
-        n0, n1, n2 = fix_next.v_floats
+        n0, n1, n2 = fix_next.v
         x_prev = (e1 * p2 - e2 * p1 - g0, e2 * p0 - e0 * p2 - g1, e0 * p1 - e1 * p0 - g2)
         x_next = (e1 * n2 - e2 * n1 - g0, e2 * n0 - e0 * n2 - g1, e0 * n1 - e1 * n0 - g2)
         return c_nav_prev, c_body_prev, omega_in, x_prev, x_next
 
     def _add_pair(self, w):
         """Add ``(alpha, beta)`` to ``K`` and, with weight ``w``, to the fit sums."""
-        alpha, beta = self._alpha, self._beta
-        self._K = accumulate(self._K, alpha, beta)
+        alpha, beta = self.alpha, self.beta
+        self.K = accumulate(self.K, alpha, beta)
         a0, a1, a2 = alpha
         b0, b1, b2 = beta
-        wa0, wa1, wa2 = self._w_alpha
-        wb0, wb1, wb2 = self._w_beta
-        self._w_alpha = (wa0 + w * a0, wa1 + w * a1, wa2 + w * a2)
-        self._w_beta = (wb0 + w * b0, wb1 + w * b1, wb2 + w * b2)
-        self._w_sq += w * w
+        wa0, wa1, wa2 = self.w_alpha
+        wb0, wb1, wb2 = self.w_beta
+        self.w_alpha = (wa0 + w * a0, wa1 + w * a1, wa2 + w * a2)
+        self.w_beta = (wb0 + w * b0, wb1 + w * b1, wb2 + w * b2)
+        self.w_sq += w * w
 
     def solved_matrix(self):
-        """``K`` with the initial-velocity correction minimized out."""
-        return np.array(self._solved())
-
-    def _solved(self):
-        """:meth:`solved_matrix` as nested 4-tuples of floats."""
+        """``K`` with the initial-velocity correction minimized out, as
+        nested 4-tuples of floats."""
         if self.M < 2:
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
@@ -286,14 +245,14 @@ class _AlignerBase:
             (k10, k11, k12, k13),
             (k20, k21, k22, k23),
             (k30, k31, k32, k33),
-        ) = self._K
+        ) = self.K
         (
             (g00, g01, g02, g03),
             (g10, g11, g12, g13),
             (g20, g21, g22, g23),
             (g30, g31, g32, g33),
-        ) = pair_gram(self._w_alpha, self._w_beta)
-        w_sq = self._w_sq
+        ) = pair_gram(self.w_alpha, self.w_beta)
+        w_sq = self.w_sq
         return (
             (k00 - g00 / w_sq, k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq),
             (k10 - g10 / w_sq, k11 - g11 / w_sq, k12 - g12 / w_sq, k13 - g13 / w_sq),
@@ -307,57 +266,10 @@ class _AlignerBase:
         A pure function of the state.  Raises :class:`DegenerateSpectrum`
         while the attitude is unobservable; further updates may follow.
         """
-        q, lam = optimal_quaternion(self._solved())
+        q, lam = optimal_quaternion(self.solved_matrix())
         return AlignmentEstimate(
-            t=self.t, q=q, lambda_min=lam, c_nav=self._c_nav, c_body=self._c_body
+            t=self.t, q=q, lambda_min=lam, c_nav=self.c_nav, c_body=self.c_body
         )
-
-    @classmethod
-    def _fields(cls):
-        """Every array field of a snapshot besides ``v0``, with its shape."""
-        return {**_CORE_STATE, **cls.STATE}
-
-    def to_dict(self):
-        """JSON-serializable snapshot of the full state."""
-        state = {
-            "kind": self.KIND,
-            "T": self.T,
-            "M": self.M,
-            "v0": list(self._v0),
-        }
-        for name in self._fields():
-            state[name] = getattr(self, name).tolist()
-        return state
-
-    @classmethod
-    def from_dict(cls, state):
-        """Rebuild an aligner from :meth:`to_dict` output.
-
-        Raises ValueError for another aligner's snapshot, or one that lacks
-        a field this class declares or holds one of the wrong shape.
-        """
-        if state.get("kind") != cls.KIND:
-            raise ValueError(f"state is not a {cls.__name__} snapshot")
-        shapes = {"v0": (3,), **cls._fields()}
-        missing = [n for n in ("T", "M", *shapes) if n not in state]
-        if missing:
-            raise ValueError(f"{cls.__name__} snapshot lacks {', '.join(missing)}")
-        values = {}
-        for name, shape in shapes.items():
-            try:
-                values[name] = np.array(state[name], dtype=float)
-            except (TypeError, ValueError):
-                values[name] = None
-            if values[name] is None or values[name].shape != shape:
-                raise ValueError(
-                    f"{cls.__name__} snapshot field {name} is not a float "
-                    f"array of shape {shape}"
-                )
-        out = cls(state["T"])
-        out.M = int(state["M"])
-        for name, value in values.items():
-            out._set_state(name, value)
-        return out
 
 
 class VelocityIntegrationAligner(_AlignerBase):
@@ -370,8 +282,9 @@ class VelocityIntegrationAligner(_AlignerBase):
         every interval.
     """
 
-    KIND = "vif"
-    STATE = {"alpha": (3,), "beta_partial": (3,), "beta": (3,)}
+    def __init__(self, T):
+        super().__init__(T)
+        self.beta_partial = _ZERO3
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -381,16 +294,16 @@ class VelocityIntegrationAligner(_AlignerBase):
         c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
             interval, fix_prev, fix_next
         )
-        self._alpha = _rotate_add(self._alpha, c_body_prev, sculling_increment(interval))
-        self._beta_partial = b0, b1, b2 = _rotate_add(
-            self._beta_partial, c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)
+        self.alpha = _rotate_add(self.alpha, c_body_prev, sculling_increment(interval))
+        self.beta_partial = b0, b1, b2 = _rotate_add(
+            self.beta_partial, c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)
         )
         # beta = (C_nav - I) v_next + (v_next - v0) + beta_partial; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
-        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self._c_nav
-        n0, n1, n2 = fix_next.v_floats
-        o0, o1, o2 = self._v0
-        self._beta = (
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c_nav
+        n0, n1, n2 = fix_next.v
+        o0, o1, o2 = self.v0
+        self.beta = (
             (c00 - 1.0) * n0 + c01 * n1 + c02 * n2 + (n0 - o0) + b0,
             c10 * n0 + (c11 - 1.0) * n1 + c12 * n2 + (n1 - o1) + b1,
             c20 * n0 + c21 * n1 + (c22 - 1.0) * n2 + (n2 - o2) + b2,
@@ -411,8 +324,9 @@ class PositionIntegrationAligner(_AlignerBase):
     weight ``t``.
     """
 
-    KIND = "pif"
-    STATE = {"alpha": (3,), "beta": (3,), "s_body": (3,), "s_x": (3,), "u_r": (3,), "u_x": (3,)}
+    def __init__(self, T):
+        super().__init__(T)
+        self.s_body = self.s_x = self.u_r = self.u_x = _ZERO3
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -427,37 +341,35 @@ class PositionIntegrationAligner(_AlignerBase):
 
         # Double integral of rotated specific force: completed-interval
         # prefix times T, plus the within-interval two-sample tail.
-        a0, a1, a2 = self._alpha
-        s0, s1, s2 = self._s_body
-        self._alpha = _rotate_add(
+        a0, a1, a2 = self.alpha
+        s0, s1, s2 = self.s_body
+        self.alpha = _rotate_add(
             (a0 + T * s0, a1 + T * s1, a2 + T * s2),
             c_body_prev,
             double_integral_increment(interval, T),
         )
-        self._s_body = _rotate_add(self._s_body, c_body_prev, sculling_increment(interval))
+        self.s_body = _rotate_add(self.s_body, c_body_prev, sculling_increment(interval))
 
-        v_prev, v_next = fix_prev.v_floats, fix_next.v_floats
-        self._u_r = r0, r1, r2 = _rotate_add(
-            self._u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
+        v_prev, v_next = fix_prev.v, fix_next.v
+        self.u_r = r0, r1, r2 = _rotate_add(
+            self.u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
         )
         y0, y1, y2 = _rotate_add(
-            self._u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)
+            self.u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)
         )
-        z0, z1, z2 = self._s_x
-        self._u_x = u0, u1, u2 = (y0 + T * z0, y1 + T * z1, y2 + T * z2)
-        self._s_x = _rotate_add(
-            self._s_x, c_nav_prev, single_integral(x_prev, x_next, omega_in, T)
+        z0, z1, z2 = self.s_x
+        self.u_x = u0, u1, u2 = (y0 + T * z0, y1 + T * z1, y2 + T * z2)
+        self.s_x = _rotate_add(
+            self.s_x, c_nav_prev, single_integral(x_prev, x_next, omega_in, T)
         )
 
         t = self.t
-        o0, o1, o2 = self._v0
-        self._beta = (r0 - t * o0 + u0, r1 - t * o1 + u1, r2 - t * o2 + u2)
+        o0, o1, o2 = self.v0
+        self.beta = (r0 - t * o0 + u0, r1 - t * o1 + u1, r2 - t * o2 + u2)
         self._add_pair(t)
 
 
-ALIGNER_CLASSES = {
-    cls.KIND: cls for cls in (VelocityIntegrationAligner, PositionIntegrationAligner)
-}
+ALIGNER_CLASSES = {"vif": VelocityIntegrationAligner, "pif": PositionIntegrationAligner}
 
 
 def make_aligner(method, T):

@@ -112,7 +112,7 @@ def _print_report_tail(report):
 
 def _cmd_montecarlo(args):
     cfg, errors = _load_config(args)
-    epochs = [float(e) for e in args.epochs.split(",")]
+    epochs = None if args.epochs is None else [float(e) for e in args.epochs.split(",")]
     for method in args.methods:
         summary = monte_carlo(
             cfg, errors, args.runs, method, epochs=epochs, jobs=args.jobs
@@ -196,8 +196,12 @@ def main(argv=None):
         default=None,
     )
     p_mc.add_argument("--runs", type=int, default=100)
-    p_mc.add_argument("--epochs", type=str,
-                      default=",".join(str(e) for e in DEFAULT_EPOCHS))
+    p_mc.add_argument(
+        "--epochs", type=str, default=None,
+        help="comma-separated report epochs (s); default: those of "
+        + ",".join(f"{e:g}" for e in DEFAULT_EPOCHS)
+        + " before the run's last report row, and that row",
+    )
     p_mc.add_argument("--jobs", type=int, default=None)
     p_mc.add_argument("--out", type=Path)
     p_mc.set_defaults(func=_cmd_montecarlo)

@@ -346,23 +346,27 @@ def _mc_run(args):
     return run_index, errs, None
 
 
-def monte_carlo(cfg, errors, n_runs, method, epochs=DEFAULT_EPOCHS, jobs=None,
+def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None,
                 report_interval_s=1.0, truth=None):
     """Seeded Monte-Carlo batch; error statistics at the requested epochs.
 
     Each run draws its noise from a generator keyed by (seed, run index),
     so results do not depend on scheduling or on ``jobs``, the number of
     worker processes (default: the CPU count; at most ``n_runs``).  Failed
-    runs are excluded from the statistics and listed in the summary.  An
-    epoch that is not a report row of the scenario raises ``ValueError``
-    before the truth is generated or a worker started.
+    runs are excluded from the statistics and listed in the summary.  The
+    default epochs are the :data:`DEFAULT_EPOCHS` before the last report
+    row, and that row.  An epoch that is not a report row of the scenario
+    raises ``ValueError`` before the truth is generated or a worker started.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
-    epochs = [float(e) for e in epochs]
     stride = _report_stride(report_interval_s, cfg.update_interval_s)
     row_s = stride * cfg.update_interval_s
     n_rows = cfg.n_updates // stride
+    if epochs is None:
+        last = n_rows * row_s
+        epochs = [e for e in DEFAULT_EPOCHS if e < last] + [last]
+    epochs = [float(e) for e in epochs]
     for epoch in epochs:
         row = round(epoch / row_s)
         if abs(epoch - row * row_s) > 1e-9 or not 1 <= row <= n_rows:

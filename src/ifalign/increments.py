@@ -78,19 +78,16 @@ class ImuInterval:
     """Gyro/accelerometer increments over the two halves of one update interval.
 
     ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` checks that each argument is
-    a 3-vector and validates the rows with :func:`check_increments`.
-    ``floats`` holds the four increments as one flat 12-tuple of Python
-    floats, which is what the kernels read; the array attributes are built
-    from it on access.
+    a 3-vector and validates the rows with :func:`check_increments`:
+    ``dtheta1``/``dtheta2`` are the incremental angles (rad) and
+    ``dv1``/``dv2`` the incremental velocities (m/s) integrated over the
+    first/second half of the interval.
 
     Attributes
     ----------
-    dtheta1, dtheta2 : ndarray, shape (3,)
-        Incremental angles (rad) integrated over the first/second half.
-    dv1, dv2 : ndarray, shape (3,)
-        Incremental velocities (m/s) integrated over the first/second half.
     floats : tuple
-        ``dtheta1 + dtheta2 + dv1 + dv2`` as one 12-tuple of Python floats.
+        ``dtheta1 + dtheta2 + dv1 + dv2`` as one 12-tuple of Python floats,
+        which is what the kernels read.
     """
 
     __slots__ = ("floats",)
@@ -111,11 +108,6 @@ class ImuInterval:
         interval = cls.__new__(cls)
         interval.floats = floats
         return interval
-
-    dtheta1 = property(lambda self: np.array(self.floats[0:3]))
-    dtheta2 = property(lambda self: np.array(self.floats[3:6]))
-    dv1 = property(lambda self: np.array(self.floats[6:9]))
-    dv2 = property(lambda self: np.array(self.floats[9:12]))
 
 
 def sculling_increment(interval):

@@ -132,7 +132,7 @@ class SensorErrors:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type is float and getattr(self, f.name) < 0.0:
+            if f.type in (float, int) and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
         _check_vector3("lever_arm_m", self.lever_arm_m)
 

@@ -202,6 +202,20 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["align", "montecarlo"])
+def test_negative_seed_exit_code(verb, monkeypatch, capsys):
+    from ifalign import harness
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a negative seed must be refused before any run")
+
+    monkeypatch.setattr(harness, "_mc_run", no_work)
+    monkeypatch.setattr(harness, "generate_truth", no_work)
+    monkeypatch.setattr(cli, "generate_truth", no_work)
+    assert cli.main([verb, "--seed", "-1", "--duration", "10"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -210,9 +224,10 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
         ("sensors: {lever_arm_m: [1, 2]}", "lever_arm_m"),
         ("scenario: {attitude: {roll: 5}}", "scenario.attitude.roll"),
         ("scenario: [1, 2]", "scenario"),
+        ("sensors: {seed: -1}", "sensors"),
     ],
     ids=["unknown-key", "arm-scalar", "arm-two-elements", "profile-scalar",
-         "section-list"],
+         "section-list", "negative-seed"],
 )
 def test_invalid_config_exit_code(text, key, tmp_path, monkeypatch, capsys):
     from ifalign import harness

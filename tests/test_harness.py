@@ -73,7 +73,7 @@ class TestRunAlignment:
                 err.append(np.full(3, np.nan))
                 degenerate.append(True)
                 continue
-            c = np.array(compose_attitude(al.c_nav.T, quat_to_dcm(q).T, al.c_body))
+            c = np.array(compose_attitude(np.transpose(al.c_nav), quat_to_dcm(q).T, al.c_body))
             est.append(np.array(dcm_to_euler(c)) * RAD2DEG)
             err.append(np.array(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T)) * RAD2DEG)
             degenerate.append(False)
@@ -313,7 +313,8 @@ class TestAlignmentDataValidation:
         k = 37
         fix = data.fix(k)
         for got, row in ((fix.v, data.fix_v[k]), (fix.p, data.fix_p[k])):
-            assert got.tobytes() == row.tobytes()
+            assert got == tuple(row.tolist())
+            assert all(type(x) is float for x in got)
         assert fix.t == data.fix_t[k]
         # every interval holds its four rows as one flat float row, and the
         # kernels read it as they read an interval built from the vectors
@@ -322,9 +323,6 @@ class TestAlignmentDataValidation:
             rows = (data.dtheta[2 * k], data.dtheta[2 * k + 1],
                     data.dv[2 * k], data.dv[2 * k + 1])
             assert interval.floats == sum((tuple(row.tolist()) for row in rows), ())
-            for got, row in zip((interval.dtheta1, interval.dtheta2,
-                                 interval.dv1, interval.dv2), rows):
-                assert got.tobytes() == row.tobytes()
             built = ImuInterval(*rows)
             assert sculling_increment(interval) == sculling_increment(built)
             assert body_rotvec(interval) == body_rotvec(built)
@@ -600,6 +598,30 @@ class TestMonteCarlo:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert done.returncode == 0, done.stderr
+
+    def test_default_epochs_end_at_the_last_report_row(self, short_truth):
+        # a 20 s run: the default epochs up to 20 s, not a 300 s epoch
+        # that is no report row
+        errors = simulation_sensor_defaults(seed=3)
+        s = monte_carlo(short_truth.cfg, errors, 2, "vif", jobs=1, truth=short_truth)
+        assert s.epochs.tolist() == [5.0, 10.0, 20.0]
+        assert s.n_runs == 2 and not s.failed
+        with pytest.raises(ValueError, match="epoch 30 s is not a report row"):
+            monte_carlo(short_truth.cfg, errors, 2, "vif", epochs=[30.0], jobs=1,
+                        truth=short_truth)
+
+    def test_default_epochs_of_a_300_s_run(self, monkeypatch):
+        from ifalign import harness
+
+        def no_run(args):
+            return args[0], np.zeros((len(args[2]), 3)), None
+
+        monkeypatch.setattr(harness, "_mc_run", no_run)
+        for duration, epochs in ((300.0, harness.DEFAULT_EPOCHS),
+                                 (120.0, (5.0, 10.0, 20.0, 60.0, 100.0, 120.0))):
+            s = monte_carlo(ScenarioConfig(duration_s=duration), simulation_sensor_defaults(),
+                            2, "vif", jobs=1, truth=object())
+            assert tuple(s.epochs.tolist()) == epochs
 
     def test_summary_table_format(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)

@@ -38,6 +38,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SensorErrors(gps_vel_sigma_mps=-0.1)
 
+    def test_negative_seed_rejected(self):
+        # not numpy's "expected non-negative integer" at the first draw
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            SensorErrors(seed=-1)
+
     @pytest.mark.parametrize("vector", [(1.0, 2.0), 1.0, (1.0, math.nan, 0.0)],
                              ids=["two-elements", "scalar", "nan"])
     def test_vectors_must_be_three_finite_numbers(self, vector):

@@ -15,10 +15,16 @@ workload runs once with ``--trace 1`` on the change, which checks that
 traced outputs equal untraced ones and that every exact call, row and byte
 count is the one the workload expects; its correctness, ``FAILED:`` lines
 and per-layer metrics go into the output under ``"trace"``.  The output
-holds every run's end-to-end metrics, correctness and failure counts, and
-per metric:
+holds every run's end-to-end metrics, its ``unscaled`` figures and
+``speed_factor`` (per repetition) from the ``workload=`` line,
+correctness and failure counts, and per metric:
 
 * ``parent``/``change``: each side's median and quartiles;
+* ``unscaled``: each side's median of the figure before
+  ``perfbench/speed.py`` scales it to nominal host speed, for the metrics
+  that have one (``peak_rss_mb`` has none).  The calibration moves with
+  the modules a process has loaded, so an import change shifts the scaled
+  figure while the unscaled pairs, taken on one host, do not move;
 * ``change_wins``: the pairs the change won (ties count for neither side);
 * ``gain_rule_holds``: the change wins at least nine tenths of the pairs
   and the medians differ by more than the parent's interquartile range
@@ -63,7 +69,8 @@ class RunFailed(Exception):
 def run_once(checkout, workload, seed, seconds, trace=0):
     """One benchmark run in ``checkout``: its result and environment records.
 
-    The result gains ``failed_lines``, the run's ``FAILED:`` lines.  Raises
+    The result gains ``failed_lines``, the run's ``FAILED:`` lines, and
+    ``notes``, the JSON of its ``workload=`` line.  Raises
     :class:`RunFailed` if the run exits nonzero, is not correct or counts
     failed operations.
     """
@@ -80,6 +87,8 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     result = json.loads(lines[-1])
     result["failed_lines"] = [line.strip() for line in lines
                               if line.strip().startswith("FAILED:")]
+    result["notes"] = next(json.loads(line.split(" ", 3)[3]) for line in lines
+                           if line.startswith("workload="))
     if not result["correct"] or result["failed"]:
         raise RunFailed(f"correct={result['correct']} failed={result['failed']}",
                         {k: result[k] for k in ("correct", "attempted", "failed",
@@ -105,6 +114,11 @@ def summarize(runs, metrics):
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"]))
         stats = {side: quartiles(values) for side, values in sides.items()}
+        if name in runs[0]["parent"]["unscaled"]:
+            stats["unscaled"] = {
+                side: statistics.median(r[side]["unscaled"][name] for r in runs)
+                for side in ("parent", "change")
+            }
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         parent_median = stats["parent"]["median"]
         gain = sign * (stats["change"]["median"] - parent_median)
@@ -198,6 +212,8 @@ def main(argv=None):
                     "attempted": result["attempted"],
                     "failed": result["failed"],
                     "metrics": result["metrics"],
+                    "unscaled": result["notes"]["unscaled"],
+                    "speed_factor": result["notes"]["speed_factor"],
                 }
                 print(f"{workload} pair {i} {side}: correct={result['correct']} "
                       f"updates_per_s={result['metrics']['updates_per_s']['value']:.0f} "
