@@ -218,52 +218,58 @@ def quat_to_dcm(q):
 
 
 def dcm_to_quat(dcm, tol=1e-6):
-    """Quaternion with ``quat_to_dcm(q) == dcm``, canonical sign.
+    """Quaternion with ``quat_to_dcm(q) == dcm``, canonical sign; a
+    ``(..., 3, 3)`` stack gives one per matrix, shape ``(..., 4)``.
 
     Uses Shepperd's branch selection (largest of the four squared
-    components) for numerical stability.
+    components) for numerical stability.  A single matrix is a stack of
+    one, so every matrix takes the same operations: all four branches run
+    on the stack and each row keeps its own.
 
     Raises
     ------
     NotARotation
-        If the matrix violates orthonormality or det=+1 beyond ``tol``.
+        If a matrix violates orthonormality or det=+1 beyond ``tol``
+        (or is not finite); a stack names the first such index.
     """
     dcm = np.asarray(dcm, dtype=float)
-    if (
-        np.max(np.abs(dcm.T @ dcm - np.eye(3))) > tol
-        or abs(np.linalg.det(dcm) - 1.0) > tol
-    ):
-        raise NotARotation("matrix is not orthonormal with unit determinant")
-
+    if dcm.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a (..., 3, 3) array, got shape {dcm.shape}")
+    stack = dcm.reshape(-1, 3, 3)
     # quat_to_dcm(q) equals the classic body-to-nav matrix R(q) transposed,
     # so recover R = dcm.T and invert the standard formula.
-    r = dcm.T
-    tr = np.trace(r)
-    candidates = np.array([tr, r[0, 0], r[1, 1], r[2, 2]])
-    case = int(np.argmax(candidates))
-    if case == 0:
-        s = 0.5 * np.sqrt(1.0 + tr)
-        f = 0.25 / s
-        q = np.array(
-            [
-                s,
-                f * (r[2, 1] - r[1, 2]),
-                f * (r[0, 2] - r[2, 0]),
-                f * (r[1, 0] - r[0, 1]),
-            ]
+    r = np.swapaxes(stack, -1, -2)
+    with np.errstate(invalid="ignore"):  # a NaN entry fails the check quietly
+        bad = ~(
+            (np.max(np.abs(r @ stack - np.eye(3)), axis=(-2, -1)) <= tol)
+            & (np.abs(np.linalg.det(stack) - 1.0) <= tol)
         )
-    else:
-        i = case - 1
-        j = (i + 1) % 3
-        k = (i + 2) % 3
-        x = 0.5 * np.sqrt(1.0 + r[i, i] - r[j, j] - r[k, k])
-        f = 0.25 / x
-        q = np.empty(4)
-        q[0] = f * (r[k, j] - r[j, k])
-        q[1 + i] = x
-        q[1 + j] = f * (r[j, i] + r[i, j])
-        q[1 + k] = f * (r[k, i] + r[i, k])
-    return quat_normalize(q)
+    if bad.any():
+        where = "matrix" if dcm.ndim == 2 else "matrix at index " + ", ".join(
+            str(int(i)) for i in np.unravel_index(np.argmax(bad), dcm.shape[:-2])
+        )
+        raise NotARotation(f"{where} is not orthonormal with unit determinant")
+
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    case = np.argmax(np.column_stack([tr, np.diagonal(r, 0, -2, -1)]), axis=-1)
+    q = np.empty((4, len(r), 4))  # each branch's quaternion of each matrix
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branches not picked
+        q[0, :, 0] = s = 0.5 * np.sqrt(1.0 + tr)
+        f0 = 0.25 / s
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            x = 0.5 * np.sqrt(1.0 + r[:, i, i] - r[:, j, j] - r[:, k, k])
+            f = 0.25 / x
+            skew = r[:, k, j] - r[:, j, k]
+            q[0, :, 1 + i] = f0 * skew
+            q[1 + i, :, 0] = f * skew
+            q[1 + i, :, 1 + i] = x
+            q[1 + i, :, 1 + j] = f * (r[:, j, i] + r[:, i, j])
+            q[1 + i, :, 1 + k] = f * (r[:, k, i] + r[:, i, k])
+    rows = np.arange(len(r))
+    q = q[case, rows]
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q[q[rows, np.argmax(q != 0.0, axis=-1)] < 0.0] *= -1.0  # first nonzero positive
+    return q.reshape(dcm.shape[:-2] + (4,))
 
 
 def orthonormalize(dcm):

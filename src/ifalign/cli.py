@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as ifio
+from .attitude import dcm_to_quat
 from .errors import FormatError, GapError, IfalignError, RateMismatch
 from .harness import (
     DEFAULT_EPOCHS,
@@ -55,15 +56,12 @@ def _cmd_simulate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    n_samples = cfg.n_samples
-    t_end = (np.arange(n_samples) + 1) * cfg.sample_dt
+    t_end = (np.arange(cfg.n_samples) + 1) * cfg.sample_dt
     ifio.write_imu(out / "imu.csv", t_end, dtheta, dv)
     ifio.write_gps(out / "gps.csv", t_fix, v_fix, p_fix)
 
-    from .attitude import dcm_to_quat
-
     idx = truth.update_indices()
-    q_truth = np.stack([dcm_to_quat(truth.c_b_n[i].T) for i in idx])
+    q_truth = dcm_to_quat(truth.c_b_n[idx].transpose(0, 2, 1))
     ifio.write_truth(
         out / "truth.csv", truth.t[idx], q_truth, truth.v[idx], truth.p[idx]
     )

@@ -328,8 +328,8 @@ def _process_pool(jobs):
 
 
 def _mc_run(args):
-    """One Monte-Carlo run: ``(run index, errors at the epochs, failure or None)``."""
-    run_index, method, epochs, report_interval_s = args
+    """One Monte-Carlo run: ``(run index, errors at the rows, failure or None)``."""
+    run_index, method, rows = args
     try:
         truth = _MC_CONTEXT["truth"]
         errors = _MC_CONTEXT["errors"]
@@ -337,8 +337,7 @@ def _mc_run(args):
         data = AlignmentData.from_simulation(
             truth, errors, rng, metadata={"seed": errors.seed, "run": run_index}
         )
-        report = run_alignment(data, method, report_interval_s)
-        errs = report.errors_at(epochs)
+        errs = run_alignment(data, method).err_deg[rows]
         if np.any(~np.isfinite(errs)):
             raise DegenerateSpectrum("degenerate estimate at a requested epoch")
     except Exception as exc:  # noqa: BLE001 - per-run failures are aggregated
@@ -346,30 +345,30 @@ def _mc_run(args):
     return run_index, errs, None
 
 
-def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None,
-                report_interval_s=1.0, truth=None):
+def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None):
     """Seeded Monte-Carlo batch; error statistics at the requested epochs.
 
     Each run draws its noise from a generator keyed by (seed, run index),
     so results do not depend on scheduling or on ``jobs``, the number of
     worker processes (default: the CPU count; at most ``n_runs``).  Failed
-    runs are excluded from the statistics and listed in the summary.  The
-    default epochs are the :data:`DEFAULT_EPOCHS` before the last report
-    row, and that row.  An epoch that is not a report row of the scenario
-    raises ``ValueError`` before the truth is generated or a worker started.
+    runs are excluded from the statistics and listed in the summary.  Runs
+    report on :func:`run_alignment`'s default 1 s rows.  The default epochs
+    are the :data:`DEFAULT_EPOCHS` before the last report row, and that
+    row.  An epoch that is not a report row of the scenario raises
+    ``ValueError`` before the truth is generated or a worker started.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
-    stride = _report_stride(report_interval_s, cfg.update_interval_s)
+    stride = _report_stride(1.0, cfg.update_interval_s)
     row_s = stride * cfg.update_interval_s
     n_rows = cfg.n_updates // stride
     if epochs is None:
         last = n_rows * row_s
         epochs = [e for e in DEFAULT_EPOCHS if e < last] + [last]
     epochs = [float(e) for e in epochs]
-    for epoch in epochs:
-        row = round(epoch / row_s)
-        if abs(epoch - row * row_s) > 1e-9 or not 1 <= row <= n_rows:
+    rows = [round(epoch / row_s) - 1 for epoch in epochs]
+    for epoch, row in zip(epochs, rows):
+        if abs(epoch - (row + 1) * row_s) > 1e-9 or not 0 <= row < n_rows:
             raise ValueError(
                 f"epoch {epoch:g} s is not a report row: rows are every "
                 f"{row_s:g} s up to {n_rows * row_s:g} s"
@@ -384,7 +383,7 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None,
 
     _MC_CONTEXT["truth"] = truth
     _MC_CONTEXT["errors"] = errors
-    tasks = [(i, method, epochs, report_interval_s) for i in range(n_runs)]
+    tasks = [(i, method, rows) for i in range(n_runs)]
     results = {}
     failed = []
     try:

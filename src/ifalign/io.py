@@ -70,11 +70,7 @@ def _read_csv(path, header, n_cols):
 
 def write_imu(path, t_end, dtheta, dv):
     """IMU sample log: one row per half-interval increment."""
-    write_csv(
-        path,
-        IMU_HEADER,
-        [t_end, dtheta[:, 0], dtheta[:, 1], dtheta[:, 2], dv[:, 0], dv[:, 1], dv[:, 2]],
-    )
+    write_csv(path, IMU_HEADER, [t_end, dtheta, dv])
 
 
 def read_imu(path):
@@ -84,11 +80,7 @@ def read_imu(path):
 
 def write_gps(path, t, v, p):
     """GPS fix log; positions internally [lon, lat, h], stored lat-first."""
-    write_csv(
-        path,
-        GPS_HEADER,
-        [t, p[:, 1], p[:, 0], p[:, 2], v[:, 0], v[:, 1], v[:, 2]],
-    )
+    write_csv(path, GPS_HEADER, [t, p[:, [1, 0, 2]], v])
 
 
 def read_gps(path):
@@ -101,16 +93,7 @@ def read_gps(path):
 
 def write_truth(path, t, q, v, p):
     """Reference trajectory log (simulation mode only)."""
-    write_csv(
-        path,
-        TRUTH_HEADER,
-        [
-            t,
-            q[:, 0], q[:, 1], q[:, 2], q[:, 3],
-            v[:, 0], v[:, 1], v[:, 2],
-            p[:, 1], p[:, 0], p[:, 2],
-        ],
-    )
+    write_csv(path, TRUTH_HEADER, [t, q, v, p[:, [1, 0, 2]]])
 
 
 def read_truth(path):

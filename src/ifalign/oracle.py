@@ -141,6 +141,16 @@ def _positive_step(substep):
     return substep
 
 
+def _whole_steps(t_end, h):
+    """Steps of ``h`` to ``t_end``; ``ValueError`` unless a whole number."""
+    if not t_end >= 0.0:
+        raise ValueError(f"t_end must not be negative, got {t_end:g} s")
+    n_steps = int(round(t_end / h))
+    if abs(n_steps * h - t_end) > 1e-9:
+        raise ValueError("t_end must be a multiple of the substep")
+    return n_steps
+
+
 class AlignmentReference:
     """Fine-step reference for the alignment integrals of a truth trajectory.
 
@@ -163,13 +173,9 @@ class AlignmentReference:
         (default: just ``t_end``).  Returns a dict of arrays keyed by
         quantity name.
         """
-        if not t_end >= 0.0:
-            raise ValueError(f"t_end must not be negative, got {t_end:g} s")
-        epochs = [t_end] if epochs is None else [float(e) for e in epochs]
         h = self.substep
-        n_steps = int(round(t_end / h))
-        if abs(n_steps * h - t_end) > 1e-9:
-            raise ValueError("t_end must be a multiple of the substep")
+        n_steps = _whole_steps(t_end, h)
+        epochs = [t_end] if epochs is None else [float(e) for e in epochs]
         steps = [int(round(e / h)) for e in epochs]
         if any(abs(k * h - e) > 1e-9 for k, e in zip(steps, epochs)):
             raise ValueError("epochs must be multiples of the substep")
@@ -239,10 +245,8 @@ class NavigationReference:
 
     def deviations(self, t_end, check_every=0.1):
         """Max attitude/velocity/position deviation from the truth over [0, t_end]."""
-        if not t_end >= 0.0:
-            raise ValueError(f"t_end must not be negative, got {t_end:g} s")
         h = self.substep
-        n_steps = int(round(t_end / h))
+        n_steps = _whole_steps(t_end, h)
         stride = max(1, int(round(check_every / h)))
         stage = self.truth.kinematics(_stage_times(h, n_steps))
         w_ib, f_b = stage["omega_ib_b"], stage["f_b"]

@@ -143,6 +143,92 @@ class TestQuatDcm:
             attitude.dcm_to_quat(np.diag([1.0, 1.0, -1.0]))
 
 
+def _shepperd_case(dcm):
+    """The Shepperd branch ``dcm_to_quat`` picks: 0 for the trace, 1 + i for
+    the diagonal entry i."""
+    return int(np.argmax([np.trace(dcm), *np.diag(dcm)]))
+
+
+def _scipy_quat(dcm):
+    """The canonical quaternion of ``dcm`` by scipy, scalar first."""
+    x, y, z, s = Rotation.from_matrix(dcm.T).as_quat()
+    q = np.array([s, x, y, z])
+    return -q if q[np.flatnonzero(q)[0]] < 0.0 else q
+
+
+class TestDcmToQuatStack:
+    # near identity, then near 180 deg about each axis: one per branch
+    BRANCH_ROTVECS = [
+        np.array([1e-3, -2e-3, 3e-3]),
+        (math.pi - 1e-2) * np.array([1.0, 0.02, -0.03]) / np.linalg.norm([1.0, 0.02, -0.03]),
+        (math.pi - 1e-2) * np.array([0.03, 1.0, 0.02]) / np.linalg.norm([0.03, 1.0, 0.02]),
+        (math.pi - 1e-2) * np.array([-0.02, 0.03, 1.0]) / np.linalg.norm([-0.02, 0.03, 1.0]),
+    ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_each_shepperd_branch(self, case):
+        dcm = Rotation.from_rotvec(self.BRANCH_ROTVECS[case]).as_matrix().T
+        assert _shepperd_case(dcm) == case
+        q = attitude.dcm_to_quat(dcm)
+        np.testing.assert_allclose(q, _scipy_quat(dcm), rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(attitude.quat_to_dcm(q) - dcm)) <= 1e-15
+
+    def test_exact_half_turn_takes_the_canonical_sign(self):
+        # 180 deg about (-0.6, 0.8, 0): the r11 branch gives x < 0 and s == 0,
+        # so the sign flips to make x, the first nonzero component, positive
+        u = np.array([-0.6, 0.8, 0.0])
+        dcm = 2.0 * np.outer(u, u) - np.eye(3)
+        assert _shepperd_case(dcm) == 2
+        q = attitude.dcm_to_quat(dcm)
+        assert q[0] == 0.0 and q[1] > 0.0
+        np.testing.assert_allclose(q, [0.0, 0.6, -0.8, 0.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(
+            attitude.dcm_to_quat(np.diag([-1.0, -1.0, 1.0])), [0.0, 0.0, 0.0, 1.0]
+        )
+
+    def test_stack_equals_rows_bitwise_and_round_trips(self):
+        rng = np.random.default_rng(5)
+        dcm = Rotation.random(300, random_state=5).as_matrix()
+        # rows near each branch, and exact half turns
+        dcm[:40] = Rotation.from_rotvec(
+            self.BRANCH_ROTVECS[0] * rng.uniform(0.0, 1.0, (40, 1))).as_matrix()
+        for i, rotvec in enumerate(self.BRANCH_ROTVECS[1:]):
+            dcm[40 + 20 * i:60 + 20 * i] = Rotation.from_rotvec(
+                rotvec + rng.uniform(-1e-3, 1e-3, (20, 3))).as_matrix()
+        dcm[100:103] = [np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                                            [-1.0, -1.0, 1.0])]
+        assert {_shepperd_case(m) for m in dcm} == {0, 1, 2, 3}
+        stacked = attitude.dcm_to_quat(dcm)
+        assert stacked.shape == (300, 4)
+        rows = np.stack([attitude.dcm_to_quat(m) for m in dcm])
+        assert stacked.tobytes() == rows.tobytes()
+        assert np.max(np.abs(attitude.quat_to_dcm(stacked) - dcm)) <= 1e-15
+
+    def test_shapes(self):
+        dcm = Rotation.random(10, random_state=2).as_matrix()
+        assert attitude.dcm_to_quat(dcm[0]).shape == (4,)
+        grid = attitude.dcm_to_quat(dcm.reshape(2, 5, 3, 3))
+        assert grid.shape == (2, 5, 4)
+        assert grid.reshape(10, 4).tobytes() == attitude.dcm_to_quat(dcm).tobytes()
+        assert attitude.dcm_to_quat(np.empty((0, 3, 3))).shape == (0, 4)
+        with pytest.raises(ValueError, match="3, 3"):
+            attitude.dcm_to_quat(np.eye(4)[:3])
+
+    def test_not_a_rotation_names_its_index(self):
+        dcm = np.stack([np.eye(3)] * 6)
+        dcm[3] = np.diag([1.0, 1.0, -1.0])
+        dcm[5] = np.diag([1.0, 1.0, 1.1])
+        with pytest.raises(NotARotation, match="matrix at index 3 is not"):
+            attitude.dcm_to_quat(dcm)
+        with pytest.raises(NotARotation, match="matrix at index 1, 0 is not"):
+            attitude.dcm_to_quat(dcm.reshape(2, 3, 3, 3))
+        dcm[3] = np.nan
+        with pytest.raises(NotARotation, match="matrix at index 3 is not"):
+            attitude.dcm_to_quat(dcm)
+        with pytest.raises(NotARotation, match="^matrix is not"):
+            attitude.dcm_to_quat(dcm[3])
+
+
 class TestQuatMulMatrices:
     def test_identity_quaternion(self):
         qplus, qminus = attitude.quat_mul_matrices(np.array([1.0, 0.0, 0.0, 0.0]))

@@ -180,7 +180,7 @@ class TestRunAlignment:
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
         idx = short_truth.update_indices()
-        q = np.stack([dcm_to_quat(short_truth.c_b_n[i].T) for i in idx])
+        q = dcm_to_quat(short_truth.c_b_n[idx].transpose(0, 2, 1))
         ifio.write_truth(
             tmp_path / "truth.csv", short_truth.t[idx], q, short_truth.v[idx],
             short_truth.p[idx],
@@ -412,7 +412,7 @@ class TestAlignmentDataValidation:
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
         idx = short_truth.update_indices()
-        q = np.stack([dcm_to_quat(short_truth.c_b_n[i].T) for i in idx])
+        q = dcm_to_quat(short_truth.c_b_n[idx].transpose(0, 2, 1))
         q[12, 0] = np.nan
         ifio.write_truth(tmp_path / "truth.csv", short_truth.t[idx], q,
                          short_truth.v[idx], short_truth.p[idx])
@@ -609,6 +609,32 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="epoch 30 s is not a report row"):
             monte_carlo(short_truth.cfg, errors, 2, "vif", epochs=[30.0], jobs=1,
                         truth=short_truth)
+
+    def test_runs_read_the_report_rows_of_the_epochs(self, short_truth, monkeypatch):
+        # the epochs become 1 s report-row indices once, and a run reads
+        # those rows: the errors that errors_at gives at the epochs
+        from ifalign import harness
+
+        errors = simulation_sensor_defaults(seed=3)
+        harness._MC_CONTEXT.update(truth=short_truth, errors=errors)
+        try:
+            index, errs, message = harness._mc_run((1, "vif", [4, 19]))
+        finally:
+            harness._MC_CONTEXT.clear()
+        assert (index, message) == (1, None)
+        data = AlignmentData.from_simulation(short_truth, errors, run_rng(3, 1))
+        want = run_alignment(data, "vif").errors_at([5.0, 20.0])
+        assert errs.tobytes() == want.tobytes()
+
+        seen = []
+
+        def no_run(args):
+            seen.append(args[2])
+            return args[0], np.zeros((len(args[2]), 3)), None
+
+        monkeypatch.setattr(harness, "_mc_run", no_run)
+        monte_carlo(short_truth.cfg, errors, 2, "vif", jobs=1, truth=short_truth)
+        assert seen == [[4, 9, 19]] * 2
 
     def test_default_epochs_of_a_300_s_run(self, monkeypatch):
         from ifalign import harness

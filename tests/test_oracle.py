@@ -193,3 +193,9 @@ class TestNavigationReference:
     def test_rejects_negative_end(self, short_truth):
         with pytest.raises(ValueError, match="t_end must not be negative"):
             oracle.NavigationReference(short_truth, substep=0.01).deviations(-1.0)
+
+    def test_rejects_off_grid_end(self, short_truth):
+        # 1.0049 s would round to 100 steps of 0.01 s and integrate to 1.0 s
+        ref = oracle.NavigationReference(short_truth, substep=0.01)
+        with pytest.raises(ValueError, match="t_end must be a multiple of the substep"):
+            ref.deviations(1.0049)
