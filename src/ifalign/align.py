@@ -112,31 +112,31 @@ class AidFix:
 class AlignmentEstimate:
     """Attitude solved from an aligner's accumulated state.
 
-    ``q`` encodes the estimated constant nav-to-body attitude at t=0
-    (via :func:`ifalign.attitude.quat_to_dcm`); ``c_b_n`` is the estimated
-    body-to-nav matrix at the current time, as nested 3-tuples of floats
-    (what :func:`ifalign.attitude.compose_attitude` returns), composed on
-    each read from the chains at the time of the estimate (nested float
-    tuples) and the transposed DCM of ``q``, both transposed once here; ``lambda_min`` is
-    the smallest eigenvalue of the solved matrix, a residual-energy figure
-    of merit.
+    ``q`` encodes the estimated constant attitude at t=0,
+    ``quat_to_dcm(q) = C_b^n(0)``; ``c_b_n`` is the estimated body-to-nav
+    matrix at the current time, as nested 3-tuples of floats (what
+    :func:`ifalign.attitude.compose_attitude` returns), composed on each
+    read from the chains at the time of the estimate (nested float tuples,
+    the nav chain transposed once here) and the DCM of ``q``;
+    ``lambda_min`` is the smallest eigenvalue of the solved matrix, a
+    residual-energy figure of merit.
     """
 
-    __slots__ = ("t", "q", "lambda_min", "_c_nav_t", "_c_q_t", "_c_body")
+    __slots__ = ("t", "q", "lambda_min", "_c_nav_t", "_c_q", "_c_body")
 
     def __init__(self, t, q, lambda_min, c_nav, c_body):
         self.t = t
         self.q = q
         self.lambda_min = lambda_min
-        c00, c01, c02, c10, c11, c12, c20, c21, c22 = quat_dcm_entries(*q.tolist())
+        c = quat_dcm_entries(*q.tolist())
         (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = c_nav
         self._c_nav_t = ((n00, n10, n20), (n01, n11, n21), (n02, n12, n22))
-        self._c_q_t = ((c00, c10, c20), (c01, c11, c21), (c02, c12, c22))
+        self._c_q = (c[0:3], c[3:6], c[6:9])
         self._c_body = c_body
 
     @property
     def c_b_n(self):
-        return compose_attitude(self._c_nav_t, self._c_q_t, self._c_body)
+        return compose_attitude(self._c_nav_t, self._c_q, self._c_body)
 
     def __repr__(self):
         return (

@@ -4,9 +4,9 @@ Conventions
 -----------
 * Quaternions are scalar-first 4-vectors ``q = [s, x, y, z]`` with the
   canonical sign ``s >= 0`` (first nonzero component positive when s == 0).
-* :func:`quat_to_dcm` returns the matrix that resolves navigation-frame
-  vectors in the body frame, i.e. ``C such that C @ v_nav = v_body`` for the
-  attitude encoded by ``q``.  The body-to-nav matrix is its transpose.
+* Every attitude matrix is body-to-nav, ``C_b^n @ v_body = v_nav``:
+  :func:`quat_to_dcm` returns the Hamilton matrix ``R(q) = C_b^n``, as
+  :func:`rotvec_to_dcm` and SciPy's ``Rotation`` do.
 * Euler angles are (roll, pitch, yaw) for the North-Up-East frame: yaw about
   Up (positive turning North toward East), pitch about the rotated East
   (positive nose up), roll about the twice-rotated North (positive right
@@ -97,17 +97,16 @@ def rotvec_to_dcm(phi):
 def dcm_to_rotvec(dcm):
     """Rotation vector phi with ``rotvec_to_dcm(phi) == dcm``, ``|phi| <= pi``.
 
-    The quaternion convention here encodes the transposed matrix, hence the
-    sign flip on the vector part.  The angle comes from atan2 of the vector
-    part against the scalar part: acos of the scalar part alone loses about
-    half the digits for small rotations (1.2% at 1e-7 rad).
+    The angle comes from atan2 of the quaternion's vector part against its
+    scalar part: acos of the scalar part alone loses about half the digits
+    for small rotations (1.2% at 1e-7 rad).
     """
     q = dcm_to_quat(dcm)
     norm_eta = np.linalg.norm(q[1:])
     if norm_eta < 1e-300:
         return np.zeros(3)
     angle = 2.0 * math.atan2(norm_eta, q[0])
-    return -q[1:] * (angle / norm_eta)
+    return q[1:] * (angle / norm_eta)
 
 
 def rotation_angle(dcm):
@@ -187,7 +186,7 @@ def quat_mul_matrices(q):
 def quat_dcm_entries(s, x, y, z):
     """The nine entries of :func:`quat_to_dcm`, row by row, as a flat tuple.
 
-    ``(s^2 - eta.eta) I + 2 eta eta^T - 2 s skew(eta)``, written out
+    ``(s^2 - eta.eta) I + 2 eta eta^T + 2 s skew(eta)``, written out
     component-wise with arithmetic only, so the components may be Python
     floats or numpy columns.
     """
@@ -196,19 +195,19 @@ def quat_dcm_entries(s, x, y, z):
     xy, xz, yz = 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
     sx, sy, sz = 2.0 * s * x, 2.0 * s * y, 2.0 * s * z
     return (
-        ss + xx, xy + sz, xz - sy,
-        xy - sz, ss + yy, yz + sx,
-        xz + sy, yz - sx, ss + zz,
+        ss + xx, xy - sz, xz + sy,
+        xy + sz, ss + yy, yz - sx,
+        xz - sy, yz + sx, ss + zz,
     )
 
 
 def quat_to_dcm(q):
-    """Nav-to-body DCM encoded by a unit quaternion, or one per row of an
-    ``(N, 4)`` stack (shape ``(N, 3, 3)``).
+    """Body-to-nav DCM ``R(q)`` encoded by a unit quaternion, or one per row
+    of an ``(N, 4)`` stack (shape ``(N, 3, 3)``).
 
     :func:`quat_dcm_entries` on Python floats for one quaternion, on
     ``(N,)`` columns for a stack: the same operations and so the same
-    rounding.  The transpose is the body-to-nav attitude matrix.
+    rounding.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim == 1:
@@ -235,14 +234,11 @@ def dcm_to_quat(dcm, tol=1e-6):
     dcm = np.asarray(dcm, dtype=float)
     if dcm.shape[-2:] != (3, 3):
         raise ValueError(f"expected a (..., 3, 3) array, got shape {dcm.shape}")
-    stack = dcm.reshape(-1, 3, 3)
-    # quat_to_dcm(q) equals the classic body-to-nav matrix R(q) transposed,
-    # so recover R = dcm.T and invert the standard formula.
-    r = np.swapaxes(stack, -1, -2)
+    r = dcm.reshape(-1, 3, 3)
     with np.errstate(invalid="ignore"):  # a NaN entry fails the check quietly
         bad = ~(
-            (np.max(np.abs(r @ stack - np.eye(3)), axis=(-2, -1)) <= tol)
-            & (np.abs(np.linalg.det(stack) - 1.0) <= tol)
+            (np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1)) <= tol)
+            & (np.abs(np.linalg.det(r) - 1.0) <= tol)
         )
     if bad.any():
         where = "matrix" if dcm.ndim == 2 else "matrix at index " + ", ".join(

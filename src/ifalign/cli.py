@@ -49,8 +49,8 @@ def _add_config_args(parser):
 
 def _cmd_simulate(args):
     cfg, errors = _load_config(args)
-    truth = generate_truth(cfg)
     rng = run_rng(errors.seed, args.run_index)
+    truth = generate_truth(cfg)
     dtheta, dv = sample_imu(truth, errors, rng)
     t_fix, v_fix, p_fix = gps_fixes(truth, errors, rng, stride_s=args.gps_interval)
     out = Path(args.out)
@@ -61,7 +61,7 @@ def _cmd_simulate(args):
     ifio.write_gps(out / "gps.csv", t_fix, v_fix, p_fix)
 
     idx = truth.update_indices()
-    q_truth = dcm_to_quat(truth.c_b_n[idx].transpose(0, 2, 1))
+    q_truth = dcm_to_quat(truth.c_b_n[idx])
     ifio.write_truth(
         out / "truth.csv", truth.t[idx], q_truth, truth.v[idx], truth.p[idx]
     )
@@ -80,8 +80,8 @@ def _cmd_align(args):
             args.imu, args.gps, args.interval, truth_path=args.truth, metadata=meta
         )
     else:
-        truth = generate_truth(cfg)
         rng = run_rng(errors.seed, args.run_index)
+        truth = generate_truth(cfg)
         data = AlignmentData.from_simulation(truth, errors, rng, metadata=meta)
 
     exit_code = 0

@@ -140,7 +140,7 @@ class AlignmentData:
             t_truth, q_truth, _, _ = ifio.read_truth(truth_path)
             if t_truth.size != fix_t.size or np.max(np.abs(t_truth - fix_t)) > 1e-6:
                 raise ValueError("truth log grid does not match the update grid")
-            truth_c = np.ascontiguousarray(quat_to_dcm(q_truth).transpose(0, 2, 1))
+            truth_c = quat_to_dcm(q_truth)
         meta = dict(metadata or {})
         meta.setdefault("imu_path", str(imu_path))
         meta.setdefault("gps_path", str(gps_path))
@@ -225,9 +225,9 @@ def _attitude_error(c_est, c_true_t):
 def _report_stride(report_interval_s, T):
     """Updates per report row; ``ValueError`` unless a positive whole number."""
     stride = report_interval_s / T
-    if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
-        raise ValueError("report interval must be a positive multiple of T")
-    return int(round(stride))
+    if math.isfinite(stride) and abs(stride - round(stride)) <= 1e-9 and round(stride) >= 1:
+        return int(round(stride))
+    raise ValueError(f"report interval {report_interval_s:g} s is not a positive multiple of T")
 
 
 def run_alignment(data, method, report_interval_s=1.0):
@@ -366,7 +366,7 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
         last = n_rows * row_s
         epochs = [e for e in DEFAULT_EPOCHS if e < last] + [last]
     epochs = [float(e) for e in epochs]
-    rows = [round(epoch / row_s) - 1 for epoch in epochs]
+    rows = [round(epoch / row_s) - 1 if math.isfinite(epoch) else -1 for epoch in epochs]
     for epoch, row in zip(epochs, rows):
         if abs(epoch - (row + 1) * row_s) > 1e-9 or not 0 <= row < n_rows:
             raise ValueError(

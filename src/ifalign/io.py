@@ -6,8 +6,7 @@ CSV conventions (decimal dot, 12 significant digits, headered):
   per IMU sample (half update interval); angles in rad, velocities in m/s.
 * GPS -- ``t_s,lat_rad,lon_rad,h_m,vN_mps,vU_mps,vE_mps``.
 * Truth -- ``t_s,q_s,q_x,q_y,q_z,vN,vU,vE,lat,lon,h`` where the quaternion
-  encodes the nav-to-body rotation (``quat_to_dcm(q)`` is the nav-to-body
-  matrix).
+  encodes the body-to-nav attitude (``quat_to_dcm(q)`` is ``C_b^n``).
 
 The scenario/sensor configuration is a single YAML document with
 ``scenario`` and ``sensors`` sections, whose keys are the fields of

@@ -25,6 +25,11 @@ from .attitude import (
 _BLOCK_STEPS = 4096
 
 
+def _rotate(c, v):
+    """``c @ v`` on stacks ``(..., 3, 3)`` and ``(..., 3)``, summed left to right in any layout."""
+    return sum(c[..., j] * v[..., None, j] for j in range(3))
+
+
 def _stage_times(h, n_steps, t0=0.0):
     return t0 + 0.5 * h * np.arange(2 * n_steps + 1)
 
@@ -38,8 +43,8 @@ def _attitude_chain(w_stage, h, q0):
     transition and stage operator is one ``(n, 4, 4)`` array; only that
     product, renormalized, runs in a loop, on floats.  Returns the unit
     quaternions at steps ``0 .. n``, ``(n + 1, 4)``, and the (unnormalized)
-    quaternions at the four stages of each step, ``(4, n, 4)``.  ``q``
-    encodes ``R(q) = C_{b(t)}^{b(t0)}``, the transpose of ``quat_to_dcm(q)``.
+    quaternions at the four stages of each step, ``(4, n, 4)``.
+    ``quat_to_dcm(q)`` is ``C_{b(t)}^{b(t0)}``.
     """
     w = np.asarray(w_stage, dtype=float)
     rate = 0.5 * np.moveaxis(quat_mul_matrices([np.zeros(len(w)), *w.T])[1], -1, 0)
@@ -93,7 +98,7 @@ def _rotated_force(omega_fn, f_fn, t0, t1, n, exact_rotation):
     if exact_rotation:
         q, _ = _attitude_chain(omega_fn(_stage_times((t1 - t0) / n, n, t0)),
                                (t1 - t0) / n, (1.0, 0.0, 0.0, 0.0))
-        return np.einsum("nji,nj->ni", quat_to_dcm(q), f)  # R(q) f
+        return _rotate(quat_to_dcm(q), f)
     return f + np.cross(theta, f)
 
 
@@ -125,8 +130,7 @@ def rotation_vector_reference(omega_fn, t0, t1, n=2000):
     """
     h = (t1 - t0) / n
     q, _ = _attitude_chain(omega_fn(_stage_times(h, n, t0)), h, (1.0, 0.0, 0.0, 0.0))
-    # q propagates R(q) = C_{b(t)}^{b(t0)}; quat_to_dcm returns its transpose.
-    return dcm_to_rotvec(quat_to_dcm(q[-1]).T)
+    return dcm_to_rotvec(quat_to_dcm(q[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +207,8 @@ class AlignmentReference:
             q_stage /= np.linalg.norm(q_stage, axis=-1, keepdims=True)
             s = 2 * np.arange(k1 - k0) + np.array([[0], [1], [1], [2]])  # stage rows
             # slope[j, i] holds stage j of step k0 + i: C_{b(t)}^{b(0)} f_b,
-            # C_{n(t)}^{n(0)} x and C_{n(t)}^{n(0)} v (C is quat_to_dcm's transpose)
-            slope = np.einsum("jnmba,jnmb->jnma", quat_to_dcm(q_stage),
-                              np.stack([f_b[s], x[s], v[s]], axis=2))
+            # C_{n(t)}^{n(0)} x and C_{n(t)}^{n(0)} v
+            slope = _rotate(quat_to_dcm(q_stage), np.stack([f_b[s], x[s], v[s]], axis=2))
             incr = (h / 6.0) * (slope[0] + 2.0 * slope[1] + 2.0 * slope[2] + slope[3])
             singles = np.cumsum(np.concatenate([single[None], incr]), axis=0)
             incr = h * singles[:-1, :2] + (h * h / 6.0) * (slope[0] + slope[1] + slope[2])[:, :2]
@@ -218,14 +221,14 @@ class AlignmentReference:
 
         ks, q_body, q_nav, singles, doubles, v = (np.concatenate(part) for part in zip(*rows))
         t = ks * h
-        c_nav = np.swapaxes(quat_to_dcm(q_nav), -1, -2)
+        c_nav = quat_to_dcm(q_nav)
         return {
             "t": t,
             "alpha_v": singles[:, 0],
-            "beta_v": np.einsum("nij,nj->ni", c_nav, v) - v0 + singles[:, 1],
+            "beta_v": _rotate(c_nav, v) - v0 + singles[:, 1],
             "alpha_p": doubles[:, 0],
             "beta_p": singles[:, 2] - t[:, None] * v0 + doubles[:, 1],
-            "c_body": np.swapaxes(quat_to_dcm(q_body), -1, -2),
+            "c_body": quat_to_dcm(q_body),
             "c_nav": c_nav,
         }
 
@@ -252,9 +255,9 @@ class NavigationReference:
         w_ib, f_b = stage["omega_ib_b"], stage["f_b"]
 
         def derivative(s, y):
-            q, v, p = y[0:4], y[4:7], y[7:10]   # q encodes C_b^n via R(q)
+            q, v, p = y[0:4], y[4:7], y[7:10]
             w_ie, w_in, g_n = map(np.array, earth.aiding_kinematics(v, p))
-            c_b_n = quat_to_dcm(quat_normalize(q)).T
+            c_b_n = quat_to_dcm(quat_normalize(q))
             dy = np.empty(10)
             dy[0:4] = 0.5 * quat_multiply(q, np.array([0.0, *(w_ib[s] - c_b_n.T @ w_in)]))
             coriolis = cross3(w_ie + w_in, v)  # (2 w_ie + w_en) x v
@@ -262,7 +265,7 @@ class NavigationReference:
             dy[7:10] = earth.curvilinear_rate(v, p)
             return dy
 
-        y = np.concatenate([dcm_to_quat(stage["c_b_n"][0].T), stage["v"][0], stage["p"][0]])
+        y = np.concatenate([dcm_to_quat(stage["c_b_n"][0]), stage["v"][0], stage["p"][0]])
         worst = {"attitude_rad": 0.0, "velocity_mps": 0.0, "position_rad_m": 0.0}
         # Classic RK4 (nonlinear: w_in depends on v and p); stage 2k starts step k.
         for k in range(1, n_steps + 1):
@@ -276,7 +279,7 @@ class NavigationReference:
             if k % stride and k != n_steps:
                 continue
             deviation = {
-                "attitude_rad": rotation_angle(quat_to_dcm(y[0:4]) @ stage["c_b_n"][s]),
+                "attitude_rad": rotation_angle(quat_to_dcm(y[0:4]).T @ stage["c_b_n"][s]),
                 "velocity_mps": float(np.max(np.abs(y[4:7] - stage["v"][s]))),
                 "position_rad_m": float(np.max(np.abs(y[7:10] - stage["p"][s]))),
             }

@@ -4,8 +4,8 @@ Each pair (alpha, beta) that should satisfy ``C_b^n(0) @ alpha == beta``
 contributes a positive-semidefinite 4x4 increment ``B^T B`` with
 ``B = qplus([0, beta]) - qminus([0, alpha])``.  The quaternion minimizing
 ``q^T K q`` over unit quaternions is the eigenvector of the accumulated K
-belonging to its smallest eigenvalue (Davenport's q-method); it encodes the
-nav-to-body matrix via :func:`ifalign.attitude.quat_to_dcm`.
+belonging to its smallest eigenvalue (Davenport's q-method), and
+:func:`ifalign.attitude.quat_to_dcm` of it is the ``C_b^n(0)`` of the pairs.
 
 The eigen-solve calls ``numpy.linalg._umath_linalg.eigh_lo``, the LAPACK
 gufunc that ``numpy.linalg.eigh`` runs for real input with ``UPLO='L'``, on

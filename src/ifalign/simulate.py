@@ -400,4 +400,6 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
 
 def run_rng(seed, run_index=0):
     """Deterministic generator for one Monte-Carlo run."""
+    if run_index < 0:
+        raise ValueError("run index must be nonnegative")
     return np.random.default_rng([int(seed), int(run_index)])

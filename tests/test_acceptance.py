@@ -319,7 +319,7 @@ class TestCriterion6EigenSolver:
             c_b_n0 = np.array(rotvec_to_dcm(phi))
             from ifalign.attitude import dcm_to_quat
 
-            q_true = dcm_to_quat(c_b_n0.T)
+            q_true = dcm_to_quat(c_b_n0)
             K = np.zeros((4, 4))
             for _ in range(8):
                 alpha = rng.standard_normal(3)

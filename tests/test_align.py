@@ -342,7 +342,7 @@ class TestGuards:
         est = al.estimate()
         first, second = est.c_b_n, est.c_b_n
         assert first == second
-        expected = compose_attitude(np.transpose(al.c_nav), quat_to_dcm(est.q).T, al.c_body)
+        expected = compose_attitude(np.transpose(al.c_nav), quat_to_dcm(est.q), al.c_body)
         assert first == expected
 
 
@@ -580,7 +580,7 @@ class TestInitialVelocity:
         for _ in range(5):
             q = rng.standard_normal(4)
             q /= np.linalg.norm(q)
-            resid = alpha @ quat_to_dcm(q) - beta     # rows: C alpha_k - beta_k
+            resid = alpha @ quat_to_dcm(q).T - beta   # rows: C alpha_k - beta_k
             plain = np.sum(resid ** 2)
             ramp = w @ resid
             expected = plain - ramp @ ramp / (w @ w)

@@ -113,18 +113,26 @@ class TestQuatDcm:
             attitude.quat_to_dcm(q), attitude.quat_to_dcm(-q), atol=1e-15
         )
 
-    def test_transpose_is_scipy_rotation(self):
-        # quat_to_dcm(q).T should rotate vectors the way scipy does for the
-        # same scalar-first quaternion.
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            q = rng.standard_normal(4)
-            q /= np.linalg.norm(q)
-            ours = attitude.quat_to_dcm(q).T
-            theirs = Rotation.from_quat(
-                [q[1], q[2], q[3], q[0]]
-            ).as_matrix()
-            np.testing.assert_allclose(ours, theirs, atol=1e-13)
+    @pytest.mark.parametrize("phi", [
+        [1e-9, -2e-9, 3e-9],
+        [0.3, -0.4, 0.5],
+        [-2.0, 1.0, 0.5],
+        [3.1, 0.05, -0.02],
+        [0.0, 0.0, math.pi],
+    ], ids=["tiny", "small", "large", "near-half-turn", "half-turn"])
+    def test_scipy_parity(self, phi):
+        # one convention, SciPy's: quat_to_dcm, dcm_to_quat and rotvec_to_dcm
+        # all give (or read) the matrix of Rotation for the same rotation
+        rot = Rotation.from_rotvec(phi)
+        c = rot.as_matrix()
+        x, y, z, s = rot.as_quat()
+        q = np.array([s, x, y, z])
+        np.testing.assert_allclose(attitude.quat_to_dcm(q), c, rtol=0.0, atol=1e-15)
+        x, y, z, s = Rotation.from_matrix(c).as_quat()
+        theirs = np.array([s, x, y, z])
+        ours = attitude.dcm_to_quat(c)
+        assert min(np.max(np.abs(ours - theirs)), np.max(np.abs(ours + theirs))) <= 1e-15
+        np.testing.assert_allclose(attitude.rotvec_to_dcm(phi), c, rtol=0.0, atol=1e-15)
 
     def test_stack_equals_rows_bitwise(self):
         # one call on an (N, 4) stack computes what N single calls do
@@ -151,7 +159,7 @@ def _shepperd_case(dcm):
 
 def _scipy_quat(dcm):
     """The canonical quaternion of ``dcm`` by scipy, scalar first."""
-    x, y, z, s = Rotation.from_matrix(dcm.T).as_quat()
+    x, y, z, s = Rotation.from_matrix(dcm).as_quat()
     q = np.array([s, x, y, z])
     return -q if q[np.flatnonzero(q)[0]] < 0.0 else q
 
@@ -167,7 +175,7 @@ class TestDcmToQuatStack:
 
     @pytest.mark.parametrize("case", range(4))
     def test_each_shepperd_branch(self, case):
-        dcm = Rotation.from_rotvec(self.BRANCH_ROTVECS[case]).as_matrix().T
+        dcm = Rotation.from_rotvec(self.BRANCH_ROTVECS[case]).as_matrix()
         assert _shepperd_case(dcm) == case
         q = attitude.dcm_to_quat(dcm)
         np.testing.assert_allclose(q, _scipy_quat(dcm), rtol=0.0, atol=1e-15)
@@ -252,8 +260,8 @@ class TestQuatMulMatrices:
     @given(unit_quaternions(), rotation_vectors())
     @settings(max_examples=60, deadline=None)
     def test_residual_operator_annihilates_matching_pairs(self, q, alpha):
-        # With beta = quat_to_dcm(q).T @ alpha, ([beta+]-[alpha-]) q = 0.
-        beta = attitude.quat_to_dcm(q).T @ alpha
+        # With beta = quat_to_dcm(q) @ alpha, ([beta+]-[alpha-]) q = 0.
+        beta = attitude.quat_to_dcm(q) @ alpha
         bplus, _ = attitude.quat_mul_matrices(np.array([0.0, *beta]))
         _, aminus = attitude.quat_mul_matrices(np.array([0.0, *alpha]))
         residual = (bplus - aminus) @ q
@@ -420,6 +428,17 @@ class TestHelpers:
     def test_dcm_to_rotvec_round_trip(self, phi):
         c = attitude.rotvec_to_dcm(phi)
         np.testing.assert_allclose(attitude.dcm_to_rotvec(c), phi, atol=1e-9)
+
+    @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                      [1.0, -2.0, 2.0]], ids=["x", "y", "z", "oblique"])
+    def test_dcm_to_rotvec_half_turn(self, axis):
+        # pi times the axis of the canonical quaternion (first nonzero
+        # component positive), not its negative
+        u = np.array(axis) / np.linalg.norm(axis)
+        dcm = 2.0 * np.outer(u, u) - np.eye(3)
+        phi = attitude.dcm_to_rotvec(dcm)
+        np.testing.assert_allclose(phi, math.pi * u, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(attitude.rotvec_to_dcm(phi), dcm, rtol=0.0, atol=1e-15)
 
     def test_quat_canonical(self):
         np.testing.assert_array_equal(

@@ -216,6 +216,42 @@ def test_negative_seed_exit_code(verb, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
 
+@pytest.mark.parametrize("verb", ["simulate", "align"])
+def test_negative_run_index_exit_code(verb, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a negative run index must be refused before any run")
+
+    monkeypatch.setattr(cli, "generate_truth", no_work)
+    argv = [verb, "--run-index", "-1", "--duration", "10"]
+    if verb == "simulate":
+        argv += ["--out", str(tmp_path / "logs")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: run index must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["align", "--duration", "2", "--report-interval", "inf"], "inf"),
+        (["align", "--duration", "2", "--report-interval", "nan"], "nan"),
+        (["montecarlo", "--duration", "2", "--runs", "2", "--epochs", "1,inf"], "inf"),
+        (["montecarlo", "--duration", "2", "--runs", "2", "--epochs", "1,nan"], "nan"),
+    ],
+    ids=["align-report-inf", "align-report-nan", "mc-epoch-inf", "mc-epoch-nan"],
+)
+def test_non_finite_report_interval_or_epoch_exit_code(argv, value, monkeypatch, capsys):
+    from ifalign import harness
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a non-finite epoch must be refused before any run")
+
+    monkeypatch.setattr(harness, "_mc_run", no_work)
+    monkeypatch.setattr(harness, "generate_truth", no_work)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{value} s" in err
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestRunAlignment:
                 err.append(np.full(3, np.nan))
                 degenerate.append(True)
                 continue
-            c = np.array(compose_attitude(np.transpose(al.c_nav), quat_to_dcm(q).T, al.c_body))
+            c = np.array(compose_attitude(np.transpose(al.c_nav), quat_to_dcm(q), al.c_body))
             est.append(np.array(dcm_to_euler(c)) * RAD2DEG)
             err.append(np.array(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T)) * RAD2DEG)
             degenerate.append(False)
@@ -180,7 +181,7 @@ class TestRunAlignment:
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
         idx = short_truth.update_indices()
-        q = dcm_to_quat(short_truth.c_b_n[idx].transpose(0, 2, 1))
+        q = dcm_to_quat(short_truth.c_b_n[idx])
         ifio.write_truth(
             tmp_path / "truth.csv", short_truth.t[idx], q, short_truth.v[idx],
             short_truth.p[idx],
@@ -196,6 +197,13 @@ class TestRunAlignment:
         data = AlignmentData.from_simulation(short_truth)
         with pytest.raises(ValueError):
             run_alignment(data, "vif", report_interval_s=0.03)
+
+    @pytest.mark.parametrize("interval", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_report_interval_must_be_finite(self, interval, short_truth):
+        # not an OverflowError, or numpy's "cannot convert float NaN to integer"
+        data = AlignmentData.from_simulation(short_truth)
+        with pytest.raises(ValueError, match=f"^report interval {interval:g} s is not a positive"):
+            run_alignment(data, "vif", report_interval_s=interval)
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_report_rows_independent_of_report_interval(self, method, short_truth):
@@ -412,7 +420,7 @@ class TestAlignmentDataValidation:
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
         idx = short_truth.update_indices()
-        q = dcm_to_quat(short_truth.c_b_n[idx].transpose(0, 2, 1))
+        q = dcm_to_quat(short_truth.c_b_n[idx])
         q[12, 0] = np.nan
         ifio.write_truth(tmp_path / "truth.csv", short_truth.t[idx], q,
                          short_truth.v[idx], short_truth.p[idx])
@@ -608,6 +616,14 @@ class TestMonteCarlo:
         assert s.n_runs == 2 and not s.failed
         with pytest.raises(ValueError, match="epoch 30 s is not a report row"):
             monte_carlo(short_truth.cfg, errors, 2, "vif", epochs=[30.0], jobs=1,
+                        truth=short_truth)
+
+    @pytest.mark.parametrize("epoch", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_epoch_rejected(self, epoch, short_truth):
+        errors = simulation_sensor_defaults(seed=3)
+        with pytest.raises(ValueError, match=f"^epoch {epoch:g} s is not a report row"):
+            monte_carlo(short_truth.cfg, errors, 2, "vif", epochs=[5.0, epoch], jobs=1,
                         truth=short_truth)
 
     def test_runs_read_the_report_rows_of_the_epochs(self, short_truth, monkeypatch):

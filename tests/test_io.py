@@ -61,7 +61,7 @@ class TestSensorCsvRoundTrip:
         from ifalign.attitude import dcm_to_quat
 
         idx = tiny_truth.update_indices()
-        q = dcm_to_quat(tiny_truth.c_b_n[idx].transpose(0, 2, 1))
+        q = dcm_to_quat(tiny_truth.c_b_n[idx])
         path = tmp_path / "truth.csv"
         ifio.write_truth(path, tiny_truth.t[idx], q, tiny_truth.v[idx], tiny_truth.p[idx])
         t2, q2, v2, p2 = ifio.read_truth(path)

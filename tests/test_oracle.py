@@ -47,6 +47,28 @@ class TestKernelReferences:
         expected = (T ** 2 / 2.0) * f + (T ** 3 / 6.0) * np.cross(w, f)
         np.testing.assert_allclose(ref, expected, rtol=1e-8)
 
+    def test_exact_rotation_references_are_pinned(self):
+        # half a second of a fast linear rate and force: figures of the
+        # references with the RK4 attitude, as first computed, to 1e-15
+        def omega_fn(t):
+            t = np.asarray(t, dtype=float)[..., None]
+            return t * np.array([0.8, -0.5, 0.3]) + np.array([0.5, 1.2, -0.9])
+
+        def f_fn(t):
+            t = np.asarray(t, dtype=float)[..., None]
+            return t * np.array([-30.0, 12.0, 8.0]) + np.array([2.0, 9.8, -1.5])
+
+        single = oracle.rotated_velocity_integral(
+            omega_fn, f_fn, 0.1, 0.6, n=2000, exact_rotation=True)
+        double = oracle.rotated_velocity_double_integral(
+            omega_fn, f_fn, 0.1, 0.6, n=2000, exact_rotation=True)
+        np.testing.assert_allclose(
+            single, [-1.8805254946560608, 7.295491154352754, 3.0890847228163314],
+            rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            double, [-0.41375389555748665, 1.6818883463229788, 0.42955408238348464],
+            rtol=1e-15, atol=0.0)
+
     def test_rotation_vector_reference_constant_rate(self):
         w = np.array([0.3, -0.4, 0.5])
         omega_fn, _ = constant_profiles(w, np.zeros(3))
@@ -58,7 +80,7 @@ class TestKernelReferences:
         omega_fn, _ = constant_profiles(w, np.zeros(3))
         h, n = 0.01, 100  # the 101-point grid over [0, 1]
         q, _ = oracle._attitude_chain(omega_fn(oracle._stage_times(h, n)), h, (1.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(quat_to_dcm(q[-1]).T, rotvec_to_dcm(w), atol=1e-10)
+        np.testing.assert_allclose(quat_to_dcm(q[-1]), rotvec_to_dcm(w), atol=1e-10)
 
 
 def stepwise_reference(truth, h, t_end, epochs):
@@ -76,8 +98,8 @@ def stepwise_reference(truth, h, t_end, epochs):
         return 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
 
     def derivative(s, y):
-        c_b = quat_to_dcm(quat_normalize(y[0:4])).T   # C_{b(t)}^{b(0)}
-        c_n = quat_to_dcm(quat_normalize(y[4:8])).T   # C_{n(t)}^{n(0)}
+        c_b = quat_to_dcm(quat_normalize(y[0:4]))   # C_{b(t)}^{b(0)}
+        c_n = quat_to_dcm(quat_normalize(y[4:8]))   # C_{n(t)}^{n(0)}
         return np.concatenate([
             quat_rate(y[0:4], w_ib[s]), quat_rate(y[4:8], w_in[s]),
             c_b @ f_b[s],    # alpha_v
@@ -103,13 +125,13 @@ def stepwise_reference(truth, h, t_end, epochs):
         if k not in epoch_steps:
             continue
         t = k * h
-        c_n = quat_to_dcm(quat_normalize(y[4:8])).T
+        c_n = quat_to_dcm(quat_normalize(y[4:8]))
         out["t"].append(t)
         out["alpha_v"].append(y[8:11].copy())
         out["beta_v"].append(c_n @ v[2 * k] - v[0] + y[11:14])
         out["alpha_p"].append(y[14:17].copy())
         out["beta_p"].append(y[20:23] - t * v[0] + y[17:20])
-        out["c_body"].append(quat_to_dcm(quat_normalize(y[0:4])).T)
+        out["c_body"].append(quat_to_dcm(quat_normalize(y[0:4])))
         out["c_nav"].append(c_n)
     return {name: np.array(series) for name, series in out.items()}
 

@@ -119,11 +119,11 @@ class TestAccumulate:
 
     def test_noiseless_pairs_make_true_quaternion_null(self, rng):
         c_b_n0 = random_rotation(rng)
-        # alignment-form pairs: beta = C_b^n(0) alpha; the solver quaternion
-        # encodes the transposed matrix.
+        # alignment-form pairs: beta = C_b^n(0) alpha, and the solver
+        # quaternion encodes C_b^n(0).
         from ifalign.attitude import dcm_to_quat
 
-        q_true = dcm_to_quat(c_b_n0.T)
+        q_true = dcm_to_quat(c_b_n0)
         K = np.zeros((4, 4))
         for _ in range(10):
             alpha = rng.standard_normal(3)
@@ -150,7 +150,7 @@ class TestAccumulate:
         from ifalign.attitude import dcm_to_quat
 
         c = random_rotation(rng)
-        q = dcm_to_quat(c.T)
+        q = dcm_to_quat(c)
         alpha = rng.standard_normal(3)
         inc = accumulate(np.zeros((4, 4)), alpha, c @ alpha)
         assert abs(q @ inc @ q) < 1e-12 * max(1.0, np.trace(inc))
@@ -200,7 +200,7 @@ class TestOptimalQuaternion:
 
         for _ in range(20):
             c = random_rotation(rng)
-            q_true = dcm_to_quat(c.T)
+            q_true = dcm_to_quat(c)
             K = np.zeros((4, 4))
             for alpha in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])):
                 K = accumulate(K, alpha, c @ alpha)

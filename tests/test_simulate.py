@@ -43,6 +43,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             SensorErrors(seed=-1)
 
+    def test_negative_run_index_rejected(self):
+        with pytest.raises(ValueError, match="^run index must be nonnegative$"):
+            run_rng(0, -1)
+
     @pytest.mark.parametrize("vector", [(1.0, 2.0), 1.0, (1.0, math.nan, 0.0)],
                              ids=["two-elements", "scalar", "nan"])
     def test_vectors_must_be_three_finite_numbers(self, vector):
