@@ -33,12 +33,23 @@ class DegenerateSpectrum(IfalignError):
 
 
 class FormatError(IfalignError):
-    """A log file row failed to parse; carries the 1-based line number."""
+    """A log file row failed to parse; carries the 1-based line number.
+
+    Its text starts with the file and line it names, when it names them.
+    """
 
     def __init__(self, message, path=None, line=None):
         super().__init__(message)
         self.path = path
         self.line = line
+
+    def __str__(self):
+        message = super().__str__()
+        if self.line is not None:
+            message = f"line {self.line}: {message}"
+        if self.path is not None:
+            message = f"{self.path}: {message}"
+        return message
 
 
 class GapError(IfalignError):

@@ -386,6 +386,8 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
     tasks = [(i, method, rows) for i in range(n_runs)]
     results = {}
     failed = []
+    if jobs > 1:  # the workers inherit the runs' noiseless GPS fixes by fork
+        truth.antenna_fixes(errors.lever_arm_m)
     try:
         with _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
             outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)

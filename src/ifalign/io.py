@@ -15,6 +15,7 @@ The scenario/sensor configuration is a single YAML document with
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -40,30 +41,65 @@ def write_csv(path, header, columns, preamble=""):
         fh.writelines([line % tuple(row) for row in table.tolist()])
 
 
+def _line_error(message, line, path, lineno):
+    """A :class:`FormatError` at ``lineno``; it names the first non-ASCII
+    byte of ``line`` instead of ``message`` when there is one."""
+    for column, char in enumerate(line, start=1):
+        if not char.isascii():  # a byte >= 0x80, decoded by surrogateescape
+            message = f"non-ASCII byte 0x{ord(char) - 0xDC00:02x} at column {column}"
+            break
+    return FormatError(message, path=path, line=lineno)
+
+
 def _read_csv(path, header, n_cols):
-    values = []  # every row's fields, one flat list
-    extend = values.extend
-    with open(path, "r", encoding="ascii") as fh:
+    """The data rows of a headered log as an ``(N, n_cols)`` float array.
+
+    numpy's C tokenizer (``np.loadtxt``) parses the rows.  Where it raises,
+    returns the wrong width or would warn of a log with no data rows, the
+    line loop :func:`_parse_lines` reads the file instead: it alone skips
+    whitespace-only lines and accepts every numeral ``float`` does (such as
+    ``1_0``), and its :class:`FormatError` names the offending line.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         first = fh.readline().rstrip("\n")
         if first != header:
-            raise FormatError(
-                f"expected header {header!r}, got {first!r}", path=path, line=1
+            raise _line_error(
+                f"expected header {header!r}, got {first!r}", first, path, 1
             )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
-                raise FormatError(
-                    f"expected {n_cols} fields, got {len(parts)}",
-                    path=path,
-                    line=lineno,
-                )
+        row = fh.readline()
+        if row.strip():  # else the log may have no data rows: loadtxt warns
             try:
-                extend(map(float, parts))
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=lineno) from None
+                data = np.loadtxt(
+                    chain((row,), fh), delimiter=",", comments=None, ndmin=2
+                )
+            except ValueError:
+                pass
+            else:
+                if data.shape[1] == n_cols:
+                    return data
+        fh.seek(0)
+        fh.readline()
+        return _parse_lines(fh, path, n_cols)
+
+
+def _parse_lines(lines, path, n_cols):
+    """Rows of ``n_cols`` comma-separated floats, one per line of ``lines``
+    (the log after its header line); blank lines are skipped."""
+    values = []  # every row's fields, one flat list
+    extend = values.extend
+    for lineno, line in enumerate(lines, start=2):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split(",")
+        if len(parts) != n_cols:
+            raise _line_error(
+                f"expected {n_cols} fields, got {len(parts)}", line, path, lineno
+            )
+        try:
+            extend(map(float, parts))
+        except ValueError as exc:
+            raise _line_error(str(exc), line, path, lineno) from None
     return np.array(values, dtype=float).reshape(-1, n_cols)
 
 

@@ -13,12 +13,16 @@ the same float64 array, so its results are bitwise those of
 ``numpy.linalg.eigh``.  It is called directly because a report row solves
 at every update, and on a 4x4 array the wrapper's checks, type resolution
 and ``errstate`` block cost more than the solve: about 10 us per call
-against 4 us for the gufunc on an Intel Xeon vCPU.  Without the wrapper,
-a LAPACK failure shows only as NaN eigenvalues, which
-:func:`optimal_quaternion` turns into ``numpy.linalg.LinAlgError``.
+against 4 us for the gufunc on an Intel Xeon vCPU.  Unlike ``eigh``, it
+passes no ``signature="d->dd"``, which the gufunc would parse on every
+call: the input is always a C-contiguous float64 array, for which the type
+resolver picks that same loop.  Without the wrapper, a LAPACK failure
+shows only as NaN eigenvalues, which :func:`optimal_quaternion` turns into
+``numpy.linalg.LinAlgError``.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
@@ -113,7 +117,7 @@ def optimal_quaternion(K):
     rows = as_floats(K)
     (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = rows
     trace = k00 + k11 + k22 + k33
-    w, v = _eigh_lo(np.array(rows, dtype=np.float64), signature="d->dd")
+    w, v = _eigh_lo(np.fromiter(chain.from_iterable(rows), np.float64, 16).reshape(4, 4))
     w = w.tolist()
     if not all(map(math.isfinite, w)):
         raise np.linalg.LinAlgError(

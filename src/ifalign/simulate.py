@@ -223,6 +223,7 @@ class Truth:
         v, v_rate = self.velocity(self.t)
         p = _integrate_position(cfg, v)
         self._p_spline = None
+        self._antenna = {}  # antenna_fixes by (stride, lever arm)
         vars(self).update(self._derive(self.t, v, v_rate, p))
 
     def _attitude(self, t):
@@ -288,6 +289,40 @@ class Truth:
     def update_indices(self):
         """Grid indices of the update-interval endpoints."""
         return np.arange(self.cfg.n_updates + 1) * 4
+
+    def antenna_fixes(self, lever_arm_m=(0.0, 0.0, 0.0), stride_s=None):
+        """Noiseless fixes ``(t, v, p)`` of a GPS antenna displaced from the
+        IMU by the body-frame ``lever_arm_m``, every ``stride_s`` seconds
+        (default: at the update-interval endpoints).
+
+        They depend on nothing but the truth and these two arguments, so
+        each pair is computed once and kept, as read-only arrays: the runs
+        of a Monte-Carlo batch draw their noise on top of one copy.
+        """
+        key = (stride_s, tuple(map(float, lever_arm_m)))
+        fixes = self._antenna.get(key)
+        if fixes is not None:
+            return fixes
+        if stride_s is None:
+            idx = self.update_indices()
+        else:
+            step = stride_s / self.cfg.grid_dt
+            if not 0.5 <= step < math.inf or abs(step - round(step)) > 1e-9:
+                raise ValueError(
+                    f"stride must be a positive multiple of the {self.cfg.grid_dt:g} s "
+                    "truth grid step"
+                )
+            idx = np.arange(0, self.t.size, int(round(step)))
+        t, v, p = self.t[idx], self.v[idx], self.p[idx]
+        lever = np.asarray(key[1])
+        if np.any(lever != 0.0):
+            arm_n, vel_off = _lever_arm_offsets(self, idx, lever)
+            p = p + earth.curvilinear_rate(arm_n, p)
+            v = v + vel_off
+        for column in (t, v, p):
+            column.flags.writeable = False
+        self._antenna[key] = t, v, p
+        return t, v, p
 
 
 def _integrate_position(cfg, v):
@@ -363,38 +398,24 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
     """GPS velocity/position stream at a fixed cadence.
 
     By default fixes land exactly on the update-interval endpoints.  The
-    antenna is displaced from the IMU by the body-frame lever arm; white
-    noise is drawn from ``rng`` (velocity first, then position, applied in
-    N-U-E meters and converted through the local curvature).
+    antenna is displaced from the IMU by the lever arm of ``errors``
+    (:meth:`Truth.antenna_fixes`); white noise is drawn from ``rng``
+    (velocity first, then position, applied in N-U-E meters and converted
+    through the local curvature).
 
     Returns ``(t, v, p)`` arrays with one row per fix.
     """
-    cfg = truth.cfg
-    if stride_s is None:
-        idx = truth.update_indices()
-    else:
-        step = stride_s / cfg.grid_dt
-        if not 0.5 <= step < math.inf or abs(step - round(step)) > 1e-9:
-            raise ValueError(
-                f"stride must be a positive multiple of the {cfg.grid_dt:g} s truth grid step"
-            )
-        idx = np.arange(0, truth.t.size, int(round(step)))
-    t = truth.t[idx]
-    v = truth.v[idx].copy()
-    p = truth.p[idx].copy()
-
-    if errors is not None:
-        lever = np.asarray(errors.lever_arm_m, dtype=float)
-        if np.any(lever != 0.0):
-            arm_n, vel_off = _lever_arm_offsets(truth, idx, lever)
-            p = p + earth.curvilinear_rate(arm_n, p)
-            v = v + vel_off
-        if errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0:
-            if rng is None:
-                raise ValueError("rng is required when GPS noise is nonzero")
-            v = v + errors.gps_vel_sigma_mps * rng.standard_normal(v.shape)
-            pos_noise = errors.gps_pos_sigma_m * rng.standard_normal(p.shape)
-            p = p + earth.curvilinear_rate(pos_noise, p)
+    lever = (0.0, 0.0, 0.0) if errors is None else errors.lever_arm_m
+    t, v, p = (column.copy() for column in truth.antenna_fixes(lever, stride_s))
+    noisy = errors is not None and (
+        errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0
+    )
+    if noisy:
+        if rng is None:
+            raise ValueError("rng is required when GPS noise is nonzero")
+        v += errors.gps_vel_sigma_mps * rng.standard_normal(v.shape)
+        pos_noise = errors.gps_pos_sigma_m * rng.standard_normal(p.shape)
+        p += earth.curvilinear_rate(pos_noise, p)
     return t, v, p
 
 

@@ -297,6 +297,17 @@ def test_replay_log_without_its_partner_exit_code(flag, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --imu and --gps must be given together\n"
 
 
+def test_non_ascii_log_byte_exit_code(tmp_path, capsys):
+    imu, gps = tmp_path / "imu.csv", tmp_path / "gps.csv"
+    imu.write_bytes((ifio.IMU_HEADER + "\n0.01,0,0,0,0,0,0\n0.02,0,").encode("ascii")
+                    + b"\xc3\xa9,0,0,0,0\n")
+    gps.write_text(ifio.GPS_HEADER + "\n0,0.5,0,0,0,0,0\n")
+    assert cli.main(["align", "--imu", str(imu), "--gps", str(gps)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {imu}: line 3: non-ASCII byte 0xc3 at column 8\n"
+    )
+
+
 def test_partial_config_is_default_plus_its_keys(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text("scenario: {duration_s: 4}\n")

@@ -104,6 +104,100 @@ class TestSensorCsvRoundTrip:
             ifio.read_imu(path)
         assert err.value.line == 2
 
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(
+            (ifio.IMU_HEADER + "\n0.01,0,0,0,0,0,0\n0.02,0,").encode("ascii")
+            + b"\xc3\xa9,0,0,0,0\n"
+        )
+        with pytest.raises(FormatError) as err:
+            ifio.read_imu(path)
+        assert (err.value.path, err.value.line) == (path, 3)
+        assert str(err.value) == f"{path}: line 3: non-ASCII byte 0xc3 at column 8"
+
+    def test_non_ascii_header_names_line_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t_end_s\xb0," + ifio.IMU_HEADER[8:].encode("ascii") + b"\n")
+        with pytest.raises(FormatError, match="line 1: non-ASCII byte 0xb0") as err:
+            ifio.read_imu(path)
+        assert err.value.line == 1
+
+
+def _line_loop(path, n_cols):
+    """The reference reading: every data line through the line loop."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        fh.readline()
+        return ifio._parse_lines(fh, path, n_cols)
+
+
+def _outcome(read, path, n_cols):
+    """``(shape, bytes)`` of the array ``read`` returns, or the line of its
+    :class:`FormatError`."""
+    try:
+        data = read(path, n_cols)
+    except FormatError as err:
+        return err.line
+    return data.shape, data.tobytes()
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+class TestIngestFastPath:
+    """``_read_csv`` parses with ``np.loadtxt`` and falls back to the line
+    loop: either way it gives the loop's array or the loop's error line."""
+
+    @pytest.mark.filterwarnings("error")  # a header-only log warns in loadtxt
+    @pytest.mark.parametrize("body, expected", [
+        ("1,2,3\n\n4,5,6\n\n", [[1, 2, 3], [4, 5, 6]]),
+        ("\n1,2,3\n", [[1, 2, 3]]),
+        ("1,2,3\n \t \n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+        ("1,2,3\r\n4,5,6\r\n", [[1, 2, 3], [4, 5, 6]]),
+        (" 1 , 2,3 \n", [[1, 2, 3]]),
+        ("1,2,3,\n", 2),
+        ("1,2,3\n# note\n4,5,6\n", 3),
+        ("1_0,2,3\n", [[10, 2, 3]]),
+        ("nan,inf,-inf\n-nan,Infinity,1e999\n", [[_NAN, _INF, -_INF], [-_NAN, _INF, _INF]]),
+        ("1,2,3\n4,5\n", 3),
+        ("1,2\n3,4\n", 2),
+        ("1,2,3\n4,x,6\n", 3),
+        ("", []),
+        ("\n\n", []),
+    ], ids=["blank-lines", "leading-blank-line", "whitespace-line", "crlf",
+            "spaces-around-fields", "trailing-comma", "hash-line", "underscore",
+            "nan-inf", "short-row", "narrow-rows", "bad-numeral", "header-only",
+            "header-and-blank-lines"])
+    def test_same_as_line_loop(self, body, expected, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(("a,b,c\n" + body).encode("ascii"))
+
+        def fast(path, n_cols):
+            return ifio._read_csv(path, "a,b,c", n_cols)
+
+        outcome = _outcome(fast, path, 3)
+        assert outcome == _outcome(_line_loop, path, 3)
+        if isinstance(expected, int):
+            assert outcome == expected
+        else:
+            want = np.array(expected, dtype=float).reshape(-1, 3)
+            assert outcome == (want.shape, want.tobytes())
+
+    def test_simulated_logs_bitwise(self, tmp_path):
+        from ifalign import cli
+
+        out = tmp_path / "logs"
+        assert cli.main(["simulate", "--out", str(out), "--duration", "4",
+                         "--gps-interval", "0.5"]) == 0
+        for name, reader, n_cols in (("imu", ifio.read_imu, 7),
+                                     ("gps", ifio.read_gps, 7),
+                                     ("truth", ifio.read_truth, 11)):
+            loop = _line_loop(out / f"{name}.csv", n_cols)
+            header = getattr(ifio, f"{name.upper()}_HEADER")
+            data = ifio._read_csv(out / f"{name}.csv", header, n_cols)
+            assert data.shape == loop.shape and data.shape[0] > 0
+            assert data.tobytes() == loop.tobytes(), name
+            assert reader(out / f"{name}.csv")[0].tobytes() == loop[:, 0].tobytes()
+
 
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -331,6 +332,21 @@ class TestGps:
         t2, v2, p2 = gps_fixes(short_truth, errs, run_rng(42, 3))
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(p1, p2)
+
+    def test_antenna_fixes_computed_once_per_lever_arm(self, short_truth):
+        errs = simulation_sensor_defaults(seed=42)
+        clean = short_truth.antenna_fixes(errs.lever_arm_m)
+        assert short_truth.antenna_fixes(list(errs.lever_arm_m)) is clean
+        assert short_truth.antenna_fixes((0.0, 0.0, 0.0)) is not clean
+        assert not any(column.flags.writeable for column in clean)
+        # every call draws its noise on fresh arrays, on top of the kept fixes
+        t, v, p = gps_fixes(short_truth, errs, run_rng(42, 3))
+        assert all(a.flags.writeable and not np.shares_memory(a, b)
+                   for a, b in zip((t, v, p), clean))
+        quiet = replace(errs, gps_vel_sigma_mps=0.0, gps_pos_sigma_m=0.0)
+        for a, b in zip(gps_fixes(short_truth, quiet), clean):
+            assert a.tobytes() == b.tobytes()
+        assert gps_fixes(short_truth, errs, run_rng(42, 3))[1].tobytes() == v.tobytes()
 
     def test_gps_stride(self, short_truth):
         t, v, p = gps_fixes(short_truth, stride_s=0.5)

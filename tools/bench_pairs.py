@@ -29,6 +29,9 @@ correctness and failure counts, and per metric:
 * ``gain_rule_holds``: the change wins at least nine tenths of the pairs
   and the medians differ by more than the parent's interquartile range
   (the rule a change that claims a gain must pass);
+* ``unscaled_change_wins`` and ``unscaled_gain_rule_holds``: the same two
+  judged on each pair's unscaled figures, for the metrics that have them.
+  A gain that holds scaled but not unscaled may be the calibration's;
 * ``worse_beyond_bound``: the change's median is worse than the parent's
   by more than the metric's ``bound`` in ``BENCHMARK.json``, as a fraction
   of the parent's median;
@@ -105,20 +108,34 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def judge(parent, change, sign):
+    """The pairs ``zip(parent, change)`` that the change won (ties count for
+    neither side), each side's quartiles, and whether the gain rule holds.
+    ``sign`` is 1 where higher is better, -1 where lower is."""
+    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    stats = {"parent": quartiles(parent), "change": quartiles(change)}
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    return wins, stats, wins >= 0.9 * len(parent) and gain > iqr
+
+
 def summarize(runs, metrics):
     summary = {}
     for name, metric in metrics.items():
         better, bound = metric["better"], metric["bound"]
-        sides = {side: [r[side]["metrics"][name]["value"] for r in runs]
-                 for side in ("parent", "change")}
         sign = 1.0 if better == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"]))
-        stats = {side: quartiles(values) for side, values in sides.items()}
+        wins, stats, holds = judge(
+            [r["parent"]["metrics"][name]["value"] for r in runs],
+            [r["change"]["metrics"][name]["value"] for r in runs], sign)
+        unscaled = {}
         if name in runs[0]["parent"]["unscaled"]:
-            stats["unscaled"] = {
-                side: statistics.median(r[side]["unscaled"][name] for r in runs)
-                for side in ("parent", "change")
-            }
+            unscaled_wins, unscaled_stats, unscaled_holds = judge(
+                [r["parent"]["unscaled"][name] for r in runs],
+                [r["change"]["unscaled"][name] for r in runs], sign)
+            stats["unscaled"] = {side: unscaled_stats[side]["median"]
+                                 for side in ("parent", "change")}
+            unscaled = {"unscaled_change_wins": unscaled_wins,
+                        "unscaled_gain_rule_holds": unscaled_holds}
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         parent_median = stats["parent"]["median"]
         gain = sign * (stats["change"]["median"] - parent_median)
@@ -129,7 +146,8 @@ def summarize(runs, metrics):
             "change_wins": wins,
             "pairs": len(runs),
             "median_ratio": stats["change"]["median"] / parent_median,
-            "gain_rule_holds": wins >= 0.9 * len(runs) and gain > iqr,
+            "gain_rule_holds": holds,
+            **unscaled,
             "worse_beyond_bound": -gain > bound * abs(parent_median),
             "unresolved": iqr > bound * abs(parent_median),
         }
