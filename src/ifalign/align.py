@@ -156,9 +156,9 @@ class _AlignerBase:
     ``update()`` folds one interval into the state; ``estimate()`` solves
     the state for the attitude.  The state is public and lives on Python
     floats: the running vectors (``alpha``, ``beta``, ``v0``, ``w_alpha``,
-    ``w_beta`` and each form's own sums) are 3-tuples, the chains ``c_nav``
-    and ``c_body`` nested 3x3 tuples, ``K`` a nested 4x4 tuple and ``w_sq``
-    a float.
+    ``w_beta``, the sums ``s_body`` and ``s_x`` and ``pif``'s own) are
+    3-tuples, the chains ``c_nav`` and ``c_body`` nested 3x3 tuples, ``K`` a
+    nested 4x4 tuple and ``w_sq`` a float.
 
     ``beta`` carries the initial velocity, which only the first (noisy)
     fix gives: as a constant in ``vif`` and a ramp in time in ``pif``.  So
@@ -179,6 +179,7 @@ class _AlignerBase:
         self.T = float(T)
         self.M = 0
         self.v0 = self.alpha = self.beta = self.w_alpha = self.w_beta = _ZERO3
+        self.s_body = self.s_x = _ZERO3
         self.w_sq = 0.0
         self.K = _ZERO_4X4
         # the chains C_{n(t_M)}^{n(0)} and C_{b(t_M)}^{b(0)} start at identity
@@ -190,11 +191,13 @@ class _AlignerBase:
         return self.M * self.T
 
     def _fold(self, interval, fix_prev, fix_next):
-        """The per-interval work both forms share, up to their own sums.
+        """The per-interval work both forms share.
 
-        Checks the fixes, takes ``v0`` from the first one, advances both
-        chains and ``M`` by one interval, and returns the chains' prior
-        values, the nav-frame rate and ``x = omega_ie x v - g`` at both ends.
+        Checks the fixes, takes ``v0`` from the first one, and advances by
+        one interval ``M``, both chains and the velocity-form sums:
+        ``s_body`` of the rotated sculling increments and ``s_x`` of the
+        nav-frame single integrals of ``x = omega_ie x v - g``.  Returns the
+        prior chains and sums, the nav-frame rate and ``x`` at both ends.
         """
         if not isinstance(fix_prev, AidFix) or not isinstance(fix_next, AidFix):
             raise TypeError("fixes must be AidFix instances")
@@ -210,6 +213,7 @@ class _AlignerBase:
             self.v0 = v_prev
         w0, w1, w2 = omega_in
         c_nav_prev, c_body_prev = self.c_nav, self.c_body
+        s_body_prev, s_x_prev = self.s_body, self.s_x
         self.c_nav = matmul3(c_nav_prev, rotvec_to_dcm((T * w0, T * w1, T * w2)))
         self.c_body = matmul3(c_body_prev, rotvec_to_dcm(body_rotvec(interval)))
         self.M += 1
@@ -219,7 +223,9 @@ class _AlignerBase:
         n0, n1, n2 = fix_next.v
         x_prev = (e1 * p2 - e2 * p1 - g0, e2 * p0 - e0 * p2 - g1, e0 * p1 - e1 * p0 - g2)
         x_next = (e1 * n2 - e2 * n1 - g0, e2 * n0 - e0 * n2 - g1, e0 * n1 - e1 * n0 - g2)
-        return c_nav_prev, c_body_prev, omega_in, x_prev, x_next
+        self.s_body = _rotate_add(s_body_prev, c_body_prev, sculling_increment(interval))
+        self.s_x = _rotate_add(s_x_prev, c_nav_prev, single_integral(x_prev, x_next, omega_in, T))
+        return c_nav_prev, c_body_prev, s_body_prev, s_x_prev, omega_in, x_prev, x_next
 
     def _add_pair(self, w):
         """Add ``(alpha, beta)`` to ``K`` and, with weight ``w``, to the fit sums."""
@@ -275,6 +281,8 @@ class _AlignerBase:
 class VelocityIntegrationAligner(_AlignerBase):
     """Recursive aligner driven by the velocity integration formula.
 
+    ``alpha`` is ``s_body``, and ``beta`` adds the aided velocity to ``s_x``.
+
     Parameters
     ----------
     T : float
@@ -282,27 +290,19 @@ class VelocityIntegrationAligner(_AlignerBase):
         every interval.
     """
 
-    def __init__(self, T):
-        super().__init__(T)
-        self.beta_partial = _ZERO3
-
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
 
         Returns None; :meth:`estimate` solves for the attitude.
         """
-        c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
-            interval, fix_prev, fix_next
-        )
-        self.alpha = _rotate_add(self.alpha, c_body_prev, sculling_increment(interval))
-        self.beta_partial = b0, b1, b2 = _rotate_add(
-            self.beta_partial, c_nav_prev, single_integral(x_prev, x_next, omega_in, self.T)
-        )
-        # beta = (C_nav - I) v_next + (v_next - v0) + beta_partial; the plain
+        self._fold(interval, fix_prev, fix_next)
+        self.alpha = self.s_body
+        # beta = (C_nav - I) v_next + (v_next - v0) + s_x; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
         (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c_nav
         n0, n1, n2 = fix_next.v
         o0, o1, o2 = self.v0
+        b0, b1, b2 = self.s_x
         self.beta = (
             (c00 - 1.0) * n0 + c01 * n1 + c02 * n2 + (n0 - o0) + b0,
             c10 * n0 + (c11 - 1.0) * n1 + c12 * n2 + (n1 - o1) + b1,
@@ -316,17 +316,17 @@ class PositionIntegrationAligner(_AlignerBase):
     """Recursive aligner driven by the position integration formula.
 
     Same call contract as :class:`VelocityIntegrationAligner`.  The nested
-    double sums are carried by O(1)-per-step prefix accumulators: ``s_body``
-    (rotated single-interval velocity integrals) and ``s_x`` (nav-frame
-    single integrals of ``x = omega_ie x v - g``), plus the running ``u_r``
-    (integrated aided velocity) and ``u_x`` (double integral of ``x``)
-    terms of ``beta = u_r - t*v0 + u_x``, whose pairs enter the fit with
-    weight ``t``.
+    double sums integrate the velocity form's once more: ``alpha`` adds
+    ``T`` times the prior ``s_body`` each interval, and ``u_x`` (double
+    integral of ``x = omega_ie x v - g``) ``T`` times the prior ``s_x``.
+    With ``u_r`` (integrated aided velocity) they make
+    ``beta = u_r - t*v0 + u_x``, whose pairs enter the fit with weight
+    ``t``.
     """
 
     def __init__(self, T):
         super().__init__(T)
-        self.s_body = self.s_x = self.u_r = self.u_x = _ZERO3
+        self.u_r = self.u_x = _ZERO3
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -334,34 +334,29 @@ class PositionIntegrationAligner(_AlignerBase):
         Same semantics and error behavior as the velocity-integration
         aligner.
         """
-        c_nav_prev, c_body_prev, omega_in, x_prev, x_next = self._fold(
-            interval, fix_prev, fix_next
+        c_nav_prev, c_body_prev, s_body_prev, s_x_prev, omega_in, x_prev, x_next = (
+            self._fold(interval, fix_prev, fix_next)
         )
         T = self.T
 
         # Double integral of rotated specific force: completed-interval
         # prefix times T, plus the within-interval two-sample tail.
         a0, a1, a2 = self.alpha
-        s0, s1, s2 = self.s_body
+        s0, s1, s2 = s_body_prev
         self.alpha = _rotate_add(
             (a0 + T * s0, a1 + T * s1, a2 + T * s2),
             c_body_prev,
             double_integral_increment(interval, T),
         )
-        self.s_body = _rotate_add(self.s_body, c_body_prev, sculling_increment(interval))
 
-        v_prev, v_next = fix_prev.v, fix_next.v
         self.u_r = r0, r1, r2 = _rotate_add(
-            self.u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
+            self.u_r, c_nav_prev, single_integral(fix_prev.v, fix_next.v, omega_in, T)
         )
         y0, y1, y2 = _rotate_add(
             self.u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)
         )
-        z0, z1, z2 = self.s_x
+        z0, z1, z2 = s_x_prev
         self.u_x = u0, u1, u2 = (y0 + T * z0, y1 + T * z1, y2 + T * z2)
-        self.s_x = _rotate_add(
-            self.s_x, c_nav_prev, single_integral(x_prev, x_next, omega_in, T)
-        )
 
         t = self.t
         o0, o1, o2 = self.v0

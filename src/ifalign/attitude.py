@@ -21,8 +21,10 @@ import numpy as np
 from .errors import GimbalProximityWarning, NotARotation
 
 _SMALL_ANGLE = 1e-7
-_ORTHO_TOL = 1e-10
 _REPAIR_TOL = 1e-9
+# How far a rotation's invariants may be off: orthonormality and det = +1 of
+# a DCM (dcm_to_quat), and the unit norm of a quaternion read from a log.
+ROTATION_TOL = 1e-6
 
 
 def as_floats(value):
@@ -216,7 +218,7 @@ def quat_to_dcm(q):
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def dcm_to_quat(dcm, tol=1e-6):
+def dcm_to_quat(dcm):
     """Quaternion with ``quat_to_dcm(q) == dcm``, canonical sign; a
     ``(..., 3, 3)`` stack gives one per matrix, shape ``(..., 4)``.
 
@@ -228,18 +230,17 @@ def dcm_to_quat(dcm, tol=1e-6):
     Raises
     ------
     NotARotation
-        If a matrix violates orthonormality or det=+1 beyond ``tol``
-        (or is not finite); a stack names the first such index.
+        If a matrix violates orthonormality or det=+1 beyond
+        :data:`ROTATION_TOL` (or is not finite); a stack names the first
+        such index.
     """
     dcm = np.asarray(dcm, dtype=float)
     if dcm.shape[-2:] != (3, 3):
         raise ValueError(f"expected a (..., 3, 3) array, got shape {dcm.shape}")
     r = dcm.reshape(-1, 3, 3)
     with np.errstate(invalid="ignore"):  # a NaN entry fails the check quietly
-        bad = ~(
-            (np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1)) <= tol)
-            & (np.abs(np.linalg.det(r) - 1.0) <= tol)
-        )
+        ortho = np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)), axis=(-2, -1))
+        bad = ~((ortho <= ROTATION_TOL) & (np.abs(np.linalg.det(r) - 1.0) <= ROTATION_TOL))
     if bad.any():
         where = "matrix" if dcm.ndim == 2 else "matrix at index " + ", ".join(
             str(int(i)) for i in np.unravel_index(np.argmax(bad), dcm.shape[:-2])

@@ -111,9 +111,10 @@ def _print_report_tail(report):
 def _cmd_montecarlo(args):
     cfg, errors = _load_config(args)
     epochs = None if args.epochs is None else [float(e) for e in args.epochs.split(",")]
+    truth = generate_truth(cfg)  # one truth, and one antenna-fix cache, for every method
     for method in args.methods:
         summary = monte_carlo(
-            cfg, errors, args.runs, method, epochs=epochs, jobs=args.jobs
+            cfg, errors, args.runs, method, epochs=epochs, jobs=args.jobs, truth=truth
         )
         print(summary.format_table())
         if args.out:

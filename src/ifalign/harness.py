@@ -10,8 +10,8 @@ import numpy as np
 
 from . import io as ifio
 from .align import AidFix, make_aligner
-from .attitude import dcm_to_euler, matmul3, quat_to_dcm
-from .errors import DegenerateSpectrum
+from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
+from .errors import DegenerateSpectrum, FormatError
 from .increments import ImuInterval, check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
@@ -133,13 +133,25 @@ class AlignmentData:
 
     @classmethod
     def from_logs(cls, imu_path, gps_path, T, truth_path=None, metadata=None):
-        """Replay mode: ingest CSV logs (see :mod:`ifalign.io` for formats)."""
+        """Replay mode: ingest CSV logs (see :mod:`ifalign.io` for formats).
+
+        A truth quaternion whose norm is off 1 by more than
+        :data:`~ifalign.attitude.ROTATION_TOL` is a :class:`FormatError`.
+        """
         dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(imu_path, gps_path, T)
         truth_c = None
         if truth_path is not None:
             t_truth, q_truth, _, _ = ifio.read_truth(truth_path)
-            if t_truth.size != fix_t.size or np.max(np.abs(t_truth - fix_t)) > 1e-6:
+            if t_truth.size != fix_t.size or not (np.abs(t_truth - fix_t) <= 1e-6).all():
                 raise ValueError("truth log grid does not match the update grid")
+            norm = np.linalg.norm(q_truth, axis=1)
+            off = np.abs(norm - 1.0) > ROTATION_TOL  # NaN: see the truth check below
+            if off.any():
+                i = np.argmax(off)
+                raise FormatError(
+                    f"quaternion at t={t_truth[i]:g} s has norm {norm[i]:.9g}, not 1",
+                    path=truth_path,
+                )
             truth_c = quat_to_dcm(q_truth)
         meta = dict(metadata or {})
         meta.setdefault("imu_path", str(imu_path))
@@ -350,12 +362,12 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
 
     Each run draws its noise from a generator keyed by (seed, run index),
     so results do not depend on scheduling or on ``jobs``, the number of
-    worker processes (default: the CPU count; at most ``n_runs``).  Failed
-    runs are excluded from the statistics and listed in the summary.  Runs
-    report on :func:`run_alignment`'s default 1 s rows.  The default epochs
-    are the :data:`DEFAULT_EPOCHS` before the last report row, and that
-    row.  An epoch that is not a report row of the scenario raises
-    ``ValueError`` before the truth is generated or a worker started.
+    worker processes (default: the CPUs this process may run on; at most
+    ``n_runs``).  Failed runs are excluded from the statistics and listed in
+    the summary.  Runs report on :func:`run_alignment`'s default 1 s rows.
+    The default epochs are the :data:`DEFAULT_EPOCHS` before the last report
+    row, and that row.  An epoch that is not a report row of the scenario
+    raises ``ValueError`` before the truth is generated or a worker started.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
@@ -374,7 +386,8 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
                 f"{row_s:g} s up to {n_rows * row_s:g} s"
             )
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     elif jobs < 1:
         raise ValueError("Monte-Carlo needs at least one job")
     jobs = min(jobs, n_runs)

@@ -59,14 +59,14 @@ def check_increments(dtheta, dv):
 
 def as_float3(value, name):
     """A finite 3-vector as a tuple of Python floats; ValueError naming
-    ``name`` (and the expected shape) for anything else."""
+    ``name`` for anything else."""
     try:
         array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         array = None
     if array is None or array.shape != (3,):
         raise ValueError(
-            f"{name} must be a 3-vector of shape (3,), got "
+            f"{name} must be three numbers, got "
             + ("a ragged sequence" if array is None else f"shape {array.shape}")
         )
     if not np.isfinite(array).all():

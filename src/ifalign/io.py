@@ -257,7 +257,11 @@ def save_config(path, cfg, errors):
 def load_config(path):
     import yaml
 
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise _line_error(None, line, path, lineno)
+        fh.seek(0)
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -291,15 +295,15 @@ def interpolate_fixes(gps_t, gps_v, gps_p, grid_t):
     """
     if gps_t.size == 0:
         raise GapError("GPS log holds no fixes")
-    if np.any(np.diff(gps_t) <= 0.0):
-        raise FormatError("GPS timestamps must be strictly increasing")
     gaps = np.diff(gps_t)
-    if gaps.size and float(np.max(gaps)) > MAX_GAP_S:
+    if not (gaps > 0.0).all():  # NaN-safe, as are the checks below
+        raise FormatError("GPS timestamps must be finite and strictly increasing")
+    if not (gaps <= MAX_GAP_S).all():
         raise GapError(
             f"GPS gap of {float(np.max(gaps)):.3f} s exceeds {MAX_GAP_S} s"
         )
     tol = 1e-9
-    if gps_t[0] > grid_t[0] + tol or gps_t[-1] < grid_t[-1] - tol:
+    if not (gps_t[0] <= grid_t[0] + tol and gps_t[-1] >= grid_t[-1] - tol):
         raise GapError(
             f"GPS span [{gps_t[0]}, {gps_t[-1]}] does not cover "
             f"[{grid_t[0]}, {grid_t[-1]}]"
@@ -331,8 +335,8 @@ def ingest_logs(imu_path, gps_path, T):
     if t_end.size < 2:
         raise FormatError("IMU log needs at least two samples", path=imu_path)
     dt = float(t_end[1] - t_end[0])
-    if dt <= 0.0 or np.max(np.abs(np.diff(t_end) - dt)) > 1e-6:
-        raise RateMismatch("IMU samples are not at a fixed rate")
+    if not (dt > 0.0 and (np.abs(np.diff(t_end) - dt) <= 1e-6).all()):  # NaN-safe
+        raise RateMismatch(f"{imu_path}: IMU samples are not at a fixed rate")
     if abs(2.0 * dt - T) > 1e-9:
         raise RateMismatch(
             f"IMU sample period {dt} s is incompatible with update interval {T} s"
@@ -347,5 +351,9 @@ def ingest_logs(imu_path, gps_path, T):
     t0 = float(t_end[0] - dt)
     grid_t = t0 + np.arange(n_updates + 1) * T
     gps_t, gps_v, gps_p = read_gps(gps_path)
-    fix_v, fix_p = interpolate_fixes(gps_t, gps_v, gps_p, grid_t)
+    try:
+        fix_v, fix_p = interpolate_fixes(gps_t, gps_v, gps_p, grid_t)
+    except FormatError as exc:
+        exc.path = gps_path
+        raise
     return dtheta, dv, grid_t, fix_v, fix_p

@@ -21,6 +21,7 @@ import numpy as np
 from . import earth
 from .attitude import _euler_dcm_trig
 from .errors import PolarSingularity
+from .increments import as_float3
 
 D2R = math.pi / 180.0
 G0 = 9.80665  # m/s^2, standard gravity used for microgravity units
@@ -49,11 +50,6 @@ class SineProfile:
         return self.amplitude * np.sin(arg), self.amplitude * w * np.cos(arg)
 
 
-def _check_vector3(name, value):
-    if np.shape(value) != (3,) or not np.all(np.isfinite(np.asarray(value, dtype=float))):
-        raise ValueError(f"{name} must be three finite numbers, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Truth-trajectory definition.
@@ -78,7 +74,7 @@ class ScenarioConfig:
     vel_east: SineProfile = field(default_factory=lambda: SineProfile(16.0, 190.0, 200.0))
 
     def __post_init__(self):
-        _check_vector3("vel_mean_mps", self.vel_mean_mps)
+        as_float3(self.vel_mean_mps, "vel_mean_mps")
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive and finite")
         if not 0.0 < self.update_interval_s < math.inf:
@@ -134,7 +130,7 @@ class SensorErrors:
         for f in fields(self):
             if f.type in (float, int) and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
-        _check_vector3("lever_arm_m", self.lever_arm_m)
+        as_float3(self.lever_arm_m, "lever_arm_m")
 
     def without_lever_arm(self):
         return replace(self, lever_arm_m=(0.0, 0.0, 0.0))
@@ -293,26 +289,25 @@ class Truth:
     def antenna_fixes(self, lever_arm_m=(0.0, 0.0, 0.0), stride_s=None):
         """Noiseless fixes ``(t, v, p)`` of a GPS antenna displaced from the
         IMU by the body-frame ``lever_arm_m``, every ``stride_s`` seconds
-        (default: at the update-interval endpoints).
+        (default: the update interval, so at its endpoints).
 
         They depend on nothing but the truth and these two arguments, so
         each pair is computed once and kept, as read-only arrays: the runs
         of a Monte-Carlo batch draw their noise on top of one copy.
         """
+        if stride_s is None:
+            stride_s = self.cfg.update_interval_s
         key = (stride_s, tuple(map(float, lever_arm_m)))
         fixes = self._antenna.get(key)
         if fixes is not None:
             return fixes
-        if stride_s is None:
-            idx = self.update_indices()
-        else:
-            step = stride_s / self.cfg.grid_dt
-            if not 0.5 <= step < math.inf or abs(step - round(step)) > 1e-9:
-                raise ValueError(
-                    f"stride must be a positive multiple of the {self.cfg.grid_dt:g} s "
-                    "truth grid step"
-                )
-            idx = np.arange(0, self.t.size, int(round(step)))
+        step = stride_s / self.cfg.grid_dt
+        if not 0.5 <= step < math.inf or abs(step - round(step)) > 1e-9:
+            raise ValueError(
+                f"stride must be a positive multiple of the {self.cfg.grid_dt:g} s "
+                "truth grid step"
+            )
+        idx = np.arange(0, self.t.size, int(round(step)))
         t, v, p = self.t[idx], self.v[idx], self.p[idx]
         lever = np.asarray(key[1])
         if np.any(lever != 0.0):
@@ -321,8 +316,8 @@ class Truth:
             v = v + vel_off
         for column in (t, v, p):
             column.flags.writeable = False
-        self._antenna[key] = t, v, p
-        return t, v, p
+        fixes = self._antenna[key] = t, v, p
+        return fixes
 
 
 def _integrate_position(cfg, v):

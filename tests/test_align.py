@@ -85,7 +85,7 @@ class TestInit:
 
 # Each form's running 3-vectors; both forms also carry K, w_sq and the chains.
 _FORM_VECTORS = {
-    VelocityIntegrationAligner: ("alpha", "beta", "w_alpha", "w_beta", "beta_partial"),
+    VelocityIntegrationAligner: ("alpha", "beta", "w_alpha", "w_beta", "s_body", "s_x"),
     PositionIntegrationAligner: (
         "alpha", "beta", "w_alpha", "w_beta", "s_body", "s_x", "u_r", "u_x",
     ),
@@ -141,9 +141,10 @@ class _NumpyVectorAligner:
             return (T * T / 3.0) * a + (T * T / 6.0) * b + (T ** 3 / 12.0) * np.cross(omega_in, a + b)
 
         if self.cls is VelocityIntegrationAligner:
-            self.alpha = self.alpha + c_body_prev @ scull
-            self.beta_partial = self.beta_partial + c_nav_prev @ single(x_prev, x_next)
-            self.beta = self.c_nav @ v_next - self.v0 + self.beta_partial
+            self.s_body = self.s_body + c_body_prev @ scull
+            self.s_x = self.s_x + c_nav_prev @ single(x_prev, x_next)
+            self.alpha = self.s_body
+            self.beta = self.c_nav @ v_next - self.v0 + self.s_x
             self.M += 1
             w = 1.0
         else:
@@ -187,7 +188,7 @@ class TestFloatPathParity:
 
 class TestVifBetaRounding:
     def test_beta_rounds_to_its_own_size_not_the_speed(self, short_data):
-        # beta = C_nav v_next - v0 + beta_partial takes the difference of two
+        # beta = C_nav v_next - v0 + s_x takes the difference of two
         # vectors of the vehicle's speed (120 m/s) to get ~1 m/s: rounding
         # C_nav v_next first would cost ulps of 120 m/s.  The same formula,
         # evaluated exactly on the stored floats, is the reference.
@@ -200,7 +201,7 @@ class TestVifBetaRounding:
             al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
             c = al.c_nav
             v_next = short_data.fix(k + 1).v
-            v0, partial = al.v0, al.beta_partial
+            v0, partial = al.v0, al.s_x
             exact = [
                 sum((Fraction(c[i][j]) * Fraction(v_next[j]) for j in range(3)), Fraction(0))
                 - Fraction(v0[i]) + Fraction(partial[i])

@@ -128,6 +128,30 @@ class TestMonteCarloVerb:
         assert "method=vif" in capsys.readouterr().out
 
 
+    def test_methods_share_one_truth(self, short_config, tmp_path, monkeypatch):
+        from ifalign import harness
+        from ifalign.harness import monte_carlo
+
+        cfg, errors = ifio.load_config(short_config)
+        alone = {method: monte_carlo(cfg, errors, 3, method, epochs=[5.0, 8.0], jobs=1)
+                 for method in ("vif", "pif")}
+        calls, generate_truth = [], cli.generate_truth
+
+        def counted(cfg):
+            calls.append(cfg)
+            return generate_truth(cfg)
+
+        monkeypatch.setattr(cli, "generate_truth", counted)
+        monkeypatch.setattr(harness, "generate_truth", counted)
+        out = tmp_path / "mc"
+        assert cli.main(["montecarlo", "--config", str(short_config), "--runs", "3",
+                         "--epochs", "5,8", "--jobs", "1", "--out", str(out)]) == 0
+        assert calls == [cfg]
+        for method, summary in alone.items():
+            cli._write_summary_csv(tmp_path / f"alone_{method}.csv", summary)
+            assert (out / f"montecarlo_{method}.csv").read_bytes() == (
+                tmp_path / f"alone_{method}.csv").read_bytes()
+
     def test_summary_csv_bytes(self, tmp_path):
         from ifalign.harness import McSummary
 
@@ -305,6 +329,30 @@ def test_non_ascii_log_byte_exit_code(tmp_path, capsys):
     assert cli.main(["align", "--imu", str(imu), "--gps", str(gps)]) == 2
     assert capsys.readouterr().err == (
         f"error: {imu}: line 3: non-ASCII byte 0xc3 at column 8\n"
+    )
+
+
+def test_non_ascii_config_byte_exit_code(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_bytes(b"scenario: {height_m: 1\xc3\xa9}\n")
+    assert cli.main(["align", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1: non-ASCII byte 0xc3 at column 23\n"
+    )
+
+
+def test_truth_quaternion_not_unit_exit_code(tmp_path, capsys):
+    logs = tmp_path / "logs"
+    assert cli.main(["simulate", "--duration", "4", "--seed", "3", "--out", str(logs)]) == 0
+    truth = logs / "truth.csv"
+    t, q, v, p = ifio.read_truth(truth)
+    ifio.write_truth(truth, t, 2.0 * q, v, p)
+    capsys.readouterr()
+    argv = ["align", "--imu", str(logs / "imu.csv"), "--gps", str(logs / "gps.csv"),
+            "--truth", str(truth)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {truth}: quaternion at t=0 s has norm 2, not 1\n"
     )
 
 

@@ -431,6 +431,35 @@ class TestAlignmentDataValidation:
             )
 
 
+    @pytest.mark.parametrize("scale, row, norm", [
+        (2.0, None, "2"), (1.0 + 2e-6, 12, "1.000002"), (1.0 + 5e-7, 12, None),
+    ], ids=["doubled", "just-off", "within-tolerance"])
+    def test_truth_quaternion_must_be_unit(self, scale, row, norm, short_truth, tmp_path):
+        from ifalign.attitude import dcm_to_quat
+        from ifalign.errors import FormatError
+        from ifalign.simulate import gps_fixes, sample_imu
+
+        dtheta, dv = sample_imu(short_truth)
+        t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
+        ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
+        ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
+        idx = short_truth.update_indices()
+        q = dcm_to_quat(short_truth.c_b_n[idx])
+        q[slice(None) if row is None else row] *= scale
+        truth_path = tmp_path / "truth.csv"
+        ifio.write_truth(truth_path, short_truth.t[idx], q, short_truth.v[idx],
+                         short_truth.p[idx])
+        args = (tmp_path / "imu.csv", tmp_path / "gps.csv", short_truth.cfg.update_interval_s)
+        if norm is None:
+            assert AlignmentData.from_logs(*args, truth_path=truth_path).n_updates == 1000
+            return
+        with pytest.raises(FormatError) as err:
+            AlignmentData.from_logs(*args, truth_path=truth_path)
+        t = 0.0 if row is None else short_truth.t[idx[row]]
+        assert err.value.path == truth_path
+        assert str(err.value) == f"{truth_path}: quaternion at t={t:g} s has norm {norm}, not 1"
+
+
 class TestQuietBuild:
     """The interval and fix objects are built with the cyclic collector paused."""
 
@@ -579,6 +608,41 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 monte_carlo(cfg, errors, 3, "vif", epochs=[30.0], jobs=jobs, truth=mc_truth)
         assert workers == [3]
+
+    def test_default_jobs_are_the_cpus_this_process_may_run_on(self, mc_truth, monkeypatch):
+        import os
+
+        from ifalign import harness
+
+        workers = []
+
+        class RecordingExecutor:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "_process_pool", RecordingExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host, not the mask
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        errors = simulation_sensor_defaults(seed=3)
+        cfg = mc_truth.cfg
+        pooled = monte_carlo(cfg, errors, 4, "vif", epochs=[30.0], truth=mc_truth)
+        assert workers == [3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
+        serial = monte_carlo(cfg, errors, 4, "vif", epochs=[30.0], truth=mc_truth)
+        assert workers == [3]  # one CPU: the serial path, no pool
+        assert pooled.mean_deg.tobytes() == serial.mean_deg.tobytes()
+        assert pooled.three_sigma_deg.tobytes() == serial.three_sigma_deg.tobytes()
 
     def test_pool_forks_under_any_default_start_method(self):
         # workers find the truth only in the forked parent's memory

@@ -258,6 +258,13 @@ class TestConfigFiles:
         with pytest.raises(FormatError, match=message):
             ifio.config_from_dict(doc)
 
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"sensors: {seed: 3}\nscenario: {height_m: 1\xc3\xa9}\n")
+        with pytest.raises(FormatError) as err:
+            ifio.load_config(path)
+        assert str(err.value) == f"{path}: line 2: non-ASCII byte 0xc3 at column 23"
+
     def test_yaml_exponent_without_dot(self, tmp_path):
         # YAML 1.1 reads 1e-3 as a string; it is still the number it spells
         path = tmp_path / "scenario.yaml"
@@ -437,6 +444,28 @@ class TestIngest:
         imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
         with pytest.raises(RateMismatch):
             ifio.ingest_logs(imu_path, gps_path, 0.05)
+
+    @pytest.mark.parametrize("row", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_nan_imu_time_rejected(self, row, tmp_path, tiny_truth):
+        imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
+        t_end, dtheta, dv = ifio.read_imu(imu_path)
+        t_end[row] = math.nan
+        ifio.write_imu(imu_path, t_end, dtheta, dv)
+        with pytest.raises(RateMismatch, match=f"^{imu_path}: IMU samples are not at a fixed"):
+            ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+
+    @pytest.mark.parametrize("row", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_nan_gps_time_rejected(self, row, tmp_path, tiny_truth):
+        imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
+        t, v, p = ifio.read_gps(gps_path)
+        t[row] = math.nan
+        ifio.write_gps(gps_path, t, v, p)
+        with pytest.raises(FormatError) as err:
+            ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+        assert err.value.path == gps_path
+        assert str(err.value) == (
+            f"{gps_path}: GPS timestamps must be finite and strictly increasing"
+        )
 
     def test_irregular_imu_rejected(self, tmp_path, tiny_truth):
         imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)

@@ -348,6 +348,13 @@ class TestGps:
             assert a.tobytes() == b.tobytes()
         assert gps_fixes(short_truth, errs, run_rng(42, 3))[1].tobytes() == v.tobytes()
 
+    def test_default_stride_is_the_update_interval(self, short_truth):
+        # one index path and one cache entry for the default and its value
+        lever = (1.0, 0.0, 0.0)
+        fixes = short_truth.antenna_fixes(lever)
+        assert short_truth.antenna_fixes(lever, short_truth.cfg.update_interval_s) is fixes
+        np.testing.assert_array_equal(fixes[0], short_truth.t[short_truth.update_indices()])
+
     def test_gps_stride(self, short_truth):
         t, v, p = gps_fixes(short_truth, stride_s=0.5)
         assert t[1] - t[0] == pytest.approx(0.5)
