@@ -22,9 +22,7 @@ from .errors import GimbalProximityWarning, NotARotation
 
 _SMALL_ANGLE = 1e-7
 _REPAIR_TOL = 1e-9
-# How far a rotation's invariants may be off: orthonormality and det = +1 of
-# a DCM (dcm_to_quat), and the unit norm of a quaternion read from a log.
-ROTATION_TOL = 1e-6
+ROTATION_TOL = 1e-6  # allowed error of a DCM's C^T C and det, and of a quaternion's norm
 
 
 def as_floats(value):

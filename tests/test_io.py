@@ -451,8 +451,9 @@ class TestIngest:
         t_end, dtheta, dv = ifio.read_imu(imu_path)
         t_end[row] = math.nan
         ifio.write_imu(imu_path, t_end, dtheta, dv)
-        with pytest.raises(RateMismatch, match=f"^{imu_path}: IMU samples are not at a fixed"):
+        with pytest.raises(RateMismatch) as err:
             ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+        assert str(err.value) == f"{imu_path}: IMU samples are not at a fixed rate"
 
     @pytest.mark.parametrize("row", [0, 3, -1], ids=["first", "middle", "last"])
     def test_nan_gps_time_rejected(self, row, tmp_path, tiny_truth):
