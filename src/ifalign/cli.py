@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as ifio
 from .attitude import dcm_to_quat
-from .errors import FormatError, GapError, IfalignError, RateMismatch
+from .errors import FormatError, IfalignError
 from .harness import (
     DEFAULT_EPOCHS,
     AlignmentData,
@@ -218,7 +218,7 @@ def main(argv=None):
 
     try:
         return args.func(args)
-    except (FormatError, GapError, RateMismatch, ValueError, OSError) as exc:
+    except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IfalignError as exc:

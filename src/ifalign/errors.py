@@ -33,9 +33,10 @@ class DegenerateSpectrum(IfalignError):
 
 
 class FormatError(IfalignError):
-    """A log file row failed to parse; carries the 1-based line number.
+    """An input file is malformed or does not fit the run.
 
-    Its text starts with the file and line it names, when it names them.
+    Carries the file's ``path`` and the 1-based ``line`` when known; its
+    text starts with them, as ``<path>: line <n>: <message>``.
     """
 
     def __init__(self, message, path=None, line=None):
@@ -52,12 +53,13 @@ class FormatError(IfalignError):
         return message
 
 
-class GapError(IfalignError):
-    """Aiding data has a gap larger than the configured maximum."""
+class GapError(FormatError):
+    """A GPS log is empty, has a gap larger than the maximum or does not
+    cover the IMU log's span."""
 
 
-class RateMismatch(IfalignError):
-    """IMU sample rate is incompatible with the requested update interval."""
+class RateMismatch(FormatError):
+    """An IMU log's sample rate is not fixed or does not fit the update interval."""
 
 
 class GimbalProximityWarning(UserWarning):

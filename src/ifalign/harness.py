@@ -11,7 +11,7 @@ import numpy as np
 from . import io as ifio
 from .align import AidFix, make_aligner
 from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
-from .errors import DegenerateSpectrum, FormatError
+from .errors import DegenerateSpectrum, FormatError, RateMismatch
 from .increments import ImuInterval, check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
@@ -133,17 +133,43 @@ class AlignmentData:
 
     @classmethod
     def from_logs(cls, imu_path, gps_path, T, truth_path=None, metadata=None):
-        """Replay mode: ingest CSV logs (see :mod:`ifalign.io` for formats).
+        """Replay mode: read, check and pair CSV logs (formats in :mod:`ifalign.io`).
 
-        A truth quaternion whose norm is off 1 by more than
-        :data:`~ifalign.attitude.ROTATION_TOL` is a :class:`FormatError`.
+        The IMU log needs at least two samples at one fixed rate, twice per
+        update interval ``T``; its whole intervals are kept.  The GPS fixes
+        are interpolated onto the interval endpoints
+        (:func:`~ifalign.io.interpolate_fixes`).  A truth log must sit on
+        those endpoints, and each quaternion's norm within
+        :data:`~ifalign.attitude.ROTATION_TOL` of 1.  Each of these checks
+        raises a :class:`FormatError` (:class:`RateMismatch` and
+        :class:`GapError` are kinds of it) whose ``path`` is the log it is
+        about.
         """
-        dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(imu_path, gps_path, T)
+        t_end, dtheta, dv = ifio.read_imu(imu_path)
+        if t_end.size < 2:
+            raise FormatError("IMU log needs at least two samples", path=imu_path)
+        dt = float(t_end[1] - t_end[0])
+        if not (dt > 0.0 and (np.abs(np.diff(t_end) - dt) <= 1e-6).all()):  # NaN-safe
+            raise RateMismatch("IMU samples are not at a fixed rate", path=imu_path)
+        if not abs(2.0 * dt - T) <= 1e-9:
+            raise RateMismatch(
+                f"IMU sample period {dt} s is incompatible with update interval {T} s",
+                path=imu_path,
+            )
+        n_updates = t_end.size // 2
+        fix_t = float(t_end[0] - dt) + np.arange(n_updates + 1) * T
+        gps_t, gps_v, gps_p = ifio.read_gps(gps_path)
+        try:
+            fix_v, fix_p = ifio.interpolate_fixes(gps_t, gps_v, gps_p, fix_t)
+        except FormatError as exc:
+            exc.path = gps_path
+            raise
         truth_c = None
         if truth_path is not None:
             t_truth, q_truth, _, _ = ifio.read_truth(truth_path)
             if t_truth.size != fix_t.size or not (np.abs(t_truth - fix_t) <= 1e-6).all():
-                raise ValueError("truth log grid does not match the update grid")
+                raise FormatError("truth log grid does not match the update grid",
+                                  path=truth_path)
             norm = np.linalg.norm(q_truth, axis=1)
             off = np.abs(norm - 1.0) > ROTATION_TOL  # NaN: see the truth check below
             if off.any():
@@ -158,8 +184,8 @@ class AlignmentData:
         meta.setdefault("gps_path", str(gps_path))
         return cls(
             T=T,
-            dtheta=dtheta,
-            dv=dv,
+            dtheta=dtheta[:2 * n_updates],
+            dv=dv[:2 * n_updates],
             fix_t=fix_t,
             fix_v=fix_v,
             fix_p=fix_p,

@@ -1,4 +1,4 @@
-"""File formats: sensor-log CSVs, scenario config, log ingestion.
+"""File formats: sensor-log CSVs, scenario config, GPS interpolation.
 
 CSV conventions (decimal dot, 12 significant digits, headered):
 
@@ -19,7 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, GapError, RateMismatch
+from .earth import wrap_longitude
+from .errors import FormatError, GapError
 from .simulate import ScenarioConfig, SensorErrors, simulation_sensor_defaults
 
 _FMT = "%.12g"
@@ -267,7 +268,11 @@ def load_config(path):
         except yaml.YAMLError as exc:
             raise FormatError(f"config is not YAML: {' '.join(str(exc).split())}",
                               path=path) from None
-    return config_from_dict(doc)
+    try:
+        return config_from_dict(doc)
+    except FormatError as exc:
+        exc.path = path
+        raise
 
 
 def config_hash(cfg, errors):
@@ -280,7 +285,7 @@ def config_hash(cfg, errors):
 
 
 # ---------------------------------------------------------------------------
-# Log ingestion.
+# GPS interpolation.
 
 MAX_GAP_S = 2.0  # longest gap between GPS fixes that interpolation bridges, s
 
@@ -291,7 +296,8 @@ def interpolate_fixes(gps_t, gps_v, gps_p, grid_t):
     Longitude is unwrapped before interpolation so dateline crossings stay
     continuous.  Raises :class:`GapError` when the log holds no fixes, the
     fixes do not cover the grid or any gap between consecutive fixes
-    exceeds ``MAX_GAP_S``.
+    exceeds ``MAX_GAP_S``, and :class:`FormatError` when the times are not
+    finite and increasing or a fix's velocity or position is not finite.
     """
     if gps_t.size == 0:
         raise GapError("GPS log holds no fixes")
@@ -308,52 +314,12 @@ def interpolate_fixes(gps_t, gps_v, gps_p, grid_t):
             f"GPS span [{gps_t[0]}, {gps_t[-1]}] does not cover "
             f"[{grid_t[0]}, {grid_t[-1]}]"
         )
+    finite = np.isfinite(gps_v).all(axis=1) & np.isfinite(gps_p).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"GPS fix at t={gps_t[np.argmin(finite)]:g} s is not finite")
     v = np.stack([np.interp(grid_t, gps_t, gps_v[:, i]) for i in range(3)], axis=-1)
     lon = np.interp(grid_t, gps_t, np.unwrap(gps_p[:, 0]))
     lat = np.interp(grid_t, gps_t, gps_p[:, 1])
     h = np.interp(grid_t, gps_t, gps_p[:, 2])
-    from .earth import wrap_longitude
-
     p = np.stack([wrap_longitude(lon), lat, h], axis=-1)
     return v, p
-
-
-def ingest_logs(imu_path, gps_path, T):
-    """Pair an IMU sample log with interpolated GPS aiding.
-
-    Returns ``(dtheta, dv, fix_t, fix_v, fix_p)`` where the increment
-    arrays hold one row per IMU sample and the fix arrays one row per
-    update-interval endpoint.
-
-    Raises
-    ------
-    FormatError, RateMismatch, GapError
-        On malformed rows, an IMU rate incompatible with ``T``, or GPS
-        coverage/gap violations.
-    """
-    t_end, dtheta, dv = read_imu(imu_path)
-    if t_end.size < 2:
-        raise FormatError("IMU log needs at least two samples", path=imu_path)
-    dt = float(t_end[1] - t_end[0])
-    if not (dt > 0.0 and (np.abs(np.diff(t_end) - dt) <= 1e-6).all()):  # NaN-safe
-        raise RateMismatch(f"{imu_path}: IMU samples are not at a fixed rate")
-    if abs(2.0 * dt - T) > 1e-9:
-        raise RateMismatch(
-            f"IMU sample period {dt} s is incompatible with update interval {T} s"
-        )
-    n_updates = t_end.size // 2
-    if n_updates == 0:
-        raise RateMismatch("IMU log shorter than one update interval")
-    n_samples = 2 * n_updates
-    dtheta = dtheta[:n_samples]
-    dv = dv[:n_samples]
-
-    t0 = float(t_end[0] - dt)
-    grid_t = t0 + np.arange(n_updates + 1) * T
-    gps_t, gps_v, gps_p = read_gps(gps_path)
-    try:
-        fix_v, fix_p = interpolate_fixes(gps_t, gps_v, gps_p, grid_t)
-    except FormatError as exc:
-        exc.path = gps_path
-        raise
-    return dtheta, dv, grid_t, fix_v, fix_p

@@ -85,14 +85,42 @@ class TestAlignVerb:
         report = (tmp_path / "rep" / "report_vif.csv").read_text()
         assert "yaw_err_deg" in report
 
-    def test_empty_gps_log_exit_code(self, short_config, tmp_path, capsys):
+    @pytest.mark.parametrize("case, file, message", [
+        ("empty-gps", "gps.csv", "GPS log holds no fixes"),
+        ("nan-gps-velocity", "gps.csv", "GPS fix at t=2 s is not finite"),
+        ("gps-gap", "gps.csv", "GPS gap of 3.000 s exceeds 2.0 s"),
+        ("short-gps-span", "gps.csv", "GPS span [0.0, 7.0] does not cover [0.0, 8.0]"),
+        ("truth-grid", "truth.csv", "truth log grid does not match the update grid"),
+        ("interval", "imu.csv",
+         "IMU sample period 0.01 s is incompatible with update interval 0.04 s"),
+        ("config-key", "bad.yaml", "unknown key scenario.durationn_s"),
+    ])
+    def test_bad_input_names_the_file(self, case, file, message, short_config,
+                                      tmp_path, capsys):
         logs = tmp_path / "logs"
         cli.main(["simulate", "--config", str(short_config), "--out", str(logs)])
-        (logs / "gps.csv").write_text(ifio.GPS_HEADER + "\n")
-        rc = cli.main(["align", "--imu", str(logs / "imu.csv"),
-                       "--gps", str(logs / "gps.csv")])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: GPS log holds no fixes\n"
+        capsys.readouterr()
+        argv = ["align", "--imu", str(logs / "imu.csv"), "--gps", str(logs / "gps.csv")]
+        t, v, p = ifio.read_gps(logs / "gps.csv")
+        if case == "empty-gps":
+            (logs / "gps.csv").write_text(ifio.GPS_HEADER + "\n")
+        elif case == "nan-gps-velocity":
+            v[100, 0] = np.nan
+            ifio.write_gps(logs / "gps.csv", t, v, p)
+        elif case in ("gps-gap", "short-gps-span"):
+            keep = (t <= 7.0) if case == "short-gps-span" else (t <= 1.0) | (t >= 4.0)
+            ifio.write_gps(logs / "gps.csv", t[keep], v[keep], p[keep])
+        elif case == "truth-grid":
+            rows = (logs / "truth.csv").read_text().splitlines()
+            (logs / "truth.csv").write_text("\n".join(rows[:-1]) + "\n")
+            argv += ["--truth", str(logs / "truth.csv")]
+        elif case == "interval":
+            argv += ["--interval", "0.04"]
+        else:
+            (logs / "bad.yaml").write_text("scenario: {durationn_s: 10}\n")
+            argv = ["align", "--config", str(logs / "bad.yaml")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {logs / file}: {message}\n"
 
     def test_format_error_exit_code(self, tmp_path):
         bad = tmp_path / "imu.csv"

@@ -6,6 +6,7 @@ import pytest
 
 from ifalign import io as ifio
 from ifalign.errors import FormatError, GapError, RateMismatch
+from ifalign.harness import AlignmentData
 from ifalign.simulate import (
     ScenarioConfig,
     SensorErrors,
@@ -407,8 +408,19 @@ class TestInterpolation:
             ifio.interpolate_fixes(t, np.zeros((3, 3)), np.zeros((3, 3)),
                                    np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("column", ["v", "p"])
+    def test_non_finite_fix_rejected(self, column):
+        t = np.array([0.0, 0.5, 1.0])
+        arrays = {"v": np.zeros((3, 3)), "p": np.zeros((3, 3))}
+        arrays[column][1, 2] = math.nan
+        with pytest.raises(FormatError) as err:
+            ifio.interpolate_fixes(t, arrays["v"], arrays["p"], np.array([0.0, 1.0]))
+        assert str(err.value) == "GPS fix at t=0.5 s is not finite"
+
 
 class TestIngest:
+    """Replay pairing: :meth:`AlignmentData.from_logs` on IMU and GPS logs."""
+
     def _write_logs(self, truth, tmp_path, gps_stride=None):
         dtheta, dv = sample_imu(truth)
         t_end = (np.arange(dtheta.shape[0]) + 1) * truth.cfg.sample_dt
@@ -419,31 +431,28 @@ class TestIngest:
 
     def test_round_trip_at_endpoints(self, tiny_truth, tmp_path):
         imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
-        dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(
-            imu_path, gps_path, tiny_truth.cfg.update_interval_s
-        )
+        data = AlignmentData.from_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
         idx = tiny_truth.update_indices()
-        assert fix_t.size == idx.size
-        np.testing.assert_allclose(fix_v, tiny_truth.v[idx], rtol=1e-10, atol=1e-12)
+        assert data.fix_t.size == idx.size
+        np.testing.assert_allclose(data.fix_v, tiny_truth.v[idx], rtol=1e-10, atol=1e-12)
 
     def test_2hz_interpolation_counts(self, tmp_path):
         truth = generate_truth(ScenarioConfig(duration_s=4.0))
         imu_path, gps_path = self._write_logs(truth, tmp_path, gps_stride=0.5)
-        dtheta, dv, fix_t, fix_v, fix_p = ifio.ingest_logs(
-            imu_path, gps_path, truth.cfg.update_interval_s
-        )
+        data = AlignmentData.from_logs(imu_path, gps_path, truth.cfg.update_interval_s)
         # 25 update endpoints per 0.5 s gap; endpoints exact
-        assert fix_t.size == truth.cfg.n_updates + 1
+        assert data.fix_t.size == truth.cfg.n_updates + 1
         idx = truth.update_indices()
-        on_fix = np.isclose(fix_t % 0.5, 0.0, atol=1e-9)
+        on_fix = np.isclose(data.fix_t % 0.5, 0.0, atol=1e-9)
         np.testing.assert_allclose(
-            fix_v[on_fix], truth.v[idx][on_fix], rtol=1e-10, atol=1e-12
+            data.fix_v[on_fix], truth.v[idx][on_fix], rtol=1e-10, atol=1e-12
         )
 
     def test_rate_mismatch(self, tiny_truth, tmp_path):
         imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
-        with pytest.raises(RateMismatch):
-            ifio.ingest_logs(imu_path, gps_path, 0.05)
+        with pytest.raises(RateMismatch) as err:
+            AlignmentData.from_logs(imu_path, gps_path, 0.05)
+        assert err.value.path == imu_path
 
     @pytest.mark.parametrize("row", [0, 3, -1], ids=["first", "middle", "last"])
     def test_nan_imu_time_rejected(self, row, tmp_path, tiny_truth):
@@ -452,7 +461,7 @@ class TestIngest:
         t_end[row] = math.nan
         ifio.write_imu(imu_path, t_end, dtheta, dv)
         with pytest.raises(RateMismatch) as err:
-            ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+            AlignmentData.from_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
         assert str(err.value) == f"{imu_path}: IMU samples are not at a fixed rate"
 
     @pytest.mark.parametrize("row", [0, 3, -1], ids=["first", "middle", "last"])
@@ -462,7 +471,7 @@ class TestIngest:
         t[row] = math.nan
         ifio.write_gps(gps_path, t, v, p)
         with pytest.raises(FormatError) as err:
-            ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+            AlignmentData.from_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
         assert err.value.path == gps_path
         assert str(err.value) == (
             f"{gps_path}: GPS timestamps must be finite and strictly increasing"
@@ -474,4 +483,4 @@ class TestIngest:
         rows[3] = rows[3].replace(rows[3].split(",")[0], "0.031")
         imu_path.write_text("\n".join(rows) + "\n")
         with pytest.raises(RateMismatch):
-            ifio.ingest_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+            AlignmentData.from_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
