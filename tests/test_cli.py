@@ -56,6 +56,18 @@ class TestSimulateVerb:
         assert not out.exists()
 
 
+BAD_INPUTS = [
+    ("empty-gps", "gps.csv", "GPS log holds no fixes"),
+    ("nan-gps-velocity", "gps.csv", "GPS fix at t=2 s is not finite"),
+    ("gps-gap", "gps.csv", "GPS gap of 3.000 s exceeds 2.0 s"),
+    ("short-gps-span", "gps.csv", "GPS span [0.0, 7.0] does not cover [0.0, 8.0]"),
+    ("truth-grid", "truth.csv", "truth log grid does not match the update grid"),
+    ("interval", "imu.csv",
+     "IMU sample period 0.01 s is incompatible with update interval 0.04 s"),
+    ("config-key", "bad.yaml", "unknown key scenario.durationn_s"),
+]
+
+
 class TestAlignVerb:
     def test_simulation_mode_both_methods(self, short_config, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -85,16 +97,8 @@ class TestAlignVerb:
         report = (tmp_path / "rep" / "report_vif.csv").read_text()
         assert "yaw_err_deg" in report
 
-    @pytest.mark.parametrize("case, file, message", [
-        ("empty-gps", "gps.csv", "GPS log holds no fixes"),
-        ("nan-gps-velocity", "gps.csv", "GPS fix at t=2 s is not finite"),
-        ("gps-gap", "gps.csv", "GPS gap of 3.000 s exceeds 2.0 s"),
-        ("short-gps-span", "gps.csv", "GPS span [0.0, 7.0] does not cover [0.0, 8.0]"),
-        ("truth-grid", "truth.csv", "truth log grid does not match the update grid"),
-        ("interval", "imu.csv",
-         "IMU sample period 0.01 s is incompatible with update interval 0.04 s"),
-        ("config-key", "bad.yaml", "unknown key scenario.durationn_s"),
-    ])
+    @pytest.mark.parametrize("case, file, message", BAD_INPUTS,
+                             ids=[case for case, _, _ in BAD_INPUTS])
     def test_bad_input_names_the_file(self, case, file, message, short_config,
                                       tmp_path, capsys):
         logs = tmp_path / "logs"
