@@ -31,9 +31,9 @@ from .harness import (
     run_alignment,
 )
 from .increments import (
-    ImuInterval,
     body_rotvec,
     double_integral_increment,
+    imu_interval,
     sculling_increment,
 )
 from .quest import accumulate, optimal_quaternion
@@ -60,7 +60,6 @@ __all__ = [
     "GapError",
     "GimbalProximityWarning",
     "IfalignError",
-    "ImuInterval",
     "McSummary",
     "NotARotation",
     "PolarSingularity",
@@ -77,6 +76,7 @@ __all__ = [
     "double_integral_increment",
     "generate_truth",
     "gps_fixes",
+    "imu_interval",
     "make_aligner",
     "monte_carlo",
     "optimal_quaternion",

@@ -293,7 +293,10 @@ class VelocityIntegrationAligner(_AlignerBase):
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
 
-        Returns None; :meth:`estimate` solves for the attitude.
+        ``interval`` is the flat 12-tuple of floats that
+        :func:`~ifalign.increments.imu_interval` builds (``dtheta1, dtheta2,
+        dv1, dv2``), and the fixes are :class:`AidFix` objects.  Returns
+        None; :meth:`estimate` solves for the attitude.
         """
         self._fold(interval, fix_prev, fix_next)
         self.alpha = self.s_body

@@ -21,6 +21,7 @@ from .harness import (
     DEFAULT_EPOCHS,
     AlignmentData,
     monte_carlo,
+    monte_carlo_plan,
     run_alignment,
 )
 from .oracle import AlignmentReference, richardson_check
@@ -111,6 +112,7 @@ def _print_report_tail(report):
 def _cmd_montecarlo(args):
     cfg, errors = _load_config(args)
     epochs = None if args.epochs is None else [float(e) for e in args.epochs.split(",")]
+    monte_carlo_plan(cfg, args.runs, epochs, args.jobs)  # checked before the truth
     truth = generate_truth(cfg)  # one truth, and one antenna-fix cache, for every method
     for method in args.methods:
         summary = monte_carlo(

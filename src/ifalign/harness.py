@@ -12,7 +12,7 @@ from . import io as ifio
 from .align import AidFix, make_aligner
 from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
 from .errors import DegenerateSpectrum, FormatError, RateMismatch
-from .increments import ImuInterval, check_increments
+from .increments import check_increments
 from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 RAD2DEG = 180.0 / math.pi
@@ -31,9 +31,10 @@ class AlignmentData:
     The rows are validated once, when the object is built
     (a positive finite ``T``, :func:`~ifalign.increments.check_increments`,
     matching row counts, finite fixes, a finite ``(N+1, 3, 3)`` truth if
-    any; ``ValueError`` otherwise), and turned into the
-    :class:`ImuInterval` and :class:`AidFix` objects that :meth:`interval`
-    and :meth:`fix` hand out.  Do not modify the arrays afterwards.
+    any; ``ValueError`` otherwise), and turned into what :meth:`interval`
+    and :meth:`fix` hand out: per interval the flat 12-tuple of floats
+    ``dtheta1, dtheta2, dv1, dv2`` that the kernels read, per fix an
+    :class:`AidFix`.  Do not modify the arrays afterwards.
     """
 
     T: float
@@ -92,7 +93,7 @@ class AlignmentData:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            self._intervals = list(map(ImuInterval.from_floats, zip(*columns)))
+            self._intervals = list(zip(*columns))
             self._fixes = list(map(
                 AidFix.from_floats,
                 self.fix_t.tolist(),
@@ -140,7 +141,8 @@ class AlignmentData:
         are interpolated onto the interval endpoints
         (:func:`~ifalign.io.interpolate_fixes`).  A truth log must sit on
         those endpoints, and each quaternion's norm within
-        :data:`~ifalign.attitude.ROTATION_TOL` of 1.  Each of these checks
+        :data:`~ifalign.attitude.ROTATION_TOL` of 1.  The IMU increments
+        kept must be finite.  Each of these checks
         raises a :class:`FormatError` (:class:`RateMismatch` and
         :class:`GapError` are kinds of it) whose ``path`` is the log it is
         about.
@@ -157,6 +159,11 @@ class AlignmentData:
                 path=imu_path,
             )
         n_updates = t_end.size // 2
+        dtheta, dv = dtheta[:2 * n_updates], dv[:2 * n_updates]
+        finite = np.isfinite(dtheta).all(axis=1) & np.isfinite(dv).all(axis=1)
+        if not finite.all():
+            raise FormatError("IMU increment is not finite", path=imu_path,
+                              line=ifio.data_line(imu_path, int(np.argmin(finite))))
         fix_t = float(t_end[0] - dt) + np.arange(n_updates + 1) * T
         gps_t, gps_v, gps_p = ifio.read_gps(gps_path)
         try:
@@ -171,7 +178,7 @@ class AlignmentData:
                 raise FormatError("truth log grid does not match the update grid",
                                   path=truth_path)
             norm = np.linalg.norm(q_truth, axis=1)
-            off = np.abs(norm - 1.0) > ROTATION_TOL  # NaN: see the truth check below
+            off = ~(np.abs(norm - 1.0) <= ROTATION_TOL)  # NaN-safe
             if off.any():
                 i = np.argmax(off)
                 raise FormatError(
@@ -184,8 +191,8 @@ class AlignmentData:
         meta.setdefault("gps_path", str(gps_path))
         return cls(
             T=T,
-            dtheta=dtheta[:2 * n_updates],
-            dv=dv[:2 * n_updates],
+            dtheta=dtheta,
+            dv=dv,
             fix_t=fix_t,
             fix_v=fix_v,
             fix_p=fix_p,
@@ -383,17 +390,15 @@ def _mc_run(args):
     return run_index, errs, None
 
 
-def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None):
-    """Seeded Monte-Carlo batch; error statistics at the requested epochs.
+def monte_carlo_plan(cfg, n_runs, epochs=None, jobs=None):
+    """The checked arguments of a Monte-Carlo batch: ``(epochs, rows, jobs)``.
 
-    Each run draws its noise from a generator keyed by (seed, run index),
-    so results do not depend on scheduling or on ``jobs``, the number of
-    worker processes (default: the CPUs this process may run on; at most
-    ``n_runs``).  Failed runs are excluded from the statistics and listed in
-    the summary.  Runs report on :func:`run_alignment`'s default 1 s rows.
-    The default epochs are the :data:`DEFAULT_EPOCHS` before the last report
-    row, and that row.  An epoch that is not a report row of the scenario
-    raises ``ValueError`` before the truth is generated or a worker started.
+    ``rows`` are the indices of the epochs among :func:`run_alignment`'s
+    default 1 s report rows.  The default epochs are the
+    :data:`DEFAULT_EPOCHS` before the last report row, and that row.  The
+    default ``jobs`` is the number of CPUs this process may run on; it is at
+    most ``n_runs``.  Raises ``ValueError`` for fewer than two runs, an
+    epoch that is not a report row of the scenario, or fewer than one job.
     """
     if n_runs < 2:
         raise ValueError("Monte-Carlo needs at least two runs")
@@ -416,7 +421,20 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
                 else os.cpu_count() or 1)
     elif jobs < 1:
         raise ValueError("Monte-Carlo needs at least one job")
-    jobs = min(jobs, n_runs)
+    return epochs, rows, min(jobs, n_runs)
+
+
+def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None):
+    """Seeded Monte-Carlo batch; error statistics at the requested epochs.
+
+    Each run draws its noise from a generator keyed by (seed, run index),
+    so results do not depend on scheduling or on ``jobs``, the number of
+    worker processes.  Failed runs are excluded from the statistics and
+    listed in the summary.  Runs report on :func:`run_alignment`'s default
+    1 s rows.  :func:`monte_carlo_plan` checks the arguments and fills in
+    the defaults before the truth is generated or a worker started.
+    """
+    epochs, rows, jobs = monte_carlo_plan(cfg, n_runs, epochs, jobs)
     if truth is None:
         truth = generate_truth(cfg)
 

@@ -9,13 +9,14 @@ in ``T`` for smooth rates:
 * the body-frame rotation vector (coning correction).
 
 All three are exact when angular rate and specific force vary linearly in
-time over the interval.  The kernels read an interval's increments as
-Python floats and return 3-tuples of floats: for 3-vectors, arithmetic on
-Python floats costs several times less than numpy calls and rounds the
-same.  Each kernel is written out component-wise, one expression per
-component: a comprehension would build a list (and, before Python 3.12, a
-frame) per vector.  :func:`check_increments` validates increment rows
-once, where they enter the program.
+time over the interval.  An interval is the flat 12-tuple of Python floats
+``dtheta1, dtheta2, dv1, dv2`` (:func:`imu_interval` builds a checked
+one); the kernels read it and return 3-tuples of floats: for 3-vectors,
+arithmetic on Python floats costs several times less than numpy calls and
+rounds the same.  Each kernel is written out component-wise, one
+expression per component: a comprehension would build a list (and, before
+Python 3.12, a frame) per vector.  :func:`check_increments` validates
+increment rows once, where they enter the program.
 """
 
 import numpy as np
@@ -74,40 +75,22 @@ def as_float3(value, name):
     return tuple(array.tolist())
 
 
-class ImuInterval:
-    """Gyro/accelerometer increments over the two halves of one update interval.
+def imu_interval(dtheta1, dtheta2, dv1, dv2):
+    """One update interval as the 12-tuple of floats the kernels read.
 
-    ``ImuInterval(dtheta1, dtheta2, dv1, dv2)`` checks that each argument is
-    a 3-vector and validates the rows with :func:`check_increments`:
     ``dtheta1``/``dtheta2`` are the incremental angles (rad) and
     ``dv1``/``dv2`` the incremental velocities (m/s) integrated over the
-    first/second half of the interval.
-
-    Attributes
-    ----------
-    floats : tuple
-        ``dtheta1 + dtheta2 + dv1 + dv2`` as one 12-tuple of Python floats,
-        which is what the kernels read.
+    first/second half of the interval.  Each must be a finite 3-vector, and
+    the rows must pass :func:`check_increments` (``ValueError`` otherwise).
+    Returns ``dtheta1 + dtheta2 + dv1 + dv2`` as one flat tuple of Python
+    floats.
     """
-
-    __slots__ = ("floats",)
-
-    def __init__(self, dtheta1, dtheta2, dv1, dv2):
-        floats = (
-            as_float3(dtheta1, "dtheta1") + as_float3(dtheta2, "dtheta2")
-            + as_float3(dv1, "dv1") + as_float3(dv2, "dv2")
-        )
-        check_increments((floats[0:3], floats[3:6]), (floats[6:9], floats[9:12]))
-        self.floats = floats
-
-    @classmethod
-    def from_floats(cls, floats):
-        """An interval from a flat 12-tuple of floats (``dtheta1, dtheta2,
-        dv1, dv2``) that already passed :func:`check_increments`; it is
-        neither copied nor checked."""
-        interval = cls.__new__(cls)
-        interval.floats = floats
-        return interval
+    interval = (
+        as_float3(dtheta1, "dtheta1") + as_float3(dtheta2, "dtheta2")
+        + as_float3(dv1, "dv1") + as_float3(dv2, "dv2")
+    )
+    check_increments((interval[0:3], interval[3:6]), (interval[6:9], interval[9:12]))
+    return interval
 
 
 def sculling_increment(interval):
@@ -116,7 +99,7 @@ def sculling_increment(interval):
     ``dv1 + dv2 + (dtheta1 + dtheta2) x (dv1 + dv2) / 2
     + 2 (dtheta1 x dv2 + dv1 x dtheta2) / 3``
     """
-    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval.floats
+    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval
     s0, s1, s2 = p0 + q0, p1 + q1, p2 + q2
     u0, u1, u2 = a0 + b0, a1 + b1, a2 + b2
     k = 2.0 / 3.0
@@ -135,7 +118,7 @@ def double_integral_increment(interval, T):
     """
     if T <= 0.0:
         raise ValueError("update interval T must be positive")
-    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval.floats
+    p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval
     scale = T / 30.0
     return (
         scale * (25.0 * a0 + 5.0 * b0 + 12.0 * (p1 * a2 - p2 * a1) + 8.0 * (p1 * b2 - p2 * b1)
@@ -152,7 +135,7 @@ def body_rotvec(interval):
 
     ``dtheta1 + dtheta2 + 2 (dtheta1 x dtheta2) / 3``
     """
-    a0, a1, a2, b0, b1, b2 = interval.floats[:6]
+    a0, a1, a2, b0, b1, b2 = interval[:6]
     k = 2.0 / 3.0
     return (
         a0 + b0 + k * (a1 * b2 - a2 * b1),

@@ -15,7 +15,7 @@ The scenario/sensor configuration is a single YAML document with
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -102,6 +102,14 @@ def _parse_lines(lines, path, n_cols):
         except ValueError as exc:
             raise _line_error(str(exc), line, path, lineno) from None
     return np.array(values, dtype=float).reshape(-1, n_cols)
+
+
+def data_line(path, row):
+    """The 1-based file line of data row ``row`` of a log that
+    :func:`_read_csv` read: blank lines are not rows."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
+        return next(islice(lines, row, None))
 
 
 def write_imu(path, t_end, dtheta, dv):

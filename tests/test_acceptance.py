@@ -18,9 +18,9 @@ from ifalign.attitude import quat_multiply, rotvec_to_dcm
 from ifalign.errors import DegenerateSpectrum
 from ifalign.harness import AlignmentData, monte_carlo, run_alignment
 from ifalign.increments import (
-    ImuInterval,
     body_rotvec,
     double_integral_increment,
+    imu_interval,
     sculling_increment,
 )
 from ifalign.quest import accumulate, optimal_quaternion
@@ -192,7 +192,7 @@ class TestCriterion4TwoSampleKernels:
                 )
             )
         (dth1, dv1), (dth2, dv2) = halves
-        return ImuInterval(dtheta1=dth1, dtheta2=dth2, dv1=dv1, dv2=dv2)
+        return imu_interval(dtheta1=dth1, dtheta2=dth2, dv1=dv1, dv2=dv2)
 
     def test_linear_profiles_match_oracle(self):
         T = 0.02

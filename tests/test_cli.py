@@ -65,6 +65,8 @@ BAD_INPUTS = [
     ("interval", "imu.csv",
      "IMU sample period 0.01 s is incompatible with update interval 0.04 s"),
     ("config-key", "bad.yaml", "unknown key scenario.durationn_s"),
+    ("nan-imu", "imu.csv", "line 501: IMU increment is not finite"),
+    ("nan-truth-quaternion", "truth.csv", "quaternion at t=2 s has norm nan, not 1"),
 ]
 
 
@@ -120,6 +122,17 @@ class TestAlignVerb:
             argv += ["--truth", str(logs / "truth.csv")]
         elif case == "interval":
             argv += ["--interval", "0.04"]
+        elif case == "nan-imu":
+            lines = (logs / "imu.csv").read_text().splitlines()
+            fields = lines[500].split(",")  # line 501
+            fields[2] = "nan"  # dtheta_y
+            lines[500] = ",".join(fields)
+            (logs / "imu.csv").write_text("\n".join(lines) + "\n")
+        elif case == "nan-truth-quaternion":
+            t_truth, q, v_truth, p_truth = ifio.read_truth(logs / "truth.csv")
+            q[100, 0] = np.nan  # q_s at t=2 s
+            ifio.write_truth(logs / "truth.csv", t_truth, q, v_truth, p_truth)
+            argv += ["--truth", str(logs / "truth.csv")]
         else:
             (logs / "bad.yaml").write_text("scenario: {durationn_s: 10}\n")
             argv = ["align", "--config", str(logs / "bad.yaml")]
@@ -256,6 +269,21 @@ def test_invalid_argument_value_exit_code(argv, monkeypatch, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--runs", "1"], "Monte-Carlo needs at least two runs"),
+    (["--jobs", "0"], "Monte-Carlo needs at least one job"),
+    (["--duration", "10", "--epochs", "5.5"],
+     "epoch 5.5 s is not a report row: rows are every 1 s up to 10 s"),
+], ids=["runs-1", "jobs-0", "epoch-off-grid"])
+def test_montecarlo_values_checked_before_the_truth(argv, message, monkeypatch, capsys):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("a bad Monte-Carlo value must be refused before the truth")
+
+    monkeypatch.setattr(cli, "generate_truth", no_truth)
+    assert cli.main(["montecarlo", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("verb", ["align", "montecarlo"])

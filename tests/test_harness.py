@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ifalign import io as ifio
+from ifalign.errors import FormatError
 from ifalign.harness import (
     AlignmentData,
     RAD2DEG,
@@ -314,7 +315,7 @@ class TestAlignmentDataValidation:
 
     def test_valid_rows_become_intervals_and_fixes(self, short_truth):
         from ifalign.increments import (
-            ImuInterval, body_rotvec, double_integral_increment, sculling_increment,
+            body_rotvec, double_integral_increment, imu_interval, sculling_increment,
         )
 
         data = AlignmentData(**self.arrays(short_truth))
@@ -324,14 +325,17 @@ class TestAlignmentDataValidation:
             assert got == tuple(row.tolist())
             assert all(type(x) is float for x in got)
         assert fix.t == data.fix_t[k]
-        # every interval holds its four rows as one flat float row, and the
-        # kernels read it as they read an interval built from the vectors
+        # every interval is its four rows as one flat 12-tuple of floats,
+        # and the kernels read it as they read one built from the vectors
         for k in range(data.n_updates):
             interval = data.interval(k)
             rows = (data.dtheta[2 * k], data.dtheta[2 * k + 1],
                     data.dv[2 * k], data.dv[2 * k + 1])
-            assert interval.floats == sum((tuple(row.tolist()) for row in rows), ())
-            built = ImuInterval(*rows)
+            assert type(interval) is tuple and len(interval) == 12
+            assert all(type(x) is float for x in interval)
+            assert interval == sum((tuple(row.tolist()) for row in rows), ())
+            built = imu_interval(*rows)
+            assert built == interval
             assert sculling_increment(interval) == sculling_increment(built)
             assert body_rotvec(interval) == body_rotvec(built)
             assert (double_integral_increment(interval, data.T)
@@ -390,7 +394,10 @@ class TestAlignmentDataValidation:
         t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
-        with pytest.raises(ValueError, match="finite|0.1 rad"):
+        # a NaN names the IMU log and its file line: row 333 is line 335
+        error, match = ((FormatError, r"imu\.csv: line 335: IMU increment is not finite$")
+                        if case == "nan_dtheta" else (ValueError, "0.1 rad"))
+        with pytest.raises(error, match=match):
             AlignmentData.from_logs(
                 tmp_path / "imu.csv", tmp_path / "gps.csv",
                 short_truth.cfg.update_interval_s,
@@ -424,7 +431,8 @@ class TestAlignmentDataValidation:
         q[12, 0] = np.nan
         ifio.write_truth(tmp_path / "truth.csv", short_truth.t[idx], q,
                          short_truth.v[idx], short_truth.p[idx])
-        with pytest.raises(ValueError, match=r"\(N\+1, 3, 3\)"):
+        with pytest.raises(FormatError,
+                           match=r"truth\.csv: quaternion at t=0\.24 s has norm nan, not 1$"):
             AlignmentData.from_logs(
                 tmp_path / "imu.csv", tmp_path / "gps.csv",
                 short_truth.cfg.update_interval_s, truth_path=tmp_path / "truth.csv",
@@ -436,7 +444,6 @@ class TestAlignmentDataValidation:
     ], ids=["doubled", "just-off", "within-tolerance"])
     def test_truth_quaternion_must_be_unit(self, scale, row, norm, short_truth, tmp_path):
         from ifalign.attitude import dcm_to_quat
-        from ifalign.errors import FormatError
         from ifalign.simulate import gps_fixes, sample_imu
 
         dtheta, dv = sample_imu(short_truth)
@@ -480,12 +487,12 @@ class TestQuietBuild:
             (gc.enable if was else gc.disable)()
 
     def test_collector_state_restored_after_a_failed_build(self, arrays, monkeypatch):
-        from ifalign.increments import ImuInterval
+        from ifalign.align import AidFix
 
-        def broken(floats):
+        def broken(t, v, p):
             raise RuntimeError("build failed")
 
-        monkeypatch.setattr(ImuInterval, "from_floats", broken)
+        monkeypatch.setattr(AidFix, "from_floats", broken)
         assert gc.isenabled()
         with pytest.raises(RuntimeError):
             AlignmentData(**arrays)

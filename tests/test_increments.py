@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ifalign import oracle
 from ifalign.attitude import cross3, rotation_angle, rotvec_to_dcm
 from ifalign.increments import (
-    ImuInterval,
     body_rotvec,
     double_integral_increment,
+    imu_interval,
     sculling_increment,
 )
 
@@ -33,7 +33,7 @@ def make_interval(omega_fn, f_fn, t0, T, n=2000):
         dv = np.sum(0.5 * dt * (f[1:] + f[:-1]), axis=0)
         halves.append((dth, dv))
     (dth1, dv1), (dth2, dv2) = halves
-    return ImuInterval(dtheta1=dth1, dtheta2=dth2, dv1=dv1, dv2=dv2)
+    return imu_interval(dtheta1=dth1, dtheta2=dth2, dv1=dv1, dv2=dv2)
 
 
 def linear_profiles(a_w, b_w, a_f, b_f):
@@ -77,37 +77,36 @@ def sinusoid_profiles():
 class TestImuInterval:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            ImuInterval(np.array([np.nan, 0, 0]), np.zeros(3), np.zeros(3), np.zeros(3))
+            imu_interval(np.array([np.nan, 0, 0]), np.zeros(3), np.zeros(3), np.zeros(3))
 
     def test_rejects_large_rotation(self):
         with pytest.raises(ValueError):
-            ImuInterval(
+            imu_interval(
                 np.array([0.06, 0, 0]), np.array([0.06, 0, 0]),
                 np.zeros(3), np.zeros(3),
             )
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            ImuInterval(np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
+            imu_interval(np.zeros(2), np.zeros(3), np.zeros(3), np.zeros(3))
 
     def test_floats_are_one_flat_row(self):
         rows = [np.array([1e-3, 2e-3, 3e-3]) * (i + 1) for i in range(4)]
-        iv = ImuInterval(*rows)
-        assert iv.floats == sum((tuple(row.tolist()) for row in rows), ())
-        assert all(type(x) is float for x in iv.floats)
-        assert ImuInterval.from_floats(iv.floats).floats is iv.floats
+        iv = imu_interval(*rows)
+        assert iv == sum((tuple(row.tolist()) for row in rows), ())
+        assert all(type(x) is float for x in iv)
 
     def test_ragged_rows_name_the_argument(self):
         # not numpy's "inhomogeneous shape" message
         with pytest.raises(ValueError, match=r"^dtheta1 must be three numbers"):
-            ImuInterval([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+            imu_interval([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"^dv2 must be three numbers"):
-            ImuInterval(np.zeros(3), np.zeros(3), np.zeros(3), [0.0, [0.0], 0.0])
+            imu_interval(np.zeros(3), np.zeros(3), np.zeros(3), [0.0, [0.0], 0.0])
 
 
 class TestSculling:
     def test_no_rotation_is_plain_sum(self):
-        iv = ImuInterval(
+        iv = imu_interval(
             np.zeros(3), np.zeros(3), np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5, 0.6])
         )
         np.testing.assert_allclose(sculling_increment(iv), [0.5, 0.7, 0.9])
@@ -119,7 +118,7 @@ class TestSculling:
         # and the exact rotated integral is T f + (T^2/2) omega x f, i.e.
         # 2v + 2 theta x v in increment variables.  The two-sample formula
         # must reproduce it identically.
-        iv = ImuInterval(theta, theta, v, v)
+        iv = imu_interval(theta, theta, v, v)
         expected = 2.0 * v + 2.0 * cross3(theta, v)
         np.testing.assert_allclose(sculling_increment(iv), expected, atol=1e-18)
 
@@ -135,7 +134,7 @@ class TestSculling:
         dth2 = (3.0 * T ** 2 / 8.0) * a_w + (T / 2.0) * b_w
         dv1 = (T ** 2 / 8.0) * a_f + (T / 2.0) * b_f
         dv2 = (3.0 * T ** 2 / 8.0) * a_f + (T / 2.0) * b_f
-        iv = ImuInterval(dth1, dth2, dv1, dv2)
+        iv = imu_interval(dth1, dth2, dv1, dv2)
         exact = (
             T * b_f
             + (T ** 2 / 2.0) * (a_f + cross3(b_w, b_f))
@@ -172,8 +171,8 @@ class TestSculling:
     @given(small_vectors(0.01), small_vectors(0.01), small_vectors(0.05), small_vectors(0.05))
     @settings(max_examples=30, deadline=None)
     def test_swap_preserves_leading_sum(self, th1, th2, v1, v2):
-        fwd = np.array(sculling_increment(ImuInterval(th1, th2, v1, v2)))
-        rev = np.array(sculling_increment(ImuInterval(th2, th1, v2, v1)))
+        fwd = np.array(sculling_increment(imu_interval(th1, th2, v1, v2)))
+        rev = np.array(sculling_increment(imu_interval(th2, th1, v2, v1)))
         # cross terms flip with the swap; the symmetric part is the plain sum
         # plus the half-sum cross correction, which both orderings share.
         shared = v1 + v2 + 0.5 * cross3(th1 + th2, v1 + v2)
@@ -184,20 +183,20 @@ class TestDoubleIntegral:
     def test_constant_force_no_rotation(self):
         T = 0.02
         f = np.array([1.0, -2.0, 3.0])
-        iv = ImuInterval(np.zeros(3), np.zeros(3), f * T / 2.0, f * T / 2.0)
+        iv = imu_interval(np.zeros(3), np.zeros(3), f * T / 2.0, f * T / 2.0)
         np.testing.assert_allclose(
             double_integral_increment(iv, T), f * T ** 2 / 2.0, rtol=1e-13
         )
 
     def test_zero_velocity_increments(self):
-        iv = ImuInterval(
+        iv = imu_interval(
             np.array([0.01, 0.0, 0.0]), np.array([0.0, 0.01, 0.0]),
             np.zeros(3), np.zeros(3),
         )
         np.testing.assert_allclose(double_integral_increment(iv, 0.02), np.zeros(3))
 
     def test_rejects_nonpositive_interval(self):
-        iv = ImuInterval(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+        iv = imu_interval(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             double_integral_increment(iv, 0.0)
 
@@ -211,7 +210,7 @@ class TestDoubleIntegral:
         dth2 = (3.0 * T ** 2 / 8.0) * a_w + (T / 2.0) * b_w
         dv1 = (T ** 2 / 8.0) * a_f + (T / 2.0) * b_f
         dv2 = (3.0 * T ** 2 / 8.0) * a_f + (T / 2.0) * b_f
-        iv = ImuInterval(dth1, dth2, dv1, dv2)
+        iv = imu_interval(dth1, dth2, dv1, dv2)
         exact = (
             (T ** 2 / 2.0) * b_f
             + (T ** 3 / 6.0) * (a_f + cross3(b_w, b_f))
@@ -249,13 +248,13 @@ class TestDoubleIntegral:
 class TestBodyRotvec:
     def test_equal_halves(self):
         th = np.array([0.01, -0.02, 0.005])
-        iv = ImuInterval(th, th, np.zeros(3), np.zeros(3))
+        iv = imu_interval(th, th, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(body_rotvec(iv), 2.0 * th)
 
     @given(small_vectors(0.02), st.floats(0.1, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_parallel_rotations_sum(self, th, factor):
-        iv = ImuInterval(th, factor * th, np.zeros(3), np.zeros(3))
+        iv = imu_interval(th, factor * th, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(body_rotvec(iv), (1.0 + factor) * th, atol=1e-18)
 
     def test_coning_motion_convergence(self):
@@ -287,8 +286,8 @@ class TestBodyRotvec:
     @given(small_vectors(0.02), small_vectors(0.02))
     @settings(max_examples=30, deadline=None)
     def test_swap_preserves_leading_sum(self, th1, th2):
-        fwd = np.array(body_rotvec(ImuInterval(th1, th2, np.zeros(3), np.zeros(3))))
-        rev = np.array(body_rotvec(ImuInterval(th2, th1, np.zeros(3), np.zeros(3))))
+        fwd = np.array(body_rotvec(imu_interval(th1, th2, np.zeros(3), np.zeros(3))))
+        rev = np.array(body_rotvec(imu_interval(th2, th1, np.zeros(3), np.zeros(3))))
         np.testing.assert_allclose(0.5 * (fwd + rev), th1 + th2, atol=1e-18)
 
 
@@ -300,7 +299,7 @@ class TestFloatKernels:
     )
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_numpy_vector_formulas(self, th1, th2, v1, v2):
-        iv = ImuInterval(th1, th2, v1, v2)
+        iv = imu_interval(th1, th2, v1, v2)
         T = 0.02
         sculling = (
             v1 + v2

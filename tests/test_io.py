@@ -477,6 +477,16 @@ class TestIngest:
             f"{gps_path}: GPS timestamps must be finite and strictly increasing"
         )
 
+    def test_nan_imu_increment_names_the_file_line(self, tmp_path, tiny_truth):
+        imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
+        lines = imu_path.read_text().splitlines()
+        lines[5] = lines[5].replace(lines[5].split(",")[4], "nan")  # dv_x, line 6
+        lines[2:2] = ["", " "]  # blank lines are not rows: the NaN is now on line 8
+        imu_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            AlignmentData.from_logs(imu_path, gps_path, tiny_truth.cfg.update_interval_s)
+        assert str(err.value) == f"{imu_path}: line 8: IMU increment is not finite"
+
     def test_irregular_imu_rejected(self, tmp_path, tiny_truth):
         imu_path, gps_path = self._write_logs(tiny_truth, tmp_path)
         rows = imu_path.read_text().splitlines()
