@@ -7,10 +7,10 @@ and Monte-Carlo harness for verification.
 """
 
 from .align import (
-    AidFix,
     AlignmentEstimate,
     PositionIntegrationAligner,
     VelocityIntegrationAligner,
+    aid_fix,
     make_aligner,
 )
 from .errors import (
@@ -52,7 +52,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AidFix",
     "AlignmentData",
     "AlignmentEstimate",
     "DegenerateSpectrum",
@@ -72,6 +71,7 @@ __all__ = [
     "Truth",
     "VelocityIntegrationAligner",
     "accumulate",
+    "aid_fix",
     "body_rotvec",
     "double_integral_increment",
     "generate_truth",

@@ -73,40 +73,20 @@ def double_integral(x_prev, x_next, omega_in, T):
     return (a * p0 + b * n0 + c * r0, a * p1 + b * n1 + c * r1, a * p2 + b * n2 + c * r2)
 
 
-class AidFix:
-    """Aided ground velocity and curvilinear position at one time instant.
+def aid_fix(t, v, p):
+    """One aiding fix as the ``(t, v, p)`` tuple the aligners read.
 
-    ``AidFix(t, v, p)`` checks that ``t`` is a finite number and ``v`` and
-    ``p`` finite 3-vectors, and keeps them as Python floats, which is what
-    the aligners read.
-
-    Attributes
-    ----------
-    t : float
-        Time since the start of alignment (s).
-    v : tuple of 3 floats
-        Ground velocity [vN, vU, vE] (m/s).
-    p : tuple of 3 floats
-        Curvilinear position [lon, lat, h] (rad, rad, m).
+    ``t`` is the time since the start of alignment (s), ``v`` the ground
+    velocity [vN, vU, vE] (m/s) and ``p`` the curvilinear position
+    [lon, lat, h] (rad, rad, m).  ``t`` must be a finite number and ``v``
+    and ``p`` finite 3-vectors (``ValueError`` naming the argument
+    otherwise).  Returns ``t`` as a Python float and ``v`` and ``p`` as
+    3-tuples of them.
     """
-
-    __slots__ = ("t", "v", "p")
-
-    def __init__(self, t, v, p):
-        self.t = float(t)
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {t!r}")
-        self.v = as_float3(v, "v")
-        self.p = as_float3(p, "p")
-
-    @classmethod
-    def from_floats(cls, t, v, p):
-        """A fix from a float time and two float 3-tuples, taken as they are."""
-        fix = cls.__new__(cls)
-        fix.t = t
-        fix.v = v
-        fix.p = p
-        return fix
+    time = float(t)
+    if not math.isfinite(time):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return time, as_float3(v, "v"), as_float3(p, "p")
 
 
 class AlignmentEstimate:
@@ -193,22 +173,22 @@ class _AlignerBase:
     def _fold(self, interval, fix_prev, fix_next):
         """The per-interval work both forms share.
 
-        Checks the fixes, takes ``v0`` from the first one, and advances by
-        one interval ``M``, both chains and the velocity-form sums:
-        ``s_body`` of the rotated sculling increments and ``s_x`` of the
-        nav-frame single integrals of ``x = omega_ie x v - g``.  Returns the
-        prior chains and sums, the nav-frame rate and ``x`` at both ends.
+        Checks that the ``(t, v, p)`` fixes straddle one interval, takes
+        ``v0`` from the first one, and advances by one interval ``M``, both
+        chains and the velocity-form sums: ``s_body`` of the rotated
+        sculling increments and ``s_x`` of the nav-frame single integrals of
+        ``x = omega_ie x v - g``.  Returns the prior chains and sums, the
+        nav-frame rate and ``x`` at both ends.
         """
-        if not isinstance(fix_prev, AidFix) or not isinstance(fix_next, AidFix):
-            raise TypeError("fixes must be AidFix instances")
-        if abs((fix_next.t - fix_prev.t) - self.T) > 1e-6:
+        t_prev, v_prev, p_prev = fix_prev
+        t_next, v_next, _ = fix_next
+        if abs((t_next - t_prev) - self.T) > 1e-6:
             raise ValueError(
                 f"fixes must straddle one update interval of {self.T} s, "
-                f"got {fix_prev.t} -> {fix_next.t}"
+                f"got {t_prev} -> {t_next}"
             )
         T = self.T
-        v_prev = fix_prev.v
-        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, fix_prev.p)
+        omega_ie, omega_in, g_n = earth.aiding_kinematics(v_prev, p_prev)
         if self.M == 0:
             self.v0 = v_prev
         w0, w1, w2 = omega_in
@@ -220,7 +200,7 @@ class _AlignerBase:
         e0, e1, e2 = omega_ie
         g0, g1, g2 = g_n
         p0, p1, p2 = v_prev
-        n0, n1, n2 = fix_next.v
+        n0, n1, n2 = v_next
         x_prev = (e1 * p2 - e2 * p1 - g0, e2 * p0 - e0 * p2 - g1, e0 * p1 - e1 * p0 - g2)
         x_next = (e1 * n2 - e2 * n1 - g0, e2 * n0 - e0 * n2 - g1, e0 * n1 - e1 * n0 - g2)
         self.s_body = _rotate_add(s_body_prev, c_body_prev, sculling_increment(interval))
@@ -295,15 +275,16 @@ class VelocityIntegrationAligner(_AlignerBase):
 
         ``interval`` is the flat 12-tuple of floats that
         :func:`~ifalign.increments.imu_interval` builds (``dtheta1, dtheta2,
-        dv1, dv2``), and the fixes are :class:`AidFix` objects.  Returns
-        None; :meth:`estimate` solves for the attitude.
+        dv1, dv2``), and each fix the ``(t, v, p)`` tuple that
+        :func:`aid_fix` builds.  Returns None; :meth:`estimate` solves for
+        the attitude.
         """
         self._fold(interval, fix_prev, fix_next)
         self.alpha = self.s_body
         # beta = (C_nav - I) v_next + (v_next - v0) + s_x; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
         (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c_nav
-        n0, n1, n2 = fix_next.v
+        _, (n0, n1, n2), _ = fix_next
         o0, o1, o2 = self.v0
         b0, b1, b2 = self.s_x
         self.beta = (
@@ -334,8 +315,8 @@ class PositionIntegrationAligner(_AlignerBase):
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
 
-        Same semantics and error behavior as the velocity-integration
-        aligner.
+        Same arguments, semantics and error behavior as the
+        velocity-integration aligner.
         """
         c_nav_prev, c_body_prev, s_body_prev, s_x_prev, omega_in, x_prev, x_next = (
             self._fold(interval, fix_prev, fix_next)
@@ -352,8 +333,9 @@ class PositionIntegrationAligner(_AlignerBase):
             double_integral_increment(interval, T),
         )
 
+        (_, v_prev, _), (_, v_next, _) = fix_prev, fix_next
         self.u_r = r0, r1, r2 = _rotate_add(
-            self.u_r, c_nav_prev, single_integral(fix_prev.v, fix_next.v, omega_in, T)
+            self.u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
         )
         y0, y1, y2 = _rotate_add(
             self.u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as ifio
-from .align import AidFix, make_aligner
+from .align import make_aligner
 from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
 from .errors import DegenerateSpectrum, FormatError, RateMismatch
 from .increments import check_increments
@@ -33,8 +33,10 @@ class AlignmentData:
     matching row counts, finite fixes, a finite ``(N+1, 3, 3)`` truth if
     any; ``ValueError`` otherwise), and turned into what :meth:`interval`
     and :meth:`fix` hand out: per interval the flat 12-tuple of floats
-    ``dtheta1, dtheta2, dv1, dv2`` that the kernels read, per fix an
-    :class:`AidFix`.  Do not modify the arrays afterwards.
+    ``dtheta1, dtheta2, dv1, dv2`` that the kernels read, per fix the
+    tuple ``(t, v, p)`` of a float and two 3-tuples of floats that
+    :func:`~ifalign.align.aid_fix` builds.  Do not modify the arrays
+    afterwards.
     """
 
     T: float
@@ -80,7 +82,7 @@ class AlignmentData:
                     f"(N+1, 3, 3) = ({n_fixes}, 3, 3); got shape "
                     f"{self.truth_c_b_n.shape}"
                 )
-        # One flat 12-tuple per interval and one 3-tuple per fix vector,
+        # One flat 12-tuple per interval and one (t, v, p) tuple per fix,
         # zipped from the columns: no (N, 12) copy and no per-row list on the
         # way.  The cyclic collector is paused meanwhile: every object built
         # here outlives the build, so the collections its allocations would
@@ -94,11 +96,8 @@ class AlignmentData:
         gc.disable()
         try:
             self._intervals = list(zip(*columns))
-            self._fixes = list(map(
-                AidFix.from_floats,
-                self.fix_t.tolist(),
-                zip(*self.fix_v.T.tolist()),
-                zip(*self.fix_p.T.tolist()),
+            self._fixes = list(zip(
+                self.fix_t.tolist(), zip(*self.fix_v.T.tolist()), zip(*self.fix_p.T.tolist())
             ))
         finally:
             if enabled:
@@ -142,8 +141,10 @@ class AlignmentData:
         (:func:`~ifalign.io.interpolate_fixes`).  A truth log must sit on
         those endpoints, and each quaternion's norm within
         :data:`~ifalign.attitude.ROTATION_TOL` of 1.  The IMU increments
-        kept must be finite.  Each of these checks
-        raises a :class:`FormatError` (:class:`RateMismatch` and
+        kept must pass :func:`~ifalign.increments.check_increments`: an
+        increment that is not finite names its line, a rotation of 0.1 rad
+        or more over one interval the lines of its two samples.  Each of
+        these checks raises a :class:`FormatError` (:class:`RateMismatch` and
         :class:`GapError` are kinds of it) whose ``path`` is the log it is
         about.
         """
@@ -160,10 +161,6 @@ class AlignmentData:
             )
         n_updates = t_end.size // 2
         dtheta, dv = dtheta[:2 * n_updates], dv[:2 * n_updates]
-        finite = np.isfinite(dtheta).all(axis=1) & np.isfinite(dv).all(axis=1)
-        if not finite.all():
-            raise FormatError("IMU increment is not finite", path=imu_path,
-                              line=ifio.data_line(imu_path, int(np.argmin(finite))))
         fix_t = float(t_end[0] - dt) + np.arange(n_updates + 1) * T
         gps_t, gps_v, gps_p = ifio.read_gps(gps_path)
         try:
@@ -189,16 +186,22 @@ class AlignmentData:
         meta = dict(metadata or {})
         meta.setdefault("imu_path", str(imu_path))
         meta.setdefault("gps_path", str(gps_path))
-        return cls(
-            T=T,
-            dtheta=dtheta,
-            dv=dv,
-            fix_t=fix_t,
-            fix_v=fix_v,
-            fix_p=fix_p,
-            truth_c_b_n=truth_c,
-            metadata=meta,
-        )
+        try:
+            return cls(T=T, dtheta=dtheta, dv=dv, fix_t=fix_t, fix_v=fix_v, fix_p=fix_p,
+                       truth_c_b_n=truth_c, metadata=meta)
+        except ValueError as exc:
+            row = getattr(exc, "row", None)  # set by check_increments
+            if row is None:
+                raise
+            line = ifio.data_line(imu_path, row)
+            # the finiteness check runs first, so a finite row is over-rotated
+            if np.isfinite((dtheta[row], dv[row])).all():
+                raise FormatError(
+                    "angular increment exceeds 0.1 rad over the update interval of "
+                    f"this line and line {ifio.data_line(imu_path, row + 1)}",
+                    path=imu_path, line=line,
+                ) from None
+            raise FormatError("IMU increment is not finite", path=imu_path, line=line) from None
 
 
 @dataclass

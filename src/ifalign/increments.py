@@ -35,7 +35,8 @@ def check_increments(dtheta, dv):
     ValueError
         If the two are not ``(2N, 3)`` arrays of one shape, if an increment
         is not finite, or if the rotation ``|dtheta1 + dtheta2|`` of an
-        interval reaches 0.1 rad.
+        interval reaches 0.1 rad.  In the last two cases its ``row`` is the
+        offending sample row, for a rotation the interval's first.
     """
     dtheta = np.asarray(dtheta, dtype=float)
     dv = np.asarray(dv, dtype=float)
@@ -45,17 +46,23 @@ def check_increments(dtheta, dv):
         )
     finite = np.isfinite(dtheta).all(axis=1) & np.isfinite(dv).all(axis=1)
     if not finite.all():
-        raise ValueError(
-            f"increments must be finite (row {np.argmin(finite)} is not)"
-        )
+        row = int(np.argmin(finite))
+        raise _row_error(f"increments must be finite (row {row} is not)", row)
     angle = dtheta[0::2] + dtheta[1::2]
     too_large = np.sum(angle * angle, axis=1) >= _CONING_BOUND ** 2
     if too_large.any():
-        raise ValueError(
-            "angular increment exceeds 0.1 rad over one update interval "
-            f"(interval {np.argmax(too_large)})"
+        k = int(np.argmax(too_large))
+        raise _row_error(
+            f"angular increment exceeds 0.1 rad over one update interval (interval {k})", 2 * k
         )
     return dtheta, dv
+
+
+def _row_error(message, row):
+    """A ``ValueError`` whose ``row`` names the IMU sample row at fault."""
+    error = ValueError(message)
+    error.row = row
+    return error
 
 
 def as_float3(value, name):

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifalign.align import (
-    AidFix,
     PositionIntegrationAligner,
     VelocityIntegrationAligner,
+    aid_fix,
     double_integral,
     make_aligner,
     single_integral,
@@ -123,10 +123,11 @@ class _NumpyVectorAligner:
         from ifalign.quest import pair_operator
 
         T = self.T
-        v_prev, v_next = np.array(fix_prev.v), np.array(fix_next.v)
+        (_, v_prev, p_prev), (_, v_next, _) = fix_prev, fix_next
+        v_prev, v_next = np.array(v_prev), np.array(v_next)
         if self.v0 is None:
             self.v0 = v_prev
-        omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(v_prev, fix_prev.p))
+        omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(v_prev, p_prev))
         c_nav_prev, c_body_prev = self.c_nav, self.c_body
         self.c_nav = c_nav_prev @ rotvec_to_dcm(T * omega_in)
         self.c_body = c_body_prev @ rotvec_to_dcm(np.array(body_rotvec(interval)))
@@ -200,7 +201,7 @@ class TestVifBetaRounding:
         for k in range(5):
             al.update(short_data.interval(k), short_data.fix(k), short_data.fix(k + 1))
             c = al.c_nav
-            v_next = short_data.fix(k + 1).v
+            _, v_next, _ = short_data.fix(k + 1)
             v0, partial = al.v0, al.s_x
             exact = [
                 sum((Fraction(c[i][j]) * Fraction(v_next[j]) for j in range(3)), Fraction(0))
@@ -281,7 +282,7 @@ class TestFloatKernels:
 class TestGuards:
     def test_fix_spacing_checked(self, short_data):
         al = make_aligner("vif", short_data.T)
-        bad = AidFix(t=0.5, v=short_data.fix_v[1], p=short_data.fix_p[1])
+        bad = aid_fix(t=0.5, v=short_data.fix_v[1], p=short_data.fix_p[1])
         with pytest.raises(ValueError):
             al.update(short_data.interval(0), short_data.fix(0), bad)
 
@@ -289,7 +290,7 @@ class TestGuards:
         from ifalign.errors import PolarSingularity
 
         al = make_aligner("vif", short_data.T)
-        polar = AidFix(
+        polar = aid_fix(
             t=short_data.fix_t[0],
             v=short_data.fix_v[0],
             p=np.array([0.0, math.pi / 2.0, 0.0]),
@@ -307,7 +308,16 @@ class TestGuards:
         else:
             args[field][1] = bad
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            AidFix(**args)
+            aid_fix(**args)
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("v", [1.0, 2.0], r"^v must be three numbers, got shape \(2,\)"),
+        ("p", [[1.0, 2.0], [3.0]], "^p must be three numbers, got a ragged sequence"),
+    ])
+    def test_fix_vectors_must_be_3_vectors(self, field, bad, message, short_data):
+        args = {"t": 0.0, "v": short_data.fix_v[0], "p": short_data.fix_p[0], field: bad}
+        with pytest.raises(ValueError, match=message):
+            aid_fix(**args)
 
     def test_update_folds_and_estimate_raises_until_observable(self, short_data):
         al = make_aligner("vif", short_data.T)
@@ -400,8 +410,8 @@ class TestManeuveringRun:
         for k in range(200):
             iv = short_data.interval(k)
             f0, f1 = short_data.fix(k), short_data.fix(k + 1)
-            shifted0 = AidFix(t=f0.t + 7.5, v=f0.v, p=f0.p)
-            shifted1 = AidFix(t=f1.t + 7.5, v=f1.v, p=f1.p)
+            shifted0 = aid_fix(f0[0] + 7.5, *f0[1:])
+            shifted1 = aid_fix(f1[0] + 7.5, *f1[1:])
             a1.update(iv, f0, f1)
             a2.update(iv, shifted0, shifted1)
         np.testing.assert_array_equal(a1.estimate().q, a2.estimate().q)
@@ -472,8 +482,8 @@ class TestPifPrefixSums:
         u_r_hist = []
         for k in range(n):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
-            v0, v1 = np.array(f0.v), np.array(f1.v)
-            omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(f0.v, f0.p))
+            v0, v1 = np.array(f0[1]), np.array(f1[1])
+            omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(f0[1], f0[2]))
             c_body_hist.append(np.array(al.c_body))
             c_nav_hist.append(np.array(al.c_nav))
             scull_hist.append(sculling_increment(iv))
@@ -596,7 +606,7 @@ class TestInitialVelocity:
         stride = 50
         dv = np.array([0.3, -0.2, 0.25])
         f0 = short_data.fix(0)
-        first = {"base": f0, "shifted": AidFix(t=f0.t, v=f0.v + dv, p=f0.p)}
+        first = {"base": f0, "shifted": aid_fix(f0[0], f0[1] + dv, f0[2])}
         aligners = {tag: make_aligner("vif", short_data.T) for tag in first}
         worst, solved = 0.0, 0
         for k in range(short_data.n_updates):
@@ -619,7 +629,7 @@ class TestInitialVelocity:
         f0 = short_data.fix(0)
         for dv in (np.zeros(3), np.array([0.3, -0.2, 0.25])):
             al = make_aligner(method, short_data.T)
-            al.update(short_data.interval(0), AidFix(t=f0.t, v=f0.v + dv, p=f0.p),
+            al.update(short_data.interval(0), aid_fix(f0[0], f0[1] + dv, f0[2]),
                       short_data.fix(1))
             with pytest.raises(DegenerateSpectrum):
                 al.estimate()

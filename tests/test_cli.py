@@ -66,6 +66,8 @@ BAD_INPUTS = [
      "IMU sample period 0.01 s is incompatible with update interval 0.04 s"),
     ("config-key", "bad.yaml", "unknown key scenario.durationn_s"),
     ("nan-imu", "imu.csv", "line 501: IMU increment is not finite"),
+    ("rotation-too-large", "imu.csv", "line 300: angular increment exceeds 0.1 rad over "
+     "the update interval of this line and line 301"),
     ("nan-truth-quaternion", "truth.csv", "quaternion at t=2 s has norm nan, not 1"),
 ]
 
@@ -122,11 +124,14 @@ class TestAlignVerb:
             argv += ["--truth", str(logs / "truth.csv")]
         elif case == "interval":
             argv += ["--interval", "0.04"]
-        elif case == "nan-imu":
+        elif case in ("nan-imu", "rotation-too-large"):
             lines = (logs / "imu.csv").read_text().splitlines()
-            fields = lines[500].split(",")  # line 501
-            fields[2] = "nan"  # dtheta_y
-            lines[500] = ",".join(fields)
+            # dtheta_y on line 501, or on line 301, the second sample of the
+            # interval of lines 300 and 301
+            i, value = (500, "nan") if case == "nan-imu" else (300, "0.2")
+            fields = lines[i].split(",")
+            fields[2] = value
+            lines[i] = ",".join(fields)
             (logs / "imu.csv").write_text("\n".join(lines) + "\n")
         elif case == "nan-truth-quaternion":
             t_truth, q, v_truth, p_truth = ifio.read_truth(logs / "truth.csv")

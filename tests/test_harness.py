@@ -314,17 +314,23 @@ class TestAlignmentDataValidation:
                     fix_t=fix_t, fix_v=fix_v, fix_p=fix_p)
 
     def test_valid_rows_become_intervals_and_fixes(self, short_truth):
+        from ifalign.align import aid_fix
         from ifalign.increments import (
             body_rotvec, double_integral_increment, imu_interval, sculling_increment,
         )
 
         data = AlignmentData(**self.arrays(short_truth))
-        k = 37
-        fix = data.fix(k)
-        for got, row in ((fix.v, data.fix_v[k]), (fix.p, data.fix_p[k])):
-            assert got == tuple(row.tolist())
-            assert all(type(x) is float for x in got)
-        assert fix.t == data.fix_t[k]
+        # every fix is (t, v, p): a float and two 3-tuples of floats equal
+        # to its rows, as aid_fix builds it from them
+        for k in range(data.n_updates + 1):
+            fix = data.fix(k)
+            assert type(fix) is tuple and len(fix) == 3
+            t, v, p = fix
+            assert type(t) is float and t == data.fix_t[k]
+            for got, row in ((v, data.fix_v[k]), (p, data.fix_p[k])):
+                assert type(got) is tuple and got == tuple(row.tolist())
+                assert all(type(x) is float for x in got)
+            assert aid_fix(data.fix_t[k], data.fix_v[k], data.fix_p[k]) == fix
         # every interval is its four rows as one flat 12-tuple of floats,
         # and the kernels read it as they read one built from the vectors
         for k in range(data.n_updates):
@@ -394,10 +400,12 @@ class TestAlignmentDataValidation:
         t_end = (np.arange(dtheta.shape[0]) + 1) * short_truth.cfg.sample_dt
         ifio.write_imu(tmp_path / "imu.csv", t_end, dtheta, dv)
         ifio.write_gps(tmp_path / "gps.csv", *gps_fixes(short_truth))
-        # a NaN names the IMU log and its file line: row 333 is line 335
-        error, match = ((FormatError, r"imu\.csv: line 335: IMU increment is not finite$")
-                        if case == "nan_dtheta" else (ValueError, "0.1 rad"))
-        with pytest.raises(error, match=match):
+        # each names the IMU log and its file lines: row 333 is line 335, and
+        # the interval of rows 332 and 333 is lines 334 and 335
+        match = (r"imu\.csv: line 335: IMU increment is not finite$" if case == "nan_dtheta"
+                 else r"imu\.csv: line 334: angular increment exceeds 0\.1 rad over the "
+                 r"update interval of this line and line 335$")
+        with pytest.raises(FormatError, match=match):
             AlignmentData.from_logs(
                 tmp_path / "imu.csv", tmp_path / "gps.csv",
                 short_truth.cfg.update_interval_s,
@@ -487,12 +495,13 @@ class TestQuietBuild:
             (gc.enable if was else gc.disable)()
 
     def test_collector_state_restored_after_a_failed_build(self, arrays, monkeypatch):
-        from ifalign.align import AidFix
+        from ifalign import harness
 
-        def broken(t, v, p):
+        def broken(*columns):
             raise RuntimeError("build failed")
 
-        monkeypatch.setattr(AidFix, "from_floats", broken)
+        # the paused block zips the intervals and fixes from the columns
+        monkeypatch.setattr(harness, "zip", broken, raising=False)
         assert gc.isenabled()
         with pytest.raises(RuntimeError):
             AlignmentData(**arrays)

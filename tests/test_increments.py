@@ -9,6 +9,7 @@ from ifalign import oracle
 from ifalign.attitude import cross3, rotation_angle, rotvec_to_dcm
 from ifalign.increments import (
     body_rotvec,
+    check_increments,
     double_integral_increment,
     imu_interval,
     sculling_increment,
@@ -102,6 +103,24 @@ class TestImuInterval:
             imu_interval([0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=r"^dv2 must be three numbers"):
             imu_interval(np.zeros(3), np.zeros(3), np.zeros(3), [0.0, [0.0], 0.0])
+
+
+class TestCheckIncrements:
+    @pytest.mark.parametrize("case, row, message", [
+        ("nan-dv", 5, "finite"), ("inf-dtheta", 2, "finite"), ("rotation", 6, "0.1 rad"),
+    ])
+    def test_error_names_the_sample_row(self, case, row, message):
+        # for a rotation the row is the interval's first sample
+        dtheta, dv = np.full((10, 3), 1e-3), np.full((10, 3), 0.1)
+        if case == "nan-dv":
+            dv[5, 1] = np.nan
+        elif case == "inf-dtheta":
+            dtheta[2, 0] = np.inf
+        else:
+            dtheta[7] = [0.0, 0.0, 0.1]
+        with pytest.raises(ValueError, match=message) as err:
+            check_increments(dtheta, dv)
+        assert err.value.row == row
 
 
 class TestSculling:
