@@ -31,17 +31,19 @@ from .quest import accumulate, optimal_quaternion, pair_gram
 
 
 # The per-update path runs on Python floats (see attitude.as_floats):
-# running vectors are 3-tuples, the chains and K nested tuples.
+# running vectors are 3-tuples, and the chains and K flat row-major tuples
+# of 9 and 16 floats.
 
 def _rotate_add(a, c, v):
-    """``a + c @ v`` for a 3x3 matrix ``c`` given as nested sequences.
+    """``a + c @ v`` for a 3x3 matrix ``c`` given as a flat row-major
+    9-sequence.
 
     The product is summed before ``a`` is added, so it rounds as the two
     steps ``c @ v`` and ``a + (c @ v)`` do.
     """
     a0, a1, a2 = a
     x, y, z = v
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
     return (
         a0 + (c00 * x + c01 * y + c02 * z),
         a1 + (c10 * x + c11 * y + c12 * z),
@@ -94,10 +96,10 @@ class AlignmentEstimate:
 
     ``q`` encodes the estimated constant attitude at t=0,
     ``quat_to_dcm(q) = C_b^n(0)``; ``c_b_n`` is the estimated body-to-nav
-    matrix at the current time, as nested 3-tuples of floats (what
+    matrix at the current time, as a flat row-major 9-tuple of floats (what
     :func:`ifalign.attitude.compose_attitude` returns), composed on each
-    read from the chains at the time of the estimate (nested float tuples,
-    the nav chain transposed once here) and the DCM of ``q``;
+    read from the chains at the time of the estimate (flat 9-tuples, the
+    nav chain transposed once here) and the entries of the DCM of ``q``;
     ``lambda_min`` is the smallest eigenvalue of the solved matrix, a
     residual-energy figure of merit.
     """
@@ -108,10 +110,9 @@ class AlignmentEstimate:
         self.t = t
         self.q = q
         self.lambda_min = lambda_min
-        c = quat_dcm_entries(*q.tolist())
-        (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = c_nav
-        self._c_nav_t = ((n00, n10, n20), (n01, n11, n21), (n02, n12, n22))
-        self._c_q = (c[0:3], c[3:6], c[6:9])
+        n00, n01, n02, n10, n11, n12, n20, n21, n22 = c_nav
+        self._c_nav_t = (n00, n10, n20, n01, n11, n21, n02, n12, n22)
+        self._c_q = quat_dcm_entries(*q.tolist())
         self._c_body = c_body
 
     @property
@@ -126,8 +127,8 @@ class AlignmentEstimate:
 
 
 _ZERO3 = (0.0, 0.0, 0.0)
-_ZERO_4X4 = ((0.0,) * 4,) * 4
-_EYE3 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_ZERO_4X4 = (0.0,) * 16
+_EYE3 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 class _AlignerBase:
@@ -137,8 +138,8 @@ class _AlignerBase:
     the state for the attitude.  The state is public and lives on Python
     floats: the running vectors (``alpha``, ``beta``, ``v0``, ``w_alpha``,
     ``w_beta``, the sums ``s_body`` and ``s_x`` and ``pif``'s own) are
-    3-tuples, the chains ``c_nav`` and ``c_body`` nested 3x3 tuples, ``K`` a
-    nested 4x4 tuple and ``w_sq`` a float.
+    3-tuples, the chains ``c_nav`` and ``c_body`` flat row-major 9-tuples,
+    ``K`` a flat row-major 16-tuple and ``w_sq`` a float.
 
     ``beta`` carries the initial velocity, which only the first (noisy)
     fix gives: as a constant in ``vif`` and a ramp in time in ``pif``.  So
@@ -220,30 +221,25 @@ class _AlignerBase:
         self.w_sq += w * w
 
     def solved_matrix(self):
-        """``K`` with the initial-velocity correction minimized out, as
-        nested 4-tuples of floats."""
+        """``K`` with the initial-velocity correction minimized out, as a
+        flat row-major 16-tuple of floats, each off-diagonal entry computed
+        once and placed at both of its positions."""
         if self.M < 2:
             # a single pair is absorbed entirely by the velocity correction;
             # the subtraction below would leave only rounding noise
             return _ZERO_4X4
+        k00, k01, k02, k03, _, k11, k12, k13, _, _, k22, k23, _, _, _, k33 = self.K
         (
-            (k00, k01, k02, k03),
-            (k10, k11, k12, k13),
-            (k20, k21, k22, k23),
-            (k30, k31, k32, k33),
-        ) = self.K
-        (
-            (g00, g01, g02, g03),
-            (g10, g11, g12, g13),
-            (g20, g21, g22, g23),
-            (g30, g31, g32, g33),
+            g00, g01, g02, g03, _, g11, g12, g13, _, _, g22, g23, _, _, _, g33
         ) = pair_gram(self.w_alpha, self.w_beta)
         w_sq = self.w_sq
+        m01, m02, m03 = k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq
+        m12, m13, m23 = k12 - g12 / w_sq, k13 - g13 / w_sq, k23 - g23 / w_sq
         return (
-            (k00 - g00 / w_sq, k01 - g01 / w_sq, k02 - g02 / w_sq, k03 - g03 / w_sq),
-            (k10 - g10 / w_sq, k11 - g11 / w_sq, k12 - g12 / w_sq, k13 - g13 / w_sq),
-            (k20 - g20 / w_sq, k21 - g21 / w_sq, k22 - g22 / w_sq, k23 - g23 / w_sq),
-            (k30 - g30 / w_sq, k31 - g31 / w_sq, k32 - g32 / w_sq, k33 - g33 / w_sq),
+            k00 - g00 / w_sq, m01, m02, m03,
+            m01, k11 - g11 / w_sq, m12, m13,
+            m02, m12, k22 - g22 / w_sq, m23,
+            m03, m13, m23, k33 - g33 / w_sq,
         )
 
     def estimate(self):
@@ -283,7 +279,7 @@ class VelocityIntegrationAligner(_AlignerBase):
         self.alpha = self.s_body
         # beta = (C_nav - I) v_next + (v_next - v0) + s_x; the plain
         # C_nav v_next - v0 cancels two vectors of the vehicle's speed
-        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = self.c_nav
+        c00, c01, c02, c10, c11, c12, c20, c21, c22 = self.c_nav
         _, (n0, n1, n2), _ = fix_next
         o0, o1, o2 = self.v0
         b0, b1, b2 = self.s_x

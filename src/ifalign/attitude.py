@@ -26,13 +26,18 @@ ROTATION_TOL = 1e-6  # allowed error of a DCM's C^T C and det, and of a quaterni
 
 
 def as_floats(value):
-    """An array as (nested) lists of Python floats; any other sequence as is.
+    """An array as a flat row-major list of Python floats; any other
+    sequence as is.
 
-    The per-update and report-row paths work on Python floats: for 3x3 and
-    4x4 objects, arithmetic on them costs several times less than numpy
-    calls and rounds the same.
+    The per-update and report-row paths work on Python floats, and hold a
+    3x3 or 4x4 matrix as its flat row-major tuple of 9 or 16 of them (the
+    layout :func:`quat_dcm_entries` returns): for such small objects,
+    arithmetic on floats costs several times less than numpy calls and
+    rounds the same.  The row-level entries (:func:`compose_attitude`,
+    :func:`dcm_to_euler`, :func:`ifalign.quest.optimal_quaternion`) call
+    it once, so they also take a ``(3, 3)`` or ``(4, 4)`` array.
     """
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return value.ravel().tolist() if isinstance(value, np.ndarray) else value
 
 
 def cross_floats(a, b):
@@ -43,20 +48,20 @@ def cross_floats(a, b):
 
 
 def matmul3(a, b):
-    """Product of two 3x3 matrices given as nested float sequences, as
-    nested 3-tuples."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    """Product of two 3x3 matrices given as flat row-major 9-sequences of
+    floats, as a flat 9-tuple."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
     return (
-        (a00 * b00 + a01 * b10 + a02 * b20,
-         a00 * b01 + a01 * b11 + a02 * b21,
-         a00 * b02 + a01 * b12 + a02 * b22),
-        (a10 * b00 + a11 * b10 + a12 * b20,
-         a10 * b01 + a11 * b11 + a12 * b21,
-         a10 * b02 + a11 * b12 + a12 * b22),
-        (a20 * b00 + a21 * b10 + a22 * b20,
-         a20 * b01 + a21 * b11 + a22 * b21,
-         a20 * b02 + a21 * b12 + a22 * b22),
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
     )
 
 
@@ -68,13 +73,12 @@ def cross3(a, b):
 def rotvec_to_dcm(phi):
     """Rodrigues formula mapping a rotation vector to a DCM.
 
-    ``phi`` is a 3-vector array or a 3-sequence of Python floats; the DCM
-    comes back as nested 3-tuples of floats.  For
-    ``|phi| < 1e-7`` the sin/cos coefficients are replaced by their
-    two-term series so the 0/0 limit is exact; the two branches agree to
-    1e-14 at the switch point.
+    ``phi`` is a 3-sequence of Python floats; the DCM comes back as its
+    flat row-major 9-tuple of floats.  For ``|phi| < 1e-7`` the sin/cos
+    coefficients are replaced by their two-term series so the 0/0 limit is
+    exact; the two branches agree to 1e-14 at the switch point.
     """
-    x, y, z = as_floats(phi)
+    x, y, z = phi
     angle2 = x * x + y * y + z * z
     if angle2 < _SMALL_ANGLE ** 2:
         a = 1.0 - angle2 / 6.0
@@ -88,9 +92,9 @@ def rotvec_to_dcm(phi):
     bxz = b * x * z
     byz = b * y * z
     return (
-        (1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y),
-        (bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x),
-        (bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)),
+        1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+        bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+        bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
     )
 
 
@@ -281,16 +285,17 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
     """Current body-to-nav attitude from the two chains and the initial attitude.
 
     ``C_b^n(t) = C_n0^nt @ C_b^n(0) @ C_bt^b0``, computed on Python floats
-    (each factor an array or nested float sequences) and returned as nested
-    3-tuples of floats; wrap it in ``np.array`` where an array is needed.
-    The product is repaired by symmetric orthogonalization (on numpy) only
-    if orthonormality drift ``max|C^T C - I|`` exceeds 1e-9, so accumulation
-    bugs stay visible in tests.
+    (each factor a ``(3, 3)`` array or a flat row-major 9-sequence of
+    floats) and returned as a flat row-major 9-tuple of floats; reshape it
+    to ``(3, 3)`` where an array is needed.  The product is repaired by
+    symmetric orthogonalization (on numpy) only if orthonormality drift
+    ``max|C^T C - I|`` exceeds 1e-9, so accumulation bugs stay visible in
+    tests.
     """
     c = matmul3(
         matmul3(as_floats(c_n0_to_nt), as_floats(c_b_to_n0)), as_floats(c_bt_to_b0)
     )
-    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
     drift = max(
         abs(c00 * c00 + c10 * c10 + c20 * c20 - 1.0),
         abs(c01 * c01 + c11 * c11 + c21 * c21 - 1.0),
@@ -300,7 +305,7 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
         abs(c01 * c02 + c11 * c12 + c21 * c22),
     )
     if drift > _REPAIR_TOL:
-        return tuple(map(tuple, orthonormalize(np.array(c)).tolist()))
+        return tuple(orthonormalize(np.reshape(c, (3, 3))).ravel().tolist())
     return c
 
 
@@ -334,13 +339,14 @@ def _euler_dcm_trig(angles):
 
 
 def dcm_to_euler(dcm):
-    """(roll, pitch, yaw) of a body-to-nav DCM (an array or nested float
-    sequences), computed on Python floats and returned as a 3-tuple of them.
+    """(roll, pitch, yaw) of a body-to-nav DCM (a ``(3, 3)`` array or a flat
+    row-major 9-sequence of floats), computed on Python floats and returned
+    as a 3-tuple of them.
 
     Emits :class:`GimbalProximityWarning` (never fails) when pitch is within
     1e-6 rad of +-90 deg, where the roll/yaw split degenerates.
     """
-    (c00, _, _), (c10, c11, c12), (c20, _, _) = as_floats(dcm)
+    c00, _, _, c10, c11, c12, c20, _, _ = as_floats(dcm)
     pitch = math.asin(min(1.0, max(-1.0, c10)))
     if abs(pitch) > math.pi / 2.0 - 1e-6:
         warnings.warn(

@@ -6,12 +6,12 @@ position is the 3-vector ``p = [lon, lat, h]`` in radians/meters, ground
 velocity the 3-vector ``v = [vN, vU, vE]`` in m/s.
 
 Each formula (curvature radii, normal gravity, earth rate, transport rate)
-is written once, component-wise, in ``_radii`` and ``_local_level``.  The
-per-update path calls them on Python floats through
+is written once, component-wise, in ``_radii``, ``_earth_rate`` and
+``_local_level``.  The per-update path calls them on Python floats through
 :func:`aiding_kinematics`, which takes one fix and returns tuples of
-floats.  :func:`kinematics_n` and :func:`curvilinear_rate` call them on
-numpy columns and broadcast over leading dimensions: their arguments may
-be ``(3,)`` or ``(..., 3)``.
+floats.  :func:`kinematics_n`, :func:`earth_rate_n` and
+:func:`curvilinear_rate` call them on numpy columns and broadcast over
+leading dimensions: their arguments may be ``(3,)`` or ``(..., 3)``.
 """
 
 import math
@@ -43,6 +43,11 @@ def _radii(sin2):
     return r_n, SEMI_MAJOR_AXIS / root_t, root_t
 
 
+def _earth_rate(sin_lat, cos_lat):
+    """The earth rate as a North-Up-East 3-tuple of components."""
+    return EARTH_RATE * cos_lat, EARTH_RATE * sin_lat, 0.0
+
+
 def _local_level(sin_lat, cos_lat, h, v_n, v_e):
     """Normal gravity, earth rate and inertial rate.
 
@@ -54,12 +59,12 @@ def _local_level(sin_lat, cos_lat, h, v_n, v_e):
     sin2 = sin_lat * sin_lat
     r_n, r_e, root_t = _radii(sin2)
     g = GRAVITY_EQUATOR * (1.0 + SOMIGLIANA_K * sin2) / root_t - FREE_AIR_GRADIENT * h
-    ie_n = EARTH_RATE * cos_lat
-    ie_u = EARTH_RATE * sin_lat
+    omega_ie = _earth_rate(sin_lat, cos_lat)
+    ie_n, ie_u, _ = omega_ie
     en_n = v_e / (r_e + h)
     en_u = v_e * (sin_lat / cos_lat) / (r_e + h)
     en_e = -v_n / (r_n + h)
-    return g, (ie_n, ie_u, 0.0), (ie_n + en_n, ie_u + en_u, en_e)
+    return g, omega_ie, (ie_n + en_n, ie_u + en_u, en_e)
 
 
 def _off_pole(p):
@@ -102,6 +107,13 @@ def kinematics_n(v, p):
     v = np.asarray(v, dtype=float)
     g, omega_ie, omega_in = _local_level(*_off_pole(p), v[..., 0], v[..., 2])
     return _stack(omega_ie), _stack(omega_in), _stack((0.0, -g, 0.0))
+
+
+def earth_rate_n(p):
+    """Earth rate at positions ``p`` as a ``(..., 3)`` array: the earth-rate
+    column of :func:`kinematics_n`, without the others."""
+    sin_lat, cos_lat, _ = _off_pole(p)
+    return _stack(_earth_rate(sin_lat, cos_lat))
 
 
 def aiding_kinematics(v, p):

@@ -265,8 +265,9 @@ def _solve_precision(eigenvalues):
 
 def _attitude_error(c_est, c_true_t):
     """Roll/pitch/yaw (rad) of ``c_est @ c_true.T`` as a float 3-tuple, from
-    the nested floats of ``c_est`` and of the transposed truth.  ``matmul3``
-    may round the product differently from numpy's ``@`` in the last bits."""
+    the flat row-major 9-sequences of ``c_est`` and of the transposed truth.
+    ``matmul3`` may round the product differently from numpy's ``@`` in the
+    last bits."""
     return dcm_to_euler(matmul3(c_est, c_true_t))
 
 
@@ -297,8 +298,12 @@ def run_alignment(data, method, report_interval_s=1.0):
     aligner = make_aligner(method, T=data.T)
 
     # Each row is appended to a list as a float 3-tuple (NaN while
-    # degenerate); the (R, 3) arrays are built once at the end.
-    truth_t = None if data.truth_c_b_n is None else data.truth_c_b_n.transpose(0, 2, 1)
+    # degenerate); the (R, 3) arrays are built once at the end.  Row r
+    # reads the fix after update k = (r + 1) * stride - 1, so r = k // stride.
+    rows = slice(stride, n_rows * stride + 1, stride)
+    truth_t = None if data.truth_c_b_n is None else (
+        data.truth_c_b_n[rows].transpose(0, 2, 1).reshape(n_rows, 9)
+    )
     est_rows, err_rows, degenerate = [], [], []
 
     for k in range(n_updates):
@@ -315,16 +320,16 @@ def run_alignment(data, method, report_interval_s=1.0):
         degenerate.append(False)
         est_rows.append(dcm_to_euler(estimate.c_b_n))
         if truth_t is not None:
-            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k + 1].tolist()))
+            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k // stride].tolist()))
 
     meta = dict(data.metadata, method=method)
     return RunReport(
         method=method,
-        t=data.fix_t[stride:n_rows * stride + 1:stride].copy(),
+        t=data.fix_t[rows].copy(),
         est_deg=np.array(est_rows) * RAD2DEG,
         err_deg=np.array(err_rows) * RAD2DEG if truth_t is not None else None,
         degenerate=np.array(degenerate),
-        k_eigenvalues=np.linalg.eigvalsh(aligner.solved_matrix()),
+        k_eigenvalues=np.linalg.eigvalsh(np.reshape(aligner.solved_matrix(), (4, 4))),
         metadata=meta,
     )
 

@@ -6,6 +6,8 @@ contributes a positive-semidefinite 4x4 increment ``B^T B`` with
 ``q^T K q`` over unit quaternions is the eigenvector of the accumulated K
 belonging to its smallest eigenvalue (Davenport's q-method), and
 :func:`ifalign.attitude.quat_to_dcm` of it is the ``C_b^n(0)`` of the pairs.
+``K`` and each increment are flat row-major 16-tuples of Python floats,
+and only the solve builds a 4x4 array.
 
 The eigen-solve calls ``numpy.linalg._umath_linalg.eigh_lo``, the LAPACK
 gufunc that ``numpy.linalg.eigh`` runs for real input with ``UPLO='L'``, on
@@ -22,7 +24,6 @@ shows only as NaN eigenvalues, which :func:`optimal_quaternion` turns into
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
@@ -52,8 +53,9 @@ def pair_gram(alpha, beta):
 
     With ``d = beta - alpha`` and ``s = beta + alpha`` it is
     ``[[d.d, (d x s)^T], [d x s, d d^T + (s.s) I - s s^T]]``: ten distinct
-    entries, computed on Python floats, so the result is exactly symmetric.
-    Returned as nested 4-tuples of floats.
+    entries, computed on Python floats and each placed at both of its
+    positions, so the result is exactly symmetric.  Returned as the flat
+    row-major 16-tuple of floats.
     """
     a0, a1, a2 = alpha
     b0, b1, b2 = beta
@@ -62,42 +64,43 @@ def pair_gram(alpha, beta):
     x0, x1, x2 = d1 * s2 - d2 * s1, d2 * s0 - d0 * s2, d0 * s1 - d1 * s0
     k12, k13, k23 = d0 * d1 - s0 * s1, d0 * d2 - s0 * s2, d1 * d2 - s1 * s2
     return (
-        (d0 * d0 + d1 * d1 + d2 * d2, x0, x1, x2),
-        (x0, d0 * d0 + s1 * s1 + s2 * s2, k12, k13),
-        (x1, k12, d1 * d1 + s0 * s0 + s2 * s2, k23),
-        (x2, k13, k23, d2 * d2 + s0 * s0 + s1 * s1),
+        d0 * d0 + d1 * d1 + d2 * d2, x0, x1, x2,
+        x0, d0 * d0 + s1 * s1 + s2 * s2, k12, k13,
+        x1, k12, d1 * d1 + s0 * s0 + s2 * s2, k23,
+        x2, k13, k23, d2 * d2 + s0 * s0 + s1 * s1,
     )
 
 
 def accumulate(K, alpha, beta):
-    """Add one vector pair to the 4x4 accumulator ``K`` (an array or nested
-    float sequences); returns the new matrix as nested 4-tuples of floats."""
+    """Add one vector pair to the 4x4 accumulator ``K``, a flat row-major
+    16-sequence of floats; returns the new matrix as a flat 16-tuple."""
     (
-        (k00, k01, k02, k03),
-        (k10, k11, k12, k13),
-        (k20, k21, k22, k23),
-        (k30, k31, k32, k33),
-    ) = as_floats(K)
+        k00, k01, k02, k03,
+        k10, k11, k12, k13,
+        k20, k21, k22, k23,
+        k30, k31, k32, k33,
+    ) = K
     (
-        (g00, g01, g02, g03),
-        (g10, g11, g12, g13),
-        (g20, g21, g22, g23),
-        (g30, g31, g32, g33),
+        g00, g01, g02, g03,
+        g10, g11, g12, g13,
+        g20, g21, g22, g23,
+        g30, g31, g32, g33,
     ) = pair_gram(alpha, beta)
     return (
-        (k00 + g00, k01 + g01, k02 + g02, k03 + g03),
-        (k10 + g10, k11 + g11, k12 + g12, k13 + g13),
-        (k20 + g20, k21 + g21, k22 + g22, k23 + g23),
-        (k30 + g30, k31 + g31, k32 + g32, k33 + g33),
+        k00 + g00, k01 + g01, k02 + g02, k03 + g03,
+        k10 + g10, k11 + g11, k12 + g12, k13 + g13,
+        k20 + g20, k21 + g21, k22 + g22, k23 + g23,
+        k30 + g30, k31 + g31, k32 + g32, k33 + g33,
     )
 
 
 def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
-    ``K`` is an array or nested float sequences.  Returns ``(q, lambda_min)``
-    with canonical sign.  Only the eigen-solve itself runs in numpy, on one
-    float64 array built from ``K``'s floats, through LAPACK's symmetric
+    ``K`` is a flat row-major 16-sequence of floats or a ``(4, 4)`` array.
+    Returns ``(q, lambda_min)`` with canonical sign.  Only the eigen-solve
+    itself runs in numpy, on one float64 array built from ``K``'s 16
+    floats and reshaped to 4x4, through LAPACK's symmetric
     eigensolver gufunc (``eigh_lo``, see the module docstring): its
     eigenvalues and the chosen eigenvector are read out with one
     ``tolist()`` each, and the sign and norm are set on Python floats.
@@ -114,10 +117,9 @@ def optimal_quaternion(K):
         (lexicographically smallest canonical eigenvector among the tied
         eigenvalues) so callers can still log a reproducible value.
     """
-    rows = as_floats(K)
-    (k00, _, _, _), (_, k11, _, _), (_, _, k22, _), (_, _, _, k33) = rows
-    trace = k00 + k11 + k22 + k33
-    w, v = _eigh_lo(np.fromiter(chain.from_iterable(rows), np.float64, 16).reshape(4, 4))
+    K = as_floats(K)
+    trace = K[0] + K[5] + K[10] + K[15]
+    w, v = _eigh_lo(np.fromiter(K, np.float64, 16).reshape(4, 4))
     w = w.tolist()
     if not all(map(math.isfinite, w)):
         raise np.linalg.LinAlgError(

@@ -382,7 +382,7 @@ def _lever_arm_offsets(truth, idx, lever):
     """Nav-frame position offset and velocity offset ``C (omega_eb x l)`` of
     the GPS antenna, with ``omega_eb = omega_ib - C^T omega_ie``."""
     c_b_n = truth.c_b_n[idx]
-    omega_ie = earth.kinematics_n(truth.v[idx], truth.p[idx])[0]
+    omega_ie = earth.earth_rate_n(truth.p[idx])
     arm_n = np.einsum("nij,j->ni", c_b_n, lever)
     omega_eb_b = truth.omega_ib_b[idx] - np.einsum("nji,nj->ni", c_b_n, omega_ie)
     vel_off = np.einsum("nij,nj->ni", c_b_n, np.cross(omega_eb_b, lever))

@@ -294,13 +294,14 @@ class TestCriterion6EigenSolver:
         checked = 0
         worst = 0.0
         while checked < 10 ** 4:
-            K = np.zeros((4, 4))
+            K = (0.0,) * 16
             for _ in range(int(rng.integers(2, 6))):
                 K = accumulate(K, rng.standard_normal(3), rng.standard_normal(3))
             try:
                 q, lam = optimal_quaternion(K)
             except DegenerateSpectrum:
                 continue
+            K = np.reshape(K, (4, 4))
             r = np.linalg.norm(K @ q - lam * q)
             bound = 1e-10 * max(1.0, np.trace(K))
             worst = max(worst, r / bound)
@@ -316,11 +317,11 @@ class TestCriterion6EigenSolver:
         worst = 0.0
         for _ in range(200):
             phi = rng.uniform(-2.5, 2.5, 3)
-            c_b_n0 = np.array(rotvec_to_dcm(phi))
+            c_b_n0 = np.reshape(rotvec_to_dcm(phi), (3, 3))
             from ifalign.attitude import dcm_to_quat
 
             q_true = dcm_to_quat(c_b_n0)
-            K = np.zeros((4, 4))
+            K = (0.0,) * 16
             for _ in range(8):
                 alpha = rng.standard_normal(3)
                 K = accumulate(K, alpha, c_b_n0 @ alpha)

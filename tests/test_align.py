@@ -52,9 +52,9 @@ class TestInit:
     def test_zeroed_state(self, cls):
         al = cls(0.02)
         assert al.M == 0
-        np.testing.assert_array_equal(al.K, np.zeros((4, 4)))
-        np.testing.assert_array_equal(al.c_nav, np.eye(3))
-        np.testing.assert_array_equal(al.c_body, np.eye(3))
+        np.testing.assert_array_equal(np.reshape(al.K, (4, 4)), np.zeros((4, 4)))
+        np.testing.assert_array_equal(np.reshape(al.c_nav, (3, 3)), np.eye(3))
+        np.testing.assert_array_equal(np.reshape(al.c_body, (3, 3)), np.eye(3))
         np.testing.assert_array_equal(al.alpha, np.zeros(3))
 
     @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
@@ -129,8 +129,10 @@ class _NumpyVectorAligner:
             self.v0 = v_prev
         omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(v_prev, p_prev))
         c_nav_prev, c_body_prev = self.c_nav, self.c_body
-        self.c_nav = c_nav_prev @ rotvec_to_dcm(T * omega_in)
-        self.c_body = c_body_prev @ rotvec_to_dcm(np.array(body_rotvec(interval)))
+        self.c_nav = c_nav_prev @ np.reshape(rotvec_to_dcm(T * omega_in), (3, 3))
+        self.c_body = c_body_prev @ np.reshape(
+            rotvec_to_dcm(np.array(body_rotvec(interval))), (3, 3)
+        )
         scull = np.array(sculling_increment(interval))
         x_prev = np.cross(omega_ie, v_prev) - g_n
         x_next = np.cross(omega_ie, v_next) - g_n
@@ -181,7 +183,9 @@ class TestFloatPathParity:
         assert set(vars(al)) == {"T", "M", *state}
         for name in state:
             got, want = getattr(al, name), getattr(ref, name)
-            # a float, or nested tuples of floats: no np.float64 leaks in
+            if np.ndim(want) == 2:  # the aligner keeps a matrix flat, row-major
+                want = want.ravel()
+            # a float, or a tuple of floats: no np.float64 leaks in
             assert _float_leaves(got) is not None, name
             assert np.shape(got) == np.shape(want), name
             assert np.linalg.norm(np.subtract(got, want)) <= 1e-12 * np.linalg.norm(want), name
@@ -204,7 +208,7 @@ class TestVifBetaRounding:
             _, v_next, _ = short_data.fix(k + 1)
             v0, partial = al.v0, al.s_x
             exact = [
-                sum((Fraction(c[i][j]) * Fraction(v_next[j]) for j in range(3)), Fraction(0))
+                sum((Fraction(c[3 * i + j]) * Fraction(v_next[j]) for j in range(3)), Fraction(0))
                 - Fraction(v0[i]) + Fraction(partial[i])
                 for i in range(3)
             ]
@@ -269,14 +273,59 @@ class TestFloatKernels:
         self, k, w_alpha, w_beta, w_sq, cls
     ):
         K = np.reshape(k, (4, 4))
+        K = np.triu(K) + np.triu(K, 1).T  # symmetric, as every accumulated K is
         al = cls(0.02)
-        al.M, al.K = 5, tuple(map(tuple, K.tolist()))
+        al.M, al.K = 5, tuple(K.ravel().tolist())
         al.w_alpha, al.w_beta, al.w_sq = w_alpha, w_beta, w_sq
         solved = al.solved_matrix()
         assert _float_leaves(solved) is not None
         np.testing.assert_array_equal(
-            solved, np.subtract(K, np.divide(pair_gram(w_alpha, w_beta), w_sq))
+            solved, np.subtract(K.ravel(), np.divide(pair_gram(w_alpha, w_beta), w_sq))
         )
+
+
+def _assert_flat_floats(value, n):
+    assert type(value) is tuple and len(value) == n
+    assert all(type(x) is float for x in value)
+
+
+class TestFlatLayout:
+    """Every matrix on the float path is its flat row-major tuple of Python
+    floats: 9 for a 3x3, 16 for a 4x4."""
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_state_and_estimate_are_flat_float_tuples(self, method, short_data):
+        al = make_aligner(method, short_data.T)
+        est = drive(al, short_data, n=150)
+        _assert_flat_floats(al.c_nav, 9)
+        _assert_flat_floats(al.c_body, 9)
+        _assert_flat_floats(est.c_b_n, 9)
+        for K in (al.K, al.solved_matrix()):
+            _assert_flat_floats(K, 16)
+            assert all(K[4 * i + j] == K[4 * j + i] for i in range(4) for j in range(4))
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_row_entries_equal_on_array_and_flat_tuple(self, method, short_data, rng):
+        from ifalign.attitude import compose_attitude, dcm_to_euler
+        from ifalign.quest import optimal_quaternion
+
+        al = make_aligner(method, short_data.T)
+        drive(al, short_data, n=150)
+        a = rng.standard_normal((4, 4))
+        for K in (al.solved_matrix(), tuple((a @ a.T).ravel().tolist())):
+            q_flat, lam_flat = optimal_quaternion(K)
+            q_array, lam_array = optimal_quaternion(np.reshape(K, (4, 4)))
+            assert q_flat.tobytes() == q_array.tobytes() and lam_flat == lam_array
+        c_q = quat_to_dcm(optimal_quaternion(al.solved_matrix())[0])
+        drifted = c_q + 1e-7  # takes the repair
+        for c0 in (c_q, drifted):
+            flat = compose_attitude(al.c_nav, tuple(c0.ravel().tolist()), al.c_body)
+            array = compose_attitude(
+                np.reshape(al.c_nav, (3, 3)), c0, np.reshape(al.c_body, (3, 3))
+            )
+            _assert_flat_floats(flat, 9)
+            assert flat == array
+            assert dcm_to_euler(flat) == dcm_to_euler(np.reshape(flat, (3, 3)))
 
 
 class TestGuards:
@@ -353,7 +402,9 @@ class TestGuards:
         est = al.estimate()
         first, second = est.c_b_n, est.c_b_n
         assert first == second
-        expected = compose_attitude(np.transpose(al.c_nav), quat_to_dcm(est.q), al.c_body)
+        expected = compose_attitude(
+            np.reshape(al.c_nav, (3, 3)).T, quat_to_dcm(est.q), al.c_body
+        )
         assert first == expected
 
 
@@ -373,7 +424,7 @@ class TestStaticCase:
         # gravity pins the level axes; yaw stays weakly observable under
         # earth-rate only, so compare the full attitude loosely and the
         # level directions tightly
-        err = est.c_b_n @ static_truth.c_b_n[-1].T
+        err = np.reshape(est.c_b_n, (3, 3)) @ static_truth.c_b_n[-1].T
         assert abs(err[1, 1] - 1.0) < 1e-6  # up axis aligned
 
 
@@ -382,7 +433,7 @@ class TestManeuveringRun:
     def test_converges_with_perfect_sensors(self, method, short_truth, short_data):
         al = make_aligner(method, short_data.T)
         est = drive(al, short_data)
-        err = rotation_angle(est.c_b_n @ short_truth.c_b_n[-1].T)
+        err = rotation_angle(np.reshape(est.c_b_n, (3, 3)) @ short_truth.c_b_n[-1].T)
         assert err < 1e-4  # rad; well-observable after 20 s of maneuvers
 
     def test_vif_residual_growth_bound(self, short_truth, short_data):
@@ -425,8 +476,8 @@ class TestManeuveringRun:
         ref = AlignmentReference(short_truth, substep=0.005).run(
             short_truth.cfg.duration_s
         )
-        assert rotation_angle(al.c_body @ ref["c_body"][-1].T) < 1e-7
-        assert rotation_angle(al.c_nav @ ref["c_nav"][-1].T) < 1e-7
+        assert rotation_angle(np.reshape(al.c_body, (3, 3)) @ ref["c_body"][-1].T) < 1e-7
+        assert rotation_angle(np.reshape(al.c_nav, (3, 3)) @ ref["c_nav"][-1].T) < 1e-7
 
     def test_accumulators_match_oracle(self, short_truth, short_data):
         from ifalign.oracle import AlignmentReference
@@ -484,8 +535,8 @@ class TestPifPrefixSums:
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
             v0, v1 = np.array(f0[1]), np.array(f1[1])
             omega_ie, omega_in, g_n = map(np.array, earth.aiding_kinematics(f0[1], f0[2]))
-            c_body_hist.append(np.array(al.c_body))
-            c_nav_hist.append(np.array(al.c_nav))
+            c_body_hist.append(np.reshape(al.c_body, (3, 3)))
+            c_nav_hist.append(np.reshape(al.c_nav, (3, 3)))
             scull_hist.append(sculling_increment(iv))
             dbl_hist.append(double_integral_increment(iv, T))
             w0 = cross3(omega_ie, v0)
@@ -538,9 +589,9 @@ class TestPifPrefixSums:
         # must not change the argmin when the pairs are exactly consistent
         from ifalign.quest import accumulate, optimal_quaternion
 
-        c0 = rotvec_to_dcm(np.array([0.4, -0.9, 1.3]))
-        K_plain = np.zeros((4, 4))
-        K_scaled = np.zeros((4, 4))
+        c0 = np.reshape(rotvec_to_dcm(np.array([0.4, -0.9, 1.3])), (3, 3))
+        K_plain = (0.0,) * 16
+        K_scaled = (0.0,) * 16
         for m in range(1, 40):
             t_m = 0.5 * m
             alpha = np.array(
@@ -561,7 +612,7 @@ class TestPifPrefixSums:
         from ifalign.quest import accumulate, optimal_quaternion
 
         al = make_aligner("pif", short_data.T)
-        K_scaled = np.zeros((4, 4))
+        K_scaled = (0.0,) * 16
         for k in range(short_data.n_updates):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
             al.update(iv, f0, f1)
@@ -587,7 +638,7 @@ class TestInitialVelocity:
         w = np.array([p[0] if method == "pif" else 1.0 for p in pairs])
         alpha = np.array([p[1] for p in pairs])
         beta = np.array([p[2] for p in pairs])
-        solved = al.solved_matrix()
+        solved = np.reshape(al.solved_matrix(), (4, 4))
         for _ in range(5):
             q = rng.standard_normal(4)
             q /= np.linalg.norm(q)
@@ -595,7 +646,7 @@ class TestInitialVelocity:
             plain = np.sum(resid ** 2)
             ramp = w @ resid
             expected = plain - ramp @ ramp / (w @ w)
-            assert q @ al.K @ q == pytest.approx(plain, rel=1e-10)
+            assert q @ np.reshape(al.K, (4, 4)) @ q == pytest.approx(plain, rel=1e-10)
             assert q @ solved @ q == pytest.approx(expected, rel=1e-8, abs=1e-12 * plain)
 
     def test_vif_estimate_independent_of_first_fix_velocity(self, short_data):
@@ -615,7 +666,9 @@ class TestInitialVelocity:
                 al.update(short_data.interval(k), fix_prev, short_data.fix(k + 1))
             if (k + 1) % stride or (k + 1) * short_data.T <= 10.0:
                 continue
-            base, shifted = (np.array(aligners[tag].estimate().c_b_n) for tag in first)
+            base, shifted = (
+                np.reshape(aligners[tag].estimate().c_b_n, (3, 3)) for tag in first
+            )
             worst = max(worst, math.degrees(rotation_angle(base @ shifted.T)))
             solved += 1
         assert solved == (short_data.n_updates - 500) // stride
@@ -633,7 +686,7 @@ class TestInitialVelocity:
                       short_data.fix(1))
             with pytest.raises(DegenerateSpectrum):
                 al.estimate()
-            np.testing.assert_array_equal(al.solved_matrix(), np.zeros((4, 4)))
+            np.testing.assert_array_equal(np.reshape(al.solved_matrix(), (4, 4)), np.zeros((4, 4)))
 
 
 class TestHeadingDecay:

@@ -44,21 +44,23 @@ def assert_valid_dcm(c):
 
 class TestRotvecToDcm:
     def test_zero_gives_identity(self):
-        np.testing.assert_allclose(attitude.rotvec_to_dcm(np.zeros(3)), np.eye(3))
+        np.testing.assert_allclose(
+            np.reshape(attitude.rotvec_to_dcm(np.zeros(3)), (3, 3)), np.eye(3)
+        )
 
     def test_quarter_turn_about_north(self):
         # Right-hand rule about axis 0 maps Up (axis 1) to East (axis 2).
-        c = attitude.rotvec_to_dcm(np.array([math.pi / 2.0, 0.0, 0.0]))
+        c = np.reshape(attitude.rotvec_to_dcm(np.array([math.pi / 2.0, 0.0, 0.0])), (3, 3))
         np.testing.assert_allclose(c @ np.array([0.0, 1.0, 0.0]),
                                    [0.0, 0.0, 1.0], atol=1e-15)
 
     @given(rotation_vectors())
     @settings(max_examples=50, deadline=None)
     def test_orthonormal_and_inverse(self, phi):
-        c = np.array(attitude.rotvec_to_dcm(phi))
+        c = np.reshape(attitude.rotvec_to_dcm(phi), (3, 3))
         assert_valid_dcm(c)
         np.testing.assert_allclose(
-            c @ attitude.rotvec_to_dcm(-phi), np.eye(3), atol=1e-12
+            c @ np.reshape(attitude.rotvec_to_dcm(-phi), (3, 3)), np.eye(3), atol=1e-12
         )
 
     @given(rotation_vectors())
@@ -66,7 +68,9 @@ class TestRotvecToDcm:
     def test_matches_scipy(self, phi):
         # scipy Rotation is the active rotation, same as ours.
         expected = Rotation.from_rotvec(phi).as_matrix()
-        np.testing.assert_allclose(attitude.rotvec_to_dcm(phi), expected, atol=1e-13)
+        np.testing.assert_allclose(
+            np.reshape(attitude.rotvec_to_dcm(phi), (3, 3)), expected, atol=1e-13
+        )
 
     def test_branch_boundary_continuity(self):
         direction = np.array([1.0, -2.0, 2.0]) / 3.0
@@ -132,7 +136,9 @@ class TestQuatDcm:
         theirs = np.array([s, x, y, z])
         ours = attitude.dcm_to_quat(c)
         assert min(np.max(np.abs(ours - theirs)), np.max(np.abs(ours + theirs))) <= 1e-15
-        np.testing.assert_allclose(attitude.rotvec_to_dcm(phi), c, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            np.reshape(attitude.rotvec_to_dcm(phi), (3, 3)), c, rtol=0.0, atol=1e-15
+        )
 
     def test_stack_equals_rows_bitwise(self):
         # one call on an (N, 4) stack computes what N single calls do
@@ -271,7 +277,8 @@ class TestQuatMulMatrices:
 class TestComposeAttitude:
     def test_all_identity(self):
         np.testing.assert_allclose(
-            attitude.compose_attitude(np.eye(3), np.eye(3), np.eye(3)), np.eye(3)
+            np.reshape(attitude.compose_attitude(np.eye(3), np.eye(3), np.eye(3)), (3, 3)),
+            np.eye(3),
         )
 
     def test_initial_instant_returns_initial_attitude(self):
@@ -281,15 +288,15 @@ class TestComposeAttitude:
         )
 
     def test_repairs_drifted_product(self):
-        c0 = attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7]))
+        c0 = np.reshape(attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7])), (3, 3))
         drifted = c0 + 1e-7 * np.ones((3, 3))
         out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
-        assert_valid_dcm(np.array(out))
+        assert_valid_dcm(np.reshape(out, (3, 3)))
 
     def test_repairs_drift_in_any_gram_entry(self):
         # C^T C - I has six distinct entries; a drift of 1e-6 in any one of
         # them (a column stretched, or tilted toward another) is repaired
-        c0 = np.array(attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7])))
+        c0 = np.reshape(attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7])), (3, 3))
         for i in range(3):
             for j in range(i, 3):
                 drifted = c0.copy()
@@ -298,32 +305,30 @@ class TestComposeAttitude:
                 else:
                     drifted[:, i] += 1e-6 * c0[:, j]
                 out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
-                assert_valid_dcm(np.array(out))
+                assert_valid_dcm(np.reshape(out, (3, 3)))
 
     @staticmethod
-    def assert_nested_float_tuples(c):
-        assert type(c) is tuple and len(c) == 3
-        for row in c:
-            assert type(row) is tuple and len(row) == 3
-            assert all(type(x) is float for x in row)
+    def assert_flat_float_tuple(c):
+        assert type(c) is tuple and len(c) == 9
+        assert all(type(x) is float for x in c)
 
     def test_returns_the_float_product(self):
         # no drift: the product of the three factors on floats, as is
         c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
         c0 = attitude.rotvec_to_dcm([0.3, -0.2, 0.7])
         c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
-        out = attitude.compose_attitude(np.array(c_nav), c0, c_body)
-        self.assert_nested_float_tuples(out)
+        out = attitude.compose_attitude(np.reshape(c_nav, (3, 3)), c0, c_body)
+        self.assert_flat_float_tuple(out)
         assert out == attitude.matmul3(attitude.matmul3(c_nav, c0), c_body)
 
     def test_repair_is_the_polar_factor_of_the_product(self):
         c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
         c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
-        drifted = np.array(attitude.rotvec_to_dcm([0.3, -0.2, 0.7])) + 1e-7
+        drifted = np.reshape(attitude.rotvec_to_dcm([0.3, -0.2, 0.7]), (3, 3)) + 1e-7
         out = attitude.compose_attitude(c_nav, drifted, c_body)
-        self.assert_nested_float_tuples(out)
-        product = attitude.matmul3(attitude.matmul3(c_nav, drifted.tolist()), c_body)
-        expected = attitude.orthonormalize(np.array(product))
+        self.assert_flat_float_tuple(out)
+        product = attitude.matmul3(attitude.matmul3(c_nav, drifted.ravel().tolist()), c_body)
+        expected = attitude.orthonormalize(np.reshape(product, (3, 3)))
         assert np.array(out).tobytes() == expected.tobytes()
 
 
@@ -397,7 +402,7 @@ class TestEuler:
     def test_returns_three_floats(self):
         angles = [0.1, -0.2, 0.3]
         c = attitude.euler_to_dcm(np.array(angles))
-        for dcm in (c, c.tolist()):
+        for dcm in (c, c.ravel().tolist()):
             back = attitude.dcm_to_euler(dcm)
             self.assert_three_floats(back)
             np.testing.assert_allclose(back, angles, atol=1e-14)
@@ -417,7 +422,7 @@ class TestHelpers:
     @given(rotation_vectors())
     @settings(max_examples=40, deadline=None)
     def test_rotation_angle(self, phi):
-        c = np.array(attitude.rotvec_to_dcm(phi))
+        c = np.reshape(attitude.rotvec_to_dcm(phi), (3, 3))
         assert attitude.rotation_angle(c) == pytest.approx(
             np.linalg.norm(phi), abs=1e-7
         )
@@ -426,7 +431,7 @@ class TestHelpers:
     @example(np.array([0.0, 0.0, 1e-7]))  # acos lost 1.2% here
     @settings(max_examples=40, deadline=None)
     def test_dcm_to_rotvec_round_trip(self, phi):
-        c = attitude.rotvec_to_dcm(phi)
+        c = np.reshape(attitude.rotvec_to_dcm(phi), (3, 3))
         np.testing.assert_allclose(attitude.dcm_to_rotvec(c), phi, atol=1e-9)
 
     @pytest.mark.parametrize("axis", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
@@ -438,7 +443,9 @@ class TestHelpers:
         dcm = 2.0 * np.outer(u, u) - np.eye(3)
         phi = attitude.dcm_to_rotvec(dcm)
         np.testing.assert_allclose(phi, math.pi * u, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(attitude.rotvec_to_dcm(phi), dcm, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            np.reshape(attitude.rotvec_to_dcm(phi), (3, 3)), dcm, rtol=0.0, atol=1e-15
+        )
 
     def test_quat_canonical(self):
         np.testing.assert_array_equal(

@@ -109,6 +109,19 @@ class TestEarthRate:
             rtol=1e-15,
         )
 
+    def test_column_is_that_of_kinematics_n(self, rng):
+        # earth_rate_n is kinematics_n's earth-rate column, bitwise, on a
+        # stack of positions; it refuses the poles the same way
+        p = np.column_stack([
+            rng.uniform(-3.0, 3.0, 50), rng.uniform(-1.5, 1.5, 50), rng.uniform(-100, 9e3, 50)
+        ])
+        v = rng.uniform(-250.0, 250.0, (50, 3))
+        got = earth.earth_rate_n(p)
+        assert got.shape == (50, 3)
+        assert got.tobytes() == earth.kinematics_n(v, p)[0].tobytes()
+        with pytest.raises(PolarSingularity):
+            earth.earth_rate_n(np.array([0.0, math.pi / 2.0, 0.0]))
+
 
 class TestTransportRate:
     def test_zero_velocity(self):

@@ -49,7 +49,7 @@ class TestRunAlignment:
         al = make_aligner(method, data.T)
         for k in range(data.n_updates):
             al.update(data.interval(k), data.fix(k), data.fix(k + 1))
-        expected = np.linalg.eigvalsh(al.solved_matrix())
+        expected = np.linalg.eigvalsh(np.reshape(al.solved_matrix(), (4, 4)))
         np.testing.assert_array_equal(rep.k_eigenvalues, expected)
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
@@ -75,7 +75,10 @@ class TestRunAlignment:
                 err.append(np.full(3, np.nan))
                 degenerate.append(True)
                 continue
-            c = np.array(compose_attitude(np.transpose(al.c_nav), quat_to_dcm(q), al.c_body))
+            c = np.reshape(
+                compose_attitude(np.reshape(al.c_nav, (3, 3)).T, quat_to_dcm(q), al.c_body),
+                (3, 3),
+            )
             est.append(np.array(dcm_to_euler(c)) * RAD2DEG)
             err.append(np.array(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T)) * RAD2DEG)
             degenerate.append(False)
@@ -112,7 +115,7 @@ class TestRunAlignment:
                 continue
             truth_row = data.truth_c_b_n[k + 1]
             est.append(dcm_to_euler(c_b_n))
-            err.append(dcm_to_euler(matmul3(c_b_n, truth_row.T.tolist())))
+            err.append(dcm_to_euler(matmul3(c_b_n, truth_row.T.ravel().tolist())))
         solved = ~rep.degenerate
         assert len(err) == solved.sum() > 0
         assert rep.est_deg[solved].tobytes() == (np.array(est) * RAD2DEG).tobytes()
@@ -555,7 +558,9 @@ class TestOracleDrift:
 class TestAttitudeError:
     @staticmethod
     def error_deg(c_est, c_true):
-        return np.array(_attitude_error(c_est.tolist(), c_true.T.tolist())) * RAD2DEG
+        return np.array(
+            _attitude_error(c_est.ravel().tolist(), c_true.T.ravel().tolist())
+        ) * RAD2DEG
 
     def test_zero_for_identical(self):
         c = np.eye(3)

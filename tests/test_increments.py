@@ -296,9 +296,9 @@ class TestBodyRotvec:
         errs = []
         for T in (0.04, 0.02, 0.01):
             iv = make_interval(omega_fn, lambda t: np.zeros(np.shape(t) + (3,)), 0.0, T, n=4000)
-            c_approx = np.array(rotvec_to_dcm(body_rotvec(iv)))
+            c_approx = np.reshape(rotvec_to_dcm(body_rotvec(iv)), (3, 3))
             ref = oracle.rotation_vector_reference(omega_fn, 0.0, T, n=4000)
-            errs.append(rotation_angle(c_approx @ np.array(rotvec_to_dcm(ref)).T))
+            errs.append(rotation_angle(c_approx @ np.reshape(rotvec_to_dcm(ref), (3, 3)).T))
         assert errs[0] / errs[1] >= 7.5
         assert errs[1] / errs[2] >= 7.5
 

@@ -80,7 +80,9 @@ class TestKernelReferences:
         omega_fn, _ = constant_profiles(w, np.zeros(3))
         h, n = 0.01, 100  # the 101-point grid over [0, 1]
         q, _ = oracle._attitude_chain(omega_fn(oracle._stage_times(h, n)), h, (1.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(quat_to_dcm(q[-1]), rotvec_to_dcm(w), atol=1e-10)
+        np.testing.assert_allclose(
+            quat_to_dcm(q[-1]), np.reshape(rotvec_to_dcm(w), (3, 3)), atol=1e-10
+        )
 
 
 def stepwise_reference(truth, h, t_end, epochs):
@@ -200,7 +202,7 @@ class TestAttitudeComposition:
         c0 = short_truth.c_b_n[0]
         composed = compose_attitude(ref["c_nav"][-1].T, c0, ref["c_body"][-1])
         idx = int(round(10.0 / short_truth.cfg.grid_dt))
-        assert rotation_angle(composed @ short_truth.c_b_n[idx].T) < 1e-8
+        assert rotation_angle(np.reshape(composed, (3, 3)) @ short_truth.c_b_n[idx].T) < 1e-8
 
 
 class TestNavigationReference:

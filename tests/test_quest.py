@@ -14,7 +14,7 @@ from ifalign.quest import GAP_TOL, accumulate, optimal_quaternion, pair_gram, pa
 
 def random_rotation(rng):
     phi = rng.uniform(-2.0, 2.0, 3)
-    return np.array(rotvec_to_dcm(phi))
+    return np.reshape(rotvec_to_dcm(phi), (3, 3))
 
 
 def eigh_reference(K):
@@ -24,7 +24,7 @@ def eigh_reference(K):
     Returns ``(q, lambda_min, degenerate)``; ``q`` is the tied candidate
     when ``degenerate``.
     """
-    rows = np.array(K, dtype=float).tolist()
+    rows = np.reshape(np.array(K, dtype=float), (4, 4)).tolist()
     trace = rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3]
     w, v = np.linalg.eigh(np.array(rows))
     w = w.tolist()
@@ -59,18 +59,20 @@ class TestAccumulate:
     def test_zero_pair_leaves_k_unchanged(self):
         K = np.arange(16.0).reshape(4, 4)
         K = K + K.T
-        np.testing.assert_array_equal(accumulate(K, np.zeros(3), np.zeros(3)), K)
+        np.testing.assert_array_equal(
+            np.reshape(accumulate(K.ravel().tolist(), np.zeros(3), np.zeros(3)), (4, 4)), K
+        )
 
     def test_matching_pair_annihilates_identity(self):
         alpha = np.array([1.0, 0.0, 0.0])
-        K = accumulate(np.zeros((4, 4)), alpha, alpha)
+        K = np.reshape(accumulate((0.0,) * 16, alpha, alpha), (4, 4))
         np.testing.assert_allclose(K @ np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
 
     def test_increment_is_symmetric_psd(self, rng):
         for _ in range(20):
-            K = np.array(accumulate(
-                np.zeros((4, 4)), rng.standard_normal(3), rng.standard_normal(3)
-            ))
+            K = np.reshape(accumulate(
+                (0.0,) * 16, rng.standard_normal(3), rng.standard_normal(3)
+            ), (4, 4))
             np.testing.assert_allclose(K, K.T, atol=1e-12)
             w = np.linalg.eigvalsh(K)
             assert w.min() >= -1e-9 * max(1.0, np.trace(K))
@@ -85,11 +87,12 @@ class TestAccumulate:
             beta = rng.uniform(-1e3, 1e3) * rng.standard_normal(3)
             b = pair_operator(alpha, beta)
             expected = K + b.T @ b
-            out = np.array(accumulate(K, alpha, beta))
+            out = np.reshape(accumulate(K.ravel().tolist(), alpha, beta), (4, 4))
             assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
             np.testing.assert_array_equal(out, out.T)
             np.testing.assert_array_equal(
-                accumulate(K, alpha.tolist(), beta.tolist()), out
+                np.reshape(accumulate(K.ravel().tolist(), alpha.tolist(), beta.tolist()), (4, 4)),
+                out,
             )
 
     @given(
@@ -100,13 +103,10 @@ class TestAccumulate:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_numpy_formula(self, k, alpha, beta):
         # the written-out sum rounds like numpy's, and stays on Python floats
-        K = np.reshape(k, (4, 4))
-        out = accumulate(K, alpha, beta)
-        assert type(out) is tuple and len(out) == 4
-        for row in out:
-            assert type(row) is tuple and len(row) == 4
-            assert all(type(x) is float for x in row)
-        np.testing.assert_array_equal(out, np.add(K, pair_gram(alpha, beta)))
+        out = accumulate(tuple(k), alpha, beta)
+        assert type(out) is tuple and len(out) == 16
+        assert all(type(x) is float for x in out)
+        np.testing.assert_array_equal(out, np.add(k, pair_gram(alpha, beta)))
 
     def test_pair_operator_matches_mul_matrices(self, rng):
         from ifalign.attitude import quat_mul_matrices
@@ -124,26 +124,26 @@ class TestAccumulate:
         from ifalign.attitude import dcm_to_quat
 
         q_true = dcm_to_quat(c_b_n0)
-        K = np.zeros((4, 4))
+        K = (0.0,) * 16
         for _ in range(10):
             alpha = rng.standard_normal(3)
             K = accumulate(K, alpha, c_b_n0 @ alpha)
         # the null eigenvalue floor is eps-level relative to the trace
-        w = np.linalg.eigvalsh(K)
-        assert w[0] < 1e-14 * np.trace(K)
+        w = np.linalg.eigvalsh(np.reshape(K, (4, 4)))
+        assert w[0] < 1e-14 * np.trace(np.reshape(K, (4, 4)))
         q, lam = optimal_quaternion(K)
         assert min(np.linalg.norm(q - q_true), np.linalg.norm(q + q_true)) < 1e-9
 
     def test_lambda_min_nondecreasing(self, rng):
         c = random_rotation(rng)
-        K = np.zeros((4, 4))
+        K = (0.0,) * 16
         last = 0.0
         for i in range(12):
             alpha = rng.standard_normal(3)
             beta = c @ alpha + 0.01 * rng.standard_normal(3)
             K = accumulate(K, alpha, beta)
-            lam = np.linalg.eigvalsh(K)[0]
-            assert lam >= last - 1e-12 * max(1.0, np.trace(K))
+            lam = np.linalg.eigvalsh(np.reshape(K, (4, 4)))[0]
+            assert lam >= last - 1e-12 * max(1.0, np.trace(np.reshape(K, (4, 4))))
             last = lam
 
     def test_noiseless_pair_has_zero_quadratic_form(self, rng):
@@ -152,7 +152,7 @@ class TestAccumulate:
         c = random_rotation(rng)
         q = dcm_to_quat(c)
         alpha = rng.standard_normal(3)
-        inc = accumulate(np.zeros((4, 4)), alpha, c @ alpha)
+        inc = np.reshape(accumulate((0.0,) * 16, alpha, c @ alpha), (4, 4))
         assert abs(q @ inc @ q) < 1e-12 * max(1.0, np.trace(inc))
 
 
@@ -191,7 +191,7 @@ class TestOptimalQuaternion:
     def test_single_pair_is_degenerate(self, rng):
         alpha = rng.standard_normal(3)
         c = random_rotation(rng)
-        K = accumulate(np.zeros((4, 4)), alpha, c @ alpha)
+        K = accumulate((0.0,) * 16, alpha, c @ alpha)
         with pytest.raises(DegenerateSpectrum):
             optimal_quaternion(K)
 
@@ -201,7 +201,7 @@ class TestOptimalQuaternion:
         for _ in range(20):
             c = random_rotation(rng)
             q_true = dcm_to_quat(c)
-            K = np.zeros((4, 4))
+            K = (0.0,) * 16
             for alpha in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5])):
                 K = accumulate(K, alpha, c @ alpha)
             q, lam = optimal_quaternion(K)
@@ -222,13 +222,14 @@ class TestOptimalQuaternion:
     def test_residual_invariant_random_psd(self, rng):
         for _ in range(300):
             n_pairs = rng.integers(2, 8)
-            K = np.zeros((4, 4))
+            K = (0.0,) * 16
             for _ in range(n_pairs):
                 K = accumulate(K, rng.standard_normal(3), rng.standard_normal(3))
             try:
                 q, lam = optimal_quaternion(K)
             except DegenerateSpectrum:
                 continue
+            K = np.reshape(K, (4, 4))
             r = np.linalg.norm(K @ q - lam * q)
             assert r < 1e-10 * max(1.0, np.trace(K))
             assert q[0] >= 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] > 0)
@@ -275,7 +276,7 @@ class TestOptimalQuaternion:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             optimal_quaternion(K)
         with pytest.raises(ValueError):
-            optimal_quaternion(K.tolist())
+            optimal_quaternion(K.ravel().tolist())
 
 
 class TestEighParity:
@@ -289,7 +290,7 @@ class TestEighParity:
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_every_solved_matrix_of_a_run(self, method, short_data):
-        # estimate() solves the nested float tuples the aligner keeps
+        # estimate() solves the flat float tuple the aligner keeps
         al = make_aligner(method, short_data.T)
 
         def solve(K):
@@ -302,7 +303,7 @@ class TestEighParity:
 
     def test_degenerate_candidate(self, rng):
         alpha = rng.standard_normal(3)
-        K = accumulate(np.zeros((4, 4)), alpha, random_rotation(rng) @ alpha)
+        K = accumulate((0.0,) * 16, alpha, random_rotation(rng) @ alpha)
         for degenerate in (np.eye(4), np.zeros((4, 4)), np.diag([2.0, 2.0, 3.0, 4.0]), K):
             assert_matches_reference(degenerate)
             with pytest.raises(DegenerateSpectrum):
