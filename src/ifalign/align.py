@@ -30,7 +30,7 @@ from .increments import (
 from .quest import accumulate, optimal_quaternion, pair_gram
 
 
-# The per-update path runs on Python floats (see attitude.as_floats):
+# The per-update path runs on Python floats (see the attitude module):
 # running vectors are 3-tuples, and the chains and K flat row-major tuples
 # of 9 and 16 floats.
 
@@ -85,7 +85,10 @@ def aid_fix(t, v, p):
     otherwise).  Returns ``t`` as a Python float and ``v`` and ``p`` as
     3-tuples of them.
     """
-    time = float(t)
+    try:
+        time = float(t)
+    except (TypeError, ValueError):
+        raise ValueError(f"t must be a number, got {t!r}") from None
     if not math.isfinite(time):
         raise ValueError(f"t must be finite, got {t!r}")
     return time, as_float3(v, "v"), as_float3(p, "p")
@@ -94,7 +97,7 @@ def aid_fix(t, v, p):
 class AlignmentEstimate:
     """Attitude solved from an aligner's accumulated state.
 
-    ``q`` encodes the estimated constant attitude at t=0,
+    ``q`` (a 4-tuple of floats) encodes the constant attitude at t=0,
     ``quat_to_dcm(q) = C_b^n(0)``; ``c_b_n`` is the estimated body-to-nav
     matrix at the current time, as a flat row-major 9-tuple of floats (what
     :func:`ifalign.attitude.compose_attitude` returns), composed on each
@@ -112,7 +115,7 @@ class AlignmentEstimate:
         self.lambda_min = lambda_min
         n00, n01, n02, n10, n11, n12, n20, n21, n22 = c_nav
         self._c_nav_t = (n00, n10, n20, n01, n11, n21, n02, n12, n22)
-        self._c_q = quat_dcm_entries(*q.tolist())
+        self._c_q = quat_dcm_entries(*q)
         self._c_body = c_body
 
     @property

@@ -11,6 +11,14 @@ Conventions
   Up (positive turning North toward East), pitch about the rotated East
   (positive nose up), roll about the twice-rotated North (positive right
   wing down).
+
+The per-update and report-row paths work on Python floats: a vector is a
+3-tuple, a quaternion a 4-tuple, and a 3x3 or 4x4 matrix its flat
+row-major tuple of 9 or 16 of them (the layout :func:`quat_dcm_entries`
+returns).  For objects this small, arithmetic on floats costs several
+times less than numpy calls and rounds the same.  The row-level entries
+(:func:`compose_attitude`, :func:`dcm_to_euler`,
+:func:`ifalign.quest.optimal_quaternion`) take only that flat layout.
 """
 
 import math
@@ -23,21 +31,6 @@ from .errors import GimbalProximityWarning, NotARotation
 _SMALL_ANGLE = 1e-7
 _REPAIR_TOL = 1e-9
 ROTATION_TOL = 1e-6  # allowed error of a DCM's C^T C and det, and of a quaternion's norm
-
-
-def as_floats(value):
-    """An array as a flat row-major list of Python floats; any other
-    sequence as is.
-
-    The per-update and report-row paths work on Python floats, and hold a
-    3x3 or 4x4 matrix as its flat row-major tuple of 9 or 16 of them (the
-    layout :func:`quat_dcm_entries` returns): for such small objects,
-    arithmetic on floats costs several times less than numpy calls and
-    rounds the same.  The row-level entries (:func:`compose_attitude`,
-    :func:`dcm_to_euler`, :func:`ifalign.quest.optimal_quaternion`) call
-    it once, so they also take a ``(3, 3)`` or ``(4, 4)`` array.
-    """
-    return value.ravel().tolist() if isinstance(value, np.ndarray) else value
 
 
 def cross_floats(a, b):
@@ -67,7 +60,7 @@ def matmul3(a, b):
 
 def cross3(a, b):
     """Cross product of two 3-vectors (faster than np.cross for scalars)."""
-    return np.array(cross_floats(as_floats(a), as_floats(b)))
+    return np.array(cross_floats(a, b))
 
 
 def rotvec_to_dcm(phi):
@@ -209,13 +202,10 @@ def quat_to_dcm(q):
     """Body-to-nav DCM ``R(q)`` encoded by a unit quaternion, or one per row
     of an ``(N, 4)`` stack (shape ``(N, 3, 3)``).
 
-    :func:`quat_dcm_entries` on Python floats for one quaternion, on
-    ``(N,)`` columns for a stack: the same operations and so the same
-    rounding.
+    :func:`quat_dcm_entries` on the stack's columns; a single quaternion is
+    a stack of one, so every quaternion takes the same operations.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        return np.array(quat_dcm_entries(*q.tolist())).reshape(3, 3)
     entries = quat_dcm_entries(*np.moveaxis(q, -1, 0))
     return np.stack(entries, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
@@ -285,16 +275,14 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
     """Current body-to-nav attitude from the two chains and the initial attitude.
 
     ``C_b^n(t) = C_n0^nt @ C_b^n(0) @ C_bt^b0``, computed on Python floats
-    (each factor a ``(3, 3)`` array or a flat row-major 9-sequence of
-    floats) and returned as a flat row-major 9-tuple of floats; reshape it
-    to ``(3, 3)`` where an array is needed.  The product is repaired by
-    symmetric orthogonalization (on numpy) only if orthonormality drift
+    (each factor a flat row-major 9-sequence of floats) and returned as a
+    flat row-major 9-tuple of floats; reshape it to ``(3, 3)`` where an
+    array is needed.  The product is repaired by symmetric
+    orthogonalization (on numpy) only if orthonormality drift
     ``max|C^T C - I|`` exceeds 1e-9, so accumulation bugs stay visible in
     tests.
     """
-    c = matmul3(
-        matmul3(as_floats(c_n0_to_nt), as_floats(c_b_to_n0)), as_floats(c_bt_to_b0)
-    )
+    c = matmul3(matmul3(c_n0_to_nt, c_b_to_n0), c_bt_to_b0)
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
     drift = max(
         abs(c00 * c00 + c10 * c10 + c20 * c20 - 1.0),
@@ -339,14 +327,14 @@ def _euler_dcm_trig(angles):
 
 
 def dcm_to_euler(dcm):
-    """(roll, pitch, yaw) of a body-to-nav DCM (a ``(3, 3)`` array or a flat
-    row-major 9-sequence of floats), computed on Python floats and returned
-    as a 3-tuple of them.
+    """(roll, pitch, yaw) of a body-to-nav DCM given as a flat row-major
+    9-sequence of floats, computed on Python floats and returned as a
+    3-tuple of them.
 
     Emits :class:`GimbalProximityWarning` (never fails) when pitch is within
     1e-6 rad of +-90 deg, where the roll/yaw split degenerates.
     """
-    c00, _, _, c10, c11, c12, c20, _, _ = as_floats(dcm)
+    c00, _, _, c10, c11, c12, c20, _, _ = dcm
     pitch = math.asin(min(1.0, max(-1.0, c10)))
     if abs(pitch) > math.pi / 2.0 - 1e-6:
         warnings.warn(

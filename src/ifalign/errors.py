@@ -22,8 +22,9 @@ class DegenerateSpectrum(IfalignError):
 
     Signals that the initial attitude is not (yet) observable from the
     accumulated vector pairs: fewer than two linearly independent
-    observations have been absorbed.  Carries a deterministic candidate so
-    callers that insist on an answer still get a reproducible one.
+    observations have been absorbed.  Carries a deterministic candidate
+    ``q``, a 4-tuple of floats, so callers that insist on an answer still
+    get a reproducible one.
     """
 
     def __init__(self, message, q=None, lambda_min=None):

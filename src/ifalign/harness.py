@@ -302,7 +302,7 @@ def run_alignment(data, method, report_interval_s=1.0):
     # reads the fix after update k = (r + 1) * stride - 1, so r = k // stride.
     rows = slice(stride, n_rows * stride + 1, stride)
     truth_t = None if data.truth_c_b_n is None else (
-        data.truth_c_b_n[rows].transpose(0, 2, 1).reshape(n_rows, 9)
+        data.truth_c_b_n[rows].transpose(0, 2, 1).reshape(n_rows, 9).tolist()
     )
     est_rows, err_rows, degenerate = [], [], []
 
@@ -320,7 +320,7 @@ def run_alignment(data, method, report_interval_s=1.0):
         degenerate.append(False)
         est_rows.append(dcm_to_euler(estimate.c_b_n))
         if truth_t is not None:
-            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k // stride].tolist()))
+            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k // stride]))
 
     meta = dict(data.metadata, method=method)
     return RunReport(
@@ -440,11 +440,14 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
     worker processes.  Failed runs are excluded from the statistics and
     listed in the summary.  Runs report on :func:`run_alignment`'s default
     1 s rows.  :func:`monte_carlo_plan` checks the arguments and fills in
-    the defaults before the truth is generated or a worker started.
+    the defaults before the truth is generated or a worker started.  A
+    ``truth`` given must be that of ``cfg`` (``ValueError`` otherwise).
     """
     epochs, rows, jobs = monte_carlo_plan(cfg, n_runs, epochs, jobs)
     if truth is None:
         truth = generate_truth(cfg)
+    elif truth.cfg != cfg:
+        raise ValueError("the truth was generated from another scenario than cfg")
 
     _MC_CONTEXT["truth"] = truth
     _MC_CONTEXT["errors"] = errors

@@ -33,11 +33,13 @@ TRUTH_HEADER = "t_s,q_s,q_x,q_y,q_z,vN,vU,vE,lat,lon,h"
 def write_csv(path, header, columns, preamble=""):
     """Write equal-length ``columns`` under ``header``, 12 significant digits.
 
-    ``preamble`` (whole lines, such as ``#`` comments) precedes the header.
+    ``preamble`` (whole lines, such as ``#`` comments) precedes the header;
+    its non-ASCII characters are written as backslash escapes, so the file
+    stays ASCII.
     """
     table = np.column_stack(columns)
     line = ",".join([_FMT] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.write(preamble + header + "\n")
         fh.writelines([line % tuple(row) for row in table.tolist()])
 

@@ -28,7 +28,7 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo as _eigh_lo
 
-from .attitude import as_floats, flips_sign, quat_canonical
+from .attitude import flips_sign
 from .errors import DegenerateSpectrum
 
 GAP_TOL = 1e-9
@@ -97,10 +97,10 @@ def accumulate(K, alpha, beta):
 def optimal_quaternion(K):
     """Quaternion minimizing ``q^T K q`` subject to unit norm.
 
-    ``K`` is a flat row-major 16-sequence of floats or a ``(4, 4)`` array.
-    Returns ``(q, lambda_min)`` with canonical sign.  Only the eigen-solve
-    itself runs in numpy, on one float64 array built from ``K``'s 16
-    floats and reshaped to 4x4, through LAPACK's symmetric
+    ``K`` is a flat row-major 16-sequence of floats.  Returns
+    ``(q, lambda_min)``: ``q`` a 4-tuple of floats with canonical sign.
+    Only the eigen-solve itself runs in numpy, on one float64 array built
+    from ``K``'s 16 floats and reshaped to 4x4, through LAPACK's symmetric
     eigensolver gufunc (``eigh_lo``, see the module docstring): its
     eigenvalues and the chosen eigenvector are read out with one
     ``tolist()`` each, and the sign and norm are set on Python floats.
@@ -115,9 +115,9 @@ def optimal_quaternion(K):
         ``GAP_TOL * trace(K)`` -- the attitude is unobservable from the
         accumulated pairs.  The exception carries a deterministic candidate
         (lexicographically smallest canonical eigenvector among the tied
-        eigenvalues) so callers can still log a reproducible value.
+        eigenvalues, a 4-tuple of floats) so callers can still log a
+        reproducible value.
     """
-    K = as_floats(K)
     trace = K[0] + K[5] + K[10] + K[15]
     w, v = _eigh_lo(np.fromiter(K, np.float64, 16).reshape(4, 4))
     w = w.tolist()
@@ -128,12 +128,11 @@ def optimal_quaternion(K):
         )
     lam = w[0]
     if w[1] - w[0] <= GAP_TOL * trace:
-        tied = [
-            quat_canonical(v[:, i])
-            for i in range(4)
-            if w[i] - w[0] <= GAP_TOL * trace
-        ]
-        tied.sort(key=lambda q: tuple(q))
+        tied = sorted(
+            tuple(-x for x in q) if flips_sign(q) else tuple(q)
+            for q, wi in zip(v.T.tolist(), w)
+            if wi - w[0] <= GAP_TOL * trace
+        )
         raise DegenerateSpectrum(
             "smallest eigenvalues coincide: attitude unobservable "
             f"(gap {w[1] - w[0]:.3e} vs trace {trace:.3e})",
@@ -145,4 +144,4 @@ def optimal_quaternion(K):
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if flips_sign(q):
         norm = -norm
-    return np.array([q0 / norm, q1 / norm, q2 / norm, q3 / norm]), lam
+    return (q0 / norm, q1 / norm, q2 / norm, q3 / norm), lam

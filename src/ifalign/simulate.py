@@ -28,6 +28,15 @@ G0 = 9.80665  # m/s^2, standard gravity used for microgravity units
 DEG_PER_H = D2R / 3600.0  # deg/h -> rad/s
 
 
+def _check_finite(config):
+    """``ValueError`` naming the first float field of the dataclass
+    ``config`` that is not finite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SineProfile:
     """One sinusoidal component: ``amplitude * sin(2 pi t / period + phase)``."""
@@ -37,6 +46,7 @@ class SineProfile:
     phase_deg: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.amplitude != 0.0 and self.period_s <= 0.0:
             raise ValueError("period must be positive when amplitude is nonzero")
 
@@ -82,6 +92,7 @@ class ScenarioConfig:
         n_upd = self.duration_s / self.update_interval_s
         if abs(n_upd - round(n_upd)) > 1e-9:
             raise ValueError("duration must be a whole number of update intervals")
+        _check_finite(self)
 
     @property
     def sample_dt(self):
@@ -127,6 +138,7 @@ class SensorErrors:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite(self)
         for f in fields(self):
             if f.type in (float, int) and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")

@@ -302,7 +302,7 @@ class TestCriterion6EigenSolver:
             except DegenerateSpectrum:
                 continue
             K = np.reshape(K, (4, 4))
-            r = np.linalg.norm(K @ q - lam * q)
+            r = np.linalg.norm(np.subtract(K @ q, np.multiply(lam, q)))
             bound = 1e-10 * max(1.0, np.trace(K))
             worst = max(worst, r / bound)
             assert r < bound
@@ -326,7 +326,7 @@ class TestCriterion6EigenSolver:
                 alpha = rng.standard_normal(3)
                 K = accumulate(K, alpha, c_b_n0 @ alpha)
             q, _ = optimal_quaternion(K)
-            dq = quat_multiply(q, np.array([q_true[0], *(-q_true[1:])]))
+            dq = quat_multiply(np.array(q), np.array([q_true[0], *(-q_true[1:])]))
             angle = 2.0 * math.atan2(np.linalg.norm(dq[1:]), abs(dq[0]))
             worst = max(worst, angle)
             assert angle < 1e-9

@@ -300,32 +300,40 @@ class TestFlatLayout:
         _assert_flat_floats(al.c_nav, 9)
         _assert_flat_floats(al.c_body, 9)
         _assert_flat_floats(est.c_b_n, 9)
+        _assert_flat_floats(est.q, 4)
         for K in (al.K, al.solved_matrix()):
             _assert_flat_floats(K, 16)
             assert all(K[4 * i + j] == K[4 * j + i] for i in range(4) for j in range(4))
+        fresh = make_aligner(method, short_data.T)
+        drive(fresh, short_data, n=1)
+        with pytest.raises(DegenerateSpectrum) as err:
+            fresh.estimate()
+        _assert_flat_floats(err.value.q, 4)
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
-    def test_row_entries_equal_on_array_and_flat_tuple(self, method, short_data, rng):
-        from ifalign.attitude import compose_attitude, dcm_to_euler
+    def test_row_entries_reject_arrays(self, method, short_data):
+        # the row-level entries take only the flat layout: a (4, 4) or
+        # (3, 3) array fails where it is unpacked, with or without the repair
+        from ifalign.attitude import compose_attitude, dcm_to_euler, quat_dcm_entries
         from ifalign.quest import optimal_quaternion
 
         al = make_aligner(method, short_data.T)
         drive(al, short_data, n=150)
-        a = rng.standard_normal((4, 4))
-        for K in (al.solved_matrix(), tuple((a @ a.T).ravel().tolist())):
-            q_flat, lam_flat = optimal_quaternion(K)
-            q_array, lam_array = optimal_quaternion(np.reshape(K, (4, 4)))
-            assert q_flat.tobytes() == q_array.tobytes() and lam_flat == lam_array
-        c_q = quat_to_dcm(optimal_quaternion(al.solved_matrix())[0])
-        drifted = c_q + 1e-7  # takes the repair
+        K = al.solved_matrix()
+        with pytest.raises(IndexError):
+            optimal_quaternion(np.reshape(K, (4, 4)))
+        c_q = quat_dcm_entries(*optimal_quaternion(K)[0])
+        drifted = tuple(x + 1e-7 for x in c_q)  # takes the repair
         for c0 in (c_q, drifted):
-            flat = compose_attitude(al.c_nav, tuple(c0.ravel().tolist()), al.c_body)
-            array = compose_attitude(
-                np.reshape(al.c_nav, (3, 3)), c0, np.reshape(al.c_body, (3, 3))
-            )
-            _assert_flat_floats(flat, 9)
-            assert flat == array
-            assert dcm_to_euler(flat) == dcm_to_euler(np.reshape(flat, (3, 3)))
+            flat = (al.c_nav, c0, al.c_body)
+            _assert_flat_floats(compose_attitude(*flat), 9)
+            for i in range(3):
+                factors = list(flat)
+                factors[i] = np.reshape(factors[i], (3, 3))
+                with pytest.raises(ValueError):
+                    compose_attitude(*factors)
+            with pytest.raises(ValueError):
+                dcm_to_euler(np.reshape(compose_attitude(*flat), (3, 3)))
 
 
 class TestGuards:
@@ -368,6 +376,12 @@ class TestGuards:
         with pytest.raises(ValueError, match=message):
             aid_fix(**args)
 
+    @pytest.mark.parametrize("bad", [None, [1.0], "abc"], ids=["none", "list", "text"])
+    def test_fix_time_must_be_a_number(self, bad, short_data):
+        with pytest.raises(ValueError) as err:
+            aid_fix(bad, short_data.fix_v[0], short_data.fix_p[0])
+        assert str(err.value) == f"t must be a number, got {bad!r}"
+
     def test_update_folds_and_estimate_raises_until_observable(self, short_data):
         al = make_aligner("vif", short_data.T)
         assert al.update(short_data.interval(0), short_data.fix(0), short_data.fix(1)) is None
@@ -387,7 +401,7 @@ class TestGuards:
         drive(al, short_data, n=150)
         before = dict(vars(al))
         first, second = al.estimate(), al.estimate()
-        assert first.q.tobytes() == second.q.tobytes()
+        assert first.q == second.q
         assert first.lambda_min == second.lambda_min
         assert first.c_b_n == second.c_b_n
         assert vars(al) == before
@@ -403,7 +417,9 @@ class TestGuards:
         first, second = est.c_b_n, est.c_b_n
         assert first == second
         expected = compose_attitude(
-            np.reshape(al.c_nav, (3, 3)).T, quat_to_dcm(est.q), al.c_body
+            np.reshape(al.c_nav, (3, 3)).T.ravel().tolist(),
+            np.ravel(quat_to_dcm(est.q)).tolist(),
+            al.c_body,
         )
         assert first == expected
 
@@ -603,7 +619,8 @@ class TestPifPrefixSums:
         q_plain, _ = optimal_quaternion(K_plain)
         q_scaled, _ = optimal_quaternion(K_scaled)
         assert min(
-            np.linalg.norm(q_plain - q_scaled), np.linalg.norm(q_plain + q_scaled)
+            np.linalg.norm(np.subtract(q_plain, q_scaled)),
+            np.linalg.norm(np.add(q_plain, q_scaled)),
         ) < 1e-9
 
     def test_scaling_real_pairs_stays_within_discretization(self, short_data):
@@ -621,7 +638,8 @@ class TestPifPrefixSums:
         q_plain, _ = optimal_quaternion(al.K)
         q_scaled, _ = optimal_quaternion(K_scaled)
         assert min(
-            np.linalg.norm(q_plain - q_scaled), np.linalg.norm(q_plain + q_scaled)
+            np.linalg.norm(np.subtract(q_plain, q_scaled)),
+            np.linalg.norm(np.add(q_plain, q_scaled)),
         ) < 1e-5
 
 

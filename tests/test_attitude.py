@@ -275,22 +275,24 @@ class TestQuatMulMatrices:
 
 
 class TestComposeAttitude:
+    EYE = np.eye(3).ravel().tolist()
+
     def test_all_identity(self):
         np.testing.assert_allclose(
-            np.reshape(attitude.compose_attitude(np.eye(3), np.eye(3), np.eye(3)), (3, 3)),
+            np.reshape(attitude.compose_attitude(self.EYE, self.EYE, self.EYE), (3, 3)),
             np.eye(3),
         )
 
     def test_initial_instant_returns_initial_attitude(self):
         c0 = attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7]))
         np.testing.assert_allclose(
-            attitude.compose_attitude(np.eye(3), c0, np.eye(3)), c0
+            attitude.compose_attitude(self.EYE, c0, self.EYE), c0
         )
 
     def test_repairs_drifted_product(self):
         c0 = np.reshape(attitude.rotvec_to_dcm(np.array([0.3, -0.2, 0.7])), (3, 3))
         drifted = c0 + 1e-7 * np.ones((3, 3))
-        out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
+        out = attitude.compose_attitude(self.EYE, np.ravel(drifted).tolist(), self.EYE)
         assert_valid_dcm(np.reshape(out, (3, 3)))
 
     def test_repairs_drift_in_any_gram_entry(self):
@@ -304,7 +306,7 @@ class TestComposeAttitude:
                     drifted[:, i] *= 1.0 + 1e-6
                 else:
                     drifted[:, i] += 1e-6 * c0[:, j]
-                out = attitude.compose_attitude(np.eye(3), drifted, np.eye(3))
+                out = attitude.compose_attitude(self.EYE, np.ravel(drifted).tolist(), self.EYE)
                 assert_valid_dcm(np.reshape(out, (3, 3)))
 
     @staticmethod
@@ -317,7 +319,7 @@ class TestComposeAttitude:
         c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
         c0 = attitude.rotvec_to_dcm([0.3, -0.2, 0.7])
         c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
-        out = attitude.compose_attitude(np.reshape(c_nav, (3, 3)), c0, c_body)
+        out = attitude.compose_attitude(c_nav, c0, c_body)
         self.assert_flat_float_tuple(out)
         assert out == attitude.matmul3(attitude.matmul3(c_nav, c0), c_body)
 
@@ -325,7 +327,7 @@ class TestComposeAttitude:
         c_nav = attitude.rotvec_to_dcm([0.01, 0.02, -0.03])
         c_body = attitude.rotvec_to_dcm([-0.1, 0.05, 0.2])
         drifted = np.reshape(attitude.rotvec_to_dcm([0.3, -0.2, 0.7]), (3, 3)) + 1e-7
-        out = attitude.compose_attitude(c_nav, drifted, c_body)
+        out = attitude.compose_attitude(c_nav, drifted.ravel().tolist(), c_body)
         self.assert_flat_float_tuple(out)
         product = attitude.matmul3(attitude.matmul3(c_nav, drifted.ravel().tolist()), c_body)
         expected = attitude.orthonormalize(np.reshape(product, (3, 3)))
@@ -334,7 +336,7 @@ class TestComposeAttitude:
 
 class TestEuler:
     def test_identity(self):
-        np.testing.assert_allclose(attitude.dcm_to_euler(np.eye(3)), np.zeros(3))
+        np.testing.assert_allclose(attitude.dcm_to_euler(np.eye(3).ravel().tolist()), np.zeros(3))
         np.testing.assert_allclose(attitude.euler_to_dcm(np.zeros(3)), np.eye(3))
 
     def test_heading_definition(self):
@@ -373,7 +375,7 @@ class TestEuler:
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, roll, pitch, yaw):
         angles = np.array([roll, pitch, yaw])
-        back = attitude.dcm_to_euler(attitude.euler_to_dcm(angles))
+        back = attitude.dcm_to_euler(np.ravel(attitude.euler_to_dcm(angles)).tolist())
         # compare through the DCMs to avoid wrap equivalences
         np.testing.assert_allclose(
             attitude.euler_to_dcm(back), attitude.euler_to_dcm(angles), atol=1e-10
@@ -392,7 +394,7 @@ class TestEuler:
     def test_gimbal_warning(self):
         c = attitude.euler_to_dcm(np.array([0.1, math.pi / 2.0, 0.0]))
         with pytest.warns(GimbalProximityWarning):
-            attitude.dcm_to_euler(c)
+            attitude.dcm_to_euler(c.ravel().tolist())
 
     @staticmethod
     def assert_three_floats(angles):
@@ -402,7 +404,7 @@ class TestEuler:
     def test_returns_three_floats(self):
         angles = [0.1, -0.2, 0.3]
         c = attitude.euler_to_dcm(np.array(angles))
-        for dcm in (c, c.ravel().tolist()):
+        for dcm in (c.ravel().tolist(), tuple(c.ravel().tolist())):
             back = attitude.dcm_to_euler(dcm)
             self.assert_three_floats(back)
             np.testing.assert_allclose(back, angles, atol=1e-14)
@@ -411,11 +413,11 @@ class TestEuler:
     def test_gimbal_warning_within_1e_6_of_vertical(self, sign):
         near = attitude.euler_to_dcm(np.array([0.1, sign * (math.pi / 2 - 5e-7), 0.2]))
         with pytest.warns(GimbalProximityWarning):
-            self.assert_three_floats(attitude.dcm_to_euler(near))
+            self.assert_three_floats(attitude.dcm_to_euler(near.ravel().tolist()))
         clear = attitude.euler_to_dcm(np.array([0.1, sign * (math.pi / 2 - 2e-6), 0.2]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", GimbalProximityWarning)
-            self.assert_three_floats(attitude.dcm_to_euler(clear))
+            self.assert_three_floats(attitude.dcm_to_euler(clear.ravel().tolist()))
 
 
 class TestHelpers:

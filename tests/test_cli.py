@@ -101,6 +101,20 @@ class TestAlignVerb:
         report = (tmp_path / "rep" / "report_vif.csv").read_text()
         assert "yaw_err_deg" in report
 
+    def test_replay_from_non_ascii_path_writes_the_report(self, short_config, tmp_path):
+        # the report keeps every row and stays ASCII: the paths in its
+        # header escape their non-ASCII characters
+        logs = tmp_path / "l\u00f6gs"
+        cli.main(["simulate", "--config", str(short_config), "--out", str(logs)])
+        argv = ["align", "--method", "vif", "--imu", str(logs / "imu.csv"),
+                "--gps", str(logs / "gps.csv"), "--out", str(tmp_path / "rep")]
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "rep" / "report_vif.csv").read_bytes().decode("ascii").splitlines()
+        escaped = str(logs).replace("\u00f6", "\\xf6")
+        assert f"# imu_path={escaped}/imu.csv" in lines
+        assert f"# gps_path={escaped}/gps.csv" in lines
+        assert sum(not line.startswith(("#", "t_s")) for line in lines) == 8
+
     @pytest.mark.parametrize("case, file, message", BAD_INPUTS,
                              ids=[case for case, _, _ in BAD_INPUTS])
     def test_bad_input_names_the_file(self, case, file, message, short_config,
@@ -367,6 +381,23 @@ def test_invalid_config_exit_code(text, key, tmp_path, monkeypatch, capsys):
     assert cli.main(["align", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("verb, text, message", [
+    ("simulate", "scenario: {duration_s: 2, latitude_deg: .nan}",
+     "scenario: latitude_deg must be finite, got nan"),
+    ("simulate", "scenario: {attitude: {roll: {period_s: .inf}}}",
+     "scenario.attitude.roll: period_s must be finite, got inf"),
+    ("align", "sensors: {accel_bias_ug: .inf}", "sensors: accel_bias_ug must be finite, got inf"),
+], ids=["nan-latitude", "inf-period", "inf-bias"])
+def test_non_finite_config_value_exit_code(verb, text, message, tmp_path, capsys):
+    # named by its key before anything is simulated or written
+    path = tmp_path / "nan.yaml"
+    path.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--imu"])

@@ -1,5 +1,6 @@
 import gc
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,11 +77,17 @@ class TestRunAlignment:
                 degenerate.append(True)
                 continue
             c = np.reshape(
-                compose_attitude(np.reshape(al.c_nav, (3, 3)).T, quat_to_dcm(q), al.c_body),
+                compose_attitude(
+                    np.reshape(al.c_nav, (3, 3)).T.ravel().tolist(),
+                    np.ravel(quat_to_dcm(q)).tolist(),
+                    al.c_body,
+                ),
                 (3, 3),
             )
-            est.append(np.array(dcm_to_euler(c)) * RAD2DEG)
-            err.append(np.array(dcm_to_euler(c @ data.truth_c_b_n[k + 1].T)) * RAD2DEG)
+            est.append(np.array(dcm_to_euler(c.ravel().tolist())) * RAD2DEG)
+            err.append(np.array(dcm_to_euler(
+                np.ravel(c @ data.truth_c_b_n[k + 1].T).tolist()
+            )) * RAD2DEG)
             degenerate.append(False)
         est, err, degenerate = np.array(est), np.array(err), np.array(degenerate)
         assert degenerate.any() and not degenerate.all()
@@ -592,6 +599,20 @@ class TestMonteCarlo:
                         truth=mc_truth)
         np.testing.assert_allclose(s.three_sigma_deg, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("duration", [10.0, 40.0], ids=["shorter", "longer"])
+    def test_truth_must_be_that_of_cfg(self, duration, mc_truth, monkeypatch):
+        # refused before any run, whether the truth is shorter than cfg or longer
+        from ifalign import harness
+
+        def no_run(args):
+            raise AssertionError("a mismatched truth must not start a run")
+
+        monkeypatch.setattr(harness, "_mc_run", no_run)
+        cfg = ScenarioConfig(duration_s=duration)
+        errors = simulation_sensor_defaults(seed=3)
+        with pytest.raises(ValueError, match="^the truth was generated from another scenario"):
+            monte_carlo(cfg, errors, 2, "vif", epochs=[10.0], jobs=1, truth=mc_truth)
+
     def test_requires_two_runs(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)
         with pytest.raises(ValueError):
@@ -746,8 +767,9 @@ class TestMonteCarlo:
         monkeypatch.setattr(harness, "_mc_run", no_run)
         for duration, epochs in ((300.0, harness.DEFAULT_EPOCHS),
                                  (120.0, (5.0, 10.0, 20.0, 60.0, 100.0, 120.0))):
-            s = monte_carlo(ScenarioConfig(duration_s=duration), simulation_sensor_defaults(),
-                            2, "vif", jobs=1, truth=object())
+            cfg = ScenarioConfig(duration_s=duration)  # a stand-in truth of that scenario
+            s = monte_carlo(cfg, simulation_sensor_defaults(), 2, "vif", jobs=1,
+                            truth=SimpleNamespace(cfg=cfg))
             assert tuple(s.epochs.tolist()) == epochs
 
     def test_summary_table_format(self, mc_truth):

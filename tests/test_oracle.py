@@ -200,7 +200,10 @@ class TestAttitudeComposition:
 
         ref = oracle.AlignmentReference(short_truth, substep=0.002).run(10.0)
         c0 = short_truth.c_b_n[0]
-        composed = compose_attitude(ref["c_nav"][-1].T, c0, ref["c_body"][-1])
+        composed = compose_attitude(
+            np.ravel(ref["c_nav"][-1].T).tolist(), np.ravel(c0).tolist(),
+            np.ravel(ref["c_body"][-1]).tolist(),
+        )
         idx = int(round(10.0 / short_truth.cfg.grid_dt))
         assert rotation_angle(np.reshape(composed, (3, 3)) @ short_truth.c_b_n[idx].T) < 1e-8
 

@@ -21,8 +21,8 @@ def eigh_reference(K):
     """The q-method solved through ``np.linalg.eigh``, with the gap rule,
     tie-break, sign and norm steps of :func:`optimal_quaternion`.
 
-    Returns ``(q, lambda_min, degenerate)``; ``q`` is the tied candidate
-    when ``degenerate``.
+    Returns ``(q, lambda_min, degenerate)``, ``q`` a 4-tuple of floats;
+    ``q`` is the tied candidate when ``degenerate``.
     """
     rows = np.reshape(np.array(K, dtype=float), (4, 4)).tolist()
     trace = rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3]
@@ -31,13 +31,18 @@ def eigh_reference(K):
     if w[1] - w[0] <= GAP_TOL * trace:
         tied = [quat_canonical(v[:, i]) for i in range(4) if w[i] - w[0] <= GAP_TOL * trace]
         tied.sort(key=lambda q: tuple(q))
-        return tied[0], w[0], True
+        return tuple(tied[0].tolist()), w[0], True
     q = v[:, 0].tolist()
     q0, q1, q2, q3 = q
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if flips_sign(q):
         norm = -norm
-    return np.array([q0 / norm, q1 / norm, q2 / norm, q3 / norm]), w[0], False
+    return (q0 / norm, q1 / norm, q2 / norm, q3 / norm), w[0], False
+
+
+def bits(q):
+    """The exact bits of each component of ``q``, signed zeros included."""
+    return tuple(map(float.hex, q))
 
 
 def assert_matches_reference(K, solve=optimal_quaternion):
@@ -51,7 +56,8 @@ def assert_matches_reference(K, solve=optimal_quaternion):
         assert degenerate
     else:
         assert not degenerate
-    assert q.tobytes() == expected.tobytes()
+    assert type(q) is tuple and all(type(x) is float for x in q)
+    assert bits(q) == bits(expected)
     assert lam == expected_lam
 
 
@@ -158,13 +164,13 @@ class TestAccumulate:
 
 class TestOptimalQuaternion:
     def test_diagonal_case(self):
-        q, lam = optimal_quaternion(np.diag([3.0, 1.0, 2.0, 4.0]))
+        q, lam = optimal_quaternion(np.diag([3.0, 1.0, 2.0, 4.0]).ravel().tolist())
         np.testing.assert_allclose(q, [0.0, 1.0, 0.0, 0.0])
         assert lam == pytest.approx(1.0)
 
     def test_isotropic_is_degenerate(self):
         with pytest.raises(DegenerateSpectrum) as err:
-            optimal_quaternion(np.eye(4))
+            optimal_quaternion(np.eye(4).ravel().tolist())
         assert err.value.q is not None
         assert err.value.lambda_min == pytest.approx(1.0)
 
@@ -175,7 +181,7 @@ class TestOptimalQuaternion:
 
         for factor, degenerate in ((0.9, True), (1.1, False)):
             gap = factor * GAP_TOL * 17.0
-            K = np.diag([1.0, 1.0 + gap, 5.0, 10.0])
+            K = np.diag([1.0, 1.0 + gap, 5.0, 10.0]).ravel().tolist()
             if degenerate:
                 with pytest.raises(DegenerateSpectrum):
                     optimal_quaternion(K)
@@ -186,7 +192,7 @@ class TestOptimalQuaternion:
 
     def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
-            optimal_quaternion(np.zeros((4, 4)))
+            optimal_quaternion((0.0,) * 16)
 
     def test_single_pair_is_degenerate(self, rng):
         alpha = rng.standard_normal(3)
@@ -206,7 +212,7 @@ class TestOptimalQuaternion:
                 K = accumulate(K, alpha, c @ alpha)
             q, lam = optimal_quaternion(K)
             # rotation-angle error between estimate and truth
-            dq = quat_multiply(q, np.array([q_true[0], *(-q_true[1:])]))
+            dq = quat_multiply(np.array(q), np.array([q_true[0], *(-q_true[1:])]))
             angle = 2.0 * np.arctan2(np.linalg.norm(dq[1:]), abs(dq[0]))
             assert angle < 1e-9
 
@@ -214,7 +220,7 @@ class TestOptimalQuaternion:
         outs = []
         for _ in range(3):
             try:
-                optimal_quaternion(np.eye(4))
+                optimal_quaternion(np.eye(4).ravel().tolist())
             except DegenerateSpectrum as err:
                 outs.append(err.q)
         assert all(np.array_equal(outs[0], q) for q in outs)
@@ -230,7 +236,7 @@ class TestOptimalQuaternion:
             except DegenerateSpectrum:
                 continue
             K = np.reshape(K, (4, 4))
-            r = np.linalg.norm(K @ q - lam * q)
+            r = np.linalg.norm(np.subtract(K @ q, np.multiply(lam, q)))
             assert r < 1e-10 * max(1.0, np.trace(K))
             assert q[0] >= 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] > 0)
 
@@ -239,10 +245,10 @@ class TestOptimalQuaternion:
             a = rng.standard_normal((4, 4))
             K = a @ a.T
             try:
-                q, _ = optimal_quaternion(K)
+                q, _ = optimal_quaternion(K.ravel().tolist())
             except DegenerateSpectrum:
                 continue
-            qc = quat_canonical(q.copy())
+            qc = quat_canonical(np.array(q))
             np.testing.assert_array_equal(q, qc)
 
     @pytest.mark.parametrize("column", [
@@ -259,9 +265,9 @@ class TestOptimalQuaternion:
         monkeypatch.setattr(
             quest, "_eigh_lo", lambda K, **kwargs: (np.array([1.0, 2.0, 3.0, 4.0]), v)
         )
-        q, lam = optimal_quaternion(np.diag([1.0, 2.0, 3.0, 4.0]))
+        q, lam = optimal_quaternion(np.diag([1.0, 2.0, 3.0, 4.0]).ravel().tolist())
         expected = quat_canonical(np.array(column)) / math.sqrt(sum(x * x for x in column))
-        assert q.tobytes() == expected.tobytes()
+        assert bits(q) == bits(expected.tolist())
         assert lam == 1.0
         assert next(x for x in q if x != 0.0) > 0.0
 
@@ -274,9 +280,9 @@ class TestOptimalQuaternion:
         for entry in entries:
             K[entry] = value
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            optimal_quaternion(K)
-        with pytest.raises(ValueError):
             optimal_quaternion(K.ravel().tolist())
+        with pytest.raises(ValueError):
+            optimal_quaternion(tuple(K.ravel().tolist()))
 
 
 class TestEighParity:
@@ -286,7 +292,7 @@ class TestEighParity:
     def test_random_psd(self, rng):
         for _ in range(200):
             a = rng.standard_normal((4, 4))
-            assert_matches_reference(a @ a.T)
+            assert_matches_reference((a @ a.T).ravel().tolist())
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_every_solved_matrix_of_a_run(self, method, short_data):
@@ -304,7 +310,9 @@ class TestEighParity:
     def test_degenerate_candidate(self, rng):
         alpha = rng.standard_normal(3)
         K = accumulate((0.0,) * 16, alpha, random_rotation(rng) @ alpha)
-        for degenerate in (np.eye(4), np.zeros((4, 4)), np.diag([2.0, 2.0, 3.0, 4.0]), K):
+        for degenerate in (
+            np.eye(4).ravel().tolist(), (0.0,) * 16, np.diag([2.0, 2.0, 3.0, 4.0]).ravel().tolist(), K
+        ):
             assert_matches_reference(degenerate)
             with pytest.raises(DegenerateSpectrum):
                 optimal_quaternion(degenerate)

@@ -60,6 +60,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SineProfile(amplitude=1.0, period_s=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, name", [
+        (SineProfile, "amplitude"), (SineProfile, "period_s"), (SineProfile, "phase_deg"),
+        (ScenarioConfig, "latitude_deg"), (ScenarioConfig, "longitude_deg"),
+        (ScenarioConfig, "height_m"), (SensorErrors, "gyro_drift_deg_h"),
+        (SensorErrors, "gyro_noise_deg_h_sqrt_hz"), (SensorErrors, "accel_bias_ug"),
+        (SensorErrors, "accel_noise_ug_sqrt_hz"), (SensorErrors, "gps_vel_sigma_mps"),
+        (SensorErrors, "gps_pos_sigma_m"),
+    ])
+    def test_float_fields_must_be_finite(self, cls, name, bad):
+        # a NaN passes the sign checks, so each float field is checked on its own
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            cls(**{name: bad})
+
 
 class TestStaticTruth:
     def test_static_gyro_measures_earth_rate(self, static_truth):

@@ -110,13 +110,14 @@ def quartiles(values):
 
 def judge(parent, change, sign):
     """The pairs ``zip(parent, change)`` that the change won (ties count for
-    neither side), each side's quartiles, and whether the gain rule holds.
-    ``sign`` is 1 where higher is better, -1 where lower is."""
+    neither side), each side's quartiles, the parent's interquartile range,
+    the change's gain in median (positive when better) and whether the gain
+    rule holds.  ``sign`` is 1 where higher is better, -1 where lower is."""
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     stats = {"parent": quartiles(parent), "change": quartiles(change)}
     iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
     gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
-    return wins, stats, wins >= 0.9 * len(parent) and gain > iqr
+    return wins, stats, iqr, gain, wins >= 0.9 * len(parent) and gain > iqr
 
 
 def summarize(runs, metrics):
@@ -124,21 +125,19 @@ def summarize(runs, metrics):
     for name, metric in metrics.items():
         better, bound = metric["better"], metric["bound"]
         sign = 1.0 if better == "higher" else -1.0
-        wins, stats, holds = judge(
+        wins, stats, iqr, gain, holds = judge(
             [r["parent"]["metrics"][name]["value"] for r in runs],
             [r["change"]["metrics"][name]["value"] for r in runs], sign)
         unscaled = {}
         if name in runs[0]["parent"]["unscaled"]:
-            unscaled_wins, unscaled_stats, unscaled_holds = judge(
+            unscaled_wins, unscaled_stats, _, _, unscaled_holds = judge(
                 [r["parent"]["unscaled"][name] for r in runs],
                 [r["change"]["unscaled"][name] for r in runs], sign)
             stats["unscaled"] = {side: unscaled_stats[side]["median"]
                                  for side in ("parent", "change")}
             unscaled = {"unscaled_change_wins": unscaled_wins,
                         "unscaled_gain_rule_holds": unscaled_holds}
-        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         parent_median = stats["parent"]["median"]
-        gain = sign * (stats["change"]["median"] - parent_median)
         summary[name] = {
             "better": better,
             "bound": bound,
