@@ -91,21 +91,6 @@ def rotvec_to_dcm(phi):
     )
 
 
-def dcm_to_rotvec(dcm):
-    """Rotation vector phi with ``rotvec_to_dcm(phi) == dcm``, ``|phi| <= pi``.
-
-    The angle comes from atan2 of the quaternion's vector part against its
-    scalar part: acos of the scalar part alone loses about half the digits
-    for small rotations (1.2% at 1e-7 rad).
-    """
-    q = dcm_to_quat(dcm)
-    norm_eta = np.linalg.norm(q[1:])
-    if norm_eta < 1e-300:
-        return np.zeros(3)
-    angle = 2.0 * math.atan2(norm_eta, q[0])
-    return q[1:] * (angle / norm_eta)
-
-
 def rotation_angle(dcm):
     """Magnitude of the rotation a DCM represents, in radians.
 
@@ -130,16 +115,6 @@ def flips_sign(q):
         if component < 0.0:
             return True
     return False
-
-
-def quat_canonical(q):
-    """Flip the sign so that s >= 0 (first nonzero component positive at s=0)."""
-    return -q if flips_sign(q) else q
-
-
-def quat_normalize(q):
-    """Unit-norm, canonical-sign copy of ``q``."""
-    return quat_canonical(np.asarray(q, dtype=float) / np.linalg.norm(q))
 
 
 def quat_multiply(q1, q2):

@@ -213,7 +213,7 @@ class RunReport:
     est_deg: np.ndarray          # (R, 3) roll, pitch, yaw; NaN while degenerate
     err_deg: np.ndarray          # (R, 3) or None in replay mode
     degenerate: np.ndarray       # (R,) bool
-    k_eigenvalues: np.ndarray    # (4,) ascending, of aligner.solved_matrix()
+    k_eigenvalues: np.ndarray    # (4,) ascending, of solved_matrix(), by the rows' eigh
     metadata: dict
 
     def errors_at(self, epochs):
@@ -263,14 +263,6 @@ def _solve_precision(eigenvalues):
     return out
 
 
-def _attitude_error(c_est, c_true_t):
-    """Roll/pitch/yaw (rad) of ``c_est @ c_true.T`` as a float 3-tuple, from
-    the flat row-major 9-sequences of ``c_est`` and of the transposed truth.
-    ``matmul3`` may round the product differently from numpy's ``@`` in the
-    last bits."""
-    return dcm_to_euler(matmul3(c_est, c_true_t))
-
-
 def _report_stride(report_interval_s, T):
     """Updates per report row; ``ValueError`` unless a positive whole number."""
     stride = report_interval_s / T
@@ -300,6 +292,8 @@ def run_alignment(data, method, report_interval_s=1.0):
     # Each row is appended to a list as a float 3-tuple (NaN while
     # degenerate); the (R, 3) arrays are built once at the end.  Row r
     # reads the fix after update k = (r + 1) * stride - 1, so r = k // stride.
+    # The error is the Euler angles of C_est @ C_true^T: truth_t holds each
+    # row's transposed truth as a flat row-major 9-list.
     rows = slice(stride, n_rows * stride + 1, stride)
     truth_t = None if data.truth_c_b_n is None else (
         data.truth_c_b_n[rows].transpose(0, 2, 1).reshape(n_rows, 9).tolist()
@@ -320,7 +314,7 @@ def run_alignment(data, method, report_interval_s=1.0):
         degenerate.append(False)
         est_rows.append(dcm_to_euler(estimate.c_b_n))
         if truth_t is not None:
-            err_rows.append(_attitude_error(estimate.c_b_n, truth_t[k // stride]))
+            err_rows.append(dcm_to_euler(matmul3(estimate.c_b_n, truth_t[k // stride])))
 
     meta = dict(data.metadata, method=method)
     return RunReport(
@@ -329,7 +323,7 @@ def run_alignment(data, method, report_interval_s=1.0):
         est_deg=np.array(est_rows) * RAD2DEG,
         err_deg=np.array(err_rows) * RAD2DEG if truth_t is not None else None,
         degenerate=np.array(degenerate),
-        k_eigenvalues=np.linalg.eigvalsh(np.reshape(aligner.solved_matrix(), (4, 4))),
+        k_eigenvalues=np.linalg.eigh(np.reshape(aligner.solved_matrix(), (4, 4)))[0],
         metadata=meta,
     )
 
@@ -454,8 +448,7 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
     tasks = [(i, method, rows) for i in range(n_runs)]
     results = {}
     failed = []
-    if jobs > 1:  # the workers inherit the runs' noiseless GPS fixes by fork
-        truth.antenna_fixes(errors.lever_arm_m)
+    truth.antenna_fixes(errors.lever_arm_m)  # cached for every run; pool workers fork with it
     try:
         with _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
             outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)

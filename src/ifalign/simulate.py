@@ -14,6 +14,7 @@ from the IMU by a body-frame lever arm, with white velocity/position noise.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -28,13 +29,22 @@ G0 = 9.80665  # m/s^2, standard gravity used for microgravity units
 DEG_PER_H = D2R / 3600.0  # deg/h -> rad/s
 
 
-def _check_finite(config):
+def _check_integer(value, name):
+    """``ValueError`` naming ``name`` unless ``value`` is a Python or numpy
+    integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_numbers(config):
     """``ValueError`` naming the first float field of the dataclass
-    ``config`` that is not finite."""
+    ``config`` that is not finite, or int field that is not an integer."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if f.type is int:
+            _check_integer(value, f.name)
 
 
 @dataclass(frozen=True)
@@ -46,7 +56,7 @@ class SineProfile:
     phase_deg: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_numbers(self)
         if self.amplitude != 0.0 and self.period_s <= 0.0:
             raise ValueError("period must be positive when amplitude is nonzero")
 
@@ -84,7 +94,8 @@ class ScenarioConfig:
     vel_east: SineProfile = field(default_factory=lambda: SineProfile(16.0, 190.0, 200.0))
 
     def __post_init__(self):
-        as_float3(self.vel_mean_mps, "vel_mean_mps")
+        # kept as the float tuple, so that configs equal in value compare equal
+        object.__setattr__(self, "vel_mean_mps", as_float3(self.vel_mean_mps, "vel_mean_mps"))
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive and finite")
         if not 0.0 < self.update_interval_s < math.inf:
@@ -92,7 +103,7 @@ class ScenarioConfig:
         n_upd = self.duration_s / self.update_interval_s
         if abs(n_upd - round(n_upd)) > 1e-9:
             raise ValueError("duration must be a whole number of update intervals")
-        _check_finite(self)
+        _check_numbers(self)
 
     @property
     def sample_dt(self):
@@ -138,11 +149,11 @@ class SensorErrors:
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite(self)
+        _check_numbers(self)
         for f in fields(self):
             if f.type in (float, int) and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
-        as_float3(self.lever_arm_m, "lever_arm_m")
+        object.__setattr__(self, "lever_arm_m", as_float3(self.lever_arm_m, "lever_arm_m"))
 
     def without_lever_arm(self):
         return replace(self, lever_arm_m=(0.0, 0.0, 0.0))
@@ -427,7 +438,10 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
 
 
 def run_rng(seed, run_index=0):
-    """Deterministic generator for one Monte-Carlo run."""
+    """Deterministic generator for one Monte-Carlo run; ``ValueError`` unless
+    ``seed`` and ``run_index`` are integers and the run index is nonnegative."""
+    _check_integer(seed, "seed")
+    _check_integer(run_index, "run_index")
     if run_index < 0:
         raise ValueError("run index must be nonnegative")
     return np.random.default_rng([int(seed), int(run_index)])

@@ -59,3 +59,24 @@ def test_unscaled_gain_rule_needs_more_than_the_parent_spread():
     rate = bench_pairs.summarize(runs, METRICS)["updates_per_s"]
     assert (rate["unscaled_change_wins"], rate["unscaled_gain_rule_holds"]) == (10, False)
     assert rate["change_wins"] == 0
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ("align_300s", "'align_300s' is not workload=count"),
+    ("align_300s=x", "the count of align_300s must be an integer of at least 1, got 'x'"),
+    ("align_300s=0", "the count of align_300s must be an integer of at least 1, got '0'"),
+    ("replay_dense=2,align_300=3", "unknown workload 'align_300'"),
+])
+def test_bad_pairs_are_a_usage_error_before_any_run(pairs, message, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a bad --pairs must not start a run")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--seed", "1",
+                          "--pairs", pairs, "--out", "out.json"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert bench_pairs.parse_pairs("align_300s=10,montecarlo=5",
+                                   ["align_300s", "montecarlo"]) == [("align_300s", 10),
+                                                                     ("montecarlo", 5)]

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from ifalign import io as ifio
+from ifalign.attitude import dcm_to_euler, matmul3
 from ifalign.errors import FormatError
 from ifalign.harness import (
     AlignmentData,
     RAD2DEG,
     RunReport,
-    _attitude_error,
     monte_carlo,
     run_alignment,
 )
@@ -50,8 +50,24 @@ class TestRunAlignment:
         al = make_aligner(method, data.T)
         for k in range(data.n_updates):
             al.update(data.interval(k), data.fix(k), data.fix(k + 1))
-        expected = np.linalg.eigvalsh(np.reshape(al.solved_matrix(), (4, 4)))
+        expected = np.linalg.eigh(np.reshape(al.solved_matrix(), (4, 4)))[0]
         np.testing.assert_array_equal(rep.k_eigenvalues, expected)
+
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    def test_last_row_lambda_min_is_the_first_k_eigenvalue(self, method, short_truth):
+        # the last update is a report row, and the spectrum comes from the
+        # rows' own solve: bitwise the same smallest eigenvalue
+        from ifalign.align import make_aligner
+
+        data = AlignmentData.from_simulation(
+            short_truth, simulation_sensor_defaults(7), run_rng(7, 0)
+        )
+        rep = run_alignment(data, method, report_interval_s=1.0)
+        al = make_aligner(method, data.T)
+        for k in range(data.n_updates):
+            al.update(data.interval(k), data.fix(k), data.fix(k + 1))
+        assert rep.t[-1] == data.fix_t[-1] and not rep.degenerate[-1]
+        assert al.estimate().lambda_min.hex() == rep.k_eigenvalues[0].hex()
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
     def test_rows_equal_the_array_functions(self, method, short_truth):
@@ -565,8 +581,9 @@ class TestOracleDrift:
 class TestAttitudeError:
     @staticmethod
     def error_deg(c_est, c_true):
+        # run_alignment's error row: the Euler angles of C_est @ C_true^T
         return np.array(
-            _attitude_error(c_est.ravel().tolist(), c_true.T.ravel().tolist())
+            dcm_to_euler(matmul3(c_est.ravel().tolist(), c_true.T.ravel().tolist()))
         ) * RAD2DEG
 
     def test_zero_for_identical(self):
@@ -612,6 +629,16 @@ class TestMonteCarlo:
         errors = simulation_sensor_defaults(seed=3)
         with pytest.raises(ValueError, match="^the truth was generated from another scenario"):
             monte_carlo(cfg, errors, 2, "vif", epochs=[10.0], jobs=1, truth=mc_truth)
+
+    def test_truth_of_an_equal_scenario_typed_as_a_list(self, mc_truth):
+        # the config keeps its vectors as float tuples, so a list-typed
+        # equal scenario is the truth's own and gives the same summary
+        errors = simulation_sensor_defaults(seed=3)
+        cfg = ScenarioConfig(duration_s=30.0, vel_mean_mps=[120, 0, 0])
+        s = monte_carlo(cfg, errors, 2, "vif", epochs=[30.0], jobs=1, truth=mc_truth)
+        expected = monte_carlo(mc_truth.cfg, errors, 2, "vif", epochs=[30.0], jobs=1,
+                               truth=mc_truth)
+        np.testing.assert_array_equal(s.three_sigma_deg, expected.three_sigma_deg)
 
     def test_requires_two_runs(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)
@@ -768,8 +795,8 @@ class TestMonteCarlo:
         for duration, epochs in ((300.0, harness.DEFAULT_EPOCHS),
                                  (120.0, (5.0, 10.0, 20.0, 60.0, 100.0, 120.0))):
             cfg = ScenarioConfig(duration_s=duration)  # a stand-in truth of that scenario
-            s = monte_carlo(cfg, simulation_sensor_defaults(), 2, "vif", jobs=1,
-                            truth=SimpleNamespace(cfg=cfg))
+            truth = SimpleNamespace(cfg=cfg, antenna_fixes=lambda lever_arm_m: None)
+            s = monte_carlo(cfg, simulation_sensor_defaults(), 2, "vif", jobs=1, truth=truth)
             assert tuple(s.epochs.tolist()) == epochs
 
     def test_summary_table_format(self, mc_truth):

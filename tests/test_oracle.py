@@ -6,7 +6,6 @@ import pytest
 from ifalign import earth, oracle
 from ifalign.attitude import (
     quat_multiply,
-    quat_normalize,
     quat_to_dcm,
     rotation_angle,
     rotvec_to_dcm,
@@ -75,6 +74,21 @@ class TestKernelReferences:
         phi = oracle.rotation_vector_reference(omega_fn, 0.0, 0.5, n=500)
         np.testing.assert_allclose(phi, 0.5 * w, atol=1e-12)
 
+    def test_rotation_vector_reference_beyond_half_turn(self):
+        # a 4 rad turn reads as 4 - 2 pi about the same axis: |phi| <= pi
+        u = np.array([1.0, -2.0, 2.0]) / 3.0
+        omega_fn, _ = constant_profiles(4.0 * u, np.zeros(3))
+        phi = oracle.rotation_vector_reference(omega_fn, 0.0, 1.0, n=2000)
+        np.testing.assert_allclose(phi, (4.0 - 2.0 * math.pi) * u, rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(phi) <= math.pi
+
+    def test_rotation_vector_reference_small_turn(self):
+        # 1e-7 rad keeps its digits (acos of the scalar part lost 1.2% here)
+        w = 1e-7 * np.array([1.0, -2.0, 2.0]) / 3.0
+        omega_fn, _ = constant_profiles(w, np.zeros(3))
+        phi = oracle.rotation_vector_reference(omega_fn, 0.0, 1.0, n=100)
+        np.testing.assert_allclose(phi, w, rtol=1e-12, atol=0.0)
+
     def test_attitude_chain_matches_rodrigues_for_constant_rate(self):
         w = np.array([0.1, 0.2, -0.15])
         omega_fn, _ = constant_profiles(w, np.zeros(3))
@@ -100,8 +114,8 @@ def stepwise_reference(truth, h, t_end, epochs):
         return 0.5 * quat_multiply(q, np.array([0.0, w[0], w[1], w[2]]))
 
     def derivative(s, y):
-        c_b = quat_to_dcm(quat_normalize(y[0:4]))   # C_{b(t)}^{b(0)}
-        c_n = quat_to_dcm(quat_normalize(y[4:8]))   # C_{n(t)}^{n(0)}
+        c_b = quat_to_dcm(y[0:4] / np.linalg.norm(y[0:4]))   # C_{b(t)}^{b(0)}
+        c_n = quat_to_dcm(y[4:8] / np.linalg.norm(y[4:8]))   # C_{n(t)}^{n(0)}
         return np.concatenate([
             quat_rate(y[0:4], w_ib[s]), quat_rate(y[4:8], w_in[s]),
             c_b @ f_b[s],    # alpha_v
@@ -123,17 +137,18 @@ def stepwise_reference(truth, h, t_end, epochs):
             k3 = derivative(s + 1, y + 0.5 * h * k2)
             k4 = derivative(s + 2, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y[0:4], y[4:8] = quat_normalize(y[0:4]), quat_normalize(y[4:8])
+            y[0:4] /= np.linalg.norm(y[0:4])
+            y[4:8] /= np.linalg.norm(y[4:8])
         if k not in epoch_steps:
             continue
         t = k * h
-        c_n = quat_to_dcm(quat_normalize(y[4:8]))
+        c_n = quat_to_dcm(y[4:8] / np.linalg.norm(y[4:8]))
         out["t"].append(t)
         out["alpha_v"].append(y[8:11].copy())
         out["beta_v"].append(c_n @ v[2 * k] - v[0] + y[11:14])
         out["alpha_p"].append(y[14:17].copy())
         out["beta_p"].append(y[20:23] - t * v[0] + y[17:20])
-        out["c_body"].append(quat_to_dcm(quat_normalize(y[0:4])))
+        out["c_body"].append(quat_to_dcm(y[0:4] / np.linalg.norm(y[0:4])))
         out["c_nav"].append(c_n)
     return {name: np.array(series) for name, series in out.items()}
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,30 @@ class TestConfigValidation:
     def test_negative_run_index_rejected(self):
         with pytest.raises(ValueError, match="^run index must be nonnegative$"):
             run_rng(0, -1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            SensorErrors(seed=seed)
+        assert SensorErrors(seed=np.int64(3)) == SensorErrors(seed=3)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, False, "1", np.float64(1.0)])
+    def test_rng_seed_and_run_index_must_be_integers(self, bad):
+        # run_rng(0, 1.5) drew the noise of run 1
+        with pytest.raises(ValueError, match=f"^run_index must be an integer, got {re.escape(repr(bad))}$"):
+            run_rng(0, bad)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(bad))}$"):
+            run_rng(bad, 0)
+        assert (run_rng(np.int32(4), np.uint8(1)).standard_normal()
+                == run_rng(4, 1).standard_normal())
+
+    @pytest.mark.parametrize("typed", [list, np.array], ids=["list", "ndarray"])
+    def test_vectors_are_kept_as_float_tuples(self, typed):
+        cfg = ScenarioConfig(vel_mean_mps=typed([120, 0, 0]))
+        errors = SensorErrors(lever_arm_m=typed([1.0, 1.0, 1.0]))
+        assert cfg.vel_mean_mps == (120.0, 0.0, 0.0) and cfg == ScenarioConfig()
+        assert errors == SensorErrors(lever_arm_m=(1.0, 1.0, 1.0))
+        assert hash(errors) == hash(SensorErrors(lever_arm_m=(1.0, 1.0, 1.0)))
 
     @pytest.mark.parametrize("vector", [(1.0, 2.0), 1.0, (1.0, math.nan, 0.0)],
                              ids=["two-elements", "scalar", "nan"])

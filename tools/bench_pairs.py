@@ -153,6 +153,25 @@ def summarize(runs, metrics):
     return summary
 
 
+def parse_pairs(text, workloads):
+    """``[(workload, count), ...]`` from the ``--pairs`` text
+    ``workload=count,...``; ``ValueError`` unless each item has an ``=``, a
+    workload among ``workloads`` and a count that is an integer of at least 1."""
+    plan = []
+    for item in text.split(","):
+        name, equals, count = item.partition("=")
+        if not equals:
+            raise ValueError(f"{item!r} is not workload=count")
+        if name not in workloads:
+            raise ValueError(f"unknown workload {name!r}: BENCHMARK.json has "
+                             + ", ".join(workloads))
+        if not count.strip().isdecimal() or int(count) < 1:
+            raise ValueError(f"the count of {name} must be an integer of at least 1, "
+                             f"got {count!r}")
+        plan.append((name, int(count)))
+    return plan
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -165,9 +184,12 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
-    plan = [(name, int(count)) for name, count in
-            (item.split("=") for item in args.pairs.split(","))]
+    benchmark = json.loads(BENCHMARK.read_text())
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    try:
+        plan = parse_pairs(args.pairs, [w["name"] for w in benchmark["workloads"]])
+    except ValueError as exc:
+        parser.error(f"--pairs: {exc}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     environments = {}
     traces = {}
