@@ -252,9 +252,7 @@ class _AlignerBase:
         while the attitude is unobservable; further updates may follow.
         """
         q, lam = optimal_quaternion(self.solved_matrix())
-        return AlignmentEstimate(
-            t=self.t, q=q, lambda_min=lam, c_nav=self.c_nav, c_body=self.c_body
-        )
+        return AlignmentEstimate(self.M * self.T, q, lam, self.c_nav, self.c_body)
 
 
 class VelocityIntegrationAligner(_AlignerBase):

@@ -30,6 +30,7 @@ from .errors import GimbalProximityWarning, NotARotation
 
 _SMALL_ANGLE = 1e-7
 _REPAIR_TOL = 1e-9
+_GIMBAL_PITCH = math.pi / 2.0 - 1e-6  # |pitch| beyond which dcm_to_euler warns
 ROTATION_TOL = 1e-6  # allowed error of a DCM's C^T C and det, and of a quaternion's norm
 
 
@@ -259,15 +260,17 @@ def compose_attitude(c_n0_to_nt, c_b_to_n0, c_bt_to_b0):
     """
     c = matmul3(matmul3(c_n0_to_nt, c_b_to_n0), c_bt_to_b0)
     c00, c01, c02, c10, c11, c12, c20, c21, c22 = c
-    drift = max(
-        abs(c00 * c00 + c10 * c10 + c20 * c20 - 1.0),
-        abs(c01 * c01 + c11 * c11 + c21 * c21 - 1.0),
-        abs(c02 * c02 + c12 * c12 + c22 * c22 - 1.0),
-        abs(c00 * c01 + c10 * c11 + c20 * c21),
-        abs(c00 * c02 + c10 * c12 + c20 * c22),
-        abs(c01 * c02 + c11 * c12 + c21 * c22),
-    )
-    if drift > _REPAIR_TOL:
+    tol = _REPAIR_TOL
+    # the six distinct entries of C^T C - I, each tested as |r| > tol; a NaN
+    # entry fails both comparisons, so a NaN product is returned as it is
+    r0 = c00 * c00 + c10 * c10 + c20 * c20 - 1.0
+    r1 = c01 * c01 + c11 * c11 + c21 * c21 - 1.0
+    r2 = c02 * c02 + c12 * c12 + c22 * c22 - 1.0
+    r3 = c00 * c01 + c10 * c11 + c20 * c21
+    r4 = c00 * c02 + c10 * c12 + c20 * c22
+    r5 = c01 * c02 + c11 * c12 + c21 * c22
+    if (r0 > tol or r0 < -tol or r1 > tol or r1 < -tol or r2 > tol or r2 < -tol
+            or r3 > tol or r3 < -tol or r4 > tol or r4 < -tol or r5 > tol or r5 < -tol):
         return tuple(orthonormalize(np.reshape(c, (3, 3))).ravel().tolist())
     return c
 
@@ -311,7 +314,7 @@ def dcm_to_euler(dcm):
     """
     c00, _, _, c10, c11, c12, c20, _, _ = dcm
     pitch = math.asin(min(1.0, max(-1.0, c10)))
-    if abs(pitch) > math.pi / 2.0 - 1e-6:
+    if abs(pitch) > _GIMBAL_PITCH:
         warnings.warn(
             "pitch within 1e-6 rad of +-90 deg; roll and yaw are not separable",
             GimbalProximityWarning,

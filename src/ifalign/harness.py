@@ -299,22 +299,28 @@ def run_alignment(data, method, report_interval_s=1.0):
         data.truth_c_b_n[rows].transpose(0, 2, 1).reshape(n_rows, 9).tolist()
     )
     est_rows, err_rows, degenerate = [], [], []
+    # The loop's callables are looked up once, here: a wrapper of the
+    # aligner's ``update`` or of a method of its class or of AlignmentData
+    # must be in place before this call to see the run's calls.
+    update, estimate_attitude = aligner.update, aligner.estimate
+    interval, fix = data.interval, data.fix
+    add_est, add_err, add_degenerate = est_rows.append, err_rows.append, degenerate.append
 
     for k in range(n_updates):
-        aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
+        update(interval(k), fix(k), fix(k + 1))
         if (k + 1) % stride:
             continue
         try:
-            estimate = aligner.estimate()
+            estimate = estimate_attitude()
         except DegenerateSpectrum:
-            degenerate.append(True)
-            est_rows.append(_NAN_ROW)
-            err_rows.append(_NAN_ROW)
+            add_degenerate(True)
+            add_est(_NAN_ROW)
+            add_err(_NAN_ROW)
             continue
-        degenerate.append(False)
-        est_rows.append(dcm_to_euler(estimate.c_b_n))
+        add_degenerate(False)
+        add_est(dcm_to_euler(estimate.c_b_n))
         if truth_t is not None:
-            err_rows.append(dcm_to_euler(matmul3(estimate.c_b_n, truth_t[k // stride])))
+            add_err(dcm_to_euler(matmul3(estimate.c_b_n, truth_t[k // stride])))
 
     meta = dict(data.metadata, method=method)
     return RunReport(

@@ -120,28 +120,28 @@ def optimal_quaternion(K):
     """
     trace = K[0] + K[5] + K[10] + K[15]
     w, v = _eigh_lo(np.fromiter(K, np.float64, 16).reshape(4, 4))
-    w = w.tolist()
-    if not all(map(math.isfinite, w)):
+    w = w0, w1, w2, w3 = w.tolist()
+    if not (math.isfinite(w0) and math.isfinite(w1)
+            and math.isfinite(w2) and math.isfinite(w3)):
         raise np.linalg.LinAlgError(
             f"eigen-solve gave non-finite eigenvalues {w}: K is not finite "
             "or LAPACK did not converge"
         )
-    lam = w[0]
-    if w[1] - w[0] <= GAP_TOL * trace:
+    if w1 - w0 <= GAP_TOL * trace:
         tied = sorted(
             tuple(-x for x in q) if flips_sign(q) else tuple(q)
             for q, wi in zip(v.T.tolist(), w)
-            if wi - w[0] <= GAP_TOL * trace
+            if wi - w0 <= GAP_TOL * trace
         )
         raise DegenerateSpectrum(
             "smallest eigenvalues coincide: attitude unobservable "
-            f"(gap {w[1] - w[0]:.3e} vs trace {trace:.3e})",
+            f"(gap {w1 - w0:.3e} vs trace {trace:.3e})",
             q=tied[0],
-            lambda_min=lam,
+            lambda_min=w0,
         )
     q = v[:, 0].tolist()
     q0, q1, q2, q3 = q
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if flips_sign(q):
         norm = -norm
-    return (q0 / norm, q1 / norm, q2 / norm, q3 / norm), lam
+    return (q0 / norm, q1 / norm, q2 / norm, q3 / norm), w0

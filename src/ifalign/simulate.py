@@ -36,15 +36,26 @@ def _check_integer(value, name):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_numbers(config):
+def _check_kinds(config):
     """``ValueError`` naming the first float field of the dataclass
-    ``config`` that is not finite, or int field that is not an integer."""
+    ``config`` that is not a real number, or int field that is not an
+    integer."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is float and not isinstance(value, numbers.Real):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if f.type is int:
+            _check_integer(value, f.name)
+
+
+def _check_numbers(config):
+    """:func:`_check_kinds`, then ``ValueError`` naming the first float field
+    of ``config`` that is not finite."""
+    _check_kinds(config)
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if f.type is int:
-            _check_integer(value, f.name)
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # kept as the float tuple, so that configs equal in value compare equal
         object.__setattr__(self, "vel_mean_mps", as_float3(self.vel_mean_mps, "vel_mean_mps"))
+        _check_kinds(self)  # the checks below compare numbers
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError("duration must be positive and finite")
         if not 0.0 < self.update_interval_s < math.inf:
@@ -439,9 +451,11 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
 
 def run_rng(seed, run_index=0):
     """Deterministic generator for one Monte-Carlo run; ``ValueError`` unless
-    ``seed`` and ``run_index`` are integers and the run index is nonnegative."""
+    ``seed`` and ``run_index`` are nonnegative integers."""
     _check_integer(seed, "seed")
     _check_integer(run_index, "run_index")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if run_index < 0:
         raise ValueError("run index must be nonnegative")
     return np.random.default_rng([int(seed), int(run_index)])

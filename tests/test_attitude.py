@@ -333,6 +333,32 @@ class TestComposeAttitude:
         expected = attitude.orthonormalize(np.reshape(product, (3, 3)))
         assert np.array(out).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_repair_boundary(self, column):
+        # a column scaled by 1 + e moves its diagonal Gram entry by about 2e:
+        # 0.8e-9 is kept as the product, 1.2e-9 repaired to the polar factor
+        c0 = np.reshape(attitude.rotvec_to_dcm([0.3, -0.2, 0.7]), (3, 3))
+        for scale, repaired in ((1.0 + 0.4e-9, False), (1.0 + 0.6e-9, True)):
+            drifted = c0.copy()
+            drifted[:, column] *= scale
+            product = attitude.matmul3(
+                attitude.matmul3(self.EYE, drifted.ravel().tolist()), self.EYE)
+            out = attitude.compose_attitude(self.EYE, drifted.ravel().tolist(), self.EYE)
+            self.assert_flat_float_tuple(out)
+            expected = (attitude.orthonormalize(np.reshape(product, (3, 3))).ravel()
+                        if repaired else np.array(product))
+            assert np.array(out).tobytes() == expected.tobytes()
+            assert (out != product) is repaired
+
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    def test_nan_factor_gives_the_nan_product(self, factor):
+        # a NaN residual never calls for the repair, whose SVD would raise
+        factors = [self.EYE] * 3
+        factors[factor] = [math.nan] * 9
+        out = attitude.compose_attitude(*factors)
+        self.assert_flat_float_tuple(out)
+        assert all(map(math.isnan, out))
+
 
 class TestEuler:
     def test_identity(self):

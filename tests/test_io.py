@@ -23,12 +23,15 @@ def tiny_truth():
     return generate_truth(ScenarioConfig(duration_s=2.0))
 
 
-def test_write_csv_bytes_equal_per_value_format(tmp_path):
-    columns = [
-        np.array([0.0, -0.0, 1.0 / 3.0, 1e-17]),
-        np.array([[2.5e300, math.nan], [-math.inf, 123456789012345.0],
-                  [7.0, -1e-300], [0.1, 2.0 / 3.0]]),
-    ]
+@pytest.mark.parametrize("columns, first_rows", [
+    ([np.array([0.0, -0.0, 1.0 / 3.0, 1e-17]),
+      np.array([[2.5e300, math.nan], [-math.inf, 123456789012345.0],
+                [7.0, -1e-300], [0.1, 2.0 / 3.0]])],
+     ["0,2.5e+300,nan"]),
+    ([np.array([1.0 / 3.0]), np.array([[-0.0, 1e21]])], ["0.333333333333,-0,1e+21"]),
+    ([np.array([]), np.empty((0, 2))], []),
+], ids=["four-rows", "one-row", "zero-rows"])
+def test_write_csv_bytes_equal_per_value_format(tmp_path, columns, first_rows):
     path = tmp_path / "table.csv"
     ifio.write_csv(path, "a,b,c", columns, preamble="# note\n")
     per_value = "".join(
@@ -36,7 +39,7 @@ def test_write_csv_bytes_equal_per_value_format(tmp_path):
         for row in np.column_stack(columns).tolist()
     )
     assert path.read_bytes() == ("# note\na,b,c\n" + per_value).encode("ascii")
-    assert path.read_text().splitlines()[2] == "0,2.5e+300,nan"
+    assert path.read_text().splitlines()[2:3] == first_rows
 
 
 class TestSensorCsvRoundTrip:

@@ -45,6 +45,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
             SensorErrors(seed=-1)
 
+    def test_negative_rng_seed_rejected(self):
+        # not numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            run_rng(-1, 0)
+
     def test_negative_run_index_rejected(self):
         with pytest.raises(ValueError, match="^run index must be nonnegative$"):
             run_rng(0, -1)
@@ -97,6 +102,17 @@ class TestConfigValidation:
     def test_float_fields_must_be_finite(self, cls, name, bad):
         # a NaN passes the sign checks, so each float field is checked on its own
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("cls, name, bad", [
+        (SensorErrors, "gyro_drift_deg_h", "1"), (SensorErrors, "gps_pos_sigma_m", None),
+        (ScenarioConfig, "duration_s", "10"), (ScenarioConfig, "update_interval_s", None),
+        (ScenarioConfig, "latitude_deg", "north"),
+        (SineProfile, "amplitude", None), (SineProfile, "period_s", "90"),
+    ])
+    def test_float_fields_must_be_real_numbers(self, cls, name, bad):
+        # not a bare TypeError from a comparison or from math.isfinite
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
             cls(**{name: bad})
 
 
