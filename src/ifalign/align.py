@@ -158,8 +158,8 @@ class _AlignerBase:
     """
 
     def __init__(self, T):
-        if T <= 0.0:
-            raise ValueError("update interval T must be positive")
+        if not 0.0 < T < math.inf:
+            raise ValueError(f"update interval T must be positive and finite, got {T!r}")
         self.T = float(T)
         self.M = 0
         self.v0 = self.alpha = self.beta = self.w_alpha = self.w_beta = _ZERO3

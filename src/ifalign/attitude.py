@@ -310,10 +310,11 @@ def dcm_to_euler(dcm):
     3-tuple of them.
 
     Emits :class:`GimbalProximityWarning` (never fails) when pitch is within
-    1e-6 rad of +-90 deg, where the roll/yaw split degenerates.
+    1e-6 rad of +-90 deg, where the roll/yaw split degenerates.  A NaN
+    ``dcm[3]`` gives a NaN pitch and no warning.
     """
     c00, _, _, c10, c11, c12, c20, _, _ = dcm
-    pitch = math.asin(min(1.0, max(-1.0, c10)))
+    pitch = math.asin(min(max(c10, -1.0), 1.0))  # NaN-preserving clamp
     if abs(pitch) > _GIMBAL_PITCH:
         warnings.warn(
             "pitch within 1e-6 rad of +-90 deg; roll and yaw are not separable",

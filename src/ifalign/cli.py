@@ -30,11 +30,11 @@ from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
 
 def _load_config(args):
     cfg, errors = ifio.load_config(args.config) if args.config else ifio.config_from_dict({})
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         errors = replace(errors, seed=args.seed)
-    if getattr(args, "no_lever_arm", False):
+    if args.no_lever_arm:
         errors = errors.without_lever_arm()
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         cfg = replace(cfg, duration_s=args.duration)
     return cfg, errors
 
@@ -80,6 +80,8 @@ def _cmd_align(args):
         data = AlignmentData.from_logs(
             args.imu, args.gps, args.interval, truth_path=args.truth, metadata=meta
         )
+    elif args.truth:
+        raise ValueError("--truth needs --imu and --gps")
     else:
         rng = run_rng(errors.seed, args.run_index)
         truth = generate_truth(cfg)

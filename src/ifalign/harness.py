@@ -13,14 +13,14 @@ from .align import make_aligner
 from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
 from .errors import DegenerateSpectrum, FormatError, RateMismatch
 from .increments import check_increments
-from .simulate import generate_truth, gps_fixes, run_rng, sample_imu
+from .simulate import SensorErrors, generate_truth, gps_fixes, run_rng, sample_imu
 
 RAD2DEG = 180.0 / math.pi
 _NAN_ROW = (math.nan, math.nan, math.nan)
 DEFAULT_EPOCHS = (5.0, 10.0, 20.0, 60.0, 100.0, 300.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class AlignmentData:
     """Everything one alignment run consumes.
 
@@ -47,8 +47,8 @@ class AlignmentData:
     fix_p: np.ndarray
     truth_c_b_n: np.ndarray = None
     metadata: dict = field(default_factory=dict)
-    _intervals: list = field(init=False, repr=False, compare=False)
-    _fixes: list = field(init=False, repr=False, compare=False)
+    _intervals: list = field(init=False, repr=False)
+    _fixes: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
@@ -114,7 +114,7 @@ class AlignmentData:
         return self._intervals[k]
 
     @classmethod
-    def from_simulation(cls, truth, errors=None, rng=None, metadata=None):
+    def from_simulation(cls, truth, errors=SensorErrors(), rng=None, metadata=None):
         """Synthesize sensor streams for a generated truth trajectory."""
         dtheta, dv = sample_imu(truth, errors, rng)
         fix_t, fix_v, fix_p = gps_fixes(truth, errors, rng)
@@ -190,21 +190,19 @@ class AlignmentData:
             return cls(T=T, dtheta=dtheta, dv=dv, fix_t=fix_t, fix_v=fix_v, fix_p=fix_p,
                        truth_c_b_n=truth_c, metadata=meta)
         except ValueError as exc:
-            row = getattr(exc, "row", None)  # set by check_increments
-            if row is None:
+            rows = getattr(exc, "rows", None)  # set by check_increments
+            if rows is None:
                 raise
-            line = ifio.data_line(imu_path, row)
-            # the finiteness check runs first, so a finite row is over-rotated
-            if np.isfinite((dtheta[row], dv[row])).all():
-                raise FormatError(
-                    "angular increment exceeds 0.1 rad over the update interval of "
-                    f"this line and line {ifio.data_line(imu_path, row + 1)}",
-                    path=imu_path, line=line,
-                ) from None
-            raise FormatError("IMU increment is not finite", path=imu_path, line=line) from None
+            line, *second = [ifio.data_line(imu_path, row) for row in rows]
+            if not second:
+                raise FormatError("IMU increment is not finite", path=imu_path, line=line) from None
+            raise FormatError(
+                "angular increment exceeds 0.1 rad over the update interval of "
+                f"this line and line {second[0]}", path=imu_path, line=line,
+            ) from None
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     """Per-run estimate/error time series plus the final solved-matrix spectrum."""
 
@@ -334,7 +332,7 @@ def run_alignment(data, method, report_interval_s=1.0):
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class McSummary:
     """Per-axis mean and 3-sigma alignment errors across Monte-Carlo runs."""
 
@@ -359,8 +357,8 @@ class McSummary:
         return "\n".join(lines)
 
 
-# Pool workers inherit the truth by fork, not 39 MB (120 s) pickled per task;
-# the pool forks whatever the interpreter's default start method is.
+# A task is its run index: pool workers inherit the batch's (truth, errors,
+# method, rows) by fork, not 39 MB (120 s) of truth pickled per task.
 _MC_CONTEXT = {}
 
 
@@ -380,16 +378,12 @@ def _process_pool(jobs):
     return ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
 
 
-def _mc_run(args):
+def _mc_run(run_index):
     """One Monte-Carlo run: ``(run index, errors at the rows, failure or None)``."""
-    run_index, method, rows = args
     try:
-        truth = _MC_CONTEXT["truth"]
-        errors = _MC_CONTEXT["errors"]
+        truth, errors, method, rows = _MC_CONTEXT["batch"]
         rng = run_rng(errors.seed, run_index)
-        data = AlignmentData.from_simulation(
-            truth, errors, rng, metadata={"seed": errors.seed, "run": run_index}
-        )
+        data = AlignmentData.from_simulation(truth, errors, rng)
         errs = run_alignment(data, method).err_deg[rows]
         if np.any(~np.isfinite(errs)):
             raise DegenerateSpectrum("degenerate estimate at a requested epoch")
@@ -449,18 +443,16 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
     elif truth.cfg != cfg:
         raise ValueError("the truth was generated from another scenario than cfg")
 
-    _MC_CONTEXT["truth"] = truth
-    _MC_CONTEXT["errors"] = errors
-    tasks = [(i, method, rows) for i in range(n_runs)]
-    results = {}
+    _MC_CONTEXT["batch"] = truth, errors, method, rows
+    results = []  # both maps yield the outcomes in run order
     failed = []
     truth.antenna_fixes(errors.lever_arm_m)  # cached for every run; pool workers fork with it
     try:
         with _process_pool(jobs) if jobs > 1 else nullcontext() as pool:
-            outcomes = pool.map(_mc_run, tasks) if pool else map(_mc_run, tasks)
+            outcomes = (pool.map if pool else map)(_mc_run, range(n_runs))
             for index, errs, message in outcomes:
                 if message is None:
-                    results[index] = errs
+                    results.append(errs)
                 else:
                     failed.append((index, message))
     finally:
@@ -468,7 +460,7 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
 
     if len(results) < 2:
         raise DegenerateSpectrum("fewer than two Monte-Carlo runs completed")
-    stacked = np.stack([results[i] for i in sorted(results)])  # (R, E, 3)
+    stacked = np.stack(results)  # (R, E, 3)
     mean = stacked.mean(axis=0)
     three_sigma = 3.0 * stacked.std(axis=0, ddof=1)
     return McSummary(
@@ -477,6 +469,6 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
         mean_deg=mean,
         three_sigma_deg=three_sigma,
         n_runs=len(results),
-        failed=sorted(failed),
+        failed=failed,
     )
 

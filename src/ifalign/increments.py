@@ -19,6 +19,8 @@ Python 3.12, a frame) per vector.  :func:`check_increments` validates
 increment rows once, where they enter the program.
 """
 
+import math
+
 import numpy as np
 
 _CONING_BOUND = 0.1  # rad; sanity bound for one update interval
@@ -35,8 +37,8 @@ def check_increments(dtheta, dv):
     ValueError
         If the two are not ``(2N, 3)`` arrays of one shape, if an increment
         is not finite, or if the rotation ``|dtheta1 + dtheta2|`` of an
-        interval reaches 0.1 rad.  In the last two cases its ``row`` is the
-        offending sample row, for a rotation the interval's first.
+        interval reaches 0.1 rad.  In the last two cases its ``rows`` are
+        the offending sample's row, or the interval's two for a rotation.
     """
     dtheta = np.asarray(dtheta, dtype=float)
     dv = np.asarray(dv, dtype=float)
@@ -47,21 +49,22 @@ def check_increments(dtheta, dv):
     finite = np.isfinite(dtheta).all(axis=1) & np.isfinite(dv).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise _row_error(f"increments must be finite (row {row} is not)", row)
+        raise _row_error(f"increments must be finite (row {row} is not)", (row,))
     angle = dtheta[0::2] + dtheta[1::2]
     too_large = np.sum(angle * angle, axis=1) >= _CONING_BOUND ** 2
     if too_large.any():
         k = int(np.argmax(too_large))
         raise _row_error(
-            f"angular increment exceeds 0.1 rad over one update interval (interval {k})", 2 * k
+            f"angular increment exceeds 0.1 rad over one update interval (interval {k})",
+            (2 * k, 2 * k + 1),
         )
     return dtheta, dv
 
 
-def _row_error(message, row):
-    """A ``ValueError`` whose ``row`` names the IMU sample row at fault."""
+def _row_error(message, rows):
+    """A ``ValueError`` whose ``rows`` name the IMU sample rows at fault."""
     error = ValueError(message)
-    error.row = row
+    error.rows = rows
     return error
 
 
@@ -123,8 +126,8 @@ def double_integral_increment(interval, T):
     ``(T/30) (25 dv1 + 5 dv2 + 12 dtheta1 x dv1 + 8 dtheta1 x dv2
     + 2 dv1 x dtheta2 + 2 dtheta2 x dv2)``
     """
-    if T <= 0.0:
-        raise ValueError("update interval T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"update interval T must be positive and finite, got {T!r}")
     p0, p1, p2, q0, q1, q2, a0, a1, a2, b0, b1, b2 = interval
     scale = T / 30.0
     return (

@@ -56,8 +56,9 @@ def _line_error(message, line, path, lineno):
     return FormatError(message, path=path, line=lineno)
 
 
-def _read_csv(path, header, n_cols):
-    """The data rows of a headered log as an ``(N, n_cols)`` float array.
+def _read_csv(path, header):
+    """The data rows of a headered log as an ``(N, n_cols)`` float array,
+    one column per field of ``header``.
 
     numpy's C tokenizer (``np.loadtxt``) parses the rows.  Where it raises,
     returns the wrong width or would warn of a log with no data rows, the
@@ -65,6 +66,7 @@ def _read_csv(path, header, n_cols):
     whitespace-only lines and accepts every numeral ``float`` does (such as
     ``1_0``), and its :class:`FormatError` names the offending line.
     """
+    n_cols = header.count(",") + 1
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         first = fh.readline().rstrip("\n")
         if first != header:
@@ -122,7 +124,7 @@ def write_imu(path, t_end, dtheta, dv):
 
 
 def read_imu(path):
-    data = _read_csv(path, IMU_HEADER, 7)
+    data = _read_csv(path, IMU_HEADER)
     return data[:, 0], data[:, 1:4], data[:, 4:7]
 
 
@@ -132,7 +134,7 @@ def write_gps(path, t, v, p):
 
 
 def read_gps(path):
-    data = _read_csv(path, GPS_HEADER, 7)
+    data = _read_csv(path, GPS_HEADER)
     t = data[:, 0]
     p = np.stack([data[:, 2], data[:, 1], data[:, 3]], axis=-1)
     v = data[:, 4:7]
@@ -145,7 +147,7 @@ def write_truth(path, t, q, v, p):
 
 
 def read_truth(path):
-    data = _read_csv(path, TRUTH_HEADER, 11)
+    data = _read_csv(path, TRUTH_HEADER)
     t = data[:, 0]
     q = data[:, 1:5]
     v = data[:, 5:8]

@@ -384,32 +384,27 @@ def generate_truth(cfg):
     return Truth(cfg)
 
 
-def sample_imu(truth, errors=None, rng=None):
+def sample_imu(truth, errors=SensorErrors(), rng=None):
     """Synthesize IMU increments, one row per sample (half update interval).
 
     Each increment is the Simpson integral of the true rate over the
-    sample's three grid nodes.  Returns ``(dtheta, dv)`` arrays of shape
-    (n_samples, 3).  With ``errors`` given, adds the constant per-axis bias plus white increment
-    noise with per-sample sigma ``density * sqrt(sample_dt)``; the random
-    draws consume ``rng`` in the order gyro then accelerometer.
+    sample's three grid nodes, plus the constant per-axis bias of ``errors``
+    and white noise of per-sample sigma ``density * sqrt(sample_dt)``, drawn
+    from ``rng`` gyro first.  Returns ``(dtheta, dv)``, each (n_samples, 3).
     """
     cfg = truth.cfg
-    dtheta = _simpson_pairs(truth.omega_ib_b, cfg.grid_dt)
-    dv = _simpson_pairs(truth.f_b, cfg.grid_dt)
-
-    if errors is not None:
-        dt = cfg.sample_dt
-        gyro_bias = errors.gyro_drift_deg_h * DEG_PER_H
-        accel_bias = errors.accel_bias_ug * 1e-6 * G0
-        dtheta = dtheta + gyro_bias * dt
-        dv = dv + accel_bias * dt
-        gyro_sigma = errors.gyro_noise_deg_h_sqrt_hz * DEG_PER_H * math.sqrt(dt)
-        accel_sigma = errors.accel_noise_ug_sqrt_hz * 1e-6 * G0 * math.sqrt(dt)
-        if gyro_sigma > 0.0 or accel_sigma > 0.0:
-            if rng is None:
-                raise ValueError("rng is required when noise densities are nonzero")
-            dtheta = dtheta + gyro_sigma * rng.standard_normal(dtheta.shape)
-            dv = dv + accel_sigma * rng.standard_normal(dv.shape)
+    dt = cfg.sample_dt
+    gyro_bias = errors.gyro_drift_deg_h * DEG_PER_H
+    accel_bias = errors.accel_bias_ug * 1e-6 * G0
+    dtheta = _simpson_pairs(truth.omega_ib_b, cfg.grid_dt) + gyro_bias * dt
+    dv = _simpson_pairs(truth.f_b, cfg.grid_dt) + accel_bias * dt
+    gyro_sigma = errors.gyro_noise_deg_h_sqrt_hz * DEG_PER_H * math.sqrt(dt)
+    accel_sigma = errors.accel_noise_ug_sqrt_hz * 1e-6 * G0 * math.sqrt(dt)
+    if gyro_sigma > 0.0 or accel_sigma > 0.0:
+        if rng is None:
+            raise ValueError("rng is required when noise densities are nonzero")
+        dtheta = dtheta + gyro_sigma * rng.standard_normal(dtheta.shape)
+        dv = dv + accel_sigma * rng.standard_normal(dv.shape)
     return dtheta, dv
 
 
@@ -424,7 +419,7 @@ def _lever_arm_offsets(truth, idx, lever):
     return arm_n, vel_off
 
 
-def gps_fixes(truth, errors=None, rng=None, stride_s=None):
+def gps_fixes(truth, errors=SensorErrors(), rng=None, stride_s=None):
     """GPS velocity/position stream at a fixed cadence.
 
     By default fixes land exactly on the update-interval endpoints.  The
@@ -435,12 +430,8 @@ def gps_fixes(truth, errors=None, rng=None, stride_s=None):
 
     Returns ``(t, v, p)`` arrays with one row per fix.
     """
-    lever = (0.0, 0.0, 0.0) if errors is None else errors.lever_arm_m
-    t, v, p = (column.copy() for column in truth.antenna_fixes(lever, stride_s))
-    noisy = errors is not None and (
-        errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0
-    )
-    if noisy:
+    t, v, p = (column.copy() for column in truth.antenna_fixes(errors.lever_arm_m, stride_s))
+    if errors.gps_vel_sigma_mps > 0.0 or errors.gps_pos_sigma_m > 0.0:
         if rng is None:
             raise ValueError("rng is required when GPS noise is nonzero")
         v += errors.gps_vel_sigma_mps * rng.standard_normal(v.shape)

@@ -64,6 +64,15 @@ class TestInit:
         with pytest.raises(ValueError):
             cls(-0.02)
 
+    @pytest.mark.parametrize("method", ["vif", "pif"])
+    @pytest.mark.parametrize("T", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_interval(self, method, T):
+        # a NaN T once passed every straddle check and left K NaN; an
+        # infinite one failed only at the first update
+        message = f"^update interval T must be positive and finite, got {T}$"
+        with pytest.raises(ValueError, match=message):
+            make_aligner(method, T)
+
     def test_factory(self):
         assert isinstance(
             make_aligner("vif", 0.02),

@@ -422,6 +422,19 @@ class TestEuler:
         with pytest.warns(GimbalProximityWarning):
             attitude.dcm_to_euler(c.ravel().tolist())
 
+    def test_nan_gives_nan_pitch_without_warning(self):
+        # max(-1.0, nan) is -1.0: the clamp must not turn a NaN into -90 deg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GimbalProximityWarning)
+            angles = attitude.dcm_to_euler([math.nan] * 9)
+        assert all(math.isnan(x) for x in angles)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pitch_term_beyond_one_is_clamped(self, sign):
+        dcm = [1.0, 0.0, 0.0, sign * (1.0 + 1e-12), 1.0, 0.0, 0.0, 0.0, 1.0]
+        with pytest.warns(GimbalProximityWarning):
+            assert attitude.dcm_to_euler(dcm)[1] == sign * (math.pi / 2.0)
+
     @staticmethod
     def assert_three_floats(angles):
         assert type(angles) is tuple and len(angles) == 3

@@ -417,6 +417,16 @@ def test_replay_log_without_its_partner_exit_code(flag, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --imu and --gps must be given together\n"
 
 
+def test_truth_without_replay_logs_exit_code(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a truth log without replay logs must not simulate")
+
+    monkeypatch.setattr(cli, "generate_truth", no_work)
+    argv = ["align", "--truth", str(tmp_path / "truth.csv"), "--duration", "2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --truth needs --imu and --gps\n"
+
+
 def test_non_ascii_log_byte_exit_code(tmp_path, capsys):
     imu, gps = tmp_path / "imu.csv", tmp_path / "gps.csv"
     imu.write_bytes((ifio.IMU_HEADER + "\n0.01,0,0,0,0,0,0\n0.02,0,").encode("ascii")

@@ -1,5 +1,6 @@
 import gc
 import math
+from copy import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ifalign.errors import FormatError
 from ifalign.harness import (
     AlignmentData,
     RAD2DEG,
+    McSummary,
     RunReport,
     monte_carlo,
     run_alignment,
@@ -327,6 +329,14 @@ class TestRunAlignment:
         assert np.max(np.abs(printed - eigenvalues)) <= 5.0 * resolution
 
 
+def test_results_compare_by_identity(short_data):
+    # array fields make a field-wise == ambiguous; these compare as objects
+    summary = McSummary("vif", np.array([5.0]), np.zeros((1, 3)), np.zeros((1, 3)), 2, [])
+    for x in (short_data, run_alignment(short_data, "vif"), summary):
+        assert x == x
+        assert x != copy(x)
+
+
 class TestAlignmentDataValidation:
     """IMU and fix rows are checked once, when the data object is built."""
 
@@ -621,7 +631,7 @@ class TestMonteCarlo:
         # refused before any run, whether the truth is shorter than cfg or longer
         from ifalign import harness
 
-        def no_run(args):
+        def no_run(run_index):
             raise AssertionError("a mismatched truth must not start a run")
 
         monkeypatch.setattr(harness, "_mc_run", no_run)
@@ -765,9 +775,9 @@ class TestMonteCarlo:
         from ifalign import harness
 
         errors = simulation_sensor_defaults(seed=3)
-        harness._MC_CONTEXT.update(truth=short_truth, errors=errors)
+        harness._MC_CONTEXT["batch"] = short_truth, errors, "vif", [4, 19]
         try:
-            index, errs, message = harness._mc_run((1, "vif", [4, 19]))
+            index, errs, message = harness._mc_run(1)
         finally:
             harness._MC_CONTEXT.clear()
         assert (index, message) == (1, None)
@@ -777,9 +787,10 @@ class TestMonteCarlo:
 
         seen = []
 
-        def no_run(args):
-            seen.append(args[2])
-            return args[0], np.zeros((len(args[2]), 3)), None
+        def no_run(run_index):
+            rows = harness._MC_CONTEXT["batch"][3]
+            seen.append(rows)
+            return run_index, np.zeros((len(rows), 3)), None
 
         monkeypatch.setattr(harness, "_mc_run", no_run)
         monte_carlo(short_truth.cfg, errors, 2, "vif", jobs=1, truth=short_truth)
@@ -788,8 +799,8 @@ class TestMonteCarlo:
     def test_default_epochs_of_a_300_s_run(self, monkeypatch):
         from ifalign import harness
 
-        def no_run(args):
-            return args[0], np.zeros((len(args[2]), 3)), None
+        def no_run(run_index):
+            return run_index, np.zeros((len(harness._MC_CONTEXT["batch"][3]), 3)), None
 
         monkeypatch.setattr(harness, "_mc_run", no_run)
         for duration, epochs in ((300.0, harness.DEFAULT_EPOCHS),

@@ -106,11 +106,12 @@ class TestImuInterval:
 
 
 class TestCheckIncrements:
-    @pytest.mark.parametrize("case, row, message", [
-        ("nan-dv", 5, "finite"), ("inf-dtheta", 2, "finite"), ("rotation", 6, "0.1 rad"),
-    ])
-    def test_error_names_the_sample_row(self, case, row, message):
-        # for a rotation the row is the interval's first sample
+    @pytest.mark.parametrize("case, rows, message", [
+        ("nan-dv", (5,), "finite"), ("inf-dtheta", (2,), "finite"),
+        ("rotation", (6, 7), "0.1 rad"),
+    ], ids=["nan-dv", "inf-dtheta", "rotation"])
+    def test_error_names_the_sample_row(self, case, rows, message):
+        # for a rotation the rows are the interval's two samples
         dtheta, dv = np.full((10, 3), 1e-3), np.full((10, 3), 0.1)
         if case == "nan-dv":
             dv[5, 1] = np.nan
@@ -120,7 +121,7 @@ class TestCheckIncrements:
             dtheta[7] = [0.0, 0.0, 0.1]
         with pytest.raises(ValueError, match=message) as err:
             check_increments(dtheta, dv)
-        assert err.value.row == row
+        assert err.value.rows == rows
 
 
 class TestSculling:
@@ -218,6 +219,13 @@ class TestDoubleIntegral:
         iv = imu_interval(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             double_integral_increment(iv, 0.0)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_interval(self, T):
+        iv = imu_interval(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
+        message = f"^update interval T must be positive and finite, got {T}$"
+        with pytest.raises(ValueError, match=message):
+            double_integral_increment(iv, T)
 
     def test_linear_profiles_match_symbolic_integral(self):
         T = 0.02

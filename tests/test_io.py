@@ -176,7 +176,7 @@ class TestIngestFastPath:
         path.write_bytes(("a,b,c\n" + body).encode("ascii"))
 
         def fast(path, n_cols):
-            return ifio._read_csv(path, "a,b,c", n_cols)
+            return ifio._read_csv(path, "a,b,c")
 
         outcome = _outcome(fast, path, 3)
         assert outcome == _outcome(_line_loop, path, 3)
@@ -197,7 +197,7 @@ class TestIngestFastPath:
                                      ("truth", ifio.read_truth, 11)):
             loop = _line_loop(out / f"{name}.csv", n_cols)
             header = getattr(ifio, f"{name.upper()}_HEADER")
-            data = ifio._read_csv(out / f"{name}.csv", header, n_cols)
+            data = ifio._read_csv(out / f"{name}.csv", header)
             assert data.shape == loop.shape and data.shape[0] > 0
             assert data.tobytes() == loop.tobytes(), name
             assert reader(out / f"{name}.csv")[0].tobytes() == loop[:, 0].tobytes()
