@@ -51,6 +51,15 @@ def _rotate_add(a, c, v):
     )
 
 
+def _double_step(d, s, c, tail, T):
+    """One interval of a double sum: ``d + T*s + c @ tail``, where ``s`` is
+    the single sum at the interval start, ``c`` the chain there and
+    ``tail`` the within-interval double integral."""
+    d0, d1, d2 = d
+    s0, s1, s2 = s
+    return _rotate_add((d0 + T * s0, d1 + T * s1, d2 + T * s2), c, tail)
+
+
 # Integration rules for a nav-frame vector x(tau) that is linear over one
 # interval, from x_prev at tau=0 to x_next at tau=T, seen from the nav frame
 # at the interval start t (C_{n(t+tau)}^{n(t)} = I + tau [omega_in x] to
@@ -140,9 +149,10 @@ class _AlignerBase:
     ``update()`` folds one interval into the state; ``estimate()`` solves
     the state for the attitude.  The state is public and lives on Python
     floats: the running vectors (``alpha``, ``beta``, ``v0``, ``w_alpha``,
-    ``w_beta``, the sums ``s_body`` and ``s_x`` and ``pif``'s own) are
-    3-tuples, the chains ``c_nav`` and ``c_body`` flat row-major 9-tuples,
-    ``K`` a flat row-major 16-tuple and ``w_sq`` a float.
+    ``w_beta`` and the sums ``s_body`` and ``s_x``) are 3-tuples, the
+    chains ``c_nav`` and ``c_body`` flat row-major 9-tuples, ``K`` a flat
+    row-major 16-tuple and ``w_sq`` a float.  Neither form adds state of
+    its own: each is a rule for the pair on top of :meth:`_fold`.
 
     ``beta`` carries the initial velocity, which only the first (noisy)
     fix gives: as a constant in ``vif`` and a ramp in time in ``pif``.  So
@@ -296,18 +306,11 @@ class VelocityIntegrationAligner(_AlignerBase):
 class PositionIntegrationAligner(_AlignerBase):
     """Recursive aligner driven by the position integration formula.
 
-    Same call contract as :class:`VelocityIntegrationAligner`.  The nested
-    double sums integrate the velocity form's once more: ``alpha`` adds
-    ``T`` times the prior ``s_body`` each interval, and ``u_x`` (double
-    integral of ``x = omega_ie x v - g``) ``T`` times the prior ``s_x``.
-    With ``u_r`` (integrated aided velocity) they make
-    ``beta = u_r - t*v0 + u_x``, whose pairs enter the fit with weight
+    Same call contract as :class:`VelocityIntegrationAligner`.  ``alpha``
+    and ``beta`` are the running time-integrals of the velocity form's,
+    advanced by :func:`_double_step`; the pairs enter the fit with weight
     ``t``.
     """
-
-    def __init__(self, T):
-        super().__init__(T)
-        self.u_r = self.u_x = _ZERO3
 
     def update(self, interval, fix_prev, fix_next):
         """Fold one IMU interval with its bracketing fixes into the state.
@@ -319,31 +322,20 @@ class PositionIntegrationAligner(_AlignerBase):
             self._fold(interval, fix_prev, fix_next)
         )
         T = self.T
-
-        # Double integral of rotated specific force: completed-interval
-        # prefix times T, plus the within-interval two-sample tail.
-        a0, a1, a2 = self.alpha
-        s0, s1, s2 = s_body_prev
-        self.alpha = _rotate_add(
-            (a0 + T * s0, a1 + T * s1, a2 + T * s2),
-            c_body_prev,
-            double_integral_increment(interval, T),
+        self.alpha = _double_step(
+            self.alpha, s_body_prev, c_body_prev, double_integral_increment(interval, T), T
         )
-
+        # over one interval the velocity form's beta = C_nav v - v0 + s_x
+        # integrates to C_prev SI(v) + T (s_x_prev - v0) + C_prev DI(x)
         (_, v_prev, _), (_, v_next, _) = fix_prev, fix_next
-        self.u_r = r0, r1, r2 = _rotate_add(
-            self.u_r, c_nav_prev, single_integral(v_prev, v_next, omega_in, T)
-        )
-        y0, y1, y2 = _rotate_add(
-            self.u_x, c_nav_prev, double_integral(x_prev, x_next, omega_in, T)
-        )
         z0, z1, z2 = s_x_prev
-        self.u_x = u0, u1, u2 = (y0 + T * z0, y1 + T * z1, y2 + T * z2)
-
-        t = self.t
         o0, o1, o2 = self.v0
-        self.beta = (r0 - t * o0 + u0, r1 - t * o1 + u1, r2 - t * o2 + u2)
-        self._add_pair(t)
+        r0, r1, r2 = single_integral(v_prev, v_next, omega_in, T)
+        y0, y1, y2 = double_integral(x_prev, x_next, omega_in, T)
+        self.beta = _double_step(
+            self.beta, (z0 - o0, z1 - o1, z2 - o2), c_nav_prev, (r0 + y0, r1 + y1, r2 + y2), T
+        )
+        self._add_pair(self.t)
 
 
 ALIGNER_CLASSES = {"vif": VelocityIntegrationAligner, "pif": PositionIntegrationAligner}

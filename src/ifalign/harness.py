@@ -28,15 +28,15 @@ class AlignmentData:
     update-interval endpoint.  ``truth_c_b_n`` (body-to-nav DCMs at the
     endpoints) enables error reporting and is absent in replay mode.
 
-    The rows are validated once, when the object is built
-    (a positive finite ``T``, :func:`~ifalign.increments.check_increments`,
-    matching row counts, finite fixes, a finite ``(N+1, 3, 3)`` truth if
-    any; ``ValueError`` otherwise), and turned into what :meth:`interval`
-    and :meth:`fix` hand out: per interval the flat 12-tuple of floats
-    ``dtheta1, dtheta2, dv1, dv2`` that the kernels read, per fix the
-    tuple ``(t, v, p)`` of a float and two 3-tuples of floats that
-    :func:`~ifalign.align.aid_fix` builds.  Do not modify the arrays
-    afterwards.
+    The rows are validated once, when the object is built (a positive
+    finite ``T``, :func:`~ifalign.increments.check_increments`, matching
+    row counts, finite fixes ``T`` apart in time, a finite ``(N+1, 3, 3)``
+    truth if any; ``ValueError`` otherwise), and turned into what
+    :meth:`interval` and :meth:`fix` hand out: per interval the flat
+    12-tuple of floats ``dtheta1, dtheta2, dv1, dv2`` that the kernels
+    read, per fix the tuple ``(t, v, p)`` of a float and two 3-tuples of
+    floats that :func:`~ifalign.align.aid_fix` builds.  Do not modify the
+    arrays afterwards.
     """
 
     T: float
@@ -73,6 +73,15 @@ class AlignmentData:
         if not (np.isfinite(self.fix_t).all() and np.isfinite(self.fix_v).all()
                 and np.isfinite(self.fix_p).all()):
             raise ValueError("fixes must be finite")
+        # the aligners' straddle check, made once for the whole grid
+        off_grid = np.flatnonzero(np.abs(np.diff(self.fix_t) - self.T) > 1e-6)
+        if off_grid.size:
+            k = off_grid[0]
+            raise ValueError(
+                f"fix times must advance by the update interval of {self.T} s, "
+                f"got {float(self.fix_t[k])} -> {float(self.fix_t[k + 1])} "
+                f"at fixes {k} and {k + 1}"
+            )
         if self.truth_c_b_n is not None:
             self.truth_c_b_n = np.asarray(self.truth_c_b_n, dtype=float)
             if (self.truth_c_b_n.shape != (n_fixes, 3, 3)

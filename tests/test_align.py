@@ -55,7 +55,9 @@ class TestInit:
         np.testing.assert_array_equal(np.reshape(al.K, (4, 4)), np.zeros((4, 4)))
         np.testing.assert_array_equal(np.reshape(al.c_nav, (3, 3)), np.eye(3))
         np.testing.assert_array_equal(np.reshape(al.c_body, (3, 3)), np.eye(3))
-        np.testing.assert_array_equal(al.alpha, np.zeros(3))
+        for name in _STATE_VECTORS:
+            np.testing.assert_array_equal(getattr(al, name), np.zeros(3))
+        assert al.w_sq == 0.0
 
     @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
     def test_rejects_nonpositive_interval(self, cls):
@@ -85,20 +87,17 @@ class TestInit:
         with pytest.raises(ValueError):
             make_aligner("xyz", 0.02)
 
-    def test_pif_extra_accumulators_zero(self):
-        al = PositionIntegrationAligner(0.02)
-        for name in ("alpha", "beta", "s_body", "s_x", "u_r", "u_x", "w_alpha", "w_beta"):
-            np.testing.assert_array_equal(getattr(al, name), np.zeros(3))
-        assert al.w_sq == 0.0
+    @pytest.mark.parametrize("cls", [VelocityIntegrationAligner, PositionIntegrationAligner])
+    def test_forms_have_no_state_of_their_own(self, cls):
+        # each form is only a pair rule on the shared fold
+        assert set(vars(cls(0.02))) == {
+            "T", "M", "v0", "K", "w_sq", "c_nav", "c_body", *_STATE_VECTORS,
+        }
+        assert {name for name in vars(cls) if not name.startswith("__")} == {"update"}
 
 
-# Each form's running 3-vectors; both forms also carry K, w_sq and the chains.
-_FORM_VECTORS = {
-    VelocityIntegrationAligner: ("alpha", "beta", "w_alpha", "w_beta", "s_body", "s_x"),
-    PositionIntegrationAligner: (
-        "alpha", "beta", "w_alpha", "w_beta", "s_body", "s_x", "u_r", "u_x",
-    ),
-}
+# Both forms' running 3-vectors; they also carry v0, K, w_sq and the chains.
+_STATE_VECTORS = ("alpha", "beta", "w_alpha", "w_beta", "s_body", "s_x")
 
 
 def _float_leaves(value):
@@ -117,14 +116,18 @@ class _NumpyVectorAligner:
     The arithmetic the float path writes out component by component, kept
     here with numpy vectors, numpy cross products, matrix products of the
     chains, ``K + B^T B`` from the residual operator and the weighted sums
-    of the initial-velocity fit.
+    of the initial-velocity fit.  ``pif``'s ``beta`` is assembled as
+    ``_u_r - t*v0 + _u_x`` from two sums of its own, the integrated aided
+    velocity and the double integral of ``x``: the former recursion, which
+    the aligner's one running double sum must match.
     """
 
     def __init__(self, cls, T):
         self.cls, self.T, self.M = cls, T, 0
         self.v0 = None
-        for name in _FORM_VECTORS[cls]:
+        for name in _STATE_VECTORS:
             setattr(self, name, np.zeros(3))
+        self._u_r = self._u_x = np.zeros(3)
         self.K, self.w_sq = np.zeros((4, 4)), 0.0
         self.c_nav, self.c_body = np.eye(3), np.eye(3)
 
@@ -163,12 +166,12 @@ class _NumpyVectorAligner:
             dbl = np.array(double_integral_increment(interval, T))
             self.alpha = self.alpha + T * self.s_body + c_body_prev @ dbl
             self.s_body = self.s_body + c_body_prev @ scull
-            self.u_r = self.u_r + c_nav_prev @ single(v_prev, v_next)
-            self.u_x = self.u_x + c_nav_prev @ double(x_prev, x_next) + T * self.s_x
+            self._u_r = self._u_r + c_nav_prev @ single(v_prev, v_next)
+            self._u_x = self._u_x + c_nav_prev @ double(x_prev, x_next) + T * self.s_x
             self.s_x = self.s_x + c_nav_prev @ single(x_prev, x_next)
             self.M += 1
             t = self.M * T
-            self.beta = self.u_r - t * self.v0 + self.u_x
+            self.beta = self._u_r - t * self.v0 + self._u_x
             w = t
         self.w_alpha = self.w_alpha + w * self.alpha
         self.w_beta = self.w_beta + w * self.beta
@@ -188,7 +191,7 @@ class TestFloatPathParity:
             al.update(*args)
             ref.update(*args)
         assert al.M == ref.M
-        state = ("v0", "K", "w_sq", "c_nav", "c_body", *_FORM_VECTORS[cls])
+        state = ("v0", "K", "w_sq", "c_nav", "c_body", *_STATE_VECTORS)
         assert set(vars(al)) == {"T", "M", *state}
         for name in state:
             got, want = getattr(al, name), getattr(ref, name)
@@ -540,10 +543,12 @@ class TestManeuveringRun:
 
 class TestPifPrefixSums:
     def test_accumulators_equal_direct_double_sums(self, short_data):
-        # Re-derive alpha_p and u_x at the final step by the literal nested
-        # double summation over stored per-interval quantities (earth-rate
-        # and gravity terms written out separately) and compare with the
-        # O(1)-per-step recursion.
+        # Re-derive alpha_p and beta_p at the final step by the literal
+        # nested double summations over stored per-interval quantities
+        # (beta_p = r - t*v0 + x with the integrated aided velocity r and
+        # the double integral x of the earth-rate and gravity terms,
+        # written out separately) and compare with the O(1)-per-step
+        # recursion.
         n = 120
         al = make_aligner("pif", short_data.T)
         T = short_data.T
@@ -555,7 +560,7 @@ class TestPifPrefixSums:
         gbr_hist = []
         tail_v_hist = []
         tail_g_hist = []
-        u_r_hist = []
+        vel_hist = []
         for k in range(n):
             iv, f0, f1 = short_data.interval(k), short_data.fix(k), short_data.fix(k + 1)
             v0, v1 = np.array(f0[1]), np.array(f1[1])
@@ -578,7 +583,7 @@ class TestPifPrefixSums:
                 + (T ** 3 / 12.0) * (cross3(omega_in, w0) + cross3(omega_in, w1))
             )
             tail_g_hist.append((T * T / 2.0) * g_n + (T ** 3 / 6.0) * cross3(omega_in, g_n))
-            u_r_hist.append(
+            vel_hist.append(
                 (T / 2.0) * (v0 + v1)
                 + (T * T / 6.0) * cross3(omega_in, v0)
                 + (T * T / 3.0) * cross3(omega_in, v1)
@@ -587,6 +592,7 @@ class TestPifPrefixSums:
 
         # direct double sums (Table-style O(M^2) evaluation)
         alpha_direct = np.zeros(3)
+        r_direct = np.zeros(3)
         u_v_direct = np.zeros(3)
         u_g_direct = np.zeros(3)
         for k in range(n):
@@ -598,15 +604,17 @@ class TestPifPrefixSums:
                 inner_v = inner_v + c_nav_hist[m] @ vbr_hist[m]
                 inner_g = inner_g + c_nav_hist[m] @ gbr_hist[m]
             alpha_direct = alpha_direct + T * inner + c_body_hist[k] @ dbl_hist[k]
+            r_direct = r_direct + c_nav_hist[k] @ vel_hist[k]
             u_v_direct = u_v_direct + T * inner_v + c_nav_hist[k] @ tail_v_hist[k]
             u_g_direct = u_g_direct + T * inner_g + c_nav_hist[k] @ tail_g_hist[k]
 
         assert np.linalg.norm(al.alpha - alpha_direct) <= 1e-12 * max(
             1.0, np.linalg.norm(alpha_direct)
         )
-        u_x_direct = u_v_direct - u_g_direct
-        assert np.linalg.norm(al.u_x - u_x_direct) <= 1e-12 * max(
-            1.0, np.linalg.norm(u_x_direct)
+        x_direct = u_v_direct - u_g_direct
+        beta_direct = r_direct - n * T * np.array(short_data.fix(0)[1]) + x_direct
+        assert np.linalg.norm(al.beta - beta_direct) <= 1e-12 * max(
+            1.0, np.linalg.norm(beta_direct)
         )
 
     def test_scaling_exact_pairs_by_time_preserves_estimate(self):

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 from copy import copy
 from types import SimpleNamespace
 
@@ -407,6 +408,24 @@ class TestAlignmentDataValidation:
         arrays = self.arrays(short_truth)
         arrays["T"] = T
         with pytest.raises(ValueError, match="update interval T must be positive and finite"):
+            AlignmentData(**arrays)
+
+    @pytest.mark.parametrize("case, k", [("shifted", 149), ("reversed", 0), ("coarser_T", 0)])
+    def test_fix_times_must_advance_by_T(self, case, k, short_truth):
+        # refused when built, not after the aligner has folded k updates
+        arrays = self.arrays(short_truth)
+        if case == "shifted":
+            arrays["fix_t"][150:] += 0.01
+        elif case == "reversed":
+            arrays["fix_t"] = arrays["fix_t"][::-1].copy()
+        else:
+            arrays["T"] = 0.03
+        t = arrays["fix_t"].tolist()
+        message = (
+            f"fix times must advance by the update interval of {arrays['T']} s, "
+            f"got {t[k]} -> {t[k + 1]} at fixes {k} and {k + 1}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AlignmentData(**arrays)
 
     @pytest.mark.parametrize("case", ["imu_short", "imu_odd", "fix_v_short", "fix_p_2d"])

@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["align_300s", "replay_dense"])
+@pytest.mark.parametrize("workload", ["align_300s", "replay_dense", "montecarlo"])
 def test_traced_workload_is_correct(workload):
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
