@@ -73,19 +73,21 @@ def _cmd_simulate(args):
 
 def _cmd_align(args):
     cfg, errors = _load_config(args)
-    meta = {"config_hash": ifio.config_hash(cfg, errors), "seed": errors.seed}
     if args.imu or args.gps:
         if not (args.imu and args.gps):
             raise ValueError("--imu and --gps must be given together")
-        data = AlignmentData.from_logs(
-            args.imu, args.gps, args.interval, truth_path=args.truth, metadata=meta
-        )
+        data = AlignmentData.from_logs(args.imu, args.gps, args.interval, truth_path=args.truth)
+        provenance = {"imu_path": args.imu, "gps_path": args.gps}
+        if args.truth:
+            provenance["truth_path"] = args.truth
     elif args.truth:
         raise ValueError("--truth needs --imu and --gps")
     else:
         rng = run_rng(errors.seed, args.run_index)
         truth = generate_truth(cfg)
-        data = AlignmentData.from_simulation(truth, errors, rng, metadata=meta)
+        data = AlignmentData.from_simulation(truth, errors, rng)
+        provenance = {"config_hash": ifio.config_hash(cfg, errors), "seed": errors.seed,
+                      "run_index": args.run_index}
 
     exit_code = 0
     for method in args.methods:
@@ -96,7 +98,7 @@ def _cmd_align(args):
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             path = out / f"report_{method}.csv"
-            report.write_csv(path)
+            report.write_csv(path, **provenance)
             print(f"wrote {path}")
         _print_report_tail(report)
     return exit_code

@@ -11,7 +11,7 @@ import numpy as np
 from . import io as ifio
 from .align import make_aligner
 from .attitude import ROTATION_TOL, dcm_to_euler, matmul3, quat_to_dcm
-from .errors import DegenerateSpectrum, FormatError, RateMismatch
+from .errors import DegenerateSpectrum, FormatError, IfalignError, RateMismatch
 from .increments import check_increments
 from .simulate import SensorErrors, generate_truth, gps_fixes, run_rng, sample_imu
 
@@ -46,7 +46,6 @@ class AlignmentData:
     fix_v: np.ndarray
     fix_p: np.ndarray
     truth_c_b_n: np.ndarray = None
-    metadata: dict = field(default_factory=dict)
     _intervals: list = field(init=False, repr=False)
     _fixes: list = field(init=False, repr=False)
 
@@ -123,12 +122,11 @@ class AlignmentData:
         return self._intervals[k]
 
     @classmethod
-    def from_simulation(cls, truth, errors=SensorErrors(), rng=None, metadata=None):
+    def from_simulation(cls, truth, errors=SensorErrors(), rng=None):
         """Synthesize sensor streams for a generated truth trajectory."""
         dtheta, dv = sample_imu(truth, errors, rng)
         fix_t, fix_v, fix_p = gps_fixes(truth, errors, rng)
         idx = truth.update_indices()
-        meta = dict(metadata or {})
         return cls(
             T=truth.cfg.update_interval_s,
             dtheta=dtheta,
@@ -137,11 +135,10 @@ class AlignmentData:
             fix_v=fix_v,
             fix_p=fix_p,
             truth_c_b_n=truth.c_b_n[idx],
-            metadata=meta,
         )
 
     @classmethod
-    def from_logs(cls, imu_path, gps_path, T, truth_path=None, metadata=None):
+    def from_logs(cls, imu_path, gps_path, T, truth_path=None):
         """Replay mode: read, check and pair CSV logs (formats in :mod:`ifalign.io`).
 
         The IMU log needs at least two samples at one fixed rate, twice per
@@ -192,12 +189,9 @@ class AlignmentData:
                     path=truth_path,
                 )
             truth_c = quat_to_dcm(q_truth)
-        meta = dict(metadata or {})
-        meta.setdefault("imu_path", str(imu_path))
-        meta.setdefault("gps_path", str(gps_path))
         try:
             return cls(T=T, dtheta=dtheta, dv=dv, fix_t=fix_t, fix_v=fix_v, fix_p=fix_p,
-                       truth_c_b_n=truth_c, metadata=meta)
+                       truth_c_b_n=truth_c)
         except ValueError as exc:
             rows = getattr(exc, "rows", None)  # set by check_increments
             if rows is None:
@@ -221,7 +215,6 @@ class RunReport:
     err_deg: np.ndarray          # (R, 3) or None in replay mode
     degenerate: np.ndarray       # (R,) bool
     k_eigenvalues: np.ndarray    # (4,) ascending, of solved_matrix(), by the rows' eigh
-    metadata: dict
 
     def errors_at(self, epochs):
         """Errors (deg) at the requested epochs; epochs must be report rows.
@@ -239,9 +232,12 @@ class RunReport:
             out[i] = self.err_deg[idx[0]]
         return out
 
-    def write_csv(self, path):
+    def write_csv(self, path, **provenance):
+        """Write the rows under a ``# key=value`` line per ``provenance`` item
+        (the run's inputs) and for ``method``, sorted by key, and the spectrum."""
+        provenance["method"] = self.method
         preamble = "# ifalign run report\n" + "".join(
-            f"# {key}={self.metadata[key]}\n" for key in sorted(self.metadata)
+            f"# {key}={provenance[key]}\n" for key in sorted(provenance)
         )
         preamble += "# k_eigenvalues=" + ",".join(_solve_precision(self.k_eigenvalues)) + "\n"
         header = "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg"
@@ -329,7 +325,6 @@ def run_alignment(data, method, report_interval_s=1.0):
         if truth_t is not None:
             add_err(dcm_to_euler(matmul3(estimate.c_b_n, truth_t[k // stride])))
 
-    meta = dict(data.metadata, method=method)
     return RunReport(
         method=method,
         t=data.fix_t[rows].copy(),
@@ -337,7 +332,6 @@ def run_alignment(data, method, report_interval_s=1.0):
         err_deg=np.array(err_rows) * RAD2DEG if truth_t is not None else None,
         degenerate=np.array(degenerate),
         k_eigenvalues=np.linalg.eigh(np.reshape(aligner.solved_matrix(), (4, 4)))[0],
-        metadata=meta,
     )
 
 
@@ -396,7 +390,7 @@ def _mc_run(run_index):
         errs = run_alignment(data, method).err_deg[rows]
         if np.any(~np.isfinite(errs)):
             raise DegenerateSpectrum("degenerate estimate at a requested epoch")
-    except Exception as exc:  # noqa: BLE001 - per-run failures are aggregated
+    except (IfalignError, ValueError) as exc:  # a failed run; any other error is a bug
         return run_index, None, f"{type(exc).__name__}: {exc}"
     return run_index, errs, None
 
@@ -440,8 +434,10 @@ def monte_carlo(cfg, errors, n_runs, method, epochs=None, jobs=None, truth=None)
 
     Each run draws its noise from a generator keyed by (seed, run index),
     so results do not depend on scheduling or on ``jobs``, the number of
-    worker processes.  Failed runs are excluded from the statistics and
-    listed in the summary.  Runs report on :func:`run_alignment`'s default
+    worker processes.  A run fails by raising an :class:`IfalignError` or a
+    ``ValueError`` (``LinAlgError`` is one); failed runs are excluded from
+    the statistics and listed in the summary, and any other exception
+    propagates.  Runs report on :func:`run_alignment`'s default
     1 s rows.  :func:`monte_carlo_plan` checks the arguments and fills in
     the defaults before the truth is generated or a worker started.  A
     ``truth`` given must be that of ``cfg`` (``ValueError`` otherwise).

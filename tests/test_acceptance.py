@@ -146,20 +146,14 @@ class TestCriterion3LeverArm:
     def lever_peaks(self):
         truth = generate_truth(turning_scenario(duration_s=120.0))
         errors = simulation_sensor_defaults(seed=MC_SEED)
+        epochs = np.arange(10.0, 121.0)  # every 1 s report row from 10 s on
         peaks = {}
         for method in ("vif", "pif"):
             for tag, errs in (("lever", errors), ("none", errors.without_lever_arm())):
-                acc = None
-                for i in range(self.N_RUNS):
-                    data = AlignmentData.from_simulation(
-                        truth, errs, run_rng(errs.seed, i)
-                    )
-                    rep = run_alignment(data, method, report_interval_s=1.0)
-                    yaw = rep.err_deg[:, 2]
-                    acc = yaw if acc is None else acc + yaw
-                mean_curve = acc / self.N_RUNS
-                window = rep.t >= 10.0
-                peaks[method, tag] = float(np.nanmax(np.abs(mean_curve[window])))
+                summary = monte_carlo(truth.cfg, errs, self.N_RUNS, method,
+                                      epochs=epochs, truth=truth)
+                assert not summary.failed, summary.failed
+                peaks[method, tag] = float(np.max(np.abs(summary.mean_deg[:, 2])))
         return peaks
 
     @pytest.mark.parametrize("method", ["vif", "pif"])
@@ -386,13 +380,10 @@ class TestCriterion8Determinism:
         errors = simulation_sensor_defaults(seed=77)
         blobs = []
         for attempt in range(2):
-            data = AlignmentData.from_simulation(
-                truth, errors, run_rng(errors.seed, 0),
-                metadata={"seed": errors.seed, "config_hash": "fixed"},
-            )
+            data = AlignmentData.from_simulation(truth, errors, run_rng(errors.seed, 0))
             rep = run_alignment(data, "vif", report_interval_s=1.0)
             path = tmp_path / f"rep{attempt}.csv"
-            rep.write_csv(path)
+            rep.write_csv(path, seed=errors.seed, config_hash="fixed")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
         report("8 PASS determinism: repeated run reports are bitwise identical")

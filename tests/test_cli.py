@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,9 @@ BAD_INPUTS = [
     ("rotation-too-large", "imu.csv", "line 300: angular increment exceeds 0.1 rad over "
      "the update interval of this line and line 301"),
     ("nan-truth-quaternion", "truth.csv", "quaternion at t=2 s has norm nan, not 1"),
+    ("one-sample-imu", "imu.csv", "IMU log needs at least two samples"),
+    ("config-not-yaml", "bad.yaml", "config is not YAML: while parsing a flow node expected "
+     "the node content, but found '<stream end>' in \"{path}\", line 2, column 1"),
 ]
 
 
@@ -84,22 +88,35 @@ class TestAlignVerb:
         text = capsys.readouterr().out
         assert "[vif]" in text and "[pif]" in text
 
-    def test_replay_mode(self, short_config, tmp_path):
+    def test_simulation_header_names_the_scenario_and_the_run(self, short_config, tmp_path):
+        out = tmp_path / "rep"
+        argv = ["align", "--config", str(short_config), "--method", "vif", "--seed", "9",
+                "--run-index", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        cfg, errors = ifio.load_config(short_config)
+        config_hash = ifio.config_hash(cfg, replace(errors, seed=9))
+        lines = (out / "report_vif.csv").read_text().splitlines()
+        assert lines[:5] == ["# ifalign run report", f"# config_hash={config_hash}",
+                             "# method=vif", "# run_index=2", "# seed=9"]
+        assert lines[5].startswith("# k_eigenvalues=") and lines[6].startswith("t_s,")
+
+    @pytest.mark.parametrize("with_truth", [True, False], ids=["truth", "no-truth"])
+    def test_replay_mode(self, with_truth, short_config, tmp_path):
+        # the header names the logs, and no scenario or seed
         logs = tmp_path / "logs"
         cli.main(["simulate", "--config", str(short_config), "--out", str(logs)])
-        rc = cli.main(
-            [
-                "align",
-                "--method", "vif",
-                "--imu", str(logs / "imu.csv"),
-                "--gps", str(logs / "gps.csv"),
-                "--truth", str(logs / "truth.csv"),
-                "--out", str(tmp_path / "rep"),
-            ]
-        )
-        assert rc == 0
-        report = (tmp_path / "rep" / "report_vif.csv").read_text()
-        assert "yaw_err_deg" in report
+        argv = ["align", "--method", "vif", "--imu", str(logs / "imu.csv"),
+                "--gps", str(logs / "gps.csv"), "--out", str(tmp_path / "rep")]
+        header = ["# ifalign run report", f"# gps_path={logs / 'gps.csv'}",
+                  f"# imu_path={logs / 'imu.csv'}", "# method=vif"]
+        if with_truth:
+            argv += ["--truth", str(logs / "truth.csv")]
+            header.append(f"# truth_path={logs / 'truth.csv'}")
+        assert cli.main(argv) == 0
+        lines = (tmp_path / "rep" / "report_vif.csv").read_text().splitlines()
+        assert lines[:len(header)] == header
+        assert lines[len(header)].startswith("# k_eigenvalues=")
+        assert ("yaw_err_deg" in lines[len(header) + 1]) == with_truth
 
     def test_replay_from_non_ascii_path_writes_the_report(self, short_config, tmp_path):
         # the report keeps every row and stays ASCII: the paths in its
@@ -152,10 +169,15 @@ class TestAlignVerb:
             q[100, 0] = np.nan  # q_s at t=2 s
             ifio.write_truth(logs / "truth.csv", t_truth, q, v_truth, p_truth)
             argv += ["--truth", str(logs / "truth.csv")]
+        elif case == "one-sample-imu":
+            lines = (logs / "imu.csv").read_text().splitlines()
+            (logs / "imu.csv").write_text("\n".join(lines[:2]) + "\n")
         else:
-            (logs / "bad.yaml").write_text("scenario: {durationn_s: 10}\n")
+            text = "{durationn_s: 10}" if case == "config-key" else "{duration_s: ["
+            (logs / "bad.yaml").write_text(f"scenario: {text}\n")
             argv = ["align", "--config", str(logs / "bad.yaml")]
         assert cli.main(argv) == 2
+        message = message.format(path=logs / file)
         assert capsys.readouterr().err == f"error: {logs / file}: {message}\n"
 
     def test_format_error_exit_code(self, tmp_path):
@@ -303,6 +325,20 @@ def test_montecarlo_values_checked_before_the_truth(argv, message, monkeypatch, 
     monkeypatch.setattr(cli, "generate_truth", no_truth)
     assert cli.main(["montecarlo", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("config, argv, err", [
+    ("scenario: {duration_s: 0.02}", ["--report-interval", "0.02"], ""),
+    ("scenario: {duration_s: 4, latitude_deg: 89.95}", [],
+     "numerical failure: trajectory crosses 89.9 deg latitude\n"),
+], ids=["degenerate-final-row", "pole-crossing"])
+def test_numerical_failure_exit_code(config, argv, err, tmp_path, capsys):
+    # the attitude is still unobservable at the last report row, or the
+    # trajectory leaves the domain of the navigation equations
+    path = tmp_path / "c.yaml"
+    path.write_text(config + "\n")
+    assert cli.main(["align", "--config", str(path), *argv]) == 3
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("verb", ["align", "montecarlo"])

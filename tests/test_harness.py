@@ -260,19 +260,18 @@ class TestRunAlignment:
         assert out.shape == (2, 3)
 
     def test_report_csv_round_trip_bytes(self, short_truth, tmp_path):
-        data = AlignmentData.from_simulation(
-            short_truth, metadata={"seed": 1, "config_hash": "abc"}
-        )
+        data = AlignmentData.from_simulation(short_truth)
         rep = run_alignment(data, "vif", report_interval_s=1.0)
-        rep.write_csv(tmp_path / "r1.csv")
+        rep.write_csv(tmp_path / "r1.csv", seed=1, config_hash="abc")
         rep2 = run_alignment(data, "vif", report_interval_s=1.0)
-        rep2.write_csv(tmp_path / "r2.csv")
+        rep2.write_csv(tmp_path / "r2.csv", seed=1, config_hash="abc")
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
     def test_report_csv_bytes_of_a_fixed_report(self, tmp_path):
         # the rows print with %.12g, NaN and negative zero included, with
-        # and without the truth columns
+        # and without the truth columns, under the caller's provenance and
+        # the report's method, sorted by key
         nan = float("nan")
         report = RunReport(
             method="pif", t=np.array([0.5, 1.0, 1.5]),
@@ -282,13 +281,12 @@ class TestRunAlignment:
                               [7e-5, -45.0, 0.1 + 0.2]]),
             degenerate=np.array([True, False, False]),
             k_eigenvalues=np.array([0.0, 1.5, 2.25e3, 4e6]),
-            metadata={"seed": 3, "config_hash": "abc", "method": "pif"},
         )
         preamble = (
             "# ifalign run report\n# config_hash=abc\n# method=pif\n# seed=3\n"
             "# k_eigenvalues=0,1.5,2250,4000000\n"
         )
-        report.write_csv(tmp_path / "r.csv")
+        report.write_csv(tmp_path / "r.csv", seed=3, config_hash="abc")
         assert (tmp_path / "r.csv").read_text() == preamble + (
             "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg,"
             "roll_err_deg,pitch_err_deg,yaw_err_deg,degenerate\n"
@@ -297,7 +295,7 @@ class TestRunAlignment:
             "1.5,-180,2.5,123456789.123,7e-05,-45,0.3,0\n"
         )
         report.err_deg = None
-        report.write_csv(tmp_path / "r.csv")
+        report.write_csv(tmp_path / "r.csv", seed=3, config_hash="abc")
         assert (tmp_path / "r.csv").read_text() == preamble + (
             "t_s,roll_est_deg,pitch_est_deg,yaw_est_deg,degenerate\n"
             "0.5,nan,nan,nan,1\n"
@@ -317,7 +315,7 @@ class TestRunAlignment:
             report = RunReport(
                 method="vif", t=np.array([1.0]), est_deg=np.zeros((1, 3)),
                 err_deg=None, degenerate=np.zeros(1, dtype=bool),
-                k_eigenvalues=values, metadata={},
+                k_eigenvalues=values,
             )
             report.write_csv(tmp_path / "r.csv")
             lines = (tmp_path / "r.csv").read_text().splitlines()
@@ -828,6 +826,75 @@ class TestMonteCarlo:
             truth = SimpleNamespace(cfg=cfg, antenna_fixes=lambda lever_arm_m: None)
             s = monte_carlo(cfg, simulation_sensor_defaults(), 2, "vif", jobs=1, truth=truth)
             assert tuple(s.epochs.tolist()) == epochs
+
+    @staticmethod
+    def _fail_runs(monkeypatch, failures):
+        """Run ``i`` of a batch fails as ``failures[i]`` says: with the
+        exception that run_alignment raises, or with NaN errors for "nan"."""
+        from ifalign import harness
+
+        real_rng, real_run = harness.run_rng, harness.run_alignment
+        current = []  # the index of this process's current run
+
+        def run_rng(seed, run_index):
+            current[:] = [run_index]
+            return real_rng(seed, run_index)
+
+        def run_alignment(data, method):
+            failure = failures.get(current[0])
+            if isinstance(failure, Exception):
+                raise failure
+            report = real_run(data, method)
+            if failure == "nan":
+                report.err_deg[:] = np.nan
+            return report
+
+        monkeypatch.setattr(harness, "run_rng", run_rng)
+        monkeypatch.setattr(harness, "run_alignment", run_alignment)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_runs_are_excluded_and_listed(self, jobs, mc_truth, monkeypatch):
+        from ifalign.errors import NotARotation
+
+        self._fail_runs(monkeypatch, {1: np.linalg.LinAlgError("K is not finite"),
+                                      3: NotARotation("not orthonormal"), 4: "nan"})
+        errors = simulation_sensor_defaults(seed=3)
+        s = monte_carlo(mc_truth.cfg, errors, 6, "vif", epochs=[30.0], jobs=jobs,
+                        truth=mc_truth)
+        assert s.failed == [
+            (1, "LinAlgError: K is not finite"),
+            (3, "NotARotation: not orthonormal"),
+            (4, "DegenerateSpectrum: degenerate estimate at a requested epoch"),
+        ]
+        assert s.format_table().splitlines()[-1] == f"excluded runs: {s.failed}"
+        # the statistics are those of the runs that completed
+        kept = np.stack([
+            run_alignment(AlignmentData.from_simulation(mc_truth, errors, run_rng(3, i)),
+                          "vif").errors_at([30.0])
+            for i in (0, 2, 5)
+        ])
+        assert s.n_runs == 3
+        assert s.mean_deg.tobytes() == kept.mean(axis=0).tobytes()
+        assert s.three_sigma_deg.tobytes() == (3.0 * kept.std(axis=0, ddof=1)).tobytes()
+
+    def test_fewer_than_two_completed_runs(self, mc_truth, monkeypatch):
+        from ifalign.errors import DegenerateSpectrum
+
+        self._fail_runs(monkeypatch, {0: ValueError("no such epoch")})
+        errors = simulation_sensor_defaults(seed=3)
+        with pytest.raises(DegenerateSpectrum,
+                           match="^fewer than two Monte-Carlo runs completed$"):
+            monte_carlo(mc_truth.cfg, errors, 2, "vif", epochs=[30.0], jobs=1,
+                        truth=mc_truth)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_programming_error_is_not_a_failed_run(self, jobs, mc_truth, monkeypatch):
+        # it stops the batch instead of being summarized away
+        self._fail_runs(monkeypatch, {1: TypeError("bug in run 1")})
+        errors = simulation_sensor_defaults(seed=3)
+        with pytest.raises(TypeError, match="^bug in run 1$"):
+            monte_carlo(mc_truth.cfg, errors, 3, "vif", epochs=[30.0], jobs=jobs,
+                        truth=mc_truth)
 
     def test_summary_table_format(self, mc_truth):
         errors = simulation_sensor_defaults(seed=3)

@@ -278,7 +278,9 @@ class TestBodyRotvec:
         iv = imu_interval(th, th, np.zeros(3), np.zeros(3))
         np.testing.assert_allclose(body_rotvec(iv), 2.0 * th)
 
-    @given(small_vectors(0.02), st.floats(0.1, 2.0))
+    # |th| stays below 0.1 rad / 3: the two samples' rotation, at most three
+    # times it, must stay under the 0.1 rad bound of one interval
+    @given(small_vectors(0.019), st.floats(0.1, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_parallel_rotations_sum(self, th, factor):
         iv = imu_interval(th, factor * th, np.zeros(3), np.zeros(3))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parity)
 
-SMALL = dict(default_s=2.0, replay_s=2.0, mc_s=2.0)  # a 2 s matrix
+SMALL = dict(default_s=2.0, dense_s=2.0, turning_s=2.0, replay_s=2.0, mc_s=2.0)  # a 2 s matrix
 
 
 def _record(path):
@@ -22,6 +23,13 @@ def test_two_records_agree_and_compare_finds_one_ulp(tmp_path, monkeypatch, caps
     _record(b)
     assert a.read_text() == b.read_text()
     assert parity.compare(a, b) == []
+    doc = json.loads(a.read_text())
+    runs = {name.rsplit("/", 2)[0] for name in doc["sha256"]}
+    assert {"default", "dense", "turning", "replay", "replay_no_truth"} <= runs
+    assert "replay_no_truth/vif/report.csv" in doc["sha256"]
+    assert "replay_no_truth/vif/err_deg" not in doc["sha256"]
+    # 2 s at 1 s rows: pif's estimate().q at its two solved rows
+    assert len(doc["final_hex"]["default/pif/q"]) == 2 * 4
 
     # the first run (the default scenario's vif) moves one estimate by one ulp
     run_alignment = parity.run_alignment

@@ -9,11 +9,15 @@ seeded by ``N``.  It writes the sha256 of each output, and the final
 every output's array to an ``.npz`` of the same stem beside it.  Two records
 on one tree give identical JSON.  The matrix:
 
-* ``default``: both methods on the 300 s default scenario at 1 s rows;
+* ``default``: both methods on the 300 s default scenario at 1 s rows, and
+  ``pif``'s ``estimate().q`` at each solved row (also as ``float.hex``);
+* ``dense``: both methods on the 60 s default scenario at 0.02 s rows;
+* ``turning``: both methods on ``turning_scenario(30)``, lever arm on, at
+  1 s rows;
 * ``replay``: the logs of ``ifalign simulate --duration 60 --gps-interval
-  0.5`` (their CSVs are outputs too), replayed with truth at 0.02 s rows by
-  both methods; the logs and reports sit under fixed relative paths, so the
-  report CSVs' bytes do not depend on where the tool runs;
+  0.5`` (their CSVs are outputs too), replayed by both methods with truth
+  at 0.02 s rows; ``replay_no_truth``: the same without truth at 1 s rows.
+  Each replay's report CSVs are outputs;
 * ``mc``: a 6-run 20 s Monte-Carlo summary of both methods at ``jobs`` 1
   and 2.
 
@@ -29,7 +33,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -41,68 +44,85 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ifalign import cli  # noqa: E402
 from ifalign.align import make_aligner  # noqa: E402
+from ifalign.errors import DegenerateSpectrum  # noqa: E402
 from ifalign.harness import AlignmentData, monte_carlo, run_alignment  # noqa: E402
 from ifalign.simulate import (  # noqa: E402
     ScenarioConfig,
     generate_truth,
     run_rng,
     simulation_sensor_defaults,
+    turning_scenario,
 )
 
 METHODS = ("vif", "pif")
 REPORT_FIELDS = ("t", "est_deg", "err_deg", "degenerate", "k_eigenvalues")
 
 
-def _run(outputs, final, name, data, method, report_interval_s):
+def _run(outputs, final, name, data, method, report_interval_s, quaternions=False):
     """One run's report arrays, and the final pair of an aligner driven
-    over the same data."""
+    over the same data; with ``quaternions``, also its ``estimate().q`` at
+    each solved report row."""
     report = run_alignment(data, method, report_interval_s)
     for field in REPORT_FIELDS:
-        outputs[f"{name}/{method}/{field}"] = getattr(report, field)
+        if getattr(report, field) is not None:  # no err_deg without truth
+            outputs[f"{name}/{method}/{field}"] = getattr(report, field)
     aligner = make_aligner(method, data.T)
+    stride = round(report_interval_s / data.T)
+    q = []
     for k in range(data.n_updates):
         aligner.update(data.interval(k), data.fix(k), data.fix(k + 1))
-    for vector in ("alpha", "beta"):
-        value = getattr(aligner, vector)
+        if quaternions and (k + 1) % stride == 0:
+            try:
+                q.append(aligner.estimate().q)
+            except DegenerateSpectrum:
+                pass
+    vectors = {"alpha": aligner.alpha, "beta": aligner.beta}
+    if quaternions:
+        vectors["q"] = q
+    for vector, value in vectors.items():
         outputs[f"{name}/{method}/{vector}"] = np.array(value)
-        final[f"{name}/{method}/{vector}"] = [float(x).hex() for x in value]
+        final[f"{name}/{method}/{vector}"] = [float(x).hex() for x in np.ravel(value)]
     return report
 
 
-def record(seed, default_s=300.0, replay_s=60.0, mc_s=20.0):
-    """The matrix's outputs by name, as arrays, and the final pairs as
-    ``float.hex`` lists.  The durations are parameters only to let a test
-    run a small matrix."""
+def record(seed, default_s=300.0, dense_s=60.0, turning_s=30.0, replay_s=60.0, mc_s=20.0):
+    """The matrix's outputs by name, as arrays, and the final pairs and
+    quaternions as ``float.hex`` lists.  The durations are parameters only
+    to let a test run a small matrix."""
     outputs, final = {}, {}
     errors = simulation_sensor_defaults(seed)
 
-    cfg = ScenarioConfig(duration_s=default_s)
-    data = AlignmentData.from_simulation(generate_truth(cfg), errors, run_rng(seed))
-    for method in METHODS:
-        _run(outputs, final, "default", data, method, 1.0)
+    for name, cfg, report_interval_s in (
+        ("default", ScenarioConfig(duration_s=default_s), 1.0),
+        ("dense", ScenarioConfig(duration_s=dense_s), 0.02),
+        ("turning", turning_scenario(turning_s), 1.0),
+    ):
+        data = AlignmentData.from_simulation(generate_truth(cfg), errors, run_rng(seed))
+        for method in METHODS:
+            _run(outputs, final, name, data, method, report_interval_s,
+                 quaternions=(name, method) == ("default", "pif"))
 
-    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        os.chdir(work)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(["simulate", "--duration", f"{replay_s:g}", "--gps-interval",
-                                   "0.5", "--seed", str(seed), "--out", "logs"])
-            if status:
-                raise RuntimeError(f"ifalign simulate exited {status}")
-            logs = Path("logs")
-            for log in ("imu.csv", "gps.csv", "truth.csv"):
-                outputs[f"replay/logs/{log}"] = np.frombuffer((logs / log).read_bytes(), np.uint8)
+        logs = Path(work) / "logs"
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["simulate", "--duration", f"{replay_s:g}", "--gps-interval",
+                               "0.5", "--seed", str(seed), "--out", str(logs)])
+        if status:
+            raise RuntimeError(f"ifalign simulate exited {status}")
+        for log in ("imu.csv", "gps.csv", "truth.csv"):
+            outputs[f"replay/logs/{log}"] = np.frombuffer((logs / log).read_bytes(), np.uint8)
+        for name, truth_path, report_interval_s in (
+            ("replay", logs / "truth.csv", 0.02),
+            ("replay_no_truth", None, 1.0),
+        ):
             data = AlignmentData.from_logs(logs / "imu.csv", logs / "gps.csv", 0.02,
-                                           truth_path=logs / "truth.csv")
-            Path("reports").mkdir()
+                                           truth_path=truth_path)
             for method in METHODS:
-                report = _run(outputs, final, "replay", data, method, 0.02)
-                path = Path("reports") / f"report_{method}.csv"
+                report = _run(outputs, final, name, data, method, report_interval_s)
+                path = Path(work) / f"{name}_{method}.csv"
                 report.write_csv(path)
-                outputs[f"replay/{method}/report.csv"] = np.frombuffer(path.read_bytes(), np.uint8)
-        finally:
-            os.chdir(cwd)
+                outputs[f"{name}/{method}/report.csv"] = np.frombuffer(path.read_bytes(),
+                                                                       np.uint8)
 
     cfg = ScenarioConfig(duration_s=mc_s)
     truth = generate_truth(cfg)
